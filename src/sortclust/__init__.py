@@ -2,7 +2,7 @@
 top principal score, group merging by distance or density, outlier handling,
 out-of-sample prediction, and textual explanations."""
 
-from .aggregation import AggregationStats, Group, aggregate, aggregate_reference
+from .aggregation import aggregate, aggregate_reference
 from .evaluation import (ContingencyTable, GaussianModelParams, ami, ari,
                          make_blobs, model_p1, model_p2, model_ratio)
 from .explain import (ExplainReport, explain_pair, explain_point,
@@ -11,8 +11,8 @@ from .geometry import (Ball, ball_volume, intersection_volume, log_ball_volume,
                        log_intersection_volume, log_union_volume,
                        overlap_fraction, reg_inc_beta, reg_inc_gamma_lower,
                        union_volume)
-from .merging import (DisjointSet, GroupClusterMap, MergeGraph,
-                      connected_components, density_merge, distance_merge)
+from .merging import (GroupClusterMap, MergeGraph, connected_components,
+                      density_merge, distance_merge)
 from .postprocess import (ClusterModel, FitConfig, apply_minpts, fit,
                           from_json, load_model, predict, save_model, to_json)
 from .prep import (PreparedData, center, first_principal_component,
@@ -21,7 +21,7 @@ from .prep import (PreparedData, center, first_principal_component,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationStats", "Group", "aggregate", "aggregate_reference",
+    "aggregate", "aggregate_reference",
     "ContingencyTable", "GaussianModelParams", "ami", "ari", "make_blobs",
     "model_p1", "model_p2", "model_ratio",
     "ExplainReport", "explain_pair", "explain_point", "explain_summary",
@@ -29,7 +29,7 @@ __all__ = [
     "Ball", "ball_volume", "intersection_volume", "log_ball_volume",
     "log_intersection_volume", "log_union_volume", "overlap_fraction",
     "reg_inc_beta", "reg_inc_gamma_lower", "union_volume",
-    "DisjointSet", "GroupClusterMap", "MergeGraph", "connected_components",
+    "GroupClusterMap", "MergeGraph", "connected_components",
     "density_merge", "distance_merge",
     "ClusterModel", "FitConfig", "apply_minpts", "fit", "from_json",
     "load_model", "predict", "save_model", "to_json",

@@ -7,44 +7,18 @@ points, a score gap above R proves the true distance exceeds R, so the scan
 for one group can stop at the first such successor without changing the
 result. ``aggregate_reference`` is the same procedure without that early
 exit and exists as an oracle for the pruning.
+
+A grouping is two arrays over the score-sorted rows: ``starts`` (l,), the
+ascending starting row of each group, and ``group_of`` (n,), each row's group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .prep import PreparedData
-
-
-@dataclass(frozen=True, eq=False)
-class Group:
-    """One aggregation group: its starting point and all member points.
-
-    Indices refer to rows of the score-sorted prepared matrix. `members`
-    is ascending and includes `start`.
-    """
-
-    start: int
-    members: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-
-@dataclass(frozen=True)
-class AggregationStats:
-    """Count of pairwise distance evaluations performed during the scan.
-
-    A candidate is evaluated only while unassigned, so dist_count counts one
-    evaluation per (starting point, unassigned candidate) pair inspected.
-    """
-
-    dist_count: int
-    avg_dist_pp: float
 
 
 def _scan(prepared: PreparedData, r: float, prune: bool):
@@ -76,15 +50,7 @@ def _scan(prepared: PreparedData, r: float, prune: bool):
         i += 1
         while i < n and assigned[i]:
             i += 1
-    return starts, group_of, dist_count
-
-
-def _collect_groups(starts: list[int], group_of: np.ndarray) -> list[Group]:
-    order = np.argsort(group_of, kind="stable")
-    counts = np.bincount(group_of, minlength=len(starts))
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return [Group(start=starts[g], members=order[bounds[g]:bounds[g + 1]])
-            for g in range(len(starts))]
+    return np.asarray(starts, dtype=np.int64), group_of, dist_count
 
 
 def _check_radius(r: float) -> None:
@@ -92,20 +58,22 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"radius must be a positive finite number, got {r!r}")
 
 
-def aggregate(prepared: PreparedData, r: float) -> tuple[list[Group], AggregationStats]:
+def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Partition the prepared points into groups of absolute radius `r`.
 
     `r` is the absolute threshold (the caller multiplies the unit-free radius
-    parameter by the median extend). Groups are returned in creation order,
-    i.e. by their starting points' score order.
+    parameter by the median extend). Returns ``(starts, group_of,
+    dist_count)``: the starting row of each group in creation order (i.e. by
+    score), the group id of each sorted row, and the number of pairwise
+    distance evaluations. A candidate is evaluated only while unassigned, so
+    dist_count counts one evaluation per (starting point, unassigned
+    candidate) pair inspected.
     """
     _check_radius(r)
-    starts, group_of, dist_count = _scan(prepared, float(r), prune=True)
-    groups = _collect_groups(starts, group_of)
-    return groups, AggregationStats(dist_count, dist_count / prepared.n)
+    return _scan(prepared, float(r), prune=True)
 
 
-def aggregate_reference(prepared: PreparedData, r: float) -> tuple[list[Group], AggregationStats]:
+def aggregate_reference(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Same partition as :func:`aggregate`, but scanning every remaining point.
 
     No early exit on the score gap, so dist_count is an upper bound for the
@@ -113,6 +81,4 @@ def aggregate_reference(prepared: PreparedData, r: float) -> tuple[list[Group], 
     work the pruning saves.
     """
     _check_radius(r)
-    starts, group_of, dist_count = _scan(prepared, float(r), prune=False)
-    groups = _collect_groups(starts, group_of)
-    return groups, AggregationStats(dist_count, dist_count / prepared.n)
+    return _scan(prepared, float(r), prune=False)

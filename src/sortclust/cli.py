@@ -1,7 +1,8 @@
 """Command-line interface: fit, predict, explain, eval, probe, blobs.
 
 Exit code 0 on success, 2 on any usage or input error; errors print to
-stderr and nothing is written to output paths on failure.
+stderr and nothing is written to output paths on failure: `fit` writes all
+of its output files or none of them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .evaluation import GaussianModelParams, ami, ari, make_blobs, model_ratio
 from .explain import explain_pair, explain_point, explain_summary, fit_stats_text
-from .postprocess import fit, load_model, predict, save_model
-from .prep import prepare, principal_plane
+from .postprocess import fit, load_model, predict, to_json
+from .prep import principal_plane
 
 THREADS_ENV_VAR = "SORTCLUST_THREADS"
 
@@ -98,13 +99,35 @@ def _read_labels(path: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _write_outputs(texts: dict[str, str]) -> None:
+    """Write each text to its path, all or none: every text goes to a
+    temporary file beside its target, and only when all are written are they
+    renamed over their targets. Temporary files never outlive the call."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
+    try:
+        for path, temp in temps.items():
+            try:
+                with open(temp, "x", encoding="utf-8") as fh:
+                    fh.write(texts[path])
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            if os.path.exists(temp):
+                os.remove(temp)
+
+
+def _labels_text(labels: np.ndarray) -> str:
+    return "\n".join(str(int(v)) for v in labels) + "\n"
+
+
 def _write_labels(labels: np.ndarray, path: str | None) -> None:
-    text = "\n".join(str(int(v)) for v in labels) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_labels_text(labels))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_outputs({path: _labels_text(labels)})
 
 
 def _parse_float_grid(raw: str, flag: str) -> list[float]:
@@ -118,21 +141,23 @@ def cmd_fit(args) -> int:
     data = _read_matrix(args.input, args.header, args.drop_bad_rows)
     model = fit(data, radius=args.radius, minpts=args.minpts, scale=args.scale,
                 merge_mode=args.merge, outlier_mode=args.outliers)
-    _write_labels(model.labels, args.output)
+    labels = model.labels
+    outputs = {}
+    if args.output is not None:
+        outputs[args.output] = _labels_text(labels)
     if args.model:
-        save_model(model, args.model)
+        outputs[args.model] = to_json(model) + "\n"
     if args.plot_data:
-        prepared = prepare(data)
-        v1, v2 = principal_plane(prepared.centered)
-        centered = data - prepared.mean
-        pc1 = centered @ v1
-        pc2 = centered @ v2
-        labels = model.labels
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write("pc1,pc2,group,cluster\n")
-            for i in range(model.n):
-                fh.write(f"{float(pc1[i])!r},{float(pc2[i])!r},"
-                         f"{model.point_group[i]},{labels[i]}\n")
+        centered = data - model.mean
+        v1, v2 = principal_plane(centered)
+        pc1 = (centered @ v1).tolist()
+        pc2 = (centered @ v2).tolist()
+        rows = (f"{pc1[i]!r},{pc2[i]!r},{model.point_group[i]},{labels[i]}\n"
+                for i in range(model.n))
+        outputs[args.plot_data] = "pc1,pc2,group,cluster\n" + "".join(rows)
+    _write_outputs(outputs)
+    if args.output is None:
+        _write_labels(labels, None)
     if args.stats:
         print(fit_stats_text(model))
     return 0

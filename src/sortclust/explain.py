@@ -10,8 +10,6 @@ TEXT_VERSION.
 from __future__ import annotations
 
 import heapq
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +40,10 @@ def explain_summary(model: ClusterModel) -> ExplainReport:
     """Summary of the whole fit: parameters, work counters, groups, clusters."""
     raw_starts = model.starting_points + model.mean
     ncoord = min(model.d, 2)
+    group_sizes = np.bincount(model.point_group, minlength=model.num_groups)
     group_rows = [{
         "group": g,
-        "num_points": int(model.group_members[g].size),
+        "num_points": int(group_sizes[g]),
         "cluster": int(model.group_cluster[g]),
         "coordinates": [round(float(c), 2) for c in raw_starts[g, :ncoord]],
     } for g in range(model.num_groups)]
@@ -136,15 +135,18 @@ def explain_point(model: ClusterModel, index: int) -> ExplainReport:
 def _shortest_group_path(model: ClusterModel, start: int, goal: int):
     """Minimum-weight group path in the merge graph (weights = starting-point
     distances); among equal-weight paths the lexicographically smallest
-    sequence of group ids wins."""
+    sequence of group ids wins. None when no path exists."""
     if start == goal:
         return [start]
-    adjacency = defaultdict(list)
+    edges = model.merge_edges
     pts = model.starting_points
-    for i, j in model.merge_edges:
-        w = float(math.sqrt(np.sum((pts[i] - pts[j]) ** 2)))
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
+    weight = np.sqrt(np.sum((pts[edges[:, 0]] - pts[edges[:, 1]]) ** 2, axis=1))
+    # CSR adjacency: the neighbours of g are nbr[offsets[g]:offsets[g + 1]].
+    src = np.concatenate((edges[:, 0], edges[:, 1]))
+    order = np.argsort(src, kind="stable")
+    nbr = np.concatenate((edges[:, 1], edges[:, 0]))[order].tolist()
+    nbr_weight = np.concatenate((weight, weight))[order].tolist()
+    offsets = [0, *np.cumsum(np.bincount(src, minlength=model.num_groups)).tolist()]
     heap = [(0.0, (start,))]
     settled: set[int] = set()
     while heap:
@@ -155,9 +157,9 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
         if node in settled:
             continue
         settled.add(node)
-        for nxt, w in adjacency[node]:
-            if nxt not in settled:
-                heapq.heappush(heap, (dist + w, path + (nxt,)))
+        for k in range(offsets[node], offsets[node + 1]):
+            if nbr[k] not in settled:
+                heapq.heappush(heap, (dist + nbr_weight[k], path + (nbr[k],)))
     return None
 
 
@@ -188,8 +190,14 @@ def explain_pair(model: ClusterModel, first: int, second: int) -> ExplainReport:
     if same:
         text = (f"The data point {first} is in group {g1} and the data point "
                 f"{second} is in group {g2}, both of which were merged into "
-                f"cluster #{c1}. These two groups are connected via groups "
-                f"{path_text}.")
+                f"cluster #{c1}.")
+        if path is not None:
+            text += f" These two groups are connected via groups {path_text}."
+        else:
+            # Only minPts reassignment puts groups without a merge path into
+            # one cluster.
+            text += (" No chain of merged groups connects these two groups; "
+                     "the minPts rule moved at least one of them into this cluster.")
     else:
         text = (f"The data point {first} is in group {g1}, which belongs to "
                 f"{_cluster_phrase(c1)}. The data point {second} is in group "

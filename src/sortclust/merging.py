@@ -4,7 +4,8 @@ Two groups merge either when their starting points are within ``scale * R``
 of each other (distance criterion) or when the data density inside the
 intersection of their R-balls is at least the density inside the union
 (density criterion). Clusters are the connected components of the resulting
-graph on groups.
+graph on groups. The graph is an (E, 2) edge array over group ids, and the
+components come from vectorized passes over that array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import Group
 from .geometry import overlap_fraction
 from .prep import PreparedData
 
@@ -23,12 +23,16 @@ from .prep import PreparedData
 _WINDOW_PAD_REL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeGraph:
-    """Undirected graph on group indices; edges are merge decisions."""
+    """Undirected graph on group indices; edges are merge decisions.
+
+    `edges` is an (E, 2) int64 array of pairs i < j, unique, sorted
+    lexicographically.
+    """
 
     num_groups: int
-    edges: list[tuple[int, int]]   # i < j, unique, lexicographically sorted
+    edges: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,29 +50,12 @@ class GroupClusterMap:
     sizes: np.ndarray
 
 
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _edge_array(neighbours: list[np.ndarray]) -> np.ndarray:
+    """(E, 2) edge array from the ascending larger endpoints of each group i."""
+    counts = [nb.size for nb in neighbours]
+    first = np.repeat(np.arange(len(neighbours), dtype=np.int64), counts)
+    second = np.concatenate([np.empty(0, dtype=np.int64), *neighbours])
+    return np.stack((first, second), axis=1)
 
 
 def relabel_by_size(raw_ids, group_sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -78,20 +65,42 @@ def relabel_by_size(raw_ids, group_sizes) -> tuple[np.ndarray, np.ndarray]:
     smallest group index. Ids equal to -1 pass through unchanged (outliers).
     Returns (new id per group, point count per new cluster id).
     """
-    totals: dict[int, int] = {}
-    first_group: dict[int, int] = {}
-    for g, rid in enumerate(raw_ids):
-        rid = int(rid)
-        if rid == -1:
-            continue
-        totals[rid] = totals.get(rid, 0) + int(group_sizes[g])
-        first_group.setdefault(rid, g)
-    order = sorted(totals, key=lambda rid: (-totals[rid], first_group[rid]))
-    new_id = {rid: c for c, rid in enumerate(order)}
-    out = np.array([new_id[int(r)] if int(r) != -1 else -1 for r in raw_ids],
-                   dtype=np.int64)
-    sizes = np.array([totals[rid] for rid in order], dtype=np.int64)
-    return out, sizes
+    raw = np.asarray(raw_ids, dtype=np.int64)
+    kept = raw != -1
+    _, first, inverse = np.unique(raw[kept], return_index=True, return_inverse=True)
+    totals = np.bincount(inverse, minlength=first.size,
+                         weights=np.asarray(group_sizes)[kept]).astype(np.int64)
+    # `first` indexes the kept groups, whose order is the group-index order.
+    order = np.lexsort((first, -totals))
+    new_id = np.empty(order.size, dtype=np.int64)
+    new_id[order] = np.arange(order.size)
+    out = np.full(raw.size, -1, dtype=np.int64)
+    out[kept] = new_id[inverse]
+    return out, totals[order]
+
+
+def _component_roots(num_groups: int, edges: np.ndarray) -> np.ndarray:
+    """Smallest group index in each group's connected component.
+
+    Hook-and-pointer-jump: each tree root that shares an edge with a smaller
+    root hooks under the smallest such root, then pointer jumping flattens
+    every tree to depth one. Parents only ever decrease, so the forest stays acyclic and each
+    final root is its component's minimum.
+    """
+    parent = np.arange(num_groups, dtype=np.int64)
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        ra, rb = parent[a], parent[b]
+        crossing = ra != rb
+        if not crossing.any():
+            return parent
+        ra, rb = ra[crossing], rb[crossing]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def connected_components(graph: MergeGraph, group_sizes=None) -> GroupClusterMap:
@@ -103,10 +112,7 @@ def connected_components(graph: MergeGraph, group_sizes=None) -> GroupClusterMap
     l = graph.num_groups
     sizes = np.ones(l, dtype=np.int64) if group_sizes is None \
         else np.asarray(group_sizes, dtype=np.int64)
-    dsu = DisjointSet(l)
-    for i, j in graph.edges:
-        dsu.union(i, j)
-    roots = [dsu.find(g) for g in range(l)]
+    roots = _component_roots(l, np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2))
     cluster_of_group, cluster_sizes = relabel_by_size(roots, sizes)
     return GroupClusterMap(cluster_of_group=cluster_of_group,
                            k=len(cluster_sizes), sizes=cluster_sizes)
@@ -132,16 +138,14 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     l = sc.size
     threshold = scale * r
     t_sq = threshold * threshold
-    edges: list[tuple[int, int]] = []
+    neighbours = []
     for i in range(l):
         end = int(np.searchsorted(sc, sc[i] + threshold, side="right"))
-        if end <= i + 1:
-            continue
         js = np.arange(i + 1, end)
         diff = pts[js] - pts[i]
         dist_sq = np.einsum("ij,ij->i", diff, diff)
-        edges.extend((i, int(j)) for j in js[dist_sq <= t_sq])
-    return MergeGraph(num_groups=l, edges=edges)
+        neighbours.append(js[dist_sq <= t_sq])
+    return MergeGraph(num_groups=l, edges=_edge_array(neighbours))
 
 
 def density_pair_test(count_union: int, count_inter: int, dist: float,
@@ -180,54 +184,38 @@ def _ball_member_sets(centers, center_scores, prepared: PreparedData, r: float):
     return members
 
 
-def density_merge(groups: list[Group], prepared: PreparedData, r: float,
-                  members_only: bool = False) -> MergeGraph:
+def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     """Edge (i, j) iff the intersection of the two R-balls is at least as
     dense in data points as their union.
 
-    Candidate pairs are limited to starting points whose score gap is at most
-    2r (a larger gap proves the balls cannot overlap) and whose center
-    distance is strictly below 2r. By default the point counts range over the
-    whole dataset restricted geometrically to the union/intersection regions;
-    `members_only=True` restricts them to the two groups' own members.
+    `starts` holds the sorted-row index of each group's starting point, in
+    score order. Candidate pairs are limited to starting points whose score
+    gap is at most 2r (a larger gap proves the balls cannot overlap) and
+    whose center distance is strictly below 2r. The point counts range over
+    the whole dataset restricted geometrically to the union/intersection
+    regions.
     """
     _check_positive(r)
-    scores = prepared.scores
-    X = prepared.centered
-    l = len(groups)
-    starts = np.array([g.start for g in groups], dtype=np.int64)
-    centers = X[starts]
-    cscores = scores[starts]
+    starts = np.asarray(starts, dtype=np.int64)
+    centers = prepared.centered[starts]
+    cscores = prepared.scores[starts]
     four_r_sq = 4.0 * (r * r)
-    r_sq = r * r
+    in_ball = _ball_member_sets(centers, cscores, prepared, r)
 
-    if not members_only:
-        in_ball = _ball_member_sets(centers, cscores, prepared, r)
-
-    edges: list[tuple[int, int]] = []
-    for i in range(l):
+    neighbours = []
+    for i in range(starts.size):
         end = int(np.searchsorted(cscores, cscores[i] + 2.0 * r, side="right"))
-        if end <= i + 1:
-            continue
         js = np.arange(i + 1, end)
         diff = centers[js] - centers[i]
         cdist_sq = np.einsum("ij,ij->i", diff, diff)
+        merged = []
         for j, dsq in zip(js, cdist_sq):
             if not dsq < four_r_sq:
                 continue
-            j = int(j)
-            if members_only:
-                own = np.concatenate((groups[i].members, groups[j].members))
-                di = np.einsum("ij,ij->i", X[own] - centers[i], X[own] - centers[i])
-                dj = np.einsum("ij,ij->i", X[own] - centers[j], X[own] - centers[j])
-                inside_i = di <= r_sq
-                inside_j = dj <= r_sq
-                count_union = int(np.count_nonzero(inside_i | inside_j))
-                count_inter = int(np.count_nonzero(inside_i & inside_j))
-            else:
-                bi, bj = in_ball[i], in_ball[j]
-                count_inter = np.intersect1d(bi, bj, assume_unique=True).size
-                count_union = bi.size + bj.size - count_inter
+            bi, bj = in_ball[i], in_ball[j]
+            count_inter = np.intersect1d(bi, bj, assume_unique=True).size
+            count_union = bi.size + bj.size - count_inter
             if density_pair_test(count_union, count_inter, math.sqrt(dsq), r, prepared.d):
-                edges.append((i, j))
-    return MergeGraph(num_groups=l, edges=edges)
+                merged.append(j)
+        neighbours.append(np.asarray(merged, dtype=np.int64))
+    return MergeGraph(num_groups=starts.size, edges=_edge_array(neighbours))

@@ -3,17 +3,22 @@
 `fit` runs the whole pipeline (prepare, aggregate, merge, minimum-cluster-size
 rule) and returns an immutable :class:`ClusterModel`. The model supports
 out-of-sample prediction, explanation queries, and JSON round-tripping.
+
+The stages pass arrays: ``starts``/``group_of`` from aggregation, an (E, 2)
+edge array, a cluster id per group. Labels are ``cluster_of_group[group_of]``;
+the model keeps ``point_group`` and derives per-group member lists from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import Group, aggregate
+from .aggregation import aggregate
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -23,7 +28,11 @@ MODEL_FORMAT_VERSION = 1
 MERGE_MODES = ("distance", "density")
 OUTLIER_MODES = ("reassign", "separate")
 
-_PREDICT_CHUNK = 2048
+# Bytes of the distance block predict reuses across query chunks. A block this
+# small comes out of the heap's free space whatever state the fit left the heap
+# in; blocks of several megabytes were paged in afresh on some heap states, so
+# predict's time varied from one fit to the next.
+_PREDICT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,8 @@ class ClusterModel:
     """Everything a fit produced, frozen.
 
     Geometry is stored in centered coordinates; `mean` recovers raw space.
-    `group_members` lists original row indices per group (ascending), and
+    `point_group` is the only record of group membership; `group_members`
+    derives the original row indices per group (ascending) from it, and
     `labels` is the per-point cluster assignment in original row order, with
     -1 marking outliers in "separate" mode.
     """
@@ -67,10 +77,9 @@ class ClusterModel:
     r: float                              # effective aggregation radius
     starting_points: np.ndarray           # (l, d) centered coordinates
     starting_scores: np.ndarray           # (l,)
-    group_members: list[np.ndarray]       # original row ids per group
     group_cluster: np.ndarray             # (l,) cluster id per group, -1 = outlier
     cluster_sizes: np.ndarray             # (k,) point counts per cluster id
-    merge_edges: list[tuple[int, int]]
+    merge_edges: np.ndarray               # (E, 2) merge graph edges, i < j
     point_group: np.ndarray               # (n,) original row -> group id
     dist_count: int
     n: int
@@ -78,7 +87,14 @@ class ClusterModel:
 
     @property
     def num_groups(self) -> int:
-        return len(self.group_members)
+        return int(self.starting_scores.size)
+
+    @property
+    def group_members(self) -> list[np.ndarray]:
+        """Original row indices of each group, ascending."""
+        order = np.argsort(self.point_group, kind="stable")
+        sizes = np.bincount(self.point_group, minlength=self.num_groups)
+        return np.split(order, np.cumsum(sizes)[:-1])
 
     @property
     def num_clusters(self) -> int:
@@ -99,9 +115,8 @@ def effective_radius(radius: float, mext: float) -> float:
     return radius * mext if mext > 0.0 else radius
 
 
-def apply_minpts(cluster_map: GroupClusterMap, groups: list[Group],
-                 starting_points, minpts: int,
-                 mode: str = "reassign") -> tuple[GroupClusterMap, np.ndarray]:
+def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
+                 minpts: int, mode: str = "reassign") -> GroupClusterMap:
     """Apply the minimum-cluster-size rule.
 
     reassign: every group in a cluster with fewer than `minpts` points moves
@@ -112,45 +127,29 @@ def apply_minpts(cluster_map: GroupClusterMap, groups: list[Group],
     separate: points of too-small clusters are labelled -1 and surviving
     clusters are renumbered contiguously.
 
-    Returns the updated map and a per-point label vector in the index space
-    used by the groups' member lists.
+    `group_sizes` is the point count of each group. Returns the updated map;
+    per-point labels are its `cluster_of_group` indexed by each point's group.
     """
     if mode not in OUTLIER_MODES:
         raise ValueError(f"mode must be one of {OUTLIER_MODES}")
-    group_sizes = np.array([g.size for g in groups], dtype=np.int64)
     assignment = cluster_map.cluster_of_group
-
-    def labels_for(ids: np.ndarray) -> np.ndarray:
-        labels = np.empty(int(group_sizes.sum()), dtype=np.int64)
-        for g, grp in enumerate(groups):
-            labels[grp.members] = ids[g]
-        return labels
-
     small = cluster_map.sizes < minpts
-    if minpts <= 1 or not small.any():
-        return cluster_map, labels_for(assignment)
+    if minpts <= 1 or not small.any() or (mode == "reassign" and small.all()):
+        return cluster_map
 
+    raw = assignment.copy()
     if mode == "reassign":
-        eligible_clusters = ~small
-        if not eligible_clusters.any():
-            return cluster_map, labels_for(assignment)
         pts = np.asarray(starting_points, dtype=np.float64)
-        eligible_groups = np.nonzero(eligible_clusters[assignment])[0]
+        eligible_groups = np.nonzero(~small[assignment])[0]
         eligible_pts = pts[eligible_groups]
-        raw = assignment.copy()
         for g in np.nonzero(small[assignment])[0]:
             diff = eligible_pts - pts[g]
             dist_sq = np.einsum("ij,ij->i", diff, diff)
-            target = eligible_groups[int(np.argmin(dist_sq))]
-            raw[g] = assignment[target]
-        new_ids, sizes = relabel_by_size(raw, group_sizes)
+            raw[g] = assignment[eligible_groups[int(np.argmin(dist_sq))]]
     else:
-        raw = assignment.copy()
         raw[small[assignment]] = -1
-        new_ids, sizes = relabel_by_size(raw, group_sizes)
-
-    new_map = GroupClusterMap(cluster_of_group=new_ids, k=len(sizes), sizes=sizes)
-    return new_map, labels_for(new_ids)
+    new_ids, sizes = relabel_by_size(raw, group_sizes)
+    return GroupClusterMap(cluster_of_group=new_ids, k=len(sizes), sizes=sizes)
 
 
 def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
@@ -170,44 +169,36 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
 
 def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
     r = effective_radius(config.radius, prepared.mext)
-    groups, stats = aggregate(prepared, r)
-    starts = np.array([g.start for g in groups], dtype=np.int64)
+    starts, group_of, dist_count = aggregate(prepared, r)
     starting_points = prepared.centered[starts]
     starting_scores = prepared.scores[starts]
 
     if config.merge_mode == "distance":
         graph = distance_merge(starting_scores, starting_points, r, config.scale)
     else:
-        graph = density_merge(groups, prepared, r)
+        graph = density_merge(starts, prepared, r)
 
-    group_sizes = [g.size for g in groups]
+    group_sizes = np.bincount(group_of, minlength=starts.size)
     merged = connected_components(graph, group_sizes)
-    final_map, labels_sorted = apply_minpts(merged, groups, starting_points,
-                                            config.minpts, config.outlier_mode)
+    final_map = apply_minpts(merged, group_sizes, starting_points,
+                             config.minpts, config.outlier_mode)
 
-    n = prepared.n
-    point_group_sorted = np.empty(n, dtype=np.int64)
-    for gid, g in enumerate(groups):
-        point_group_sorted[g.members] = gid
-    point_group = np.empty(n, dtype=np.int64)
-    point_group[prepared.perm] = point_group_sorted
-    group_members = [np.sort(prepared.perm[g.members]) for g in groups]
-
+    point_group = np.empty(prepared.n, dtype=np.int64)
+    point_group[prepared.perm] = group_of
     return ClusterModel(
         config=config,
         mean=prepared.mean.copy(),
         v1=prepared.v1.copy(),
         mext=prepared.mext,
         r=r,
-        starting_points=starting_points.copy(),
-        starting_scores=starting_scores.copy(),
-        group_members=group_members,
+        starting_points=starting_points,
+        starting_scores=starting_scores,
         group_cluster=final_map.cluster_of_group,
         cluster_sizes=final_map.sizes,
-        merge_edges=list(graph.edges),
+        merge_edges=graph.edges,
         point_group=point_group,
-        dist_count=stats.dist_count,
-        n=n,
+        dist_count=dist_count,
+        n=prepared.n,
         d=prepared.d,
     )
 
@@ -232,14 +223,18 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     pts = model.starting_points[eligible]
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    rows = max(1, min(q.shape[0], _PREDICT_BLOCK_BYTES // (8 * pts.shape[0])))
+    dist_sq = np.empty((rows, pts.shape[0]))
     out = np.empty(q.shape[0], dtype=np.int64)
-    for lo in range(0, q.shape[0], _PREDICT_CHUNK):
-        chunk = centered[lo:lo + _PREDICT_CHUNK]
-        dist_sq = (np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                   - 2.0 * chunk @ pts.T
-                   + np.einsum("ij,ij->i", pts, pts)[None, :])
-        nearest = eligible[np.argmin(dist_sq, axis=1)]
-        out[lo:lo + _PREDICT_CHUNK] = model.group_cluster[nearest]
+    for lo in range(0, q.shape[0], rows):
+        chunk = centered[lo:lo + rows]
+        # |c|^2 - 2 c.p + |p|^2, in place in one reused block.
+        block = np.matmul(chunk, pts.T, out=dist_sq[:chunk.shape[0]])
+        block *= 2.0
+        np.subtract(np.einsum("ij,ij->i", chunk, chunk)[:, None], block, out=block)
+        block += pts_sq
+        out[lo:lo + rows] = model.group_cluster[eligible[np.argmin(block, axis=1)]]
     return out
 
 
@@ -268,47 +263,100 @@ def to_json(model: ClusterModel) -> str:
         "group_members": [m.tolist() for m in model.group_members],
         "group_cluster": model.group_cluster.tolist(),
         "cluster_sizes": model.cluster_sizes.tolist(),
-        "merge_edges": [list(e) for e in model.merge_edges],
+        "merge_edges": model.merge_edges.tolist(),
         "stats": {"dist_count": model.dist_count, "n": model.n, "d": model.d},
     }
     return json.dumps(doc)
 
 
-def from_json(text: str) -> ClusterModel:
-    """Rebuild a model from its JSON document."""
-    doc = json.loads(text)
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    cfg = doc["config"]
+# Keys a model document must have, at the top level and in two sub-objects.
+_REQUIRED_KEYS = {
+    "model": ("config", "mean", "v1", "mext", "starting_points", "starting_scores",
+              "group_members", "group_cluster", "cluster_sizes", "merge_edges", "stats"),
+    "config": ("radius", "minPts", "scale", "merge_mode", "outlier_mode"),
+    "stats": ("dist_count", "n", "d"),
+}
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _model_from_doc(doc: dict) -> ClusterModel:
+    for part, keys in _REQUIRED_KEYS.items():
+        obj = doc if part == "model" else doc[part]
+        _check(isinstance(obj, dict) and all(key in obj for key in keys),
+               f"{part} must be an object with the keys {', '.join(keys)}")
+    cfg, stats, members = doc["config"], doc["stats"], doc["group_members"]
+    _check(isinstance(members, list), "group_members must be a list")
     config = FitConfig(radius=float(cfg["radius"]), minpts=int(cfg["minPts"]),
                        scale=float(cfg["scale"]), merge_mode=cfg["merge_mode"],
                        outlier_mode=cfg["outlier_mode"])
     config.validate()
-    stats = doc["stats"]
-    n, d = int(stats["n"]), int(stats["d"])
-    group_members = [np.asarray(m, dtype=np.int64) for m in doc["group_members"]]
+    n, d, l = int(stats["n"]), int(stats["d"]), len(members)
+    mean = np.asarray(doc["mean"], dtype=np.float64)
+    v1 = np.asarray(doc["v1"], dtype=np.float64)
+    _check(mean.shape == v1.shape == (d,), f"mean and v1 must have length d={d}")
+    starting_points = np.asarray(doc["starting_points"], dtype=np.float64)
+    starting_scores = np.asarray(doc["starting_scores"], dtype=np.float64)
     group_cluster = np.asarray(doc["group_cluster"], dtype=np.int64)
-    point_group = np.empty(n, dtype=np.int64)
-    for gid, members in enumerate(group_members):
-        point_group[members] = gid
+    _check(starting_points.shape == (l, d), f"starting_points must have shape ({l}, {d})")
+    _check(starting_scores.shape == group_cluster.shape == (l,),
+           f"starting_scores and group_cluster must have length {l}")
+
+    # group_members must partition 0..n-1: n rows in range, none left over.
+    sizes = np.fromiter(map(len, members), dtype=np.int64, count=l)
+    rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
+                       count=int(sizes.sum()))
+    _check(rows.size == n and bool(np.all((rows >= 0) & (rows < n))),
+           f"group_members must partition the rows 0..{n - 1}")
+    point_group = np.full(n, -1, dtype=np.int64)
+    point_group[rows] = np.repeat(np.arange(l), sizes)
+    _check(bool(np.all(point_group >= 0)), f"group_members must partition the rows 0..{n - 1}")
+
+    cluster_sizes = np.asarray(doc["cluster_sizes"], dtype=np.int64)
+    k = cluster_sizes.size
+    _check(cluster_sizes.ndim == 1 and bool(np.all((group_cluster >= -1) & (group_cluster < k))),
+           f"group_cluster ids must lie in [-1, {k})")
+    edges = np.asarray(doc["merge_edges"], dtype=np.int64)
+    edges = edges.reshape(0, 2) if edges.shape == (0,) else edges
+    _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
+           f"merge_edges must be pairs of group ids in [0, {l})")
     mext = float(doc["mext"])
     return ClusterModel(
         config=config,
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        v1=np.asarray(doc["v1"], dtype=np.float64),
+        mean=mean,
+        v1=v1,
         mext=mext,
         r=effective_radius(config.radius, mext),
-        starting_points=np.asarray(doc["starting_points"], dtype=np.float64),
-        starting_scores=np.asarray(doc["starting_scores"], dtype=np.float64),
-        group_members=group_members,
+        starting_points=starting_points,
+        starting_scores=starting_scores,
         group_cluster=group_cluster,
-        cluster_sizes=np.asarray(doc["cluster_sizes"], dtype=np.int64),
-        merge_edges=[(int(i), int(j)) for i, j in doc["merge_edges"]],
+        cluster_sizes=cluster_sizes,
+        merge_edges=edges,
         point_group=point_group,
         dist_count=int(stats["dist_count"]),
         n=n,
         d=d,
     )
+
+
+def from_json(text: str) -> ClusterModel:
+    """Rebuild a model from its JSON document.
+
+    The document is checked first: required keys, array shapes,
+    `group_members` partitioning the rows 0..n-1, cluster ids in [-1, k) and
+    edge endpoints in [0, l). A malformed document raises ValueError.
+    """
+    doc = json.loads(text)
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model version {version!r}")
+    try:
+        return _model_from_doc(doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model: {exc}") from None
 
 
 def save_model(model: ClusterModel, path) -> None:

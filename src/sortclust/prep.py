@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
-
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
@@ -71,50 +68,16 @@ def center(raw) -> tuple[np.ndarray, np.ndarray]:
     return pts - mean, mean
 
 
-def _power_iteration(sym: np.ndarray) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a small symmetric PSD matrix.
-
-    Deterministic start vector (largest-norm column) so results are
-    reproducible across platforms.
-    """
-    d = sym.shape[0]
-    col_norms = np.linalg.norm(sym, axis=0)
-    k = int(np.argmax(col_norms))
-    if col_norms[k] == 0.0:
-        v = np.zeros(d)
-        v[0] = 1.0
-        return 0.0, v
-    v = sym[:, k] / col_norms[k]
-    for _ in range(_POWER_MAX_ITER):
-        w = sym @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            break
-        w = w / norm_w
-        if float(w @ v) < 0.0:
-            w = -w
-        converged = np.linalg.norm(w - v) <= _POWER_TOL
-        v = w
-        if converged:
-            break
-    lam = float(v @ sym @ v)
-    return lam, v
-
-
-def _top_two(gram: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Top two eigenpairs of the Gram matrix via power iteration + deflation."""
-    lam1, v1 = _power_iteration(gram)
-    d = gram.shape[0]
-    if lam1 <= 0.0:
-        # All-zero data: every direction is principal; fix the first axis.
-        v1 = np.zeros(d)
-        v1[0] = 1.0
-        return 0.0, v1, 0.0, np.zeros(d)
-    if d == 1:
-        return lam1, v1, 0.0, np.zeros(1)
-    deflated = gram - lam1 * np.outer(v1, v1)
-    lam2, v2 = _power_iteration(deflated)
-    return lam1, v1, max(lam2, 0.0), v2
+def _principal_axes(centered) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the d x d Gram matrix (descending, clipped at zero) and
+    the matching unit eigenvectors as rows, by LAPACK's symmetric
+    eigensolver. All-zero data has every direction principal; the axes are
+    then the coordinate axes, so the first axis comes first."""
+    X = np.asarray(centered, dtype=np.float64)
+    lam, vecs = np.linalg.eigh(X.T @ X)
+    if lam[-1] <= 0.0:
+        return np.zeros(lam.size), np.eye(lam.size)
+    return np.maximum(lam[::-1], 0.0), vecs.T[::-1].copy()
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -126,14 +89,12 @@ def first_principal_component(centered) -> tuple[np.ndarray, float, float]:
     """Top right-singular direction and leading two singular values.
 
     Works on the d x d Gram matrix, so the cost is O(n d^2) to form it plus
-    an n-independent iteration. Sign convention: the entry of v1 with the
+    an n-independent eigensolve. Sign convention: the entry of v1 with the
     largest magnitude is positive.
     """
-    X = np.asarray(centered, dtype=np.float64)
-    gram = X.T @ X
-    lam1, v1, lam2, _ = _top_two(gram)
-    v1 = _fix_sign(np.asarray(v1, dtype=np.float64))
-    return v1, float(np.sqrt(lam1)), float(np.sqrt(lam2))
+    lam, axes = _principal_axes(centered)
+    sigma2 = float(np.sqrt(lam[1])) if lam.size > 1 else 0.0
+    return _fix_sign(axes[0]), float(np.sqrt(lam[0])), sigma2
 
 
 def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:
@@ -141,13 +102,10 @@ def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:
 
     In one dimension the second direction is the zero vector.
     """
-    X = np.asarray(centered, dtype=np.float64)
-    gram = X.T @ X
-    _, v1, lam2, v2 = _top_two(gram)
-    v1 = _fix_sign(np.asarray(v1, dtype=np.float64))
-    if lam2 <= 0.0:
-        return v1, np.zeros_like(v1)
-    return v1, _fix_sign(np.asarray(v2, dtype=np.float64))
+    lam, axes = _principal_axes(centered)
+    if lam.size < 2 or lam[1] == 0.0:
+        return _fix_sign(axes[0]), np.zeros(lam.size)
+    return _fix_sign(axes[0]), _fix_sign(axes[1])
 
 
 def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

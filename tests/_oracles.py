@@ -1,7 +1,8 @@
 """Independent reference computations used across the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-dense eigensolves instead of power iteration, closed-form areas instead of
+Jacobi rotations instead of LAPACK's eigensolver, breadth-first search
+instead of vectorized component passes, closed-form areas instead of
 the incomplete beta, rejection sampling instead of quadrature, plain-python
 hypergeometric sums instead of log-factorial tables.
 """
@@ -9,6 +10,7 @@ hypergeometric sums instead of log-factorial tables.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +149,35 @@ def brute_force_distance_edges(starting_points, r: float, scale: float) -> set:
             if float(delta @ delta) <= t_sq:
                 edges.add((i, j))
     return edges
+
+
+def brute_force_components(num_groups: int, edges, group_sizes) -> tuple[list, list]:
+    """Connected components by breadth-first search over adjacency lists,
+    numbered by descending point count, ties to the smallest group index.
+    Returns (cluster id per group, point count per cluster id)."""
+    adjacency = [[] for _ in range(num_groups)]
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    component = [-1] * num_groups
+    members = []
+    for seed in range(num_groups):
+        if component[seed] != -1:
+            continue
+        component[seed] = len(members)
+        found, queue = [seed], deque([seed])
+        while queue:
+            for nxt in adjacency[queue.popleft()]:
+                if component[nxt] == -1:
+                    component[nxt] = component[seed]
+                    found.append(nxt)
+                    queue.append(nxt)
+        members.append(found)
+    totals = [sum(group_sizes[g] for g in found) for found in members]
+    # components are discovered in order of their smallest group index
+    order = sorted(range(len(members)), key=lambda c: (-totals[c], c))
+    new_id = {c: rank for rank, c in enumerate(order)}
+    return [new_id[c] for c in component], [totals[c] for c in order]
 
 
 def brute_force_density_edges(points, starting_points, r: float, d: int) -> set:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.postprocess import fit
 from sortclust.prep import PreparedData, prepare
 
 from _oracles import brute_force_groups
@@ -25,34 +26,35 @@ def prepared_raw(points, v1):
                         perm=np.arange(len(pts)), sigma1=1.0, sigma2=1.0, mext=1.0)
 
 
-def members(groups):
-    return [g.members.tolist() for g in groups]
+def members(group_of):
+    """Ascending member rows of each group, in group-id order."""
+    return [np.nonzero(group_of == g)[0].tolist() for g in range(group_of.max() + 1)]
 
 
 class TestAggregate:
     def test_one_dimensional_hand_trace(self):
-        groups, stats = aggregate(prepared_1d([0.0, 0.5, 1.1, 5.0]), 0.6)
-        assert members(groups) == [[0, 1], [2], [3]]
-        assert [g.start for g in groups] == [0, 2, 3]
-        assert stats.dist_count == 1
+        starts, group_of, dist_count = aggregate(prepared_1d([0.0, 0.5, 1.1, 5.0]), 0.6)
+        assert members(group_of) == [[0, 1], [2], [3]]
+        assert starts.tolist() == [0, 2, 3]
+        assert dist_count == 1
 
     def test_radius_beyond_diameter_gives_one_group(self):
         rng = np.random.default_rng(1)
         p = prepare(rng.normal(size=(30, 3)))
-        groups, _ = aggregate(p, 1e6)
-        assert len(groups) == 1
-        assert groups[0].members.tolist() == list(range(30))
+        starts, group_of, _ = aggregate(p, 1e6)
+        assert starts.tolist() == [0]
+        assert group_of.tolist() == [0] * 30
 
     def test_non_contiguous_membership(self):
         # the middle point passes the score window but fails the distance test
         p = prepared_raw([[0.0, 0.0], [0.5, 0.9], [0.6, 0.0]], [1.0, 0.0])
-        groups, stats = aggregate(p, 0.7)
-        assert members(groups) == [[0, 2], [1]]
-        assert stats.dist_count == 2
+        _, group_of, dist_count = aggregate(p, 0.7)
+        assert members(group_of) == [[0, 2], [1]]
+        assert dist_count == 2
 
     def test_boundary_distance_is_inside(self):
-        groups, _ = aggregate(prepared_1d([0.0, 0.7]), 0.7)
-        assert members(groups) == [[0, 1]]
+        _, group_of, _ = aggregate(prepared_1d([0.0, 0.7]), 0.7)
+        assert members(group_of) == [[0, 1]]
 
     def test_invalid_radius(self):
         p = prepared_1d([0.0, 1.0])
@@ -61,26 +63,29 @@ class TestAggregate:
                 aggregate(p, bad)
 
     def test_stats_average(self):
-        p = prepared_1d([0.0, 0.5, 1.1, 5.0])
-        _, stats = aggregate(p, 0.6)
-        assert stats.avg_dist_pp == stats.dist_count / 4.0
+        # the per-point average lives on the model: aggregation count over n
+        data = [[0.0], [0.5], [1.1], [5.0]]
+        model = fit(data, radius=0.6, extent="scores")
+        _, _, dist_count = aggregate(prepare(data, extent="scores"), model.r)
+        assert model.dist_count == dist_count
+        assert model.avg_dist_pp == dist_count / 4.0
 
 
 class TestAggregateReference:
     def test_full_scan_count(self):
-        groups, stats = aggregate_reference(prepared_1d([0.0, 0.5, 1.1, 5.0]), 0.6)
-        assert members(groups) == [[0, 1], [2], [3]]
+        _, group_of, dist_count = aggregate_reference(prepared_1d([0.0, 0.5, 1.1, 5.0]), 0.6)
+        assert members(group_of) == [[0, 1], [2], [3]]
         # first start checks its 3 successors, the second checks 1, the third none
-        assert stats.dist_count == 4
+        assert dist_count == 4
 
     def test_same_partition_as_pruned(self):
         rng = np.random.default_rng(7)
         p = prepare(rng.normal(size=(200, 5)))
         for radius in (0.1, 0.5, 2.0):
-            g_fast, s_fast = aggregate(p, radius)
-            g_ref, s_ref = aggregate_reference(p, radius)
-            assert members(g_fast) == members(g_ref)
-            assert s_fast.dist_count <= s_ref.dist_count
+            s_fast, g_fast, c_fast = aggregate(p, radius)
+            s_ref, g_ref, c_ref = aggregate_reference(p, radius)
+            assert np.array_equal(s_fast, s_ref) and np.array_equal(g_fast, g_ref)
+            assert c_fast <= c_ref
 
 
 class TestInvariants:
@@ -91,21 +96,21 @@ class TestInvariants:
             d = int(rng.integers(1, 6))
             p = prepare(rng.normal(0.0, 2.0, size=(n, d)))
             r = float(rng.uniform(0.05, 3.0))
-            groups, stats = aggregate(p, r)
-            seen = np.concatenate([g.members for g in groups])
-            assert sorted(seen.tolist()) == list(range(n))
-            starts = [g.start for g in groups]
-            for g in groups:
-                diff = p.centered[g.members] - p.centered[g.start]
+            starts, group_of, dist_count = aggregate(p, r)
+            assert group_of.shape == (n,)
+            assert np.all((group_of >= 0) & (group_of < starts.size))
+            for g, start in enumerate(starts):
+                rows = np.nonzero(group_of == g)[0]
+                diff = p.centered[rows] - p.centered[start]
                 assert np.all(np.einsum("ij,ij->i", diff, diff) <= r * r + 1e-9)
-                assert g.start == min(g.members)
+                assert start == rows.min()
             # distinct starting points always exceed the radius
             spts = p.centered[starts]
             for a in range(len(starts)):
                 for b in range(a + 1, len(starts)):
                     assert np.linalg.norm(spts[a] - spts[b]) > r
             # every non-starting member required at least one evaluation
-            assert stats.dist_count >= n - len(groups)
+            assert dist_count >= n - starts.size
 
     def test_matches_independent_brute_force(self):
         rng = np.random.default_rng(13)
@@ -114,14 +119,14 @@ class TestInvariants:
             d = int(rng.integers(1, 5))
             p = prepare(rng.normal(size=(n, d)))
             r = float(rng.uniform(0.1, 2.5))
-            groups, _ = aggregate(p, r)
-            assert members(groups) == brute_force_groups(p.centered, p.scores, r)
+            _, group_of, _ = aggregate(p, r)
+            assert members(group_of) == brute_force_groups(p.centered, p.scores, r)
 
     def test_determinism(self):
         rng = np.random.default_rng(50)
         data = rng.normal(size=(120, 4))
         p = prepare(data)
-        a1 = aggregate(p, 0.8)
-        a2 = aggregate(p, 0.8)
-        assert members(a1[0]) == members(a2[0])
-        assert a1[1] == a2[1]
+        s1, g1, c1 = aggregate(p, 0.8)
+        s2, g2, c2 = aggregate(p, 0.8)
+        assert np.array_equal(s1, s2) and np.array_equal(g1, g2)
+        assert c1 == c2

@@ -86,6 +86,16 @@ class TestFit:
             float(pc1), float(pc2), int(group), int(cluster)
 
 
+    def test_failed_output_writes_nothing(self, tmp_path, capsys):
+        data = fixture_csv(tmp_path)
+        assert main(["fit", "--input", data, "--output", str(tmp_path / "labels.txt"),
+                     "--radius", "0.3", "--plot-data", str(tmp_path / "plot.csv"),
+                     "--model", str(tmp_path / "nodir" / "m.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+        # no labels, no plot data, no temporary files left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 class TestBlobPipeline:
     def test_generate_fit_eval_end_to_end(self, tmp_path, capsys):
         data = tmp_path / "blobs.csv"
@@ -129,6 +139,13 @@ class TestPredict:
               "--radius", "0.3", "--model", str(model)])
         wide = write(tmp_path / "wide.csv", "1.0,2.0\n")
         assert main(["predict", "--input", wide, "--model", str(model)]) == 2
+
+    def test_malformed_model_file(self, tmp_path, capsys):
+        model = write(tmp_path / "model.json", '{"version": 1}')
+        assert main(["explain", "--model", model]) == 2
+        assert "malformed model" in capsys.readouterr().err
+        data = fixture_csv(tmp_path)
+        assert main(["predict", "--input", data, "--model", model]) == 2
 
     def test_missing_model_file(self, tmp_path):
         data = fixture_csv(tmp_path)

@@ -115,6 +115,18 @@ class TestPair:
         assert report.structured["path"] is None
         assert "no connection" in report.text
 
+    def test_minpts_reassignment_has_no_path(self):
+        # the point at 9 forms its own merged cluster; minPts folds it into
+        # cluster #0, so no chain of merge edges joins the two groups
+        m = fit([[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]], radius=0.5, minpts=2,
+                extent="scores")
+        report = explain_pair(m, 0, 5)
+        assert report.structured["same_cluster"] is True
+        assert report.structured["path"] is None
+        assert "None" not in report.text
+        assert "No chain of merged groups connects these two groups" in report.text
+        assert "minPts rule moved" in report.text
+
     def test_path_survives_model_round_trip(self):
         m = from_json(to_json(chain_model()))
         assert explain_pair(m, 0, 2).structured["path_text"] == "0 <-> 1 <-> 2"
@@ -142,7 +154,7 @@ class TestPair:
                 for g in rep["path"]:
                     assert m.group_cluster[g] == cluster
                 # consecutive path nodes are actual merge edges
-                edges = set(m.merge_edges)
+                edges = set(map(tuple, m.merge_edges.tolist()))
                 for a, b in zip(rep["path"], rep["path"][1:]):
                     assert (min(a, b), max(a, b)) in edges
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sortclust import postprocess
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
 from sortclust.merging import connected_components
@@ -125,14 +126,14 @@ class TestApplyMinpts:
         p = PreparedData(centered=pts, mean=np.zeros(1), v1=np.ones(1),
                          scores=pts[:, 0], perm=np.arange(7),
                          sigma1=1.0, sigma2=0.0, mext=1.0)
-        groups, _ = aggregate(p, 0.35)
+        starts, group_of, _ = aggregate(p, 0.35)
         from sortclust.merging import distance_merge
-        starts = [g.start for g in groups]
         graph = distance_merge(p.scores[starts], p.centered[starts], 0.35, 1.5)
-        cmap = connected_components(graph, [g.size for g in groups])
-        new_map, labels = apply_minpts(cmap, groups, p.centered[starts], 3, "reassign")
+        sizes = np.bincount(group_of)
+        cmap = connected_components(graph, sizes)
+        new_map = apply_minpts(cmap, sizes, p.centered[starts], 3, "reassign")
         assert new_map.k == 1
-        assert labels.tolist() == [0] * 7
+        assert new_map.cluster_of_group[group_of].tolist() == [0] * 7
 
     def test_separate_renumbers_survivors(self):
         data = [[0.0], [0.1], [5.0], [5.1], [5.2], [9.0]]
@@ -146,11 +147,12 @@ class TestApplyMinpts:
 
         data = [[0.0], [1.0]]
         m = fit(data)
-        groups, _ = aggregate(prepare(data), m.r)
-        cmap = connected_components(MergeGraph(len(groups), []),
-                                    [g.size for g in groups])
+        starts, group_of, _ = aggregate(prepare(data), m.r)
+        sizes = np.bincount(group_of)
+        cmap = connected_components(MergeGraph(starts.size, np.empty((0, 2), dtype=np.int64)),
+                                    sizes)
         with pytest.raises(ValueError):
-            apply_minpts(cmap, groups, m.starting_points, 2, "purge")
+            apply_minpts(cmap, sizes, m.starting_points, 2, "purge")
 
 
 class TestPredict:
@@ -192,6 +194,18 @@ class TestPredict:
         m = fit(data, radius=0.3, minpts=3)
         assert np.array_equal(predict(m, data), m.labels)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 1000])
+    def test_blocks_give_the_nearest_start(self, monkeypatch, block_rows):
+        # several blocks, a partial last one, and a single block
+        data, _ = make_blobs(600, 3, 4, 0.5, 9)
+        m = fit(data, radius=0.1)
+        queries = np.random.default_rng(4).normal(0.0, 3.0, size=(100, 3))
+        monkeypatch.setattr(postprocess, "_PREDICT_BLOCK_BYTES",
+                            8 * m.num_groups * block_rows)
+        diff = (queries - m.mean)[:, None, :] - m.starting_points[None, :, :]
+        nearest = np.argmin(np.einsum("qgd,qgd->qg", diff, diff), axis=1)
+        assert np.array_equal(predict(m, queries), m.group_cluster[nearest])
+
 
 class TestConcurrentUse:
     def test_predict_and_explain_share_a_model(self):
@@ -229,7 +243,7 @@ class TestSerialization:
                    for a, b in zip(m2.group_members, m.group_members))
         assert m2.group_cluster.tolist() == m.group_cluster.tolist()
         assert m2.cluster_sizes.tolist() == m.cluster_sizes.tolist()
-        assert m2.merge_edges == m.merge_edges
+        assert np.array_equal(m2.merge_edges, m.merge_edges)
         assert m2.labels.tolist() == m.labels.tolist()
         assert (m2.dist_count, m2.n, m2.d) == (m.dist_count, m.n, m.d)
 
@@ -256,6 +270,66 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
+
+
+def _replace_member(doc, source_group, target_group):
+    """Swap the first member of target_group for the first of source_group:
+    one row then sits in two groups and another in none."""
+    doc["group_members"][target_group][0] = doc["group_members"][source_group][0]
+
+
+CORRUPTIONS = [
+    pytest.param(lambda doc: doc.pop("config"), id="missing-config"),
+    pytest.param(lambda doc: doc["config"].pop("radius"), id="missing-config-key"),
+    pytest.param(lambda doc: doc["stats"].pop("n"), id="missing-stats-key"),
+    pytest.param(lambda doc: doc.pop("group_members"), id="missing-members"),
+    pytest.param(lambda doc: doc.update(config=[]), id="config-not-object"),
+    pytest.param(lambda doc: doc.update(mean=doc["mean"][:-1]), id="short-mean"),
+    pytest.param(lambda doc: doc.update(v1=doc["v1"] + [0.0]), id="long-v1"),
+    pytest.param(lambda doc: doc.update(starting_points=doc["starting_points"][:-1]),
+                 id="missing-starting-point"),
+    pytest.param(lambda doc: doc.update(
+        starting_points=[p[:-1] for p in doc["starting_points"]]), id="narrow-starting-points"),
+    pytest.param(lambda doc: doc.update(starting_scores=doc["starting_scores"][:-1]),
+                 id="short-starting-scores"),
+    pytest.param(lambda doc: doc.update(group_cluster=doc["group_cluster"][:-1]),
+                 id="short-group-cluster"),
+    pytest.param(lambda doc: doc["group_members"][0].pop(), id="dropped-member"),
+    pytest.param(lambda doc: _replace_member(doc, 0, 1), id="duplicated-member"),
+    pytest.param(lambda doc: doc["group_members"][0].append(doc["stats"]["n"]),
+                 id="member-out-of-range"),
+    pytest.param(lambda doc: doc["group_members"].__setitem__(0, 3), id="member-list-not-list"),
+    pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, len(doc["cluster_sizes"])),
+                 id="cluster-id-too-large"),
+    pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, -2), id="cluster-id-below-minus-one"),
+    pytest.param(lambda doc: doc["merge_edges"].append([0, len(doc["group_cluster"])]),
+                 id="edge-endpoint-too-large"),
+    pytest.param(lambda doc: doc["merge_edges"].append([-1, 0]), id="edge-endpoint-negative"),
+    pytest.param(lambda doc: doc.update(merge_edges=[[0, 1, 2]]), id="edge-not-a-pair"),
+]
+
+
+class TestModelValidation:
+    @pytest.fixture(scope="class")
+    def doc(self):
+        data, _ = make_blobs(200, 2, 2, 0.5, 3)
+        m = fit(data, radius=0.2, minpts=3)
+        assert m.num_groups > 2 and m.merge_edges.shape[0] > 0
+        return json.loads(to_json(m))
+
+    def test_valid_document_loads(self, doc):
+        assert from_json(json.dumps(doc)).n == 200
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_malformed_document_raises_value_error(self, doc, corrupt):
+        bad = json.loads(json.dumps(doc))
+        corrupt(bad)
+        with pytest.raises(ValueError, match="malformed model"):
+            from_json(json.dumps(bad))
+
+    def test_non_object_document(self):
+        with pytest.raises(ValueError):
+            from_json("[1]")
 
 
 class TestEndToEndInvariance:

@@ -59,11 +59,18 @@ class TestFirstPrincipalComponent:
 
     def test_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(50, 3)) @ np.diag([3.0, 1.0, 0.2])
-        _, s1, s2 = first_principal_component(x)
-        ref = singular_values_oracle(x)
-        assert s1 == pytest.approx(ref[0], rel=1e-8)
-        assert s2 == pytest.approx(ref[1], rel=1e-8)
+        wide_gap = rng.normal(size=(50, 3)) @ np.diag([3.0, 1.0, 0.2])
+        # 200 x 4 with singular values 5, 5(1 - 1e-6), 1, 0.5: a relative
+        # eigengap of 2e-6, which stalls an iterative eigensolver
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(200, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        small_gap = u @ np.diag([5.0, 5.0 * (1.0 - 1e-6), 1.0, 0.5]) @ v.T
+        for x in (wide_gap, small_gap):
+            _, s1, s2 = first_principal_component(x)
+            ref = singular_values_oracle(x)
+            assert s1 == pytest.approx(ref[0], rel=1e-8)
+            assert s2 == pytest.approx(ref[1], rel=1e-8)
 
     def test_unit_norm_and_sign_convention(self):
         rng = np.random.default_rng(5)
