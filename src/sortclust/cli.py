@@ -1,8 +1,8 @@
 """Command-line interface: fit, predict, explain, eval, probe, blobs.
 
 Exit code 0 on success, 2 on any usage or input error; errors print to
-stderr and nothing is written to output paths on failure: `fit` writes all
-of its output files or none of them.
+stderr and nothing is written to output paths on failure: `fit` and `blobs`
+write all of their output files or none of them.
 """
 
 from __future__ import annotations
@@ -223,13 +223,12 @@ def cmd_probe(args) -> int:
 
 def cmd_blobs(args) -> int:
     data, labels = make_blobs(args.n, args.d, args.k, args.std, args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        if args.header:
-            fh.write(",".join(f"f{j}" for j in range(args.d)) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    header = ",".join(f"f{j}" for j in range(args.d)) + "\n" if args.header else ""
+    rows = (",".join(repr(float(v)) for v in row) + "\n" for row in data)
+    outputs = {args.output: header + "".join(rows)}
     if args.truth:
-        _write_labels(labels, args.truth)
+        outputs[args.truth] = _labels_text(labels)
+    _write_outputs(outputs)
     return 0
 
 

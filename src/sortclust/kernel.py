@@ -1,0 +1,178 @@
+"""Exact squared-distance tests by BLAS on contiguous blocks of rows.
+
+The pipeline tests |y - x|^2 against a threshold t (aggregation, distance
+merging) or looks for the nearest y (minPts). In score-sorted order, the
+rows a score window admits are a contiguous slice, so all tests of a block
+of rows against its window come from one matrix product of two slices,
+read through the expanded form
+
+    |y - x|^2 / 2 = |x|^2 / 2 + |y|^2 / 2 - x.y
+
+with half squared norms computed once. This is the method of Chen and
+Güttel, "Fast and exact fixed-radius neighbor search based on sorting"
+(arXiv 2212.07679).
+
+The expanded form rounds differently from the direct formula
+``diff = y - x; einsum("ij,ij->i", diff, diff)``, which decides every test.
+Wherever the expanded form lies within the rounding band (`_band`) of the
+decision (the threshold, or the nearest candidate), the value is computed
+again by the direct formula. So is every value of a block whose squared
+norms come near the overflow limit or are not finite. Outside the band, the
+two formulas cannot disagree.
+
+Every temporary holds at most ``_BLOCK_BYTES``, so memory stays bounded
+whatever the width of a window or the number of groups.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# Bytes of each temporary array; a block holds at most _BLOCK float64 entries.
+_BLOCK_BYTES = 1 << 18
+_BLOCK = _BLOCK_BYTES // 8
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+# Blocks whose half squared norms sum to this or more (or to inf or nan) are
+# decided by the direct formula; below it no inner product can overflow.
+_NORM_LIMIT = 2.0 ** 1020
+
+
+def half_sq_norms(points: np.ndarray) -> np.ndarray:
+    """|x|^2 / 2 of each row."""
+    return 0.5 * np.einsum("ij,ij->i", points, points)
+
+
+def _band(d: int, s):
+    """Rounding band of the expanded form, in half squared distance.
+
+    `s` bounds |x|^2/2 + |y|^2/2 + t/2 for the pairs at hand. With unit
+    roundoff u = eps/2 and P = (|x| + |y|)^2, the expanded form (norms and
+    inner product) errs by at most d u P, the direct formula by at most
+    (d + 2) u P, and the subtractions and comparisons around them by a few
+    u P plus u t. Halved, with P <= 2 (|x|^2 + |y|^2), that is at most
+    (2 d + 5) eps s; the band is 4 (d + 2) eps s. A product that underflows
+    errs by at most half the smallest subnormal, and at most 4 d + 2 of
+    them enter one comparison, which the absolute term covers.
+    """
+    return 4.0 * (d + 2) * (_EPS * s + _TINY)
+
+
+def window_pad(points: np.ndarray, r: float) -> float:
+    """Slack to add to a score window of half-width `r` over `points`.
+
+    A row within r by the direct formula has a score gap of at most r, up
+    to rounding: the scores err by at most d u |x| each (u = eps/2), the
+    direct formula and the unit length of the direction by (d + 2) u
+    relative, and the window end s + r by u (|s| + r). With
+    |x| <= sqrt(d) max|x_k|, the relative slack is four times what these
+    add up to. Squares that underflow can hide a distance of up to
+    sqrt(d/2 * smallest subnormal); the absolute slack is more than twice
+    that.
+    """
+    if points.size == 0:
+        return 0.0
+    d = points.shape[1]
+    largest = max(float(points.max()), -float(points.min()))
+    return (4.0 * (d + 2) * _EPS * (math.sqrt(d) * largest + r)
+            + 2.0 * math.sqrt((d + 2) * _TINY))
+
+
+def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """|B[ib] - A[ia]|^2 for each index pair, by the direct formula."""
+    out = np.empty(ia.size)
+    step = max(1, _BLOCK // A.shape[1])
+    for s in range(0, ia.size, step):
+        diff = B[ib[s:s + step]] - A[ia[s:s + step]]
+        out[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float) -> np.ndarray:
+    """(m, k) mask: whether |B[j] - A[i]|^2 <= t, as the direct formula decides.
+
+    `half_a` holds the half squared norms of the rows of A as an (m, 1)
+    column, or as a numpy scalar when A has one row; `half_b` those of B,
+    which must have a row. The caller keeps m * k within the block budget.
+    """
+    s = half_a + (half_b.max() + 0.5 * t)
+    if (s < _NORM_LIMIT).all():
+        width = _band(A.shape[1], s)
+        h = A @ B.T
+        h -= half_b
+        thr = half_a - 0.5 * t
+        unsure = h > thr - width
+        if not unsure.any():
+            return unsure
+        hit = h >= thr + width
+        unsure ^= hit
+    else:
+        hit = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
+        unsure = np.ones(hit.shape, dtype=bool)
+    if unsure.any():
+        ia, ib = np.nonzero(unsure)
+        hit[ia, ib] = _direct_sq(A, ia, B, ib) <= t
+    return hit
+
+
+def window_blocks(ends: np.ndarray):
+    """Blocks of consecutive rows i with their joint windows (i, ends[i]).
+
+    Yields ``(rows, cols)`` slices whose product stays within the block
+    budget; a window too wide for one row is split across several blocks.
+    `ends` must be nondecreasing with ends[i] > i.
+    """
+    lookahead = math.isqrt(_BLOCK) + 2    # a block of m rows spans >= m - 1 columns
+    steps = np.arange(1, lookahead + 1)
+    i, l = 0, len(ends)
+    while i < l:
+        width = ends[i:i + lookahead] - (i + 1)
+        m = max(1, int(np.searchsorted(width * steps[:width.size], _BLOCK, side="right")))
+        lo, hi = i + 1, int(ends[i + m - 1])
+        step = max(1, _BLOCK // m)
+        for c in range(lo, hi, step):
+            yield slice(i, i + m), slice(c, min(c + step, hi))
+        i += m
+
+
+def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Index of the row of B nearest to each row of A, as ``np.argmin`` of
+    the direct formula picks it: equal distances go to the smallest index.
+
+    Every row of B whose band reaches the smallest upper bound of the row's
+    distances is a candidate; the candidates are compared by the direct
+    formula.
+    """
+    m, k = A.shape[0], B.shape[0]
+    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
+    cols = min(k, _BLOCK)
+    rows = max(1, _BLOCK // cols)
+    best = np.zeros(m, dtype=np.int64)
+    best_sq = np.empty(m)
+    for c0 in range(0, k, cols):
+        Bc, hb = B[c0:c0 + cols], half_b[c0:c0 + cols]
+        top = float(hb.max())
+        for r0 in range(0, m, rows):
+            s = half_a[r0:r0 + rows, None] + top
+            if (s < _NORM_LIMIT).all():
+                h = A[r0:r0 + rows] @ Bc.T
+                h -= hb
+                cand = h >= h.max(axis=1, keepdims=True) - 2.0 * _band(A.shape[1], s)
+            else:
+                cand = np.ones((s.shape[0], Bc.shape[0]), dtype=bool)
+            ia, ib = np.nonzero(cand)
+            ia += r0
+            sq = _direct_sq(A, ia, Bc, ib)
+            # each row's candidates by distance, then index: the first of a
+            # row is its nearest, the smallest index among equal distances
+            order = np.lexsort((ib, sq, ia))
+            first = order[np.r_[True, ia[order][1:] != ia[order][:-1]]]
+            who, sq, ib = ia[first], sq[first], ib[first] + c0
+            if c0 > 0:
+                better = sq < best_sq[who]
+                who, sq, ib = who[better], sq[better], ib[better]
+            best[who], best_sq[who] = ib, sq
+    return best

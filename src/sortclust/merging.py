@@ -6,6 +6,16 @@ intersection of their R-balls is at least the density inside the union
 (density criterion). Clusters are the connected components of the resulting
 graph on groups. The graph is an (E, 2) edge array over group ids, and the
 components come from vectorized passes over that array.
+
+The distance criterion only pairs starting points within a score window of
+``scale * R``, widened by a slack far above the rounding of the scores
+(``kernel.window_pad``). Each block of consecutive starting points is
+tested against the rows its windows span by one matrix product, read
+through the expanded form |x|^2/2 + |y|^2/2 - x.y against precomputed half
+squared norms (``kernel.within``). A pair whose expanded value lies within
+the rounding band of the threshold is decided again by the direct formula
+``diff = y - x; einsum(diff, diff)``, so the edges are exactly those of the
+direct formula.
 """
 
 from __future__ import annotations
@@ -16,11 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import overlap_fraction
+from .kernel import half_sq_norms, window_blocks, window_pad, within
 from .prep import PreparedData
-
-# Relative factor for the slack added to score windows so that float rounding
-# of the scores can never exclude a point whose distance passes the ball test.
-_WINDOW_PAD_REL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,25 +134,28 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     """Edge (i, j) iff the two starting points are within ``scale * r``.
 
     Starting points must be listed in score order; the scan from each i stops
-    at the first successor whose score gap exceeds scale * r, which cannot
-    skip a true edge because score gaps never exceed distances.
+    at the first successor whose score gap exceeds scale * r (plus a slack
+    for the rounding of the scores), which cannot skip a true edge because
+    score gaps never exceed distances. Blocks of consecutive starting points
+    are tested against their joint window by one matrix product each.
     """
     _check_positive(r)
     if not 1.0 <= scale <= 2.0:
         raise ValueError(f"scale must lie in [1, 2], got {scale!r}")
     sc = np.asarray(starting_scores, dtype=np.float64)
     pts = np.asarray(starting_points, dtype=np.float64)
-    l = sc.size
     threshold = scale * r
     t_sq = threshold * threshold
-    neighbours = []
-    for i in range(l):
-        end = int(np.searchsorted(sc, sc[i] + threshold, side="right"))
-        js = np.arange(i + 1, end)
-        diff = pts[js] - pts[i]
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        neighbours.append(js[dist_sq <= t_sq])
-    return MergeGraph(num_groups=l, edges=_edge_array(neighbours))
+    ends = np.searchsorted(sc, sc + (threshold + window_pad(pts, threshold)), side="right")
+    half = half_sq_norms(pts)
+    pieces = [np.empty((0, 2), dtype=np.int64)]
+    for rows, cols in window_blocks(ends):
+        i, j = np.nonzero(within(pts[rows], half[rows, None], pts[cols], half[cols], t_sq))
+        i += rows.start
+        j += cols.start
+        keep = (j > i) & (j < ends[i])
+        pieces.append(np.stack((i[keep], j[keep]), axis=1))
+    return MergeGraph(num_groups=sc.size, edges=np.concatenate(pieces))
 
 
 def density_pair_test(count_union: int, count_inter: int, dist: float,
@@ -173,7 +183,7 @@ def _ball_member_sets(centers, center_scores, prepared: PreparedData, r: float):
     scores = prepared.scores
     X = prepared.centered
     r_sq = r * r
-    pad = _WINDOW_PAD_REL * (1.0 + float(np.max(np.abs(scores))) + r)
+    pad = window_pad(X, r)
     members = []
     for c in range(centers.shape[0]):
         lo = int(np.searchsorted(scores, center_scores[c] - r - pad, side="left"))

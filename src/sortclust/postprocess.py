@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import aggregate
+from .kernel import nearest
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -141,11 +142,8 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
     if mode == "reassign":
         pts = np.asarray(starting_points, dtype=np.float64)
         eligible_groups = np.nonzero(~small[assignment])[0]
-        eligible_pts = pts[eligible_groups]
-        for g in np.nonzero(small[assignment])[0]:
-            diff = eligible_pts - pts[g]
-            dist_sq = np.einsum("ij,ij->i", diff, diff)
-            raw[g] = assignment[eligible_groups[int(np.argmin(dist_sq))]]
+        moved = np.nonzero(small[assignment])[0]
+        raw[moved] = assignment[eligible_groups[nearest(pts[moved], pts[eligible_groups])]]
     else:
         raw[small[assignment]] = -1
     new_ids, sizes = relabel_by_size(raw, group_sizes)
@@ -283,6 +281,14 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """`values` as int64. They must be JSON integers: a float (even 1.0) or
+    a string raises ValueError instead of being cast."""
+    arr = np.asarray(values)
+    _check(arr.size == 0 or arr.dtype.kind == "i", f"{name} must hold integers")
+    return arr.astype(np.int64)
+
+
 def _model_from_doc(doc: dict) -> ClusterModel:
     for part, keys in _REQUIRED_KEYS.items():
         obj = doc if part == "model" else doc[part]
@@ -300,26 +306,25 @@ def _model_from_doc(doc: dict) -> ClusterModel:
     _check(mean.shape == v1.shape == (d,), f"mean and v1 must have length d={d}")
     starting_points = np.asarray(doc["starting_points"], dtype=np.float64)
     starting_scores = np.asarray(doc["starting_scores"], dtype=np.float64)
-    group_cluster = np.asarray(doc["group_cluster"], dtype=np.int64)
+    group_cluster = _integers(doc["group_cluster"], "group_cluster")
     _check(starting_points.shape == (l, d), f"starting_points must have shape ({l}, {d})")
     _check(starting_scores.shape == group_cluster.shape == (l,),
            f"starting_scores and group_cluster must have length {l}")
 
     # group_members must partition 0..n-1: n rows in range, none left over.
     sizes = np.fromiter(map(len, members), dtype=np.int64, count=l)
-    rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64,
-                       count=int(sizes.sum()))
+    rows = _integers(list(itertools.chain.from_iterable(members)), "group_members")
     _check(rows.size == n and bool(np.all((rows >= 0) & (rows < n))),
            f"group_members must partition the rows 0..{n - 1}")
     point_group = np.full(n, -1, dtype=np.int64)
     point_group[rows] = np.repeat(np.arange(l), sizes)
     _check(bool(np.all(point_group >= 0)), f"group_members must partition the rows 0..{n - 1}")
 
-    cluster_sizes = np.asarray(doc["cluster_sizes"], dtype=np.int64)
+    cluster_sizes = _integers(doc["cluster_sizes"], "cluster_sizes")
     k = cluster_sizes.size
     _check(cluster_sizes.ndim == 1 and bool(np.all((group_cluster >= -1) & (group_cluster < k))),
            f"group_cluster ids must lie in [-1, {k})")
-    edges = np.asarray(doc["merge_edges"], dtype=np.int64)
+    edges = _integers(doc["merge_edges"], "merge_edges")
     edges = edges.reshape(0, 2) if edges.shape == (0,) else edges
     _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
            f"merge_edges must be pairs of group ids in [0, {l})")
@@ -345,9 +350,10 @@ def _model_from_doc(doc: dict) -> ClusterModel:
 def from_json(text: str) -> ClusterModel:
     """Rebuild a model from its JSON document.
 
-    The document is checked first: required keys, array shapes,
-    `group_members` partitioning the rows 0..n-1, cluster ids in [-1, k) and
-    edge endpoints in [0, l). A malformed document raises ValueError.
+    The document is checked first: required keys, array shapes, integer
+    ids, `group_members` partitioning the rows 0..n-1, cluster ids in
+    [-1, k) and edge endpoints in [0, l). A malformed document raises
+    ValueError.
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None

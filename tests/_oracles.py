@@ -1,10 +1,12 @@
 """Independent reference computations used across the test suite.
 
-Everything here deliberately avoids the code paths it is used to check:
-Jacobi rotations instead of LAPACK's eigensolver, breadth-first search
-instead of vectorized component passes, closed-form areas instead of
-the incomplete beta, rejection sampling instead of quadrature, plain-python
-hypergeometric sums instead of log-factorial tables.
+Everything here deliberately avoids the code paths it is used to check, and
+imports nothing from the package: Jacobi rotations instead of LAPACK's
+eigensolver, breadth-first search instead of vectorized component passes,
+closed-form areas and lens volumes instead of the incomplete beta, rejection
+sampling instead of quadrature, plain-python hypergeometric sums instead of
+log-factorial tables, and all-pairs direct differences instead of score
+windows and the expanded-norm kernel.
 """
 
 from __future__ import annotations
@@ -137,18 +139,30 @@ def brute_force_groups(points_sorted, scores, r: float) -> list[list[int]]:
     return groups
 
 
+def direct_sq_matrix(A, B) -> np.ndarray:
+    """|B[j] - A[i]|^2 for every pair of rows, by the direct difference
+    formula, one broadcast subtraction for all pairs."""
+    a = np.asarray(A, dtype=np.float64)
+    b = np.asarray(B, dtype=np.float64)
+    diff = b[None, :, :] - a[:, None, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def direct_nearest(A, B) -> np.ndarray:
+    """Index of the nearest row of B to each row of A by the direct formula,
+    the smallest index among equal distances."""
+    return np.argmin(direct_sq_matrix(A, B), axis=1)
+
+
+def _upper_pairs(mask) -> set:
+    i, j = np.nonzero(np.triu(mask, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
 def brute_force_distance_edges(starting_points, r: float, scale: float) -> set:
     """All-pairs evaluation of the starting-point distance criterion."""
     pts = np.asarray(starting_points, dtype=np.float64)
-    l = pts.shape[0]
-    t_sq = (scale * r) ** 2
-    edges = set()
-    for i in range(l):
-        for j in range(i + 1, l):
-            delta = pts[i] - pts[j]
-            if float(delta @ delta) <= t_sq:
-                edges.add((i, j))
-    return edges
+    return _upper_pairs(direct_sq_matrix(pts, pts) <= (scale * r) ** 2)
 
 
 def brute_force_components(num_groups: int, edges, group_sizes) -> tuple[list, list]:
@@ -180,36 +194,44 @@ def brute_force_components(num_groups: int, edges, group_sizes) -> tuple[list, l
     return [new_id[c] for c in component], [totals[c] for c in order]
 
 
+def _unit_ball_volume(d: int) -> float:
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+
+def lens_volume(dist, radius: float, d: int) -> np.ndarray:
+    """Volume of the intersection of two radius-r balls in d dimensions with
+    centres `dist` apart (elementwise), for dist <= 2r.
+
+    The lens is two caps. A cap is the integral of (d-1)-ball slices, which
+    the substitution x = r cos(phi) turns into r^d V_{d-1} times the
+    integral of sin^d from 0 to acos(dist / 2r), summed by the reduction
+    formula J_k = ((k - 1) J_{k-2} - sin^{k-1} cos) / k.
+    """
+    theta = np.arccos(np.clip(np.asarray(dist, dtype=np.float64) / (2.0 * radius), 0.0, 1.0))
+    sin, cos = np.sin(theta), np.cos(theta)
+    if d % 2:
+        k, integral = 1, 1.0 - cos
+    else:
+        k, integral = 2, (theta - sin * cos) / 2.0
+    for k in range(k + 2, d + 1, 2):
+        integral = ((k - 1) * integral - sin ** (k - 1) * cos) / k
+    return 2.0 * _unit_ball_volume(d - 1) * radius ** d * integral
+
+
 def brute_force_density_edges(points, starting_points, r: float, d: int) -> set:
     """All-pairs evaluation of the lens-density criterion with explicit
     linear-space volumes (valid for the small dimensions used in tests)."""
-    from sortclust.geometry import ball_volume, intersection_volume
-
-    pts = np.asarray(points, dtype=np.float64)
     centers = np.asarray(starting_points, dtype=np.float64)
-    l = centers.shape[0]
-    r_sq = r * r
-    dist_to_center = np.empty((l, pts.shape[0]))
-    for c in range(l):
-        diff = pts - centers[c]
-        dist_to_center[c] = np.einsum("ij,ij->i", diff, diff)
-    in_ball = dist_to_center <= r_sq
-    bv = ball_volume(r, d)
-    edges = set()
-    for i in range(l):
-        for j in range(i + 1, l):
-            dist = float(np.linalg.norm(centers[i] - centers[j]))
-            if dist >= 2.0 * r:
-                continue
-            count_inter = int(np.count_nonzero(in_ball[i] & in_ball[j]))
-            if count_inter == 0:
-                continue
-            count_union = int(np.count_nonzero(in_ball[i] | in_ball[j]))
-            vol_inter = intersection_volume(dist, r, d)
-            vol_union = 2.0 * bv - vol_inter
-            if count_union * vol_inter <= count_inter * vol_union:
-                edges.add((i, j))
-    return edges
+    in_ball = (direct_sq_matrix(centers, points) <= r * r).astype(np.float64)
+    count_inter = in_ball @ in_ball.T          # exact: integer counts far below 2^53
+    sizes = in_ball.sum(axis=1)
+    count_union = sizes[:, None] + sizes[None, :] - count_inter
+    dist = np.sqrt(direct_sq_matrix(centers, centers))
+    vol_inter = lens_volume(dist, r, d)
+    vol_union = 2.0 * _unit_ball_volume(d) * r ** d - vol_inter
+    merged = ((dist < 2.0 * r) & (count_inter > 0)
+              & (count_union * vol_inter <= count_inter * vol_union))
+    return _upper_pairs(merged)
 
 
 def direct_expected_mi(row_sums, col_sums, n: int) -> float:

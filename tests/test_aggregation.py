@@ -56,6 +56,16 @@ class TestAggregate:
         _, group_of, _ = aggregate(prepared_1d([0.0, 0.7]), 0.7)
         assert members(group_of) == [[0, 1]]
 
+    def test_point_at_radius_past_the_unpadded_window(self):
+        # the second point is within r of the first by the direct formula, but
+        # s_0 + r rounds below its score: only the padded window keeps it
+        p = prepare(np.array([[-2.1676199894367754], [0.5141756313771225],
+                              [1.653444358059653]]))
+        r = 2.6817956208138978
+        _, group_of, _ = aggregate(p, r)
+        _, group_of_ref, _ = aggregate_reference(p, r)
+        assert group_of.tolist() == group_of_ref.tolist() == [0, 0, 1]
+
     def test_invalid_radius(self):
         p = prepared_1d([0.0, 1.0])
         for bad in (0.0, -1.0, float("nan"), float("inf")):

@@ -251,6 +251,14 @@ class TestBlobs:
         assert len(lines) == 11
         assert len(truth.read_text().split()) == 10
 
+    def test_failed_truth_writes_nothing(self, tmp_path, capsys):
+        assert main(["blobs", "--n", "10", "--d", "2", "--k", "2",
+                     "--output", str(tmp_path / "d.csv"),
+                     "--truth", str(tmp_path / "nodir" / "t.txt")]) == 2
+        assert "error:" in capsys.readouterr().err
+        # no data file and no temporary file left behind
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_below_k(self, tmp_path, capsys):
         assert main(["blobs", "--n", "2", "--d", "2", "--k", "5",
                      "--output", str(tmp_path / "x.csv")]) == 2

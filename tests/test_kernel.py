@@ -1,0 +1,177 @@
+"""The expanded-norm kernel against direct-difference oracles, at its rounding
+edges: exact ties at the threshold, subnormal and overflowing squared norms,
+dimensions up to 64, and equal nearest distances far from the origin."""
+
+import numpy as np
+import pytest
+
+from sortclust import aggregation, kernel
+from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.kernel import half_sq_norms, nearest, within
+from sortclust.merging import GroupClusterMap, distance_merge
+from sortclust.postprocess import apply_minpts
+from sortclust.prep import PreparedData, prepare
+
+from _oracles import brute_force_distance_edges, direct_nearest, direct_sq_matrix
+
+# Pythagorean offsets of length exactly 5 and 7.5 (= 1.5 * 5) in the plane.
+AT_R = [(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0)]
+AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
+
+
+def within_all(A, B, t):
+    return within(A, half_sq_norms(A)[:, None], B, half_sq_norms(B), t)
+
+
+def by_hand(points, v1):
+    """PreparedData for points taken as already centered, sorted by score
+    along v1 (prepare would overflow first at the magnitudes used here)."""
+    pts = np.asarray(points, dtype=np.float64)
+    v1 = np.asarray(v1, dtype=np.float64)
+    scores = pts @ v1
+    order = np.argsort(scores, kind="stable")
+    return PreparedData(centered=pts[order], mean=np.zeros(pts.shape[1]), v1=v1,
+                        scores=scores[order], perm=order, sigma1=1.0, sigma2=1.0,
+                        mext=1.0)
+
+
+def check_stages(p, r, scale=1.5):
+    """aggregate equals its direct reference; distance_merge equals brute force."""
+    starts, group_of, _ = aggregate(p, r)
+    starts_ref, group_of_ref, _ = aggregate_reference(p, r)
+    assert np.array_equal(starts, starts_ref)
+    assert np.array_equal(group_of, group_of_ref)
+    graph = distance_merge(p.scores[starts], p.centered[starts], r, scale)
+    assert set(map(tuple, graph.edges.tolist())) == brute_force_distance_edges(
+        p.centered[starts], r, scale)
+    return starts, group_of, graph
+
+
+class TestLattice:
+    @pytest.mark.parametrize("offset", [0.0, 2.0 ** 20, 1e8])
+    def test_exact_radius_and_scaled_radius_are_inside(self, offset):
+        centre = np.full((1, 2), offset)
+        ring = centre + np.array(AT_R)
+        outer = centre + np.array(AT_SCALE_R)
+        beyond = centre + np.array([(5.0, 1e-6), (7.5, 1e-6)])
+        assert within_all(centre, ring, 25.0).all()
+        assert within_all(centre, outer, 56.25).all()
+        assert not within_all(centre, outer, 25.0).any()
+        assert within_all(centre, beyond, 56.25).tolist() == [[True, False]]
+        B = np.vstack([ring, outer, beyond])
+        for t in (25.0, 56.25):
+            assert np.array_equal(within_all(centre, B, t), direct_sq_matrix(centre, B) <= t)
+
+    def test_stages_on_a_lattice_with_representable_mean(self):
+        # symmetric about the origin, so the mean is exactly zero and the
+        # centred rows keep their exact distances: ties at r and at 1.5 r
+        half = np.array([(0.0, 0.0)] + AT_R + AT_SCALE_R + [(10.0, 0.0), (10.0, 5.0)])
+        data = np.vstack([half + 20.0, -(half + 20.0)])
+        p = prepare(data)
+        assert np.array_equal(p.mean, np.zeros(2))
+        starts, group_of, graph = check_stages(p, 5.0)
+        assert graph.edges.shape[0] > 0
+        assert starts.size < p.n
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160])
+    def test_subnormal_squares(self, scale):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(20, 3)) * scale
+        B = rng.normal(size=(40, 3)) * scale
+        exact = direct_sq_matrix(A, B)
+        for t in (0.0, float(np.median(exact)), float(exact.max())):
+            assert np.array_equal(within_all(A, B, t), exact <= t)
+        assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160])
+    def test_subnormal_stages(self, scale):
+        rng = np.random.default_rng(4)
+        p = prepare(rng.normal(size=(60, 3)) * scale)
+        for radius in (0.3, 1.0):
+            check_stages(p, radius * scale)
+
+    @pytest.mark.parametrize("size", [1e155, 5e153])
+    def test_overflowing_norms(self, size):
+        # |x|^2 overflows to inf (1e155) or comes within a factor 2 of it
+        # (5e153), while differences of size / 100 square to finite values
+        rng = np.random.default_rng(5)
+        d = 4
+        pts = size + rng.normal(size=(50, d)) * (size / 100)
+        half = half_sq_norms(pts)
+        assert np.all(half > 2.0 ** 1020) and np.all(np.isinf(half) == (size > 1e154))
+        p = by_hand(pts, np.full(d, 0.5))
+        for r in (size / 200, size / 50):
+            starts, group_of, _ = check_stages(p, r)
+            assert 1 < starts.size < p.n
+        A, B = pts[:10], pts[10:]
+        exact = direct_sq_matrix(A, B)
+        assert np.isfinite(exact).all()
+        assert np.array_equal(within_all(A, B, float(np.median(exact))),
+                              exact <= np.median(exact))
+        assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+    def test_within_and_nearest(self, d):
+        rng = np.random.default_rng(d)
+        shift = rng.uniform(-50.0, 50.0, size=d)
+        A = shift + rng.normal(size=(15, d))
+        B = shift + rng.normal(size=(70, d))
+        exact = direct_sq_matrix(A, B)
+        # thresholds at exact pair values, so some pairs tie with t
+        for t in np.quantile(exact, [0.0, 0.1, 0.5], method="lower"):
+            assert np.array_equal(within_all(A, B, float(t)), exact <= t)
+        assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_stages(self, d):
+        rng = np.random.default_rng(d)
+        p = prepare(rng.normal(size=(150, d)))
+        for radius in (0.5, 0.9):
+            check_stages(p, radius * p.mext)
+
+
+class TestNearestTies:
+    @pytest.mark.parametrize("block", [kernel._BLOCK, 2])
+    def test_equal_distances_far_from_origin_go_to_the_smallest_index(self, block,
+                                                                        monkeypatch):
+        # with block 2 the tied rows fall into different column chunks
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        centre = np.array([[1e8, -1e8]])
+        # a farther row first, then the tied ring in shuffled index order
+        B = np.vstack([centre + (6.0, 0.0), centre + np.array(AT_R)[[2, 0, 4, 1, 3]]])
+        assert np.all(direct_sq_matrix(centre, B)[0, 1:] == 25.0)
+        assert nearest(centre, B).tolist() == [1] == direct_nearest(centre, B).tolist()
+
+    def test_minpts_reassigns_to_the_smallest_tied_group(self):
+        # group 0 is a small cluster; groups 1-5 are eligible clusters, of
+        # which 2-5 lie exactly 5 away from group 0 and 1 lies farther
+        centre = np.array([1e8, -1e8])
+        starting_points = np.vstack([centre, centre + (6.0, 0.0),
+                                     centre + np.array(AT_R)[[3, 1, 0, 2]]])
+        cluster_map = GroupClusterMap(cluster_of_group=np.arange(6), k=6,
+                                      sizes=np.array([1, 5, 6, 7, 8, 9]))
+        out = apply_minpts(cluster_map, np.array([1, 5, 6, 7, 8, 9]), starting_points, 3)
+        # group 0 joins the cluster of group 2, the smallest tied index
+        assert out.cluster_of_group[0] == out.cluster_of_group[2]
+        assert out.sizes.tolist() == [9, 8, 7, 7, 5]
+
+
+class TestSmallBlocks:
+    def test_blocks_and_chunks_give_the_same_results(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        p = prepare(rng.normal(size=(300, 3)))
+        r = 0.4 * p.mext
+        before = check_stages(p, r)
+        A, B = p.centered[:40], p.centered[40:]
+        near = nearest(A, B)
+        monkeypatch.setattr(kernel, "_BLOCK", 7)
+        monkeypatch.setattr(aggregation, "_BLOCK", 7)
+        after = check_stages(p, r)
+        assert all(np.array_equal(x, y) for x, y in zip(before[:2], after[:2]))
+        assert np.array_equal(before[2].edges, after[2].edges)
+        assert np.array_equal(nearest(A, B), near)
+        assert np.array_equal(near, direct_nearest(A, B))

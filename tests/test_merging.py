@@ -30,6 +30,14 @@ class TestDistanceMerge:
         g = distance_merge(np.array([0.0, 1.5]), np.array([[0.0], [1.5]]), 1.0, 1.5)
         assert g.edges.tolist() == [[0, 1]]
 
+    def test_pair_at_threshold_past_the_unpadded_window(self):
+        # the pair is within 1.5 r by the direct formula, but s_0 + 1.5 r
+        # rounds below the second score: only the padded window keeps it
+        pts = np.array([[-7.116807745607325], [-2.840182650560313]])
+        r = 2.8510833966980074
+        graph = distance_merge(pts[:, 0], pts, r, 1.5)
+        assert edge_set(graph) == brute_force_distance_edges(pts, r, 1.5) == {(0, 1)}
+
     def test_scale_validation(self):
         sc = np.array([0.0, 1.0])
         pts = np.array([[0.0], [1.0]])

@@ -278,6 +278,10 @@ def _replace_member(doc, source_group, target_group):
     doc["group_members"][target_group][0] = doc["group_members"][source_group][0]
 
 
+def _shift(values, index, by):
+    values[index] += by
+
+
 CORRUPTIONS = [
     pytest.param(lambda doc: doc.pop("config"), id="missing-config"),
     pytest.param(lambda doc: doc["config"].pop("radius"), id="missing-config-key"),
@@ -306,6 +310,11 @@ CORRUPTIONS = [
                  id="edge-endpoint-too-large"),
     pytest.param(lambda doc: doc["merge_edges"].append([-1, 0]), id="edge-endpoint-negative"),
     pytest.param(lambda doc: doc.update(merge_edges=[[0, 1, 2]]), id="edge-not-a-pair"),
+    # non-integral ids would otherwise be truncated to a valid id
+    pytest.param(lambda doc: _shift(doc["group_members"][0], 0, 0.7), id="fractional-member"),
+    pytest.param(lambda doc: _shift(doc["group_cluster"], 0, 0.5), id="fractional-cluster-id"),
+    pytest.param(lambda doc: _shift(doc["cluster_sizes"], 0, 0.5), id="fractional-cluster-size"),
+    pytest.param(lambda doc: _shift(doc["merge_edges"][0], 1, 0.5), id="fractional-edge-endpoint"),
 ]
 
 
