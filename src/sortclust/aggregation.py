@@ -11,13 +11,25 @@ R; the slack moves a window end only when a score lies within it of the
 boundary.
 
 The rows of a window are a contiguous slice of the sorted data, so the
-distance tests of one starting point are one matrix-vector product of the
-slice against the point, compared with R^2 through precomputed half squared
-norms (``kernel.within``). A test whose expanded-norm value lies within the
-rounding band of R^2 is decided again by the direct formula
-``diff = y - x; einsum(diff, diff)``, so the groups are exactly those of the
-direct formula. ``aggregate_reference`` is the same procedure on the direct
-formula, without the early exit, and exists as an oracle for both.
+sweep runs in blocks: the next free rows from the current start, as many as
+fit one product of at most ``_BLOCK`` entries against their joint window
+(the sizing rule of ``kernel.window_blocks``), are tested against that
+window in one matrix product, compared with R^2 through precomputed half
+squared norms (``kernel.within``). The block is then resolved in row order:
+a candidate claimed by an earlier start of the block is skipped; one still
+free starts a group and claims the rows of its own window that are within R
+and still free. Only candidates with a hit among the rows after them touch
+an array. dist_count counts, for each start, the free rows of its own
+window at its turn. A start whose window alone exceeds the budget (wide
+windows, few groups) is a block of its own, its window tested in column
+chunks.
+
+A test whose expanded-norm value lies within the rounding band of R^2 is
+decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
+so the groups are exactly those of the direct formula, whatever the blocks.
+``aggregate_reference`` is the same procedure on the direct formula, one
+start at a time and without the early exit, and exists as an oracle for
+both.
 
 A grouping is two arrays over the score-sorted rows: ``starts`` (l,), the
 ascending starting row of each group, and ``group_of`` (n,), each row's group.
@@ -53,38 +65,102 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     r = float(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
     r_sq = r * r
-    # Window ends never decrease, so no row at or past the current start's
-    # window end has been assigned yet.
+    # Window ends never decrease, so no row at or past the window end of the
+    # latest start has been assigned yet.
     ends = np.searchsorted(scores, scores + (r + window_pad(X, r)), side="right")
     half = half_sq_norms(X)
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
-    starts: list[int] = []
-    dist_count = 0
+    starts: list[np.ndarray] = []
+    lookahead = math.isqrt(_BLOCK) + 2    # a block of m candidates spans >= m - 1 columns
+    steps = np.arange(1, lookahead + 1)
+    g = dist_count = 0
     i = 0
     while i < n:
-        gid = len(starts)
-        starts.append(i)
-        group_of[i] = gid
-        lo, hi = i + 1, int(ends[i])
-        x = X[i:i + 1]
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            cand = free[a:b]
-            count = int(np.count_nonzero(cand))
-            if count:
-                dist_count += count
-                hit = within(x, half[i], X[a:b], half[a:b], r_sq)[0]
-                hit &= cand
-                rows = np.flatnonzero(hit)
-                if rows.size:
-                    rows += a
-                    free[rows] = False
-                    group_of[rows] = gid
-        # the next start is the first free row after i, or the window end
+        hi = int(ends[i])
+        m = 1
+        if 2 * (hi - i - 1) <= _BLOCK:
+            # the next free rows, as many as fit one product with their joint window
+            cand = i + np.flatnonzero(free[i:hi + lookahead])[:lookahead]
+            e = ends[cand]
+            m = max(1, int(np.searchsorted((e - (i + 1)) * steps[:cand.size], _BLOCK,
+                                           side="right")))
+        if m == 1:
+            # this start alone; a window too wide for one product goes in column chunks
+            starts.append(np.array([i]))
+            group_of[i] = g
+            for a in range(i + 1, hi, _BLOCK):
+                b = min(a + _BLOCK, hi)
+                count = int(np.count_nonzero(free[a:b]))
+                if count:
+                    dist_count += count
+                    hit = within(X[i:i + 1], half[i], X[a:b], half[a:b], r_sq)[0]
+                    hit &= free[a:b]
+                    rows = np.flatnonzero(hit)
+                    if rows.size:
+                        rows += a
+                        free[rows] = False
+                        group_of[rows] = g
+            g += 1
+            last = i
+        else:
+            g, count = _sweep_block(X, half, r_sq, free, group_of, starts, g,
+                                    cand[:m], e[:m])
+            dist_count += count
+            last = int(cand[m - 1])
+        # the next start is the first free row after the last candidate, or its window end
+        lo, hi = last + 1, int(ends[last])
         k = int(free[lo:hi].argmax()) if hi > lo else 0
         i = lo + k if hi > lo and free[lo + k] else hi
-    return np.asarray(starts, dtype=np.int64), group_of, dist_count
+    return np.concatenate(starts), group_of, dist_count
+
+
+def _sweep_block(X, half, r_sq, free, group_of, starts, g, cand, e):
+    """Run the sweep over the candidate rows `cand` (free, ascending, each
+    with window end `e`) from one product against their joint window.
+
+    In row order, a candidate still free becomes the start of group g, g + 1,
+    ... and claims the rows of its own window that are within r and still
+    free; a candidate claimed by an earlier start of the block is skipped.
+    Appends the new starts, updates `free` and `group_of`, and returns the
+    next group id and the block's distance evaluations.
+    """
+    lo, top = int(cand[0]) + 1, int(e[-1])
+    free_cols = free[lo:top]
+    mask = within(X[cand], half[cand, None], X[lo:top], half[lo:top], r_sq)
+    mask &= free_cols
+    mask &= np.arange(lo, top) > cand[:, None]
+    # free rows of each candidate's window before the block claims any
+    seen = np.concatenate(([0], np.cumsum(free_cols)))
+    counts = seen[e - lo] - seen[cand + 1 - lo]
+
+    owners, claimed = [], []
+    cands, window_ends = cand.tolist(), e.tolist()
+    for k in mask.any(axis=1).nonzero()[0].tolist():
+        c = cands[k]
+        if free[c]:
+            own = slice(c + 1 - lo, window_ends[k] - lo)
+            rows = (mask[k, own] & free_cols[own]).nonzero()[0]
+            if rows.size:
+                rows += c + 1
+                free[rows] = False
+                owners.append(k)
+                claimed.append(rows)
+    is_start = free[cand]
+    block_starts = cand[is_start]
+    ids = g - 1 + np.cumsum(is_start)
+    group_of[block_starts] = ids[is_start]
+    starts.append(block_starts)
+    evaluations = int(counts[is_start].sum())
+    if claimed:
+        # a start's window loses the rows claimed before its turn: a row j
+        # claimed by candidate k is counted by every later start below j
+        owner = np.repeat(owners, [rows.size for rows in claimed])
+        rows = np.concatenate(claimed)
+        group_of[rows] = ids[owner]
+        evaluations -= int(np.searchsorted(block_starts, rows).sum()
+                           - np.searchsorted(block_starts, cand[owner], side="right").sum())
+    return g + block_starts.size, evaluations
 
 
 def aggregate_reference(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:

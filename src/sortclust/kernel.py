@@ -20,6 +20,12 @@ again by the direct formula. So is every value of a block whose squared
 norms come near the overflow limit or are not finite. Outside the band, the
 two formulas cannot disagree.
 
+The nearest search in score order (``nearest_by_score``) bounds each row's
+nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
+searches only the rows whose score lies within that bound (padded by
+``window_pad``), by the projection bound of Friedman, Baskett and Shustek
+(IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
+
 Every temporary holds at most ``_BLOCK_BYTES``, so memory stays bounded
 whatever the width of a window or the number of groups.
 """
@@ -39,6 +45,8 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # Blocks whose half squared norms sum to this or more (or to inf or nan) are
 # decided by the direct formula; below it no inner product can overflow.
 _NORM_LIMIT = 2.0 ** 1020
+# Rows of B nearest in score whose distances bound a score-windowed search.
+_SCORE_NEIGHBOURS = 32
 
 
 def half_sq_norms(points: np.ndarray) -> np.ndarray:
@@ -62,7 +70,8 @@ def _band(d: int, s):
 
 
 def window_pad(points: np.ndarray, r: float) -> float:
-    """Slack to add to a score window of half-width `r` over `points`.
+    """Slack to add to a score window of half-width `r` over `points`; `r`
+    may be an array of half-widths.
 
     A row within r by the direct formula has a score gap of at most r, up
     to rounding: the scores err by at most d u |x| each (u = eps/2), the
@@ -146,8 +155,12 @@ def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     distances is a candidate; the candidates are compared by the direct
     formula.
     """
+    return _nearest(A, half_sq_norms(A), B, half_sq_norms(B))
+
+
+def _nearest(A, half_a, B, half_b) -> np.ndarray:
+    """:func:`nearest`, given the half squared norms of the rows of A and B."""
     m, k = A.shape[0], B.shape[0]
-    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
     cols = min(k, _BLOCK)
     rows = max(1, _BLOCK // cols)
     best = np.zeros(m, dtype=np.int64)
@@ -175,4 +188,50 @@ def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                 better = sq < best_sq[who]
                 who, sq, ib = who[better], sq[better], ib[better]
             best[who], best_sq[who] = ib, sq
+    return best
+
+
+def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
+                     score_b: np.ndarray) -> np.ndarray:
+    """:func:`nearest` for rows in score order, searched in score windows.
+
+    `score_a` and `score_b` are the scores of the rows of A and B along one
+    unit direction (as ``prepare`` computes them), each nondecreasing. The
+    direct-formula distances from a row of A to the ``_SCORE_NEIGHBOURS``
+    rows of B nearest to it in score bound its nearest distance by some ub.
+    Scores are 1-Lipschitz, so every row of B within ub has a score within
+    ub + ``window_pad`` of the row's score (the rounding of the square root
+    is one unit roundoff more, which the pad's factor four covers): the
+    window holds the nearest row and every row tied with it, and the result
+    is the index ``nearest`` gives over all of B, ties going to the smallest
+    index. Consecutive rows of A whose joint window fits the block budget
+    share one call of ``nearest`` on that contiguous slice of B. B must
+    have a row.
+    """
+    m, k = A.shape[0], B.shape[0]
+    near = min(_SCORE_NEIGHBOURS, k)
+    first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
+    bound = np.empty(m)
+    step = max(1, _BLOCK // near)
+    for s in range(0, m, step):
+        rows = np.arange(s, min(s + step, m))
+        ib = (first[rows, None] + np.arange(near)).ravel()
+        bound[rows] = _direct_sq(A, np.repeat(rows, near), B, ib).reshape(-1, near).min(axis=1)
+    reach = np.sqrt(bound)
+    reach += np.maximum(window_pad(A, reach), window_pad(B, reach))
+    los = np.searchsorted(score_b, score_a - reach, side="left").tolist()
+    his = np.searchsorted(score_b, score_a + reach, side="right").tolist()
+    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
+
+    best = np.empty(m, dtype=np.int64)
+    q = 0
+    while q < m:
+        lo, hi, g = los[q], his[q], q + 1
+        while g < m:
+            joint_lo, joint_hi = min(lo, los[g]), max(hi, his[g])
+            if (g + 1 - q) * (joint_hi - joint_lo) > _BLOCK:
+                break
+            lo, hi, g = joint_lo, joint_hi, g + 1
+        best[q:g] = lo + _nearest(A[q:g], half_a[q:g], B[lo:hi], half_b[lo:hi])
+        q = g
     return best

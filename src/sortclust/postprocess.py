@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import aggregate
-from .kernel import nearest
+from .kernel import nearest_by_score
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -117,13 +117,16 @@ def effective_radius(radius: float, mext: float) -> float:
 
 
 def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
-                 minpts: int, mode: str = "reassign") -> GroupClusterMap:
+                 starting_scores, minpts: int, mode: str = "reassign") -> GroupClusterMap:
     """Apply the minimum-cluster-size rule.
 
     reassign: every group in a cluster with fewer than `minpts` points moves
     to the cluster of the nearest starting point (ties: smallest group index)
     whose cluster has at least `minpts` points; eligibility uses the sizes
     before any reassignment. If no cluster is large enough, nothing changes.
+    The nearest starting point is searched in a score window around each
+    moved one (``kernel.nearest_by_score``), so `starting_scores` must be
+    the nondecreasing scores of the starting points, as ``fit`` passes them.
 
     separate: points of too-small clusters are labelled -1 and surviving
     clusters are renumbered contiguously.
@@ -141,9 +144,11 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
     raw = assignment.copy()
     if mode == "reassign":
         pts = np.asarray(starting_points, dtype=np.float64)
-        eligible_groups = np.nonzero(~small[assignment])[0]
+        scores = np.asarray(starting_scores, dtype=np.float64)
+        eligible = np.nonzero(~small[assignment])[0]
         moved = np.nonzero(small[assignment])[0]
-        raw[moved] = assignment[eligible_groups[nearest(pts[moved], pts[eligible_groups])]]
+        near = nearest_by_score(pts[moved], scores[moved], pts[eligible], scores[eligible])
+        raw[moved] = assignment[eligible[near]]
     else:
         raw[small[assignment]] = -1
     new_ids, sizes = relabel_by_size(raw, group_sizes)
@@ -178,7 +183,7 @@ def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
 
     group_sizes = np.bincount(group_of, minlength=starts.size)
     merged = connected_components(graph, group_sizes)
-    final_map = apply_minpts(merged, group_sizes, starting_points,
+    final_map = apply_minpts(merged, group_sizes, starting_points, starting_scores,
                              config.minpts, config.outlier_mode)
 
     point_group = np.empty(prepared.n, dtype=np.int64)
@@ -282,11 +287,21 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """`values` as int64. They must be JSON integers: a float (even 1.0) or
-    a string raises ValueError instead of being cast."""
+    """`values`, a list of integers or of lists of integers, as int64. They
+    must be JSON integers: a float (even 1.0), a boolean or a string raises
+    ValueError instead of being cast."""
     arr = np.asarray(values)
-    _check(arr.size == 0 or arr.dtype.kind == "i", f"{name} must hold integers")
+    flat = itertools.chain.from_iterable(values) if arr.ndim > 1 else values
+    _check((arr.size == 0 or arr.dtype.kind == "i") and bool not in set(map(type, flat)),
+           f"{name} must hold integers")
     return arr.astype(np.int64)
+
+
+def _count(value, name: str) -> int:
+    """`value`, which must be a nonnegative JSON integer (not a float or a
+    boolean, which int() would truncate or cast)."""
+    _check(type(value) is int and value >= 0, f"{name} must be a nonnegative integer")
+    return value
 
 
 def _model_from_doc(doc: dict) -> ClusterModel:
@@ -296,11 +311,12 @@ def _model_from_doc(doc: dict) -> ClusterModel:
                f"{part} must be an object with the keys {', '.join(keys)}")
     cfg, stats, members = doc["config"], doc["stats"], doc["group_members"]
     _check(isinstance(members, list), "group_members must be a list")
-    config = FitConfig(radius=float(cfg["radius"]), minpts=int(cfg["minPts"]),
+    config = FitConfig(radius=float(cfg["radius"]),
+                       minpts=_count(cfg["minPts"], "config.minPts"),
                        scale=float(cfg["scale"]), merge_mode=cfg["merge_mode"],
                        outlier_mode=cfg["outlier_mode"])
     config.validate()
-    n, d, l = int(stats["n"]), int(stats["d"]), len(members)
+    n, d, l = _count(stats["n"], "stats.n"), _count(stats["d"], "stats.d"), len(members)
     mean = np.asarray(doc["mean"], dtype=np.float64)
     v1 = np.asarray(doc["v1"], dtype=np.float64)
     _check(mean.shape == v1.shape == (d,), f"mean and v1 must have length d={d}")
@@ -341,7 +357,7 @@ def _model_from_doc(doc: dict) -> ClusterModel:
         cluster_sizes=cluster_sizes,
         merge_edges=edges,
         point_group=point_group,
-        dist_count=int(stats["dist_count"]),
+        dist_count=_count(stats["dist_count"], "stats.dist_count"),
         n=n,
         d=d,
     )
@@ -351,9 +367,9 @@ def from_json(text: str) -> ClusterModel:
     """Rebuild a model from its JSON document.
 
     The document is checked first: required keys, array shapes, integer
-    ids, `group_members` partitioning the rows 0..n-1, cluster ids in
-    [-1, k) and edge endpoints in [0, l). A malformed document raises
-    ValueError.
+    ids and counts (no floats or booleans), `group_members` partitioning the
+    rows 0..n-1, cluster ids in [-1, k) and edge endpoints in [0, l). A
+    malformed document raises ValueError.
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None

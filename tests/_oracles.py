@@ -139,6 +139,32 @@ def brute_force_groups(points_sorted, scores, r: float) -> list[list[int]]:
     return groups
 
 
+def windowed_dist_count(points_sorted, scores, r: float, pad: float) -> tuple[list, list, int]:
+    """Greedy aggregation over the padded score windows
+    ``scores[j] <= scores[i] + (r + pad)``, by plain loops: the starting rows,
+    each row's group, and the number of unassigned rows the windows held, each
+    start counted at its turn."""
+    n = len(scores)
+    r_sq, reach = r * r, r + pad
+    group_of = [-1] * n
+    starts = []
+    count = 0
+    for i in range(n):
+        if group_of[i] >= 0:
+            continue
+        group_of[i] = len(starts)
+        starts.append(i)
+        j = i + 1
+        while j < n and scores[j] <= scores[i] + reach:
+            if group_of[j] < 0:
+                count += 1
+                delta = points_sorted[j] - points_sorted[i]
+                if float(delta @ delta) <= r_sq:
+                    group_of[j] = group_of[i]
+            j += 1
+    return starts, group_of, count
+
+
 def direct_sq_matrix(A, B) -> np.ndarray:
     """|B[j] - A[i]|^2 for every pair of rows, by the direct difference
     formula, one broadcast subtraction for all pairs."""

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from sortclust import aggregation
 from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.kernel import window_pad
 from sortclust.postprocess import fit
 from sortclust.prep import PreparedData, prepare
 
-from _oracles import brute_force_groups
+from _oracles import brute_force_groups, windowed_dist_count
 
 
 def prepared_1d(values):
@@ -140,3 +142,58 @@ class TestInvariants:
         s2, g2, c2 = aggregate(p, 0.8)
         assert np.array_equal(s1, s2) and np.array_equal(g1, g2)
         assert c1 == c2
+
+
+def check_sweep(p, r):
+    """aggregate against its direct reference and the plain-loop window count."""
+    starts, group_of, dist_count = aggregate(p, r)
+    starts_ref, group_of_ref, _ = aggregate_reference(p, r)
+    assert np.array_equal(starts, starts_ref)
+    assert np.array_equal(group_of, group_of_ref)
+    oracle = windowed_dist_count(p.centered, p.scores, r, window_pad(p.centered, r))
+    assert (starts.tolist(), group_of.tolist(), dist_count) == oracle
+    return starts, group_of, dist_count
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("block", [7, 16, 61, 400, aggregation._BLOCK])
+    def test_block_sizes_match_the_reference_and_the_window_count(self, block, monkeypatch):
+        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for d in (1, 2, 5):
+            p = prepare(rng.normal(size=(250, d)))
+            for radius in (0.05, 0.2, 0.6):
+                check_sweep(p, radius * p.mext)
+
+    def test_candidate_claimed_by_an_earlier_start_of_its_block(self):
+        # all six rows are candidates of one block; rows 1 and 3 are claimed
+        # by the starts 0 and 2 of that block, and row 2 lies within r of the
+        # claimed row 1 but starts a group
+        p = prepared_1d([0.0, 0.5, 0.9, 1.2, 1.6, 2.0])
+        starts, group_of, dist_count = check_sweep(p, 0.6)
+        assert starts.tolist() == [0, 2, 4]
+        assert group_of.tolist() == [0, 0, 1, 1, 2, 2]
+        assert dist_count == 3
+
+    def test_rows_claimed_before_a_later_start_leave_its_window(self, monkeypatch):
+        # start 0 claims row 2 but not row 1, which starts the next group:
+        # row 2 lies in the window of row 1 and must not count for it
+        p = prepared_raw([[0.0, 0.0], [0.5, 0.9], [0.6, 0.0], [0.7, 0.95]], [1.0, 0.0])
+        for block in (7, aggregation._BLOCK):
+            monkeypatch.setattr(aggregation, "_BLOCK", block)
+            starts, group_of, dist_count = check_sweep(p, 0.7)
+            assert starts.tolist() == [0, 1]
+            assert group_of.tolist() == [0, 1, 0, 1]
+            assert dist_count == 4
+
+    def test_window_split_across_column_chunks(self, monkeypatch):
+        # windows of about 30 rows against a budget of 7 entries: every start
+        # goes alone, its window in column chunks
+        monkeypatch.setattr(aggregation, "_BLOCK", 7)
+        values = np.arange(200) * 0.05
+        values[::7] += 0.01
+        starts, group_of, _ = check_sweep(prepared_1d(values), 1.5)
+        assert starts.size > 3
+        rng = np.random.default_rng(9)
+        p = prepare(rng.normal(size=(150, 3)))
+        check_sweep(p, 0.9 * p.mext)

@@ -7,7 +7,7 @@ import pytest
 
 from sortclust import aggregation, kernel
 from sortclust.aggregation import aggregate, aggregate_reference
-from sortclust.kernel import half_sq_norms, nearest, within
+from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
 from sortclust.merging import GroupClusterMap, distance_merge
 from sortclust.postprocess import apply_minpts
 from sortclust.prep import PreparedData, prepare
@@ -147,17 +147,102 @@ class TestNearestTies:
         assert nearest(centre, B).tolist() == [1] == direct_nearest(centre, B).tolist()
 
     def test_minpts_reassigns_to_the_smallest_tied_group(self):
-        # group 0 is a small cluster; groups 1-5 are eligible clusters, of
-        # which 2-5 lie exactly 5 away from group 0 and 1 lies farther
+        # groups in score order along x; group 3 is a small cluster, groups
+        # 1, 2, 4, 5 and 6 are eligible clusters exactly 5 away from it and
+        # group 0 is eligible and farther
         centre = np.array([1e8, -1e8])
-        starting_points = np.vstack([centre, centre + (6.0, 0.0),
-                                     centre + np.array(AT_R)[[3, 1, 0, 2]]])
-        cluster_map = GroupClusterMap(cluster_of_group=np.arange(6), k=6,
-                                      sizes=np.array([1, 5, 6, 7, 8, 9]))
-        out = apply_minpts(cluster_map, np.array([1, 5, 6, 7, 8, 9]), starting_points, 3)
-        # group 0 joins the cluster of group 2, the smallest tied index
-        assert out.cluster_of_group[0] == out.cluster_of_group[2]
-        assert out.sizes.tolist() == [9, 8, 7, 7, 5]
+        offsets = np.array([(-6.0, 0.0), (-4.0, 3.0), (-3.0, -4.0), (0.0, 0.0),
+                            (0.0, -5.0), (3.0, 4.0), (5.0, 0.0)])
+        starting_points = centre + offsets
+        scores = starting_points[:, 0]
+        sizes = np.array([5, 6, 7, 1, 8, 9, 10])
+        cluster_map = GroupClusterMap(cluster_of_group=np.arange(7), k=7, sizes=sizes)
+        out = apply_minpts(cluster_map, sizes, starting_points, scores, 3)
+        # group 3 joins the cluster of group 1, the smallest tied index
+        assert out.cluster_of_group[3] == out.cluster_of_group[1]
+        assert out.sizes.tolist() == [10, 9, 8, 7, 7, 5]
+
+
+def scored(points, v1):
+    """Rows sorted by their score along the unit vector v1, and the scores."""
+    scores = np.asarray(points) @ np.asarray(v1, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    return np.asarray(points)[order], scores[order]
+
+
+class TestNearestByScore:
+    """The score-windowed search gives the index of the dense search."""
+
+    def check(self, A, score_a, B, score_b):
+        got = nearest_by_score(A, score_a, B, score_b)
+        assert np.array_equal(got, direct_nearest(A, B))
+        assert np.array_equal(got, nearest(A, B))
+
+    @pytest.mark.parametrize("block", [2, 7, 64, kernel._BLOCK])
+    @pytest.mark.parametrize("neighbours", [1, 4, kernel._SCORE_NEIGHBOURS])
+    def test_random_rows(self, block, neighbours, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        monkeypatch.setattr(kernel, "_SCORE_NEIGHBOURS", neighbours)
+        rng = np.random.default_rng(block + neighbours)
+        for d in (1, 3, 10):
+            v1 = rng.normal(size=d)
+            v1 /= np.linalg.norm(v1)
+            A, sa = scored(rng.normal(size=(40, d)), v1)
+            B, sb = scored(rng.normal(size=(300, d)) * 1.5, v1)
+            self.check(A, sa, B, sb)
+
+    @pytest.mark.parametrize("block", [2, 7, kernel._BLOCK])
+    @pytest.mark.parametrize("neighbours", [1, 2, kernel._SCORE_NEIGHBOURS])
+    def test_equal_distances_far_from_the_origin(self, block, neighbours, monkeypatch):
+        # each row of A has four rows of B exactly 5 away, in separate parts
+        # of the score range, and farther rows between them in score; small
+        # budgets and few score neighbours put the tied rows into different
+        # windows and blocks
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        monkeypatch.setattr(kernel, "_SCORE_NEIGHBOURS", neighbours)
+        centres = np.array([(1e8 + 40.0 * k, -1e8) for k in range(3)])
+        ring = np.array(AT_R[:4])
+        filler = np.array([(-1.0, 9.0), (1.0, -9.0), (2.0, 8.5), (4.5, -8.0)])
+        B, sb = scored(np.vstack([c + ring for c in centres] + [c + filler for c in centres]),
+                       [1.0, 0.0])
+        A, sa = scored(centres, [1.0, 0.0])
+        assert np.all(np.sort(direct_sq_matrix(A, B), axis=1)[:, :4] == 25.0)
+        self.check(A, sa, B, sb)
+
+    def test_fewer_eligible_rows_than_neighbours(self):
+        rng = np.random.default_rng(11)
+        A, sa = scored(rng.normal(size=(25, 4)), np.eye(4)[0])
+        B, sb = scored(rng.normal(size=(kernel._SCORE_NEIGHBOURS // 4, 4)), np.eye(4)[0])
+        self.check(A, sa, B, sb)
+
+    def test_rows_scored_beyond_every_eligible_score(self):
+        rng = np.random.default_rng(12)
+        v1 = np.array([0.6, 0.8])
+        B, sb = scored(rng.normal(size=(200, 2)), v1)
+        high, s_high = scored(rng.normal(size=(30, 2)) + 10.0 * v1, v1)
+        low, s_low = scored(rng.normal(size=(30, 2)) - 10.0 * v1, v1)
+        assert s_high.min() > sb.max() and s_low.max() < sb.min()
+        self.check(high, s_high, B, sb)
+        self.check(low, s_low, B, sb)
+        self.check(np.vstack([low, high]), np.concatenate([s_low, s_high]), B, sb)
+
+    def test_row_at_the_bound_past_the_unpadded_window(self):
+        # both rows lie on the score direction; the score of B exceeds the
+        # score of A plus their direct distance by rounding, so only the
+        # padded window keeps the one row of B
+        v1 = np.array([0.6, 0.8])
+        v1 /= np.linalg.norm(v1)
+        A = np.array([[-1.3760354082967188, -1.8347138777289584]])
+        B = np.array([[0.5662734181497775, 0.7550312241997035]])
+        gap = np.sqrt(direct_sq_matrix(A, B)[0, 0])
+        assert (A @ v1)[0] + gap < (B @ v1)[0]
+        assert nearest_by_score(A, A @ v1, B, B @ v1).tolist() == [0]
+
+    def test_single_eligible_row(self):
+        rng = np.random.default_rng(13)
+        A, sa = scored(rng.normal(size=(50, 3)), np.eye(3)[2])
+        B = np.array([[0.5, -0.5, 3.0]])
+        assert nearest_by_score(A, sa, B, B[:, 2]).tolist() == [0] * 50
 
 
 class TestSmallBlocks:
@@ -175,3 +260,30 @@ class TestSmallBlocks:
         assert np.array_equal(before[2].edges, after[2].edges)
         assert np.array_equal(nearest(A, B), near)
         assert np.array_equal(near, direct_nearest(A, B))
+
+
+class TestBudget:
+    @pytest.mark.parametrize("block", [7, 300, kernel._BLOCK])
+    def test_products_stay_within_the_block_budget(self, block, monkeypatch):
+        # a row whose window alone exceeds the budget goes alone, and the
+        # kernel splits its columns; any larger product holds the budget
+        shapes = []
+
+        def recording(fn):
+            def wrapped(A, half_a, B, half_b, *rest):
+                shapes.append((A.shape[0], B.shape[0]))
+                return fn(A, half_a, B, half_b, *rest)
+            return wrapped
+
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        monkeypatch.setattr(aggregation, "within", recording(kernel.within))
+        monkeypatch.setattr(kernel, "_nearest", recording(kernel._nearest))
+        rng = np.random.default_rng(block)
+        p = prepare(rng.normal(size=(400, 3)))
+        starts, _, _ = aggregate(p, 0.15 * p.mext)
+        assert 20 < starts.size < 400
+        pts, scores = p.centered[starts], p.scores[starts]
+        nearest_by_score(pts[::3], scores[::3], pts[1::3], scores[1::3])
+        assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
+        assert any(m > 1 for m, _ in shapes)

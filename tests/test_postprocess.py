@@ -131,7 +131,8 @@ class TestApplyMinpts:
         graph = distance_merge(p.scores[starts], p.centered[starts], 0.35, 1.5)
         sizes = np.bincount(group_of)
         cmap = connected_components(graph, sizes)
-        new_map = apply_minpts(cmap, sizes, p.centered[starts], 3, "reassign")
+        new_map = apply_minpts(cmap, sizes, p.centered[starts], p.scores[starts], 3,
+                               "reassign")
         assert new_map.k == 1
         assert new_map.cluster_of_group[group_of].tolist() == [0] * 7
 
@@ -152,7 +153,7 @@ class TestApplyMinpts:
         cmap = connected_components(MergeGraph(starts.size, np.empty((0, 2), dtype=np.int64)),
                                     sizes)
         with pytest.raises(ValueError):
-            apply_minpts(cmap, sizes, m.starting_points, 2, "purge")
+            apply_minpts(cmap, sizes, m.starting_points, m.starting_scores, 2, "purge")
 
 
 class TestPredict:
@@ -315,6 +316,19 @@ CORRUPTIONS = [
     pytest.param(lambda doc: _shift(doc["group_cluster"], 0, 0.5), id="fractional-cluster-id"),
     pytest.param(lambda doc: _shift(doc["cluster_sizes"], 0, 0.5), id="fractional-cluster-size"),
     pytest.param(lambda doc: _shift(doc["merge_edges"][0], 1, 0.5), id="fractional-edge-endpoint"),
+    # non-integral counts would otherwise be truncated, booleans cast to 0 or 1
+    pytest.param(lambda doc: doc["config"].update(minPts=2.7), id="fractional-minpts"),
+    pytest.param(lambda doc: doc["config"].update(minPts=True), id="boolean-minpts"),
+    pytest.param(lambda doc: _shift(doc["stats"], "dist_count", 0.9), id="fractional-dist-count"),
+    pytest.param(lambda doc: _shift(doc["stats"], "n", 0.5), id="fractional-n"),
+    pytest.param(lambda doc: _shift(doc["stats"], "d", 0.5), id="fractional-d"),
+    pytest.param(lambda doc: doc["stats"].update(dist_count=-1), id="negative-dist-count"),
+    pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, True), id="boolean-cluster-id"),
+    pytest.param(lambda doc: doc["group_members"][0].__setitem__(0, False),
+                 id="boolean-member"),
+    pytest.param(lambda doc: doc["cluster_sizes"].__setitem__(0, True), id="boolean-cluster-size"),
+    pytest.param(lambda doc: doc["merge_edges"][0].__setitem__(1, True),
+                 id="boolean-edge-endpoint"),
 ]
 
 
