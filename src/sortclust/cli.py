@@ -46,38 +46,64 @@ def _read_matrix(path: str, header: bool, drop_bad_rows: bool) -> np.ndarray:
     Rows with non-numeric or non-finite fields, or with an inconsistent
     number of fields, are rejected with their row number unless
     drop_bad_rows is set, in which case they are silently dropped.
+
+    numpy's C reader parses the file first. Its result is kept only when it
+    has one row per data line and every value is finite: it skips empty
+    lines and accepts nan and inf, and it raises on every other row the row
+    reader rejects (and on a few it accepts, such as `1_0`). On any other
+    file the row reader runs instead, so it alone produces the diagnostics
+    and drops rows.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    data = lines[int(header):]
+    # loadtxt warns when it reads no rows, which happens only when every data
+    # line is empty; an empty first data line is the row reader's case anyway.
+    if data and data[0].strip():
+        try:
+            matrix = np.loadtxt(data, dtype=np.float64, delimiter=",",
+                                comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if len(matrix) == len(data) and np.isfinite(matrix).all():
+                return matrix
+    return _parse_rows(path, lines, header, drop_bad_rows)
+
+
+def _parse_rows(path: str, lines: list[str], header: bool,
+                drop_bad_rows: bool) -> np.ndarray:
+    """The row reader of `_read_matrix`: one Python float per field."""
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
+    for lineno, line in enumerate(lines, start=1):
+        if header and lineno == 1:
+            continue
+        line = line.strip()
+        bad = None
+        values: list[float] = []
+        if not line:
+            bad = "empty row"
+        else:
+            for part in line.split(","):
+                try:
+                    v = float(part)
+                except ValueError:
+                    bad = f"non-numeric field {part.strip()!r}"
+                    break
+                if not np.isfinite(v):
+                    bad = f"non-finite field {part.strip()!r}"
+                    break
+                values.append(v)
+        if bad is None and width is not None and len(values) != width:
+            bad = f"expected {width} fields, found {len(values)}"
+        if bad is not None:
+            if drop_bad_rows:
                 continue
-            line = line.strip()
-            bad = None
-            values: list[float] = []
-            if not line:
-                bad = "empty row"
-            else:
-                for part in line.split(","):
-                    try:
-                        v = float(part)
-                    except ValueError:
-                        bad = f"non-numeric field {part.strip()!r}"
-                        break
-                    if not np.isfinite(v):
-                        bad = f"non-finite field {part.strip()!r}"
-                        break
-                    values.append(v)
-            if bad is None and width is not None and len(values) != width:
-                bad = f"expected {width} fields, found {len(values)}"
-            if bad is not None:
-                if drop_bad_rows:
-                    continue
-                raise ValueError(f"{path}: malformed row {lineno}: {bad}")
-            if width is None:
-                width = len(values)
-            rows.append(values)
+            raise ValueError(f"{path}: malformed row {lineno}: {bad}")
+        if width is None:
+            width = len(values)
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -99,35 +125,56 @@ def _read_labels(path: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _write_outputs(texts: dict[str, str]) -> None:
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     """Write each text to its path, all or none: every text goes to a
     temporary file beside its target, and only when all are written are they
-    renamed over their targets. Temporary files never outlive the call."""
-    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
+    renamed over their targets. Temporary files never outlive the call.
+
+    Two paths that name the same file are a ValueError, raised before
+    anything is written. Each temporary file is preallocated to its size
+    before it is written: ext4 (with its default auto_da_alloc) flushes a
+    file that still has delayed-allocation blocks when it is renamed over an
+    existing one, which costs tens of milliseconds, and preallocated blocks
+    are not delayed. Nothing is fsynced, so a power loss right after a call
+    may leave a replaced target incomplete.
+    """
+    seen: dict[str, str] = {}
+    for path, _ in outputs:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {path} name the same file")
+        seen[key] = path
+    temps = [f"{path}.{os.getpid()}.tmp" for path, _ in outputs]
     try:
-        for path, temp in temps.items():
+        for (path, text), temp in zip(outputs, temps):
+            data = text.encode("utf-8")
             try:
-                with open(temp, "x", encoding="utf-8") as fh:
-                    fh.write(texts[path])
+                with open(temp, "xb") as fh:
+                    if data:
+                        try:
+                            os.posix_fallocate(fh.fileno(), 0, len(data))
+                        except (AttributeError, OSError):
+                            pass  # not available here: the rename may flush
+                    fh.write(data)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-        for path, temp in temps.items():
+        for (path, _), temp in zip(outputs, temps):
             os.replace(temp, path)
     finally:
-        for temp in temps.values():
+        for temp in temps:
             if os.path.exists(temp):
                 os.remove(temp)
 
 
 def _labels_text(labels: np.ndarray) -> str:
-    return "\n".join(str(int(v)) for v in labels) + "\n"
+    return "\n".join(map(str, labels.tolist())) + "\n"
 
 
 def _write_labels(labels: np.ndarray, path: str | None) -> None:
     if path is None:
         sys.stdout.write(_labels_text(labels))
     else:
-        _write_outputs({path: _labels_text(labels)})
+        _write_outputs([(path, _labels_text(labels))])
 
 
 def _parse_float_grid(raw: str, flag: str) -> list[float]:
@@ -142,11 +189,11 @@ def cmd_fit(args) -> int:
     model = fit(data, radius=args.radius, minpts=args.minpts, scale=args.scale,
                 merge_mode=args.merge, outlier_mode=args.outliers)
     labels = model.labels
-    outputs = {}
+    outputs = []
     if args.output is not None:
-        outputs[args.output] = _labels_text(labels)
+        outputs.append((args.output, _labels_text(labels)))
     if args.model:
-        outputs[args.model] = to_json(model) + "\n"
+        outputs.append((args.model, to_json(model) + "\n"))
     if args.plot_data:
         centered = data - model.mean
         v1, v2 = principal_plane(centered)
@@ -154,7 +201,7 @@ def cmd_fit(args) -> int:
         pc2 = (centered @ v2).tolist()
         rows = (f"{pc1[i]!r},{pc2[i]!r},{model.point_group[i]},{labels[i]}\n"
                 for i in range(model.n))
-        outputs[args.plot_data] = "pc1,pc2,group,cluster\n" + "".join(rows)
+        outputs.append((args.plot_data, "pc1,pc2,group,cluster\n" + "".join(rows)))
     _write_outputs(outputs)
     if args.output is None:
         _write_labels(labels, None)
@@ -225,9 +272,9 @@ def cmd_blobs(args) -> int:
     data, labels = make_blobs(args.n, args.d, args.k, args.std, args.seed)
     header = ",".join(f"f{j}" for j in range(args.d)) + "\n" if args.header else ""
     rows = (",".join(repr(float(v)) for v in row) + "\n" for row in data)
-    outputs = {args.output: header + "".join(rows)}
+    outputs = [(args.output, header + "".join(rows))]
     if args.truth:
-        outputs[args.truth] = _labels_text(labels)
+        outputs.append((args.truth, _labels_text(labels)))
     _write_outputs(outputs)
     return 0
 

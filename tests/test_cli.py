@@ -1,7 +1,11 @@
+import errno
 import json
+import os
 
+import numpy as np
 import pytest
 
+from sortclust import cli
 from sortclust.cli import main
 
 
@@ -94,6 +98,20 @@ class TestFit:
         assert "error:" in capsys.readouterr().err
         # no labels, no plot data, no temporary files left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--output", "out.txt", "--model", "out.txt"],
+        ["--output", "./p.csv", "--plot-data", "p.csv"],
+        ["--model", "link.json", "--plot-data", "real.json"],
+    ])
+    def test_two_outputs_naming_one_file(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        data = fixture_csv(tmp_path)
+        os.symlink("real.json", "link.json")
+        assert main(["fit", "--input", data, "--radius", "0.3", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[1]} and {flags[3]} name the same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.json"]
 
 
 class TestBlobPipeline:
@@ -259,6 +277,13 @@ class TestBlobs:
         # no data file and no temporary file left behind
         assert list(tmp_path.iterdir()) == []
 
+    def test_truth_naming_the_data_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["blobs", "--n", "10", "--d", "2", "--k", "2",
+                     "--output", "d.csv", "--truth", "./d.csv"]) == 2
+        assert "d.csv and ./d.csv name the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_below_k(self, tmp_path, capsys):
         assert main(["blobs", "--n", "2", "--d", "2", "--k", "5",
                      "--output", str(tmp_path / "x.csv")]) == 2
@@ -275,3 +300,147 @@ class TestThreadCap:
         data = fixture_csv(tmp_path)
         assert main(["fit", "--input", data, "--output",
                      str(tmp_path / "l.txt"), "--radius", "0.3"]) == 0
+
+
+# Each case, read with and without --header and --drop-bad-rows, must give the
+# row reader's matrix bit for bit or its exact error.
+CSV_CORPUS = {
+    "clean": "1.5,-2\n3,4e-3\n",
+    "blank-middle": "1,2\n\n3,4\n",
+    "blank-end": "1,2\n3,4\n\n",
+    "all-blank": "\n\n",
+    "leading-blank": "\n1,2\n",
+    "whitespace-line": "1,2\n  \t \n3,4\n",
+    "hash-line": "1,2\n# note\n3,4\n",
+    "nan": "1,2\nnan,4\n5,6\n",
+    "inf": "1,2\n3,inf\n",
+    "-inf": "-inf,2\n3,4\n",
+    "overflow": "1,2\n1e400,4\n",
+    "underscore": "1_0,2\n3,4\n",
+    "bom": "\ufeff1,2\n3,4\n",
+    "bom-header": "\ufefff0,f1\n1,2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "cr": "1,2\r3,4\r",
+    "no-final-newline": "1,2\n3,4",
+    "trailing-comma": "1,2,\n3,4,\n",
+    "spaces": " 1 , 2 \n\t3,\xa04\t\n",
+    "ragged": "1,2\n3\n5,6\n",
+    "single-column": "1\n-0.0\n3\n",
+    "header-only": "f0,f1\n",
+    "empty": "",
+}
+
+
+def _outcome(read):
+    try:
+        matrix = read()
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("matrix", matrix.shape, matrix.dtype, matrix.tobytes())
+
+
+def _row_reader(path, header, drop_bad_rows):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    return cli._parse_rows(path, lines, header, drop_bad_rows)
+
+
+class TestReadMatrix:
+    @pytest.mark.parametrize("drop_bad_rows", [False, True])
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("case", sorted(CSV_CORPUS))
+    def test_fast_path_reads_what_the_row_reader_reads(self, tmp_path, case, header,
+                                                       drop_bad_rows):
+        path = str(tmp_path / "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_CORPUS[case])
+        expected = _outcome(lambda: _row_reader(path, header, drop_bad_rows))
+        assert _outcome(lambda: cli._read_matrix(path, header, drop_bad_rows)) == expected
+
+    @pytest.mark.parametrize("case", ["clean", "crlf", "cr", "no-final-newline",
+                                      "spaces", "single-column"])
+    def test_clean_files_take_the_fast_path(self, tmp_path, monkeypatch, case):
+        path = str(tmp_path / "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_CORPUS[case])
+        expected = _row_reader(path, False, False)
+        monkeypatch.setattr(cli, "_parse_rows", None)
+        assert cli._read_matrix(path, False, False).tobytes() == expected.tobytes()
+
+    def test_random_round_trip(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-310, 300, (300, 7))
+        data[0, :3] = [0.0, -0.0, 5e-324]
+        path = str(tmp_path / "in.csv")
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        expected = _row_reader(path, False, False)
+        assert expected.tobytes() == data.tobytes()
+        monkeypatch.setattr(cli, "_parse_rows", None)
+        matrix = cli._read_matrix(path, False, False)
+        assert matrix.shape == data.shape and matrix.tobytes() == data.tobytes()
+
+
+class TestWriteOutputs:
+    def test_bytes_on_disk_are_the_text(self, tmp_path):
+        texts = {"a.txt": "1\n-2\n", "b.txt": "", "c.txt": "\u00e9\u2028x\r\n"}
+        cli._write_outputs([(str(tmp_path / name), text) for name, text in texts.items()])
+        for name, text in texts.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(texts)
+
+    @pytest.mark.parametrize("how", ["unsupported", "missing"])
+    def test_without_preallocation(self, tmp_path, monkeypatch, how):
+        data = fixture_csv(tmp_path)
+        names = ("l.txt", "m.json", "p.csv")
+
+        def fit(directory):
+            directory.mkdir()
+            assert main(["fit", "--input", data, "--radius", "0.3",
+                         "--output", str(directory / names[0]),
+                         "--model", str(directory / names[1]),
+                         "--plot-data", str(directory / names[2])]) == 0
+            return [(directory / name).read_bytes() for name in names]
+
+        expected = fit(tmp_path / "with")
+        if how == "missing":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            def unsupported(fd, offset, length):
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+            monkeypatch.setattr(os, "posix_fallocate", unsupported)
+        assert fit(tmp_path / "without") == expected
+
+    def test_replaces_existing_targets(self, tmp_path):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in paths:
+            path.write_text("old contents, longer than the new ones\n")
+        inodes = [path.stat().st_ino for path in paths]
+        cli._write_outputs([(str(paths[0]), "1\n"), (str(paths[1]), "2\n")])
+        assert [path.read_text() for path in paths] == ["1\n", "2\n"]
+        # renamed over the target, not rewritten in place
+        assert [path.stat().st_ino for path in paths] != inodes
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_failed_write_keeps_the_old_targets(self, tmp_path):
+        old = tmp_path / "a.txt"
+        old.write_text("old\n")
+        with pytest.raises(OSError, match="nodir"):
+            cli._write_outputs([(str(old), "new\n"),
+                                (str(tmp_path / "nodir" / "b.txt"), "new\n")])
+        assert old.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_failed_rename_keeps_the_old_targets(self, tmp_path):
+        # every temporary file is written; the first rename fails
+        (tmp_path / "dir").mkdir()
+        old = tmp_path / "a.txt"
+        old.write_text("old\n")
+        with pytest.raises(OSError):
+            cli._write_outputs([(str(tmp_path / "dir"), "new\n"), (str(old), "new\n")])
+        assert old.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_labels_text(self):
+        labels = np.array([3, -1, 0, 12], dtype=np.int64)
+        assert cli._labels_text(labels) == "3\n-1\n0\n12\n"
