@@ -127,7 +127,7 @@ def _sweep_block(X, half, r_sq, free, group_of, starts, g, cand, e):
     """
     lo, top = int(cand[0]) + 1, int(e[-1])
     free_cols = free[lo:top]
-    mask = within(X[cand], half[cand, None], X[lo:top], half[lo:top], r_sq)
+    mask = within(np.take(X, cand, axis=0), half[cand, None], X[lo:top], half[lo:top], r_sq)
     mask &= free_cols
     mask &= np.arange(lo, top) > cand[:, None]
     # free rows of each candidate's window before the block claims any

@@ -128,7 +128,9 @@ def _read_labels(path: str) -> np.ndarray:
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     """Write each text to its path, all or none: every text goes to a
     temporary file beside its target, and only when all are written are they
-    renamed over their targets. Temporary files never outlive the call.
+    renamed over their targets. The temporary files a call creates never
+    outlive it; a file already at a temporary's name is an error naming that
+    file, and is left as it is.
 
     Two paths that name the same file are a ValueError, raised before
     anything is written. Each temporary file is preallocated to its size
@@ -145,11 +147,13 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
             raise ValueError(f"{seen[key]} and {path} name the same file")
         seen[key] = path
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in outputs]
+    created: list[str] = []
     try:
-        for (path, text), temp in zip(outputs, temps):
+        for (_, text), temp in zip(outputs, temps):
             data = text.encode("utf-8")
             try:
                 with open(temp, "xb") as fh:
+                    created.append(temp)
                     if data:
                         try:
                             os.posix_fallocate(fh.fileno(), 0, len(data))
@@ -157,11 +161,11 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
                             pass  # not available here: the rename may flush
                     fh.write(data)
             except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
+                raise OSError(exc.errno, exc.strerror, temp) from None
         for (path, _), temp in zip(outputs, temps):
             os.replace(temp, path)
     finally:
-        for temp in temps:
+        for temp in created:
             if os.path.exists(temp):
                 os.remove(temp)
 

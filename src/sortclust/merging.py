@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import _check_radius
 from .geometry import overlap_fraction
 from .kernel import half_sq_norms, window_blocks, window_pad, within
 from .prep import PreparedData
@@ -125,11 +126,6 @@ def connected_components(graph: MergeGraph, group_sizes=None) -> GroupClusterMap
                            k=len(cluster_sizes), sizes=cluster_sizes)
 
 
-def _check_positive(r: float, name: str = "R") -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
-        raise ValueError(f"{name} must be a positive finite number, got {r!r}")
-
-
 def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.5) -> MergeGraph:
     """Edge (i, j) iff the two starting points are within ``scale * r``.
 
@@ -139,7 +135,7 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     score gaps never exceed distances. Blocks of consecutive starting points
     are tested against their joint window by one matrix product each.
     """
-    _check_positive(r)
+    _check_radius(r)
     if not 1.0 <= scale <= 2.0:
         raise ValueError(f"scale must lie in [1, 2], got {scale!r}")
     sc = np.asarray(starting_scores, dtype=np.float64)
@@ -205,9 +201,9 @@ def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     the whole dataset restricted geometrically to the union/intersection
     regions.
     """
-    _check_positive(r)
+    _check_radius(r)
     starts = np.asarray(starts, dtype=np.int64)
-    centers = prepared.centered[starts]
+    centers = np.take(prepared.centered, starts, axis=0)
     cscores = prepared.scores[starts]
     four_r_sq = 4.0 * (r * r)
     in_ball = _ball_member_sets(centers, cscores, prepared, r)

@@ -147,7 +147,8 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
         scores = np.asarray(starting_scores, dtype=np.float64)
         eligible = np.nonzero(~small[assignment])[0]
         moved = np.nonzero(small[assignment])[0]
-        near = nearest_by_score(pts[moved], scores[moved], pts[eligible], scores[eligible])
+        near = nearest_by_score(np.take(pts, moved, axis=0), scores[moved],
+                                np.take(pts, eligible, axis=0), scores[eligible])
         raw[moved] = assignment[eligible[near]]
     else:
         raw[small[assignment]] = -1
@@ -173,7 +174,7 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
 def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
     r = effective_radius(config.radius, prepared.mext)
     starts, group_of, dist_count = aggregate(prepared, r)
-    starting_points = prepared.centered[starts]
+    starting_points = np.take(prepared.centered, starts, axis=0)
     starting_scores = prepared.scores[starts]
 
     if config.merge_mode == "distance":
@@ -225,7 +226,7 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     eligible = np.nonzero(model.group_cluster >= 0)[0]
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
-    pts = model.starting_points[eligible]
+    pts = np.take(model.starting_points, eligible, axis=0)
     pts_sq = np.einsum("ij,ij->i", pts, pts)
     rows = max(1, min(q.shape[0], _PREDICT_BLOCK_BYTES // (8 * pts.shape[0])))
     dist_sq = np.empty((rows, pts.shape[0]))

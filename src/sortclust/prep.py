@@ -108,15 +108,43 @@ def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:
     return _fix_sign(axes[0]), _fix_sign(axes[1])
 
 
+def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(values, kind="stable")`` and the sorted values, bit for bit.
+
+    numpy's default argsort is several times faster than its stable one but
+    may permute equal keys. So the default runs first, and then only the
+    positions in a run of values that do not strictly increase (equal
+    values, -0.0 next to 0.0, and any nan) are sorted again, by (value,
+    index), with ``np.lexsort``.
+    """
+    perm = np.argsort(values)
+    ordered = values[perm]
+    tied = ~(ordered[:-1] < ordered[1:])
+    if tied.any():
+        in_run = np.zeros(ordered.size, dtype=bool)
+        in_run[:-1] = tied
+        in_run[1:] |= tied
+        pos = np.flatnonzero(in_run)
+        order = pos[np.lexsort((perm[pos], ordered[pos]))]
+        perm[pos] = perm[order]
+        ordered[pos] = ordered[order]
+    return perm, ordered
+
+
 def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project onto v1 and reorder rows by nondecreasing score (stable)."""
+    """Project onto v1 and reorder rows by nondecreasing score (stable).
+
+    Returns ``(ordered rows, sorted scores, perm)``. Equal scores keep the
+    input order of their rows, which decides the row that starts a group;
+    ``_stable_argsort`` keeps that order at the speed of numpy's default
+    sort, by sorting the runs of equal scores again.
+    """
     X = np.asarray(centered, dtype=np.float64)
     v = np.asarray(v1, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise ValueError("v1 must have unit norm")
-    raw_scores = X @ v
-    perm = np.argsort(raw_scores, kind="stable")
-    return X[perm], raw_scores[perm], perm
+    perm, scores = _stable_argsort(X @ v)
+    return np.take(X, perm, axis=0), scores, perm
 
 
 def median_extend(scores) -> float:

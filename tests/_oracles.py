@@ -5,8 +5,8 @@ imports nothing from the package: Jacobi rotations instead of LAPACK's
 eigensolver, breadth-first search instead of vectorized component passes,
 closed-form areas and lens volumes instead of the incomplete beta, rejection
 sampling instead of quadrature, plain-python hypergeometric sums instead of
-log-factorial tables, and all-pairs direct differences instead of score
-windows and the expanded-norm kernel.
+log-factorial tables, all-pairs direct differences instead of score windows
+and the expanded-norm kernel, and a stable argsort instead of a tie repair.
 """
 
 from __future__ import annotations
@@ -114,6 +114,16 @@ def mc_window_hit_rate(c: float, r: float, s: float, d: int, samples: int,
     p1_exact = 0.5 * (math.erf((c + r) / math.sqrt(2.0))
                       - math.erf((c - r) / math.sqrt(2.0)))
     return p1_exact * frac, p1_exact * math.sqrt(frac * (1.0 - frac) / m), frac
+
+
+def stable_score_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ordered by score the plain way: numpy's stable argsort of the
+    scores and a fancy-index gather. Returns (ordered rows, sorted scores,
+    perm), as ``score_and_sort`` does."""
+    X = np.asarray(centered, dtype=np.float64)
+    raw = X @ np.asarray(v1, dtype=np.float64)
+    perm = np.argsort(raw, kind="stable")
+    return X[perm], raw[perm], perm
 
 
 def brute_force_groups(points_sorted, scores, r: float) -> list[list[int]]:

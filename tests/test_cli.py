@@ -430,6 +430,19 @@ class TestWriteOutputs:
         assert old.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
+    @pytest.mark.parametrize("stale", ["out.txt", "m.json"])
+    def test_existing_temporary_is_not_removed(self, tmp_path, capsys, stale):
+        # a temporary left by a crashed run whose pid this process reuses
+        data = fixture_csv(tmp_path)
+        leftover = tmp_path / f"{stale}.{os.getpid()}.tmp"
+        leftover.write_bytes(b"left by another run\n")
+        assert main(["fit", "--input", data, "--radius", "0.3",
+                     "--output", str(tmp_path / "out.txt"),
+                     "--model", str(tmp_path / "m.json")]) == 2
+        assert f"File exists: '{leftover}'" in capsys.readouterr().err
+        assert leftover.read_bytes() == b"left by another run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", leftover.name]
+
     def test_failed_rename_keeps_the_old_targets(self, tmp_path):
         # every temporary file is written; the first rename fails
         (tmp_path / "dir").mkdir()

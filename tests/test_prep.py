@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sortclust.prep import (center, first_principal_component, median_extend,
-                            prepare, principal_plane, score_and_sort)
+from sortclust import fit, prep, to_json
+from sortclust.prep import (_stable_argsort, center, first_principal_component,
+                            median_extend, prepare, principal_plane, score_and_sort)
 
-from _oracles import singular_values_oracle
+from _oracles import singular_values_oracle, stable_score_sort
 
 SQRT2 = math.sqrt(2.0)
 
@@ -117,6 +118,101 @@ class TestScoreAndSort:
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
             score_and_sort([[1.0, 0.0]], [2.0, 0.0])
+
+
+def assert_sorts_like_oracle(X, v1):
+    """score_and_sort equals the stable-argsort oracle bit for bit; returns perm."""
+    got, want = score_and_sort(X, v1), stable_score_sort(X, v1)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return got[2]
+
+
+def unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+class TestStableOrder:
+    """The default argsort plus the tie repair is numpy's stable argsort."""
+
+    def test_integer_scores_with_many_ties(self):
+        rng = np.random.default_rng(41)
+        repaired = 0
+        for n in (2, 3, 8, 17, 100, 1000, 20000):
+            for span in (1, 3, 50):
+                X = rng.normal(size=(n, 3))
+                X[:, 0] = rng.integers(-span, span + 1, size=n)
+                v1 = [1.0, 0.0, 0.0]
+                perm = assert_sorts_like_oracle(X, v1)
+                repaired += not np.array_equal(np.argsort(X @ np.array(v1)), perm)
+        # the default sort alone would have permuted tied rows
+        assert repaired > 0
+
+    def test_integer_lattice_along_a_skew_direction(self):
+        rng = np.random.default_rng(42)
+        for n in (5, 60, 3000):
+            X = rng.integers(-4, 5, size=(n, 2)).astype(np.float64)
+            assert_sorts_like_oracle(X, unit([3.0, 4.0]))
+            assert_sorts_like_oracle(X, [0.0, 1.0])
+
+    @pytest.mark.parametrize("pool", [
+        [-0.0, 0.0], [-0.0, 0.0, -1.0, 1.0], [-0.0, 0.0, 2.5],
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0],
+    ])
+    def test_signed_zeros_and_non_finite_scores(self, pool):
+        # BLAS sums from +0.0, so X @ v1 never yields -0.0 here, and finite
+        # rows give finite scores; the repair is checked on the scores directly
+        rng = np.random.default_rng(43)
+        for n in (2, 7, 64, 5000):
+            values = rng.choice(pool, size=n)
+            perm, ordered = _stable_argsort(values.copy())
+            want = np.argsort(values, kind="stable")
+            assert np.array_equal(perm, want)
+            assert ordered.tobytes() == values[want].tobytes()
+
+    def test_constant_data(self):
+        for n in (1, 2, 9, 4000):
+            for value in (0.0, 2.5):
+                perm = assert_sorts_like_oracle(np.full((n, 3), value), unit([1.0, -2.0, 0.5]))
+                assert perm.tolist() == list(range(n))
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(45)
+        base = rng.normal(size=(30, 4))
+        for n in (31, 600, 9000):
+            X = base[rng.integers(0, base.shape[0], size=n)]
+            assert_sorts_like_oracle(X, unit(rng.normal(size=4)))
+
+    def test_ties_at_both_ends(self):
+        rng = np.random.default_rng(46)
+        for n in (6, 9, 300):
+            values = rng.normal(size=n)
+            values[:3] = values.min()
+            values[-3:] = values.max() + 1.0
+            X = values[rng.permutation(n), None]
+            perm = assert_sorts_like_oracle(X, [1.0])
+            assert X[perm[0], 0] == X[perm[2], 0] and X[perm[-1], 0] == X[perm[-3], 0]
+
+    def test_single_row(self):
+        assert assert_sorts_like_oracle([[3.0, -1.0]], [0.0, 1.0]).tolist() == [0]
+
+    @pytest.mark.parametrize("merge_mode", ["distance", "density"])
+    @pytest.mark.parametrize("data", ["duplicated", "lattice"])
+    def test_fit_equals_a_fit_on_the_oracle_sort(self, monkeypatch, merge_mode, data):
+        rng = np.random.default_rng(47)
+        if data == "duplicated":
+            base = rng.normal(size=(40, 3))
+            X = base[rng.integers(0, 40, size=800)]
+        else:
+            grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(5.0)), axis=-1)
+            X = np.repeat(grid.reshape(-1, 2), 3, axis=0)[rng.permutation(180)]
+        assert np.any(np.diff(prepare(X).scores) == 0.0)
+        kwargs = dict(radius=0.3, minpts=4, merge_mode=merge_mode)
+        text = to_json(fit(X, **kwargs))
+        monkeypatch.setattr(prep, "score_and_sort", stable_score_sort)
+        assert to_json(fit(X, **kwargs)) == text
 
 
 class TestMedianExtend:

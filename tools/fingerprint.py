@@ -1,0 +1,96 @@
+"""Exact fingerprints of the benchmark's fits, for comparing two source trees.
+
+    python3 tools/fingerprint.py [--root DIR] [--workload NAME ...] [--seed N ...]
+
+For each workload and seed, fits the training rows of `bench/harness.py`'s
+workload with its parameters and predicts its query rows. It then prints one
+JSON line. The line holds the fit's counters and the sha256 digests of
+`starts`, `group_of` (as `aggregate` returned them inside `fit`), the merge
+edges, the labels, the predicted query labels and the `to_json` text. Two
+trees that print the same lines gave the same results bit for bit.
+
+`--root` takes the sources (`src/` and `bench/`) from another checkout, so a
+tree without this script can be fingerprinted too. The bench modules are
+only imported, never modified. BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+# BLAS reads its thread count once, when numpy is imported.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402
+
+
+def digest(array) -> str:
+    """sha256 of an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(array)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def fingerprint(workload, seed: int) -> dict:
+    import harness
+    import tracing
+    from sortclust import predict, to_json
+
+    inputs = harness.make_inputs(workload, seed)
+    tracer = tracing.Tracer()
+    with tracer.instrument():
+        model = harness.fit_workload(workload, inputs.train)
+    starts, group_of, _ = tracer.results["aggregation.aggregate"]
+    components = tracer.results["merging.components"]
+    text = to_json(model)
+    small = components.sizes < harness.MINPTS
+    return {
+        "workload": workload.name,
+        "seed": seed,
+        "counters": {
+            **harness.counters(model),
+            **tracing.merge_counters(model, workload.merge_mode),
+            "components": int(components.k),
+            "groups_reassigned": int(np.count_nonzero(small[components.cluster_of_group])),
+            "model_bytes": len(text.encode("utf-8")),
+        },
+        "sha256": {
+            "starts": digest(starts),
+            "group_of": digest(group_of),
+            "edges": digest(model.merge_edges),
+            "labels": digest(model.labels),
+            "predict": digest(predict(model, inputs.query)),
+            "to_json": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        },
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                   help="checkout whose src/ and bench/ are used (default: this one)")
+    p.add_argument("--workload", nargs="+", default=["few-groups", "many-groups", "density"])
+    p.add_argument("--seed", type=int, nargs="+", default=[3, 7, 11])
+    args = p.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import harness
+    unknown = [name for name in args.workload if name not in harness.WORKLOADS]
+    if unknown:
+        p.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(harness.WORKLOADS)}")
+    for name in args.workload:
+        for seed in args.seed:
+            print(json.dumps(fingerprint(harness.WORKLOADS[name], seed), sort_keys=True),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
