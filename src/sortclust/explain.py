@@ -5,6 +5,17 @@ group path connecting two points. Each report carries a machine-readable
 payload; the text is rendered from that payload alone, so identical payloads
 always produce byte-identical text. Templates are versioned through
 TEXT_VERSION.
+
+The summary rounds coordinates as ``round(x, 2)`` does, for all rows at once,
+by ``rint(100 x) / 100`` (`_round2`): 100 x errs by at most half an ulp, so
+unless the exact 100 x lies that close to a half-way point, ``rint`` finds
+the integer m nearest to it, and m / 100 is the double nearest m/100, which
+is ``round``'s result. Entries within a few ulps of a half-way point, or with
+|100 x| >= 2^49 or not finite, are decided again by ``round``.
+
+The group path search pops the smallest (distance, path) entry of its heap.
+Equal entries are indistinguishable, so the order of a node's neighbours in
+the CSR adjacency cannot change the path, and numpy's fastest argsort builds it.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import numpy as np
 from .postprocess import ClusterModel
 
 TEXT_VERSION = 1
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,17 +48,25 @@ def _cluster_phrase(cluster: int) -> str:
     return f"cluster #{cluster}" if cluster >= 0 else "the outliers"
 
 
+def _round2(x: np.ndarray) -> np.ndarray:
+    """``round(v, 2)`` of each entry of the float64 array `x`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 100.0 * x
+        out = np.rint(scaled) / 100.0
+        # |scaled - 100 x| <= eps/2 |scaled|; the distance to the half-way
+        # point adds at most eps. The band exceeds 1/2 from 2^49; inf gives nan.
+        near = ~(np.abs(scaled - np.floor(scaled) - 0.5) > 4.0 * _EPS * (np.abs(scaled) + 1.0))
+    out[near] = [round(v, 2) for v in x[near].tolist()]
+    return out
+
+
 def explain_summary(model: ClusterModel) -> ExplainReport:
     """Summary of the whole fit: parameters, work counters, groups, clusters."""
-    raw_starts = model.starting_points + model.mean
-    ncoord = min(model.d, 2)
-    group_sizes = np.bincount(model.point_group, minlength=model.num_groups)
-    group_rows = [{
-        "group": g,
-        "num_points": int(group_sizes[g]),
-        "cluster": int(model.group_cluster[g]),
-        "coordinates": [round(float(c), 2) for c in raw_starts[g, :ncoord]],
-    } for g in range(model.num_groups)]
+    coords = _round2(model.starting_points[:, :2] + model.mean[:2]).tolist()
+    group_sizes = np.bincount(model.point_group, minlength=model.num_groups).tolist()
+    group_rows = [{"group": g, "num_points": size, "cluster": cluster, "coordinates": xy}
+                  for g, (size, cluster, xy) in enumerate(
+                      zip(group_sizes, model.group_cluster.tolist(), coords))]
     outlier_points = int(model.n - model.cluster_sizes.sum())
     payload = {
         "kind": "summary",
@@ -104,10 +124,9 @@ def _render_summary(p: dict) -> str:
     lines.append("A list of all starting points is shown below.")
     lines.append("-----")
     lines.append(" Group  NrPts  Cluster  Coordinates")
-    for row in p["groups"]:
-        coords = " ".join(f"{c:.2f}" for c in row["coordinates"])
-        lines.append(f"{row['group']:>6d} {row['num_points']:>6d} "
-                     f"{row['cluster']:>8d}  {coords}")
+    row_format = "%6d %6d %8d  " + " ".join(["%.2f"] * min(p["d"], 2))
+    lines.extend(row_format % (row["group"], row["num_points"], row["cluster"],
+                               *row["coordinates"]) for row in p["groups"])
     lines.append("-----")
     lines.append("In order to explain the clustering of individual data points, "
                  "use explain(index) or explain(index1, index2) with indices of "
@@ -140,12 +159,13 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
         return [start]
     edges = model.merge_edges
     pts = model.starting_points
-    weight = np.sqrt(np.sum((pts[edges[:, 0]] - pts[edges[:, 1]]) ** 2, axis=1))
+    diff = np.take(pts, edges[:, 0], axis=0) - np.take(pts, edges[:, 1], axis=0)
+    weight = np.sqrt(np.sum(diff ** 2, axis=1))
     # CSR adjacency: the neighbours of g are nbr[offsets[g]:offsets[g + 1]].
     src = np.concatenate((edges[:, 0], edges[:, 1]))
-    order = np.argsort(src, kind="stable")
-    nbr = np.concatenate((edges[:, 1], edges[:, 0]))[order].tolist()
-    nbr_weight = np.concatenate((weight, weight))[order].tolist()
+    order = np.argsort(src)
+    nbr = np.take(np.concatenate((edges[:, 1], edges[:, 0])), order)
+    nbr_weight = np.take(np.concatenate((weight, weight)), order)
     offsets = [0, *np.cumsum(np.bincount(src, minlength=model.num_groups)).tolist()]
     heap = [(0.0, (start,))]
     settled: set[int] = set()
@@ -157,9 +177,10 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
         if node in settled:
             continue
         settled.add(node)
-        for k in range(offsets[node], offsets[node + 1]):
-            if nbr[k] not in settled:
-                heapq.heappush(heap, (dist + nbr_weight[k], path + (nbr[k],)))
+        lo, hi = offsets[node], offsets[node + 1]
+        for g, w in zip(nbr[lo:hi].tolist(), nbr_weight[lo:hi].tolist()):
+            if g not in settled:
+                heapq.heappush(heap, (dist + w, path + (g,)))
     return None
 
 

@@ -196,7 +196,8 @@ def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
 
     `starts` holds the sorted-row index of each group's starting point, in
     score order. Candidate pairs are limited to starting points whose score
-    gap is at most 2r (a larger gap proves the balls cannot overlap) and
+    gap is at most 2r, widened by ``kernel.window_pad`` for the rounding of
+    the scores (a larger gap proves the balls cannot overlap), and
     whose center distance is strictly below 2r. The point counts range over
     the whole dataset restricted geometrically to the union/intersection
     regions.
@@ -207,10 +208,11 @@ def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     cscores = prepared.scores[starts]
     four_r_sq = 4.0 * (r * r)
     in_ball = _ball_member_sets(centers, cscores, prepared, r)
+    ends = np.searchsorted(cscores, cscores + (2.0 * r + window_pad(centers, 2.0 * r)),
+                           side="right").tolist()
 
     neighbours = []
-    for i in range(starts.size):
-        end = int(np.searchsorted(cscores, cscores[i] + 2.0 * r, side="right"))
+    for i, end in enumerate(ends):
         js = np.arange(i + 1, end)
         diff = centers[js] - centers[i]
         cdist_sq = np.einsum("ij,ij->i", diff, diff)

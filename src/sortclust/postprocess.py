@@ -90,12 +90,18 @@ class ClusterModel:
     def num_groups(self) -> int:
         return int(self.starting_scores.size)
 
+    def _member_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices in group order (ascending within a group) and each group's end."""
+        # on the narrowest type that holds the ids the stable sort is a radix sort
+        ids = self.point_group.astype(np.min_scalar_type(self.num_groups))
+        return (np.argsort(ids, kind="stable"),
+                np.cumsum(np.bincount(self.point_group, minlength=self.num_groups)))
+
     @property
     def group_members(self) -> list[np.ndarray]:
         """Original row indices of each group, ascending."""
-        order = np.argsort(self.point_group, kind="stable")
-        sizes = np.bincount(self.point_group, minlength=self.num_groups)
-        return np.split(order, np.cumsum(sizes)[:-1])
+        order, ends = self._member_order()
+        return np.split(order, ends[:-1])
 
     @property
     def num_clusters(self) -> int:
@@ -250,6 +256,7 @@ def to_json(model: ClusterModel) -> str:
     on reloaded density-merged models, where the graph cannot be recomputed
     without the training data.
     """
+    order, ends = (a.tolist() for a in model._member_order())
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "config": {
@@ -264,7 +271,7 @@ def to_json(model: ClusterModel) -> str:
         "mext": model.mext,
         "starting_points": model.starting_points.tolist(),
         "starting_scores": model.starting_scores.tolist(),
-        "group_members": [m.tolist() for m in model.group_members],
+        "group_members": [order[a:b] for a, b in zip([0, *ends], ends)],
         "group_cluster": model.group_cluster.tolist(),
         "cluster_sizes": model.cluster_sizes.tolist(),
         "merge_edges": model.merge_edges.tolist(),

@@ -6,11 +6,14 @@ eigensolver, breadth-first search instead of vectorized component passes,
 closed-form areas and lens volumes instead of the incomplete beta, rejection
 sampling instead of quadrature, plain-python hypergeometric sums instead of
 log-factorial tables, all-pairs direct differences instead of score windows
-and the expanded-norm kernel, and a stable argsort instead of a tie repair.
+and the expanded-norm kernel, a stable argsort instead of a tie repair, and
+per-row Python (``round``, f-strings, list adjacency) instead of whole-array
+explanations.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -296,3 +299,106 @@ def line_blobs(n: int, d: int, points_per_blob: int, spacing: float,
     centers[:, 1:] = rng.uniform(-2.0, 2.0, size=(k, d - 1))
     labels = np.repeat(np.arange(k), points_per_blob)
     return centers[labels] + rng.normal(0.0, std, size=(n, d)), labels
+
+
+def summary_reference(model) -> tuple[dict, str]:
+    """Payload and text of the fit summary (text version 1), built row by
+    row with Python's ``round`` and rendered with one f-string per field."""
+    raw_starts = model.starting_points + model.mean
+    ncoord = min(model.d, 2)
+    group_sizes = np.bincount(model.point_group, minlength=model.num_groups)
+    group_rows = [{
+        "group": g,
+        "num_points": int(group_sizes[g]),
+        "cluster": int(model.group_cluster[g]),
+        "coordinates": [round(float(c), 2) for c in raw_starts[g, :ncoord]],
+    } for g in range(model.num_groups)]
+    p = {
+        "kind": "summary",
+        "text_version": 1,
+        "n": model.n,
+        "d": model.d,
+        "radius": model.config.radius,
+        "minpts": model.config.minpts,
+        "mext": model.mext,
+        "r": model.r,
+        "dist_count": model.dist_count,
+        "avg_dist_pp": model.avg_dist_pp,
+        "num_groups": model.num_groups,
+        "num_clusters": model.num_clusters,
+        "cluster_sizes": [int(s) for s in model.cluster_sizes],
+        "outlier_points": int(model.n - model.cluster_sizes.sum()),
+        "groups": group_rows,
+    }
+    lines = [
+        f"A clustering of {p['n']} data points with {p['d']} features has been performed.",
+        f"The radius parameter was set to {p['radius']:.2f} and minPts was set to {p['minpts']}.",
+    ]
+    if p["mext"] > 0.0:
+        lines.append(
+            f"As the provided data has been scaled by a factor of 1/{p['mext']:.2f}, "
+            f"data points within a radius of R={p['radius']:.2f}*{p['mext']:.2f}={p['r']:.2f} "
+            f"were aggregated into groups."
+        )
+    else:
+        lines.append(
+            f"The data has no spread along its principal direction, so data points "
+            f"within a radius of R={p['r']:.2f} were aggregated into groups."
+        )
+    lines.append(
+        f"In total {p['dist_count']} comparisons were required "
+        f"({p['avg_dist_pp']:.2f} comparisons per data point)."
+    )
+    lines.append(
+        f"This resulted in {p['num_groups']} groups, each uniquely associated "
+        f"with a starting point."
+    )
+    lines.append(
+        f"These {p['num_groups']} groups were subsequently merged into "
+        f"{p['num_clusters']} clusters with the following sizes:"
+    )
+    for c, size in enumerate(p["cluster_sizes"]):
+        lines.append(f"* cluster {c} : {size}")
+    if p["outlier_points"]:
+        lines.append(f"* outliers : {p['outlier_points']}")
+    lines.append("A list of all starting points is shown below.")
+    lines.append("-----")
+    lines.append(" Group  NrPts  Cluster  Coordinates")
+    for row in p["groups"]:
+        coords = " ".join(f"{c:.2f}" for c in row["coordinates"])
+        lines.append(f"{row['group']:>6d} {row['num_points']:>6d} "
+                     f"{row['cluster']:>8d}  {coords}")
+    lines.append("-----")
+    lines.append("In order to explain the clustering of individual data points, "
+                 "use explain(index) or explain(index1, index2) with indices of "
+                 "the data points.")
+    return p, "\n".join(lines)
+
+
+def brute_force_group_path(model, start: int, goal: int):
+    """Minimum-weight group path over the merge edges by Dijkstra on Python
+    adjacency lists in stable edge order; ties go to the lexicographically
+    smallest group sequence. None when no path exists."""
+    if start == goal:
+        return [start]
+    edges = model.merge_edges
+    pts = model.starting_points
+    weight = np.sqrt(np.sum((pts[edges[:, 0]] - pts[edges[:, 1]]) ** 2, axis=1))
+    adjacency = [[] for _ in range(model.num_groups)]
+    for (a, b), w in zip(edges.tolist(), weight.tolist()):
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
+    heap = [(0.0, (start,))]
+    settled = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == goal:
+            return list(path)
+        if node in settled:
+            continue
+        settled.add(node)
+        for nbr, w in adjacency[node]:
+            if nbr not in settled:
+                heapq.heappush(heap, (dist + w, path + (nbr,)))
+    return None

@@ -1,10 +1,21 @@
+import dataclasses
+import itertools
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sortclust.evaluation import make_blobs
-from sortclust.explain import (explain_pair, explain_point, explain_summary,
-                               fit_stats_text)
+from sortclust.explain import (_round2, _shortest_group_path, explain_pair, explain_point,
+                               explain_summary, fit_stats_text)
 from sortclust.postprocess import fit, from_json, to_json
+
+from _oracles import brute_force_group_path, summary_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import harness  # noqa: E402
 
 
 def chain_model():
@@ -171,3 +182,115 @@ class TestFitStatsText:
         assert "The 3 data points with 1 features were aggregated into 3 groups." in text
         assert f"In total {m.dist_count} comparisons were required" in text
         assert "* cluster 0 : 3" in text
+
+
+def lattice_model():
+    """A 9 x 5 integer grid, one group per point, merged along the grid
+    lines only (threshold 1.2): every merge weight is exactly 1, so most
+    group pairs are joined by many paths of equal weight."""
+    grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(5.0), indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    m = fit(grid, radius=0.3, scale=2.0, extent="scores")
+    assert m.num_groups == 45 and len(m.merge_edges) == 76 and m.num_clusters == 1
+    return m
+
+
+def assert_summary_matches(model):
+    report = explain_summary(model)
+    payload, text = summary_reference(model)
+    # json.dumps tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    assert json.dumps(report.structured) == json.dumps(payload)
+    assert report.text == text
+
+
+def assert_paths_match(model, pairs):
+    for a, b in pairs:
+        assert _shortest_group_path(model, a, b) == brute_force_group_path(model, a, b)
+
+
+def same_cluster_pairs(model, rng, count):
+    """`count` random pairs of groups in one cluster (a group may pair with itself)."""
+    pairs = []
+    for a in rng.integers(0, model.num_groups, size=count).tolist():
+        mates = np.nonzero(model.group_cluster == model.group_cluster[a])[0]
+        pairs.append((a, int(rng.choice(mates))))
+    return pairs
+
+
+class TestAgainstReference:
+    """The array summary and path search equal the per-row Python oracles
+    bit for bit."""
+
+    def test_random_fits(self):
+        rng = np.random.default_rng(31)
+        for trial in range(24):
+            n = int(rng.integers(5, 150))
+            d = 1 + trial % 4
+            m = fit(rng.normal(0.0, 2.0, size=(n, d)), radius=float(rng.uniform(0.2, 0.6)),
+                    minpts=int(rng.integers(0, 4)),
+                    merge_mode=("distance", "density")[trial % 2])
+            assert_summary_matches(m)
+            assert_paths_match(m, rng.integers(0, m.num_groups, size=(40, 2)).tolist())
+
+    def test_bench_many_groups_fit(self):
+        w = harness.WORKLOADS["many-groups"]
+        m = harness.fit_workload(w, harness.make_inputs(w, 11).train)
+        assert_summary_matches(m)
+        pairs = same_cluster_pairs(m, np.random.default_rng(5), 6)
+        assert_paths_match(m, pairs + [(0, m.num_groups - 1)])
+
+    def test_lattice_ties_between_equal_weight_paths(self):
+        m = lattice_model()
+        assert_paths_match(m, [(a, b) for a in range(45) for b in range(45)])
+        # corner to corner, the path is the lexicographically smallest of the
+        # C(12, 4) = 495 monotone paths of weight 12
+        group_at = {tuple(p): g for g, p in enumerate(m.starting_points.tolist())}
+        paths = []
+        for x_steps in itertools.combinations(range(12), 8):
+            x, y = -4.0, -2.0
+            path = [group_at[x, y]]
+            for step in range(12):
+                x, y = (x + 1.0, y) if step in x_steps else (x, y + 1.0)
+                path.append(group_at[x, y])
+            paths.append(path)
+        assert (paths[0][0], paths[0][-1]) == (0, 44)
+        assert _shortest_group_path(m, 0, 44) == min(paths)
+        assert_summary_matches(m)
+
+    def test_reloaded_model(self):
+        data, _ = make_blobs(300, 3, 3, 0.6, 2)
+        for mode in ("distance", "density"):
+            m = from_json(to_json(fit(data, radius=0.3, minpts=3, merge_mode=mode)))
+            assert_summary_matches(m)
+            assert_paths_match(m, same_cluster_pairs(m, np.random.default_rng(3), 30))
+
+    def test_model_without_merge_edges(self):
+        m = fit([[0.0], [5.0], [10.0], [10.05]], radius=0.05, minpts=2, extent="scores")
+        assert m.merge_edges.shape == (0, 2) and m.num_clusters == 1
+        for model in (m, from_json(to_json(m))):
+            assert_summary_matches(model)
+            assert_paths_match(model, [(0, 2), (1, 2), (1, 1)])
+            assert _shortest_group_path(model, 0, 2) is None
+
+    def test_rounding_edge_coordinates(self):
+        values = [2.675, 1.005, 0.125, -0.125, -0.0, 1e300, 5e-324, 2.5e15,
+                  -2.675, -1.005, 0.285, 1.7e308, -2.5e15 - 0.5, 0.0, 1.115]
+        m = lattice_model()
+        pts = np.resize(np.array(values), 2 * m.num_groups).reshape(-1, 2)
+        # raw coordinates are starting points plus the mean; -0.0 + -0.0 keeps
+        # the sign of zero that + 0.0 would drop
+        m = dataclasses.replace(m, starting_points=pts, mean=np.full(2, -0.0))
+        assert_summary_matches(m)
+        assert explain_summary(m).structured["groups"][0]["coordinates"] == [2.67, 1.0]
+
+    def test_round2_equals_round(self):
+        rng = np.random.default_rng(17)
+        halfway = (rng.integers(-10**7, 10**7, size=100_000) + 0.5) / 100.0
+        spread = rng.uniform(-1.0, 1.0, size=100_000) * 10.0 ** rng.integers(-6, 18, size=100_000)
+        edge = np.array([2.675, 1.005, 0.125, -0.125, -0.0, 0.0, 1e300, 5e-324, -5e-324,
+                         2.5e15, 1.7e308, -1.7e308, np.inf, -np.inf])
+        x = np.concatenate((halfway, spread, edge))
+        got = _round2(x)
+        expected = np.array([round(v, 2) for v in x.tolist()])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))

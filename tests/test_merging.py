@@ -9,7 +9,7 @@ from sortclust.prep import prepare
 from _oracles import (brute_force_components, brute_force_density_edges,
                       brute_force_distance_edges)
 
-from test_aggregation import prepared_1d
+from test_aggregation import prepared_1d, prepared_raw
 
 
 def edge_set(graph):
@@ -74,6 +74,22 @@ class TestDensityMerge:
         starts, _, _ = aggregate(p, 1.0)
         graph = density_merge(starts, p, 1.0)
         assert graph.edges.shape == (0, 2)
+
+    def test_pair_just_inside_2r_past_the_unpadded_window(self):
+        # centres 2r - 1e-10 apart along v1, far from the origin, with one
+        # point at their midpoint: s_0 + 2r rounds below the second score,
+        # so only the padded window keeps the pair
+        v1 = [-0.11715588880748919, 0.9931135371737349]
+        pts = [[-233801.1563799971, -947511.3585303554],
+               [-233801.2559951701, -947510.514106931],
+               [-233801.35561034307, -947509.6696835067]]
+        r = 0.8502788379788304
+        p = prepared_raw(pts, v1)
+        starts = np.array([0, 2])
+        assert p.scores[2] > p.scores[0] + 2.0 * r
+        graph = density_merge(starts, p, r)
+        assert edge_set(graph) == brute_force_density_edges(
+            p.centered, p.centered[starts], r, 2) == {(0, 1)}
 
     def test_pair_test_zero_intersection_count(self):
         assert density_pair_test(5, 0, 1.5, 1.0, 2) is False

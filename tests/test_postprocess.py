@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,20 @@ class TestConcurrentUse:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("num_groups", [1, 200, 300, 70_000])
+    def test_member_lists_for_every_id_width(self, num_groups):
+        # group ids fit uint8, uint16 or uint32; some groups are empty
+        rng = np.random.default_rng(num_groups)
+        point_group = rng.integers(0, num_groups, size=5_000)
+        m = dataclasses.replace(fit(rng.normal(size=(5_000, 2)), radius=0.5),
+                                point_group=point_group,
+                                starting_scores=np.zeros(num_groups))
+        expected = [[] for _ in range(num_groups)]
+        for row, g in enumerate(point_group.tolist()):
+            expected[g].append(row)
+        assert json.loads(to_json(m))["group_members"] == expected
+        assert [members.tolist() for members in m.group_members] == expected
+
     def test_round_trip_exact(self, tmp_path):
         data, _ = make_blobs(200, 3, 3, 0.6, 5)
         m = fit(data, radius=0.37, minpts=4, scale=1.25, merge_mode="density",

@@ -6,8 +6,10 @@ For each workload and seed, fits the training rows of `bench/harness.py`'s
 workload with its parameters and predicts its query rows. It then prints one
 JSON line. The line holds the fit's counters and the sha256 digests of
 `starts`, `group_of` (as `aggregate` returned them inside `fit`), the merge
-edges, the labels, the predicted query labels and the `to_json` text. Two
-trees that print the same lines gave the same results bit for bit.
+edges, the labels, the predicted query labels, the `to_json` text, the
+`explain_summary` text and `json.dumps` payload, and the text and payload of
+`explain_pair` on the benchmark's pair (`harness.far_pair`). Two trees that
+print the same lines gave the same results bit for bit.
 
 `--root` takes the sources (`src/` and `bench/`) from another checkout, so a
 tree without this script can be fingerprinted too. The bench modules are
@@ -38,10 +40,14 @@ def digest(array) -> str:
     return h.hexdigest()
 
 
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def fingerprint(workload, seed: int) -> dict:
     import harness
     import tracing
-    from sortclust import predict, to_json
+    from sortclust import explain_pair, explain_summary, predict, to_json
 
     inputs = harness.make_inputs(workload, seed)
     tracer = tracing.Tracer()
@@ -50,6 +56,8 @@ def fingerprint(workload, seed: int) -> dict:
     starts, group_of, _ = tracer.results["aggregation.aggregate"]
     components = tracer.results["merging.components"]
     text = to_json(model)
+    summary = explain_summary(model)
+    pair = explain_pair(model, *harness.far_pair(model, inputs.train, inputs.train_truth))
     small = components.sizes < harness.MINPTS
     return {
         "workload": workload.name,
@@ -67,7 +75,10 @@ def fingerprint(workload, seed: int) -> dict:
             "edges": digest(model.merge_edges),
             "labels": digest(model.labels),
             "predict": digest(predict(model, inputs.query)),
-            "to_json": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "to_json": text_digest(text),
+            "summary_text": text_digest(summary.text),
+            "summary_payload": text_digest(json.dumps(summary.structured)),
+            "pair": text_digest(json.dumps([pair.text, pair.structured])),
         },
     }
 
