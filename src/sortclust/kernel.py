@@ -127,20 +127,20 @@ def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float) -
     return hit
 
 
-def window_blocks(ends: np.ndarray):
-    """Blocks of consecutive rows i with their joint windows (i, ends[i]).
+def window_blocks(los: np.ndarray, his: np.ndarray):
+    """Blocks of consecutive rows i with their joint windows [los[i], his[i]).
 
     Yields ``(rows, cols)`` slices whose product stays within the block
     budget; a window too wide for one row is split across several blocks.
-    `ends` must be nondecreasing with ends[i] > i.
+    `los` and `his` must be nondecreasing.
     """
-    lookahead = math.isqrt(_BLOCK) + 2    # a block of m rows spans >= m - 1 columns
+    lookahead = math.isqrt(_BLOCK) + 2    # all the budget admits if his[i + k] - los[i] >= k
     steps = np.arange(1, lookahead + 1)
-    i, l = 0, len(ends)
+    i, l = 0, len(his)
     while i < l:
-        width = ends[i:i + lookahead] - (i + 1)
+        width = his[i:i + lookahead] - los[i]
         m = max(1, int(np.searchsorted(width * steps[:width.size], _BLOCK, side="right")))
-        lo, hi = i + 1, int(ends[i + m - 1])
+        lo, hi = int(los[i]), int(his[i + m - 1])
         step = max(1, _BLOCK // m)
         for c in range(lo, hi, step):
             yield slice(i, i + m), slice(c, min(c + step, hi))

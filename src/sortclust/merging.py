@@ -16,18 +16,22 @@ squared norms (``kernel.within``). A pair whose expanded value lies within
 the rounding band of the threshold is decided again by the direct formula
 ``diff = y - x; einsum(diff, diff)``, so the edges are exactly those of the
 direct formula.
+
+Density merging takes its candidates from the same search. The same
+products also find, for each row, the centers within r of it among those in
+its score window. Each pair of balls that holds a row is one key, so a row
+in k balls adds k(k - 1)/2 keys; sorting the keys counts the shared rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import _check_radius
 from .geometry import overlap_fraction
-from .kernel import half_sq_norms, window_blocks, window_pad, within
+from .kernel import _BLOCK, _direct_sq, half_sq_norms, window_blocks, window_pad, within
 from .prep import PreparedData
 
 
@@ -56,14 +60,6 @@ class GroupClusterMap:
     cluster_of_group: np.ndarray
     k: int
     sizes: np.ndarray
-
-
-def _edge_array(neighbours: list[np.ndarray]) -> np.ndarray:
-    """(E, 2) edge array from the ascending larger endpoints of each group i."""
-    counts = [nb.size for nb in neighbours]
-    first = np.repeat(np.arange(len(neighbours), dtype=np.int64), counts)
-    second = np.concatenate([np.empty(0, dtype=np.int64), *neighbours])
-    return np.stack((first, second), axis=1)
 
 
 def relabel_by_size(raw_ids, group_sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -141,17 +137,32 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     sc = np.asarray(starting_scores, dtype=np.float64)
     pts = np.asarray(starting_points, dtype=np.float64)
     threshold = scale * r
-    t_sq = threshold * threshold
-    ends = np.searchsorted(sc, sc + (threshold + window_pad(pts, threshold)), side="right")
-    half = half_sq_norms(pts)
-    pieces = [np.empty((0, 2), dtype=np.int64)]
-    for rows, cols in window_blocks(ends):
-        i, j = np.nonzero(within(pts[rows], half[rows, None], pts[cols], half[cols], t_sq))
-        i += rows.start
+    return MergeGraph(num_groups=sc.size,
+                      edges=_close_pairs(sc, pts, threshold, threshold * threshold))
+
+
+def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row i of A, the j with los[i] <= j < his[i] and
+    |B[j] - A[i]|^2 <= t: their number per row, and the j, ascending per
+    row, row after row. One product per block of ``kernel.window_blocks``."""
+    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
+    counts = np.zeros(A.shape[0], dtype=np.int64)
+    pieces = [np.empty(0, dtype=np.int64)]
+    for rows, cols in window_blocks(los, his):
+        i, j = np.nonzero(within(A[rows], half_a[rows, None], B[cols], half_b[cols], t))
         j += cols.start
-        keep = (j > i) & (j < ends[i])
-        pieces.append(np.stack((i[keep], j[keep]), axis=1))
-    return MergeGraph(num_groups=sc.size, edges=np.concatenate(pieces))
+        keep = (j >= los[rows][i]) & (j < his[rows][i])
+        counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
+        pieces.append(j[keep])
+    return counts, np.concatenate(pieces)
+
+
+def _close_pairs(scores, points, width: float, t: float) -> np.ndarray:
+    """(P, 2) sorted pairs i < j of points in score order whose score gap is
+    at most `width` (plus ``kernel.window_pad``) and with |p_j - p_i|^2 <= t."""
+    ends = np.searchsorted(scores, scores + (width + window_pad(points, width)), side="right")
+    counts, j = _window_hits(points, points, np.arange(1, scores.size + 1), ends, t)
+    return np.stack((np.repeat(np.arange(scores.size), counts), j), axis=1)
 
 
 def density_pair_test(count_union: int, count_inter: int, dist: float,
@@ -169,61 +180,42 @@ def density_pair_test(count_union: int, count_inter: int, dist: float,
     return count_union * frac <= count_inter * (2.0 - frac)
 
 
-def _ball_member_sets(centers, center_scores, prepared: PreparedData, r: float):
-    """For each center, the sorted point indices within distance r of it.
-
-    Candidate points are located through a padded score window before the
-    exact distance check; the padding guarantees the window is a superset of
-    the true ball membership despite float rounding of the scores.
-    """
-    scores = prepared.scores
-    X = prepared.centered
-    r_sq = r * r
-    pad = window_pad(X, r)
-    members = []
-    for c in range(centers.shape[0]):
-        lo = int(np.searchsorted(scores, center_scores[c] - r - pad, side="left"))
-        hi = int(np.searchsorted(scores, center_scores[c] + r + pad, side="right"))
-        diff = X[lo:hi] - centers[c]
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        members.append(lo + np.nonzero(dist_sq <= r_sq)[0])
-    return members
-
-
 def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     """Edge (i, j) iff the intersection of the two R-balls is at least as
     dense in data points as their union.
 
     `starts` holds the sorted-row index of each group's starting point, in
-    score order. Candidate pairs are limited to starting points whose score
-    gap is at most 2r, widened by ``kernel.window_pad`` for the rounding of
-    the scores (a larger gap proves the balls cannot overlap), and
-    whose center distance is strictly below 2r. The point counts range over
-    the whole dataset restricted geometrically to the union/intersection
-    regions.
+    score order. The candidates are the pairs with a score gap of at most 2r
+    (plus ``kernel.window_pad``), as no wider pair can overlap, and a center
+    distance strictly below 2r; those that share a row take the pair test.
     """
     _check_radius(r)
-    starts = np.asarray(starts, dtype=np.int64)
-    centers = np.take(prepared.centered, starts, axis=0)
-    cscores = prepared.scores[starts]
-    four_r_sq = 4.0 * (r * r)
-    in_ball = _ball_member_sets(centers, cscores, prepared, r)
-    ends = np.searchsorted(cscores, cscores + (2.0 * r + window_pad(centers, 2.0 * r)),
-                           side="right").tolist()
-
-    neighbours = []
-    for i, end in enumerate(ends):
-        js = np.arange(i + 1, end)
-        diff = centers[js] - centers[i]
-        cdist_sq = np.einsum("ij,ij->i", diff, diff)
-        merged = []
-        for j, dsq in zip(js, cdist_sq):
-            if not dsq < four_r_sq:
-                continue
-            bi, bj = in_ball[i], in_ball[j]
-            count_inter = np.intersect1d(bi, bj, assume_unique=True).size
-            count_union = bi.size + bj.size - count_inter
-            if density_pair_test(count_union, count_inter, math.sqrt(dsq), r, prepared.d):
-                merged.append(j)
-        neighbours.append(np.asarray(merged, dtype=np.int64))
-    return MergeGraph(num_groups=starts.size, edges=_edge_array(neighbours))
+    X, scores, starts = prepared.centered, prepared.scores, np.asarray(starts, dtype=np.int64)
+    centers, cscores, l = np.take(X, starts, axis=0), scores[starts], starts.size
+    # dsq < 4.0 * (r * r) is dsq <= the float below it
+    pairs = _close_pairs(cscores, centers, 2.0 * r, np.nextafter(4.0 * (r * r), -np.inf))
+    reach = r + window_pad(X, r)
+    k, ball = _window_hits(X, centers, np.searchsorted(cscores, scores - reach),
+                           np.searchsorted(cscores, scores + reach, side="right"), r * r)
+    # every two balls of one row make one key; the keys of rows p0..p1-1 are
+    # made and counted about _BLOCK at a time (a row with more goes alone)
+    keys, inter = pairs[:, 0] * l + pairs[:, 1], np.zeros(len(pairs), dtype=np.int64)
+    bounds, done = np.r_[0, np.cumsum(k)], np.cumsum(k * (k - 1) // 2)
+    cuts = np.searchsorted(done, np.arange(_BLOCK, done[-1], _BLOCK), side="right")
+    for p0, p1 in zip([0, *cuts], [*cuts, k.size]):
+        q0, q1 = bounds[p0], bounds[p1]
+        # the balls after each ball of the chunk in its row: one key with each
+        later = np.repeat(bounds[p0 + 1:p1 + 1], k[p0:p1]) - np.arange(q0 + 1, q1 + 1)
+        first = np.repeat(np.arange(q0, q1), later)
+        shift = np.repeat(np.arange(q0 + 1, q1 + 1) - (np.cumsum(later) - later), later)
+        shared, runs = np.unique(ball[first] * l + ball[shift + np.arange(first.size)],
+                                 return_counts=True)
+        at = np.searchsorted(keys, shared)
+        found = at < keys.size     # a key that is no candidate is dropped
+        found[found] = keys[at[found]] == shared[found]
+        inter[at[found]] += runs[found]
+    pairs, inter = pairs[inter > 0], inter[inter > 0]
+    union = (np.bincount(ball, minlength=l)[pairs].sum(axis=1) - inter).tolist()
+    dist = np.sqrt(_direct_sq(centers, pairs[:, 0], centers, pairs[:, 1])).tolist()
+    merged = [density_pair_test(*args, r, prepared.d) for args in zip(union, inter.tolist(), dist)]
+    return MergeGraph(num_groups=l, edges=pairs[np.array(merged, dtype=bool)])

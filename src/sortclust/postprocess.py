@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class FitConfig:
         if not (isinstance(self.radius, (int, float)) and math.isfinite(self.radius)
                 and self.radius > 0.0):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
-        if int(self.minpts) != self.minpts or self.minpts < 0:
+        if not (isinstance(self.minpts, numbers.Real) and math.isfinite(self.minpts)
+                and int(self.minpts) == self.minpts >= 0):
             raise ValueError(f"minpts must be a nonnegative integer, got {self.minpts!r}")
         if not 1.0 <= self.scale <= 2.0:
             raise ValueError(f"scale must lie in [1, 2], got {self.scale!r}")
@@ -170,9 +172,10 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     `radius` is unit-free; the absolute grouping threshold is
     radius * median extend of the data.
     """
-    config = FitConfig(radius=float(radius), minpts=int(minpts), scale=float(scale),
+    config = FitConfig(radius=float(radius), minpts=minpts, scale=float(scale),
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
     config.validate()
+    config = replace(config, minpts=int(minpts))
     prepared = prepare(data, extent=extent)
     return _fit_prepared(prepared, config)
 
@@ -294,21 +297,23 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _integers(values, name: str) -> np.ndarray:
-    """`values`, a list of integers or of lists of integers, as int64. They
-    must be JSON integers: a float (even 1.0), a boolean or a string raises
-    ValueError instead of being cast."""
+def _numbers(values, name: str, dtype=np.int64) -> np.ndarray:
+    """`values`, a list of JSON numbers or of lists of them, as `dtype`. A
+    boolean or a string raises ValueError instead of being cast, as do a
+    float where integers are due (even 1.0) and a NaN or an infinity."""
     arr = np.asarray(values)
     flat = itertools.chain.from_iterable(values) if arr.ndim > 1 else values
-    _check((arr.size == 0 or arr.dtype.kind == "i") and bool not in set(map(type, flat)),
-           f"{name} must hold integers")
-    return arr.astype(np.int64)
+    _check((arr.size == 0 or arr.dtype.kind in "i" + np.dtype(dtype).kind)
+           and bool not in set(map(type, flat)) and bool(np.isfinite(arr).all()),
+           f"{name} must hold finite {np.dtype(dtype).name} numbers")
+    return arr.astype(dtype)
 
 
-def _count(value, name: str) -> int:
-    """`value`, which must be a nonnegative JSON integer (not a float or a
-    boolean, which int() would truncate or cast)."""
-    _check(type(value) is int and value >= 0, f"{name} must be a nonnegative integer")
+def _scalar(value, name: str, types=(int,)):
+    """`value`, which must be a nonnegative finite JSON number of one of
+    `types` (not a boolean, a string or a float where an integer is due)."""
+    _check(type(value) in types and math.isfinite(value) and value >= 0,
+           f"{name} must be a nonnegative {' or '.join(t.__name__ for t in types)}")
     return value
 
 
@@ -319,40 +324,39 @@ def _model_from_doc(doc: dict) -> ClusterModel:
                f"{part} must be an object with the keys {', '.join(keys)}")
     cfg, stats, members = doc["config"], doc["stats"], doc["group_members"]
     _check(isinstance(members, list), "group_members must be a list")
-    config = FitConfig(radius=float(cfg["radius"]),
-                       minpts=_count(cfg["minPts"], "config.minPts"),
-                       scale=float(cfg["scale"]), merge_mode=cfg["merge_mode"],
-                       outlier_mode=cfg["outlier_mode"])
+    config = FitConfig(radius=float(_scalar(cfg["radius"], "config.radius", (int, float))),
+                       minpts=_scalar(cfg["minPts"], "config.minPts"),
+                       scale=float(_scalar(cfg["scale"], "config.scale", (int, float))),
+                       merge_mode=cfg["merge_mode"], outlier_mode=cfg["outlier_mode"])
     config.validate()
-    n, d, l = _count(stats["n"], "stats.n"), _count(stats["d"], "stats.d"), len(members)
-    mean = np.asarray(doc["mean"], dtype=np.float64)
-    v1 = np.asarray(doc["v1"], dtype=np.float64)
+    n, d, l = _scalar(stats["n"], "stats.n"), _scalar(stats["d"], "stats.d"), len(members)
+    mean, v1 = _numbers(doc["mean"], "mean", np.float64), _numbers(doc["v1"], "v1", np.float64)
     _check(mean.shape == v1.shape == (d,), f"mean and v1 must have length d={d}")
-    starting_points = np.asarray(doc["starting_points"], dtype=np.float64)
-    starting_scores = np.asarray(doc["starting_scores"], dtype=np.float64)
-    group_cluster = _integers(doc["group_cluster"], "group_cluster")
+    starting_points = _numbers(doc["starting_points"], "starting_points", np.float64)
+    starting_scores = _numbers(doc["starting_scores"], "starting_scores", np.float64)
+    group_cluster = _numbers(doc["group_cluster"], "group_cluster")
     _check(starting_points.shape == (l, d), f"starting_points must have shape ({l}, {d})")
     _check(starting_scores.shape == group_cluster.shape == (l,),
            f"starting_scores and group_cluster must have length {l}")
 
     # group_members must partition 0..n-1: n rows in range, none left over.
     sizes = np.fromiter(map(len, members), dtype=np.int64, count=l)
-    rows = _integers(list(itertools.chain.from_iterable(members)), "group_members")
+    rows = _numbers(list(itertools.chain.from_iterable(members)), "group_members")
     _check(rows.size == n and bool(np.all((rows >= 0) & (rows < n))),
            f"group_members must partition the rows 0..{n - 1}")
     point_group = np.full(n, -1, dtype=np.int64)
     point_group[rows] = np.repeat(np.arange(l), sizes)
     _check(bool(np.all(point_group >= 0)), f"group_members must partition the rows 0..{n - 1}")
 
-    cluster_sizes = _integers(doc["cluster_sizes"], "cluster_sizes")
+    cluster_sizes = _numbers(doc["cluster_sizes"], "cluster_sizes")
     k = cluster_sizes.size
     _check(cluster_sizes.ndim == 1 and bool(np.all((group_cluster >= -1) & (group_cluster < k))),
            f"group_cluster ids must lie in [-1, {k})")
-    edges = _integers(doc["merge_edges"], "merge_edges")
+    edges = _numbers(doc["merge_edges"], "merge_edges")
     edges = edges.reshape(0, 2) if edges.shape == (0,) else edges
     _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
            f"merge_edges must be pairs of group ids in [0, {l})")
-    mext = float(doc["mext"])
+    mext = float(_scalar(doc["mext"], "mext", (int, float)))
     return ClusterModel(
         config=config,
         mean=mean,
@@ -365,7 +369,7 @@ def _model_from_doc(doc: dict) -> ClusterModel:
         cluster_sizes=cluster_sizes,
         merge_edges=edges,
         point_group=point_group,
-        dist_count=_count(stats["dist_count"], "stats.dist_count"),
+        dist_count=_scalar(stats["dist_count"], "stats.dist_count"),
         n=n,
         d=d,
     )
@@ -374,10 +378,10 @@ def _model_from_doc(doc: dict) -> ClusterModel:
 def from_json(text: str) -> ClusterModel:
     """Rebuild a model from its JSON document.
 
-    The document is checked first: required keys, array shapes, integer
-    ids and counts (no floats or booleans), `group_members` partitioning the
-    rows 0..n-1, cluster ids in [-1, k) and edge endpoints in [0, l). A
-    malformed document raises ValueError.
+    The document is checked first: keys, shapes, finite JSON numbers (no
+    booleans or strings; integer ids and counts), `group_members`
+    partitioning the rows 0..n-1, cluster ids in [-1, k) and edge endpoints
+    in [0, l). A malformed document raises ValueError.
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None
@@ -385,7 +389,7 @@ def from_json(text: str) -> ClusterModel:
         raise ValueError(f"unsupported model version {version!r}")
     try:
         return _model_from_doc(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model: {exc}") from None
 
 

@@ -273,6 +273,21 @@ def brute_force_density_edges(points, starting_points, r: float, d: int) -> set:
     return _upper_pairs(merged)
 
 
+def direct_density_pairs(points, starting_points, r: float) -> list[tuple]:
+    """(i, j, count_union, count_inter, dsq) for every pair of centres i < j
+    with a row in both balls and |c_j - c_i|^2 < 4.0 * (r * r), a ball being
+    the rows with |p - c|^2 <= r * r: all rows and pairs by the direct
+    formula, with no score window."""
+    centers = np.asarray(starting_points, dtype=np.float64)
+    in_ball = (direct_sq_matrix(centers, points) <= r * r).astype(np.float64)
+    count_inter = in_ball @ in_ball.T          # exact: integer counts far below 2^53
+    sizes = in_ball.sum(axis=1)
+    dsq = direct_sq_matrix(centers, centers)
+    i, j = np.nonzero(np.triu((dsq < 4.0 * (r * r)) & (count_inter > 0), 1))
+    return [(a, b, int(sizes[a] + sizes[b] - count_inter[a, b]), int(count_inter[a, b]),
+             float(dsq[a, b])) for a, b in zip(i.tolist(), j.tolist())]
+
+
 def direct_expected_mi(row_sums, col_sums, n: int) -> float:
     """Expected mutual information by explicit hypergeometric summation with
     exact rational probabilities (small n only)."""

@@ -5,10 +5,10 @@ dimensions up to 64, and equal nearest distances far from the origin."""
 import numpy as np
 import pytest
 
-from sortclust import aggregation, kernel
+from sortclust import aggregation, kernel, merging
 from sortclust.aggregation import aggregate, aggregate_reference
 from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
-from sortclust.merging import GroupClusterMap, distance_merge
+from sortclust.merging import GroupClusterMap, density_merge, distance_merge
 from sortclust.postprocess import apply_minpts
 from sortclust.prep import PreparedData, prepare
 
@@ -279,11 +279,16 @@ class TestBudget:
         monkeypatch.setattr(aggregation, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "within", recording(kernel.within))
         monkeypatch.setattr(kernel, "_nearest", recording(kernel._nearest))
+        monkeypatch.setattr(merging, "_BLOCK", block)
+        monkeypatch.setattr(merging, "within", recording(kernel.within))
         rng = np.random.default_rng(block)
         p = prepare(rng.normal(size=(400, 3)))
         starts, _, _ = aggregate(p, 0.15 * p.mext)
         assert 20 < starts.size < 400
         pts, scores = p.centered[starts], p.scores[starts]
         nearest_by_score(pts[::3], scores[::3], pts[1::3], scores[1::3])
+        before = len(shapes)
+        density_merge(starts, p, 0.15 * p.mext)
+        assert len(shapes) > before
         assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)

@@ -1,19 +1,40 @@
+import math
+
 import numpy as np
 import pytest
 
+from sortclust import kernel, merging
 from sortclust.aggregation import aggregate
 from sortclust.merging import (MergeGraph, connected_components, density_merge,
                                density_pair_test, distance_merge, relabel_by_size)
 from sortclust.prep import prepare
 
 from _oracles import (brute_force_components, brute_force_density_edges,
-                      brute_force_distance_edges)
+                      brute_force_distance_edges, direct_density_pairs, direct_sq_matrix)
 
 from test_aggregation import prepared_1d, prepared_raw
 
 
 def edge_set(graph):
     return set(map(tuple, graph.edges.tolist()))
+
+
+def pairwise_density_edges(points, starting_points, r, d):
+    """The density criterion decided one pair at a time, from direct counts."""
+    return {(i, j) for i, j, union, inter, dsq in direct_density_pairs(points, starting_points, r)
+            if density_pair_test(union, inter, math.sqrt(dsq), r, d)}
+
+
+def check_density(p, starts, r, brute_force=True):
+    """density_merge's edges, checked to be sorted and to equal both oracles."""
+    edges = density_merge(starts, p, r).edges
+    assert edges.dtype == np.int64 and edges.shape[1] == 2
+    assert np.array_equal(edges, np.unique(edges, axis=0))
+    pts, found = p.centered[starts], set(map(tuple, edges.tolist()))
+    assert found == pairwise_density_edges(p.centered, pts, r, p.d)
+    if brute_force:
+        assert found == brute_force_density_edges(p.centered, pts, r, p.d)
+    return edges
 
 
 class TestDistanceMerge:
@@ -114,6 +135,63 @@ class TestDensityMerge:
             graph = density_merge(starts, p, r)
             assert edge_set(graph) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, p.d)
+
+    @pytest.mark.parametrize("block", [7, 300, kernel._BLOCK])
+    def test_blocks_and_column_chunks_give_the_oracle_edges(self, block, monkeypatch):
+        # at 7 and 300 entries the ball windows split across column chunks
+        # and single-centre blocks, and the shared-row keys across chunks
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        monkeypatch.setattr(merging, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for d, r in ((1, 0.3), (2, 0.5), (3, 0.8)):
+            p = prepare(rng.normal(size=(400, d)))
+            starts, _, _ = aggregate(p, r)
+            assert 1 < starts.size < 400
+            assert check_density(p, starts, r).size > 0
+
+    def test_many_groups_with_rows_in_many_balls(self):
+        # 1,000 centres on a quarter-unit lattice, so rows sit exactly on
+        # ball boundaries and centres exactly 2r apart; each row lies in
+        # up to dozens of balls
+        rng = np.random.default_rng(21)
+        p = prepare(0.25 * rng.integers(0, 60, size=(2000, 2)))
+        starts, r = np.arange(0, 2000, 2), 1.0
+        in_ball = direct_sq_matrix(p.centered[starts], p.centered) <= r * r
+        assert np.count_nonzero(in_ball, axis=0).max() > 20
+        check_density(p, starts, r)
+
+    def test_centres_exactly_2r_apart_sharing_a_boundary_row(self):
+        # rows 1-3 are in the balls of both 0 and 4, which are 2r apart: no
+        # candidate, so their count must be dropped, not added to the
+        # candidate (4, 5), whose own counts do not merge it
+        p = prepared_1d([0.0, 1.0, 1.0, 1.0, 2.0, 2.6])
+        starts = np.array([0, 4, 5])
+        assert check_density(p, starts, 1.0).shape == (0, 2)
+
+    def test_subnormal_four_r_squared(self):
+        # centres x apart with a row at x / 2, scaled near 1e-160: r * r is
+        # subnormal, so 4.0 * (r * r) and (2r)^2 differ and x^2 can fall
+        # between them; the candidate test is dsq < 4.0 * (r * r) exactly
+        rng = np.random.default_rng(4)
+        seen = set()
+        for _ in range(400):
+            r = float(rng.uniform(1.0, 4.0)) * 1e-161
+            x = float(rng.uniform(1.99, 2.01)) * r
+            p = prepared_1d([0.0, x / 2.0, x])
+            edges = check_density(p, np.array([0, 2]), r, brute_force=False)
+            if (2.0 * r) ** 2 <= x * x < 4.0 * (r * r):
+                seen.add(("below", edges.shape[0]))
+            elif 4.0 * (r * r) <= x * x < (2.0 * r) ** 2 and (x / 2.0) ** 2 <= r * r:
+                seen.add(("above", edges.shape[0]))
+        assert {("below", 1), ("above", 0)} <= seen
+
+    def test_lattice_scaled_to_subnormal_squares(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = prepare(1e-160 * rng.integers(0, 12, size=(150, 2)))
+            r = float(rng.uniform(1.0, 3.0)) * 1e-160
+            starts, _, _ = aggregate(p, r)
+            check_density(p, starts, r, brute_force=False)
 
 
 class TestConnectedComponents:

@@ -62,6 +62,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, outlier_mode="drop")
 
+    @pytest.mark.parametrize("minpts", [2.7, float("inf"), float("nan"), "3"])
+    def test_minpts_is_validated_before_it_is_cast(self, minpts):
+        # int() would run 2.7 as 2 and raise OverflowError on inf
+        with pytest.raises(ValueError, match="minpts"):
+            fit([[0.0], [1.0]], minpts=minpts)
+
+    def test_integral_float_minpts_is_stored_as_an_integer(self):
+        m = fit([[0.0], [0.1], [9.0]], radius=0.5, minpts=2.0, extent="scores")
+        assert type(m.config.minpts) is int and m.config.minpts == 2
+        assert from_json(to_json(m)).config.minpts == 2
+
     def test_single_point(self):
         m = fit([[4.0, 4.0]])
         assert m.labels.tolist() == [0]
@@ -344,6 +355,23 @@ CORRUPTIONS = [
     pytest.param(lambda doc: doc["cluster_sizes"].__setitem__(0, True), id="boolean-cluster-size"),
     pytest.param(lambda doc: doc["merge_edges"][0].__setitem__(1, True),
                  id="boolean-edge-endpoint"),
+    # float fields must be finite JSON numbers; float() would cast strings
+    # and booleans, and a NaN or infinity would load
+    pytest.param(lambda doc: doc.update(mext=-3.0), id="negative-mext"),
+    pytest.param(lambda doc: doc.update(mext=float("nan")), id="nan-mext"),
+    pytest.param(lambda doc: doc.update(mext="2.5"), id="string-mext"),
+    pytest.param(lambda doc: doc.update(mext=[doc["mext"]]), id="list-mext"),
+    pytest.param(lambda doc: doc["mean"].__setitem__(0, str(doc["mean"][0])),
+                 id="string-mean-coordinate"),
+    pytest.param(lambda doc: doc["v1"].__setitem__(0, True), id="boolean-v1-coordinate"),
+    pytest.param(lambda doc: doc["starting_points"][0].__setitem__(0, float("nan")),
+                 id="nan-starting-point"),
+    pytest.param(lambda doc: doc["starting_points"][0].__setitem__(0, "0.5"),
+                 id="string-starting-point"),
+    pytest.param(lambda doc: doc["starting_scores"].__setitem__(0, float("inf")),
+                 id="infinite-starting-score"),
+    pytest.param(lambda doc: doc["config"].update(radius="0.2"), id="string-radius"),
+    pytest.param(lambda doc: doc["config"].update(scale=True), id="boolean-scale"),
 ]
 
 
