@@ -2,7 +2,7 @@
 top principal score, group merging by distance or density, outlier handling,
 out-of-sample prediction, and textual explanations."""
 
-from .aggregation import aggregate, aggregate_reference
+from .aggregation import aggregate
 from .evaluation import (ContingencyTable, GaussianModelParams, ami, ari,
                          make_blobs, model_p1, model_p2, model_ratio)
 from .explain import (ExplainReport, explain_pair, explain_point,
@@ -21,7 +21,7 @@ from .prep import (PreparedData, center, first_principal_component,
 __version__ = "0.1.0"
 
 __all__ = [
-    "aggregate", "aggregate_reference",
+    "aggregate",
     "ContingencyTable", "GaussianModelParams", "ami", "ari", "make_blobs",
     "model_p1", "model_p2", "model_ratio",
     "ExplainReport", "explain_pair", "explain_point", "explain_summary",

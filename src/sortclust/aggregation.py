@@ -27,9 +27,8 @@ chunks.
 A test whose expanded-norm value lies within the rounding band of R^2 is
 decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
 so the groups are exactly those of the direct formula, whatever the blocks.
-``aggregate_reference`` is the same procedure on the direct formula, one
-start at a time and without the early exit, and exists as an oracle for
-both.
+``aggregate_reference`` in ``tests/_oracles.py`` is the same procedure on the
+direct formula, one start at a time and without the early exit.
 
 A grouping is two arrays over the score-sorted rows: ``starts`` (l,), the
 ascending starting row of each group, and ``group_of`` (n,), each row's group.
@@ -161,38 +160,3 @@ def _sweep_block(X, half, r_sq, free, group_of, starts, g, cand, e):
         evaluations -= int(np.searchsorted(block_starts, rows).sum()
                            - np.searchsorted(block_starts, cand[owner], side="right").sum())
     return g + block_starts.size, evaluations
-
-
-def aggregate_reference(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Same partition as :func:`aggregate`, by the direct formula, scanning
-    every remaining point.
-
-    No early exit on the score gap, so dist_count is an upper bound for the
-    pruned scan's count. Intended as a test oracle and for measuring how much
-    work the pruning saves.
-    """
-    _check_radius(r)
-    X, n = prepared.centered, prepared.n
-    r_sq = float(r) * float(r)
-    assigned = np.zeros(n, dtype=bool)
-    group_of = np.full(n, -1, dtype=np.int64)
-    starts: list[int] = []
-    dist_count = 0
-    i = 0
-    while i < n:
-        gid = len(starts)
-        starts.append(i)
-        assigned[i] = True
-        group_of[i] = gid
-        cand = i + 1 + np.nonzero(~assigned[i + 1:])[0]
-        if cand.size:
-            diff = X[cand] - X[i]
-            dist_sq = np.einsum("ij,ij->i", diff, diff)
-            dist_count += int(cand.size)
-            hit = cand[dist_sq <= r_sq]
-            assigned[hit] = True
-            group_of[hit] = gid
-        i += 1
-        while i < n and assigned[i]:
-            i += 1
-    return np.asarray(starts, dtype=np.int64), group_of, dist_count

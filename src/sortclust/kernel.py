@@ -1,7 +1,7 @@
 """Exact squared-distance tests by BLAS on contiguous blocks of rows.
 
-The pipeline tests |y - x|^2 against a threshold t (aggregation, distance
-merging) or looks for the nearest y (minPts). In score-sorted order, the
+The pipeline tests |y - x|^2 against a threshold t (aggregation, merging)
+or looks for the nearest y (minPts, predict). In score-sorted order, the
 rows a score window admits are a contiguous slice, so all tests of a block
 of rows against its window come from one matrix product of two slices,
 read through the expanded form
@@ -26,8 +26,10 @@ searches only the rows whose score lies within that bound (padded by
 ``window_pad``), by the projection bound of Friedman, Baskett and Shustek
 (IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
 
-Every temporary holds at most ``_BLOCK_BYTES``, so memory stays bounded
-whatever the width of a window or the number of groups.
+Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
+memory stays bounded whatever the width of a window or the number of groups.
+``nearest`` reuses one product buffer: fresh 1 MB temporaries were paged in
+afresh on some heap states after a fit, and predict's time varied with them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import numpy as np
 
 # Bytes of each temporary array; a block holds at most _BLOCK float64 entries.
-_BLOCK_BYTES = 1 << 18
+_BLOCK_BYTES = 1 << 20
 _BLOCK = _BLOCK_BYTES // 8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -151,9 +153,11 @@ def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
 
-    Every row of B whose band reaches the smallest upper bound of the row's
-    distances is a candidate; the candidates are compared by the direct
-    formula.
+    A row whose largest expanded value leads its runner-up by more than
+    twice the band (one band per block, from its largest norms) is decided
+    by the product; otherwise every row of B within twice the band of the
+    lead is a candidate, compared by the direct formula. So are the winners
+    of several column chunks. B must have a row.
     """
     return _nearest(A, half_sq_norms(A), B, half_sq_norms(B))
 
@@ -164,30 +168,40 @@ def _nearest(A, half_a, B, half_b) -> np.ndarray:
     cols = min(k, _BLOCK)
     rows = max(1, _BLOCK // cols)
     best = np.zeros(m, dtype=np.int64)
-    best_sq = np.empty(m)
+    best_sq = np.full(m, np.inf) if k > cols else None
+    buf = np.empty(min(m, rows) * cols)
     for c0 in range(0, k, cols):
         Bc, hb = B[c0:c0 + cols], half_b[c0:c0 + cols]
-        top = float(hb.max())
+        nc, top = Bc.shape[0], float(np.maximum.reduce(hb))
         for r0 in range(0, m, rows):
-            s = half_a[r0:r0 + rows, None] + top
-            if (s < _NORM_LIMIT).all():
-                h = A[r0:r0 + rows] @ Bc.T
+            at = slice(r0, min(r0 + rows, m))
+            nr = at.stop - r0
+            s = float(np.maximum.reduce(half_a[at])) + top
+            if s < _NORM_LIMIT:
+                h = np.matmul(A[at], Bc.T, out=buf[:nr * nc].reshape(nr, nc))
                 h -= hb
-                cand = h >= h.max(axis=1, keepdims=True) - 2.0 * _band(A.shape[1], s)
+                flat, off = h.reshape(-1), np.arange(0, nr * nc, nc)
+                win = h.argmax(axis=1)
+                lead = flat[win + off] - 2.0 * _band(A.shape[1], s)
+                flat[win + off] = -np.inf
+                unsure = (flat[h.argmax(axis=1) + off] >= lead).nonzero()[0]
+                if unsure.size:
+                    flat[win[unsure] + off[unsure]] = np.inf
+                    cand = h[unsure] >= lead[unsure, None]
             else:
-                cand = np.ones((s.shape[0], Bc.shape[0]), dtype=bool)
-            ia, ib = np.nonzero(cand)
-            ia += r0
-            sq = _direct_sq(A, ia, Bc, ib)
-            # each row's candidates by distance, then index: the first of a
-            # row is its nearest, the smallest index among equal distances
-            order = np.lexsort((ib, sq, ia))
-            first = order[np.r_[True, ia[order][1:] != ia[order][:-1]]]
-            who, sq, ib = ia[first], sq[first], ib[first] + c0
-            if c0 > 0:
-                better = sq < best_sq[who]
-                who, sq, ib = who[better], sq[better], ib[better]
-            best[who], best_sq[who] = ib, sq
+                win, unsure, cand = np.empty(nr, np.int64), np.arange(nr), np.ones((nr, nc), bool)
+            if unsure.size:
+                ia, ib = np.nonzero(cand)
+                sq = _direct_sq(A, unsure[ia] + r0, Bc, ib)
+                # each row's candidates by distance, then index: the first of a row wins
+                order = np.lexsort((ib, sq, ia))
+                win[unsure] = ib[order[np.r_[True, ia[order][1:] != ia[order][:-1]]]]
+            if best_sq is not None:
+                sq = _direct_sq(A, np.arange(r0, at.stop), Bc, win)
+                better = sq < best_sq[at]
+                win = np.where(better, win + c0, best[at])
+                best_sq[at] = np.where(better, sq, best_sq[at])
+            best[at] = win
     return best
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import aggregate
-from .kernel import nearest_by_score
+from .kernel import nearest, nearest_by_score
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -30,11 +30,11 @@ MODEL_FORMAT_VERSION = 1
 MERGE_MODES = ("distance", "density")
 OUTLIER_MODES = ("reassign", "separate")
 
-# Bytes of the distance block predict reuses across query chunks. A block this
-# small comes out of the heap's free space whatever state the fit left the heap
-# in; blocks of several megabytes were paged in afresh on some heap states, so
-# predict's time varied from one fit to the next.
-_PREDICT_BLOCK_BYTES = 1 << 20
+
+def _finite_real(value) -> bool:
+    """Whether `value` is a finite real number; a boolean or a string is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,11 @@ class FitConfig:
     outlier_mode: str = "reassign"
 
     def validate(self) -> None:
-        if not (isinstance(self.radius, (int, float)) and math.isfinite(self.radius)
-                and self.radius > 0.0):
+        if not (_finite_real(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
-        if not (isinstance(self.minpts, numbers.Real) and math.isfinite(self.minpts)
-                and int(self.minpts) == self.minpts >= 0):
+        if not (_finite_real(self.minpts) and int(self.minpts) == self.minpts >= 0):
             raise ValueError(f"minpts must be a nonnegative integer, got {self.minpts!r}")
-        if not 1.0 <= self.scale <= 2.0:
+        if not (_finite_real(self.scale) and 1.0 <= self.scale <= 2.0):
             raise ValueError(f"scale must lie in [1, 2], got {self.scale!r}")
         if self.merge_mode not in MERGE_MODES:
             raise ValueError(f"merge_mode must be one of {MERGE_MODES}")
@@ -172,10 +170,10 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     `radius` is unit-free; the absolute grouping threshold is
     radius * median extend of the data.
     """
-    config = FitConfig(radius=float(radius), minpts=minpts, scale=float(scale),
+    config = FitConfig(radius=radius, minpts=minpts, scale=scale,
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
     config.validate()
-    config = replace(config, minpts=int(minpts))
+    config = replace(config, radius=float(radius), minpts=int(minpts), scale=float(scale))
     prepared = prepare(data, extent=extent)
     return _fit_prepared(prepared, config)
 
@@ -219,36 +217,24 @@ def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
 def predict(model: ClusterModel, new_points) -> np.ndarray:
     """Assign each query point the cluster of its nearest starting point.
 
-    Queries are centered with the model's stored mean; the model's scaling is
-    frozen, no statistic is re-estimated. Distance ties go to the smallest
-    group index. Groups marked as outliers (separate mode) are skipped unless
-    the model has no surviving cluster at all, in which case -1 is returned.
+    Queries are centered with the model's stored mean; no statistic is
+    re-estimated. The nearest start is the direct formula's at any magnitude
+    (``kernel.nearest``), exact ties going to the smallest group index. Outlier
+    groups (separate mode) are skipped; if no cluster survives, -1 is returned.
     """
     q = np.asarray(new_points, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError("query points must form a 2-D matrix")
     if q.shape[1] != model.d:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    centered = q - model.mean
-    eligible = np.nonzero(model.group_cluster >= 0)[0]
+    eligible = (model.group_cluster >= 0).nonzero()[0]
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
-    pts = np.take(model.starting_points, eligible, axis=0)
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
-    rows = max(1, min(q.shape[0], _PREDICT_BLOCK_BYTES // (8 * pts.shape[0])))
-    dist_sq = np.empty((rows, pts.shape[0]))
-    out = np.empty(q.shape[0], dtype=np.int64)
-    for lo in range(0, q.shape[0], rows):
-        chunk = centered[lo:lo + rows]
-        # |c|^2 - 2 c.p + |p|^2, in place in one reused block.
-        block = np.matmul(chunk, pts.T, out=dist_sq[:chunk.shape[0]])
-        block *= 2.0
-        np.subtract(np.einsum("ij,ij->i", chunk, chunk)[:, None], block, out=block)
-        block += pts_sq
-        out[lo:lo + rows] = model.group_cluster[eligible[np.argmin(block, axis=1)]]
-    return out
+    pts = (model.starting_points if eligible.size == model.num_groups
+           else np.take(model.starting_points, eligible, axis=0))
+    return model.group_cluster[eligible[nearest(q - model.mean, pts)]]
 
 
 def to_json(model: ClusterModel) -> str:

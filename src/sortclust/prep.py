@@ -33,7 +33,9 @@ class PreparedData:
     sigma1, sigma2 : float
         First and second singular values of the centered matrix.
     mext : float
-        Median extend: smallest value such that ceil(n/2) scores lie in
+        Scale of the unit-free radius: by default (``extent="norms"``) the
+        median norm of the centered rows; with ``extent="scores"`` the median
+        extend, the smallest value such that ceil(n/2) scores lie in
         [-mext, mext].
     """
 

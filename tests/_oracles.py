@@ -178,6 +178,39 @@ def windowed_dist_count(points_sorted, scores, r: float, pad: float) -> tuple[li
     return starts, group_of, count
 
 
+def aggregate_reference(prepared, r: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Same partition as ``aggregate`` on `prepared` (its sorted, centered
+    rows), by the direct formula, scanning every remaining point.
+
+    No early exit on the score gap, so dist_count is an upper bound for the
+    pruned scan's count: it measures how much work the pruning saves.
+    """
+    X, n = prepared.centered, prepared.n
+    r_sq = float(r) * float(r)
+    assigned = np.zeros(n, dtype=bool)
+    group_of = np.full(n, -1, dtype=np.int64)
+    starts: list[int] = []
+    dist_count = 0
+    i = 0
+    while i < n:
+        gid = len(starts)
+        starts.append(i)
+        assigned[i] = True
+        group_of[i] = gid
+        cand = i + 1 + np.nonzero(~assigned[i + 1:])[0]
+        if cand.size:
+            diff = X[cand] - X[i]
+            dist_sq = np.einsum("ij,ij->i", diff, diff)
+            dist_count += int(cand.size)
+            hit = cand[dist_sq <= r_sq]
+            assigned[hit] = True
+            group_of[hit] = gid
+        i += 1
+        while i < n and assigned[i]:
+            i += 1
+    return np.asarray(starts, dtype=np.int64), group_of, dist_count
+
+
 def direct_sq_matrix(A, B) -> np.ndarray:
     """|B[j] - A[i]|^2 for every pair of rows, by the direct difference
     formula, one broadcast subtraction for all pairs."""

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.aggregation import aggregate
 from sortclust.evaluation import (GaussianModelParams, ami, ari, make_blobs,
                                   model_p2, model_ratio)
 from sortclust.explain import explain_pair, explain_point
@@ -19,9 +19,9 @@ from sortclust.merging import density_merge, distance_merge
 from sortclust.postprocess import fit, predict
 from sortclust.prep import prepare
 
-from _oracles import (brute_force_density_edges, brute_force_distance_edges,
-                      interval_overlap_1d, lens_area_2d, line_blobs,
-                      mc_lens_volume, mc_window_hit_rate)
+from _oracles import (aggregate_reference, brute_force_density_edges,
+                      brute_force_distance_edges, interval_overlap_1d, lens_area_2d,
+                      line_blobs, mc_lens_volume, mc_window_hit_rate)
 
 
 def report(num, ok, detail):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from sortclust import aggregation
-from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.aggregation import aggregate
 from sortclust.kernel import window_pad
 from sortclust.postprocess import fit
 from sortclust.prep import PreparedData, prepare
 
-from _oracles import brute_force_groups, windowed_dist_count
+from _oracles import aggregate_reference, brute_force_groups, windowed_dist_count
 
 
 def prepared_1d(values):
@@ -156,7 +156,7 @@ def check_sweep(p, r):
 
 
 class TestBlockedSweep:
-    @pytest.mark.parametrize("block", [7, 16, 61, 400, aggregation._BLOCK])
+    @pytest.mark.parametrize("block", [7, 16, 61, 400, 1 << 15, aggregation._BLOCK])
     def test_block_sizes_match_the_reference_and_the_window_count(self, block, monkeypatch):
         monkeypatch.setattr(aggregation, "_BLOCK", block)
         rng = np.random.default_rng(block)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from sortclust import aggregation, kernel, merging
-from sortclust.aggregation import aggregate, aggregate_reference
+from sortclust.aggregation import aggregate
 from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
 from sortclust.merging import GroupClusterMap, density_merge, distance_merge
-from sortclust.postprocess import apply_minpts
+from sortclust.postprocess import apply_minpts, fit, predict
 from sortclust.prep import PreparedData, prepare
 
-from _oracles import brute_force_distance_edges, direct_nearest, direct_sq_matrix
+from _oracles import (aggregate_reference, brute_force_distance_edges, direct_nearest,
+                      direct_sq_matrix)
 
 # Pythagorean offsets of length exactly 5 and 7.5 (= 1.5 * 5) in the plane.
 AT_R = [(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0)]
@@ -135,7 +136,7 @@ class TestDimensions:
 
 
 class TestNearestTies:
-    @pytest.mark.parametrize("block", [kernel._BLOCK, 2])
+    @pytest.mark.parametrize("block", [1 << 15, kernel._BLOCK, 2])
     def test_equal_distances_far_from_origin_go_to_the_smallest_index(self, block,
                                                                         monkeypatch):
         # with block 2 the tied rows fall into different column chunks
@@ -178,7 +179,7 @@ class TestNearestByScore:
         assert np.array_equal(got, direct_nearest(A, B))
         assert np.array_equal(got, nearest(A, B))
 
-    @pytest.mark.parametrize("block", [2, 7, 64, kernel._BLOCK])
+    @pytest.mark.parametrize("block", [2, 7, 64, 1 << 15, kernel._BLOCK])
     @pytest.mark.parametrize("neighbours", [1, 4, kernel._SCORE_NEIGHBOURS])
     def test_random_rows(self, block, neighbours, monkeypatch):
         monkeypatch.setattr(kernel, "_BLOCK", block)
@@ -191,7 +192,7 @@ class TestNearestByScore:
             B, sb = scored(rng.normal(size=(300, d)) * 1.5, v1)
             self.check(A, sa, B, sb)
 
-    @pytest.mark.parametrize("block", [2, 7, kernel._BLOCK])
+    @pytest.mark.parametrize("block", [2, 7, 1 << 15, kernel._BLOCK])
     @pytest.mark.parametrize("neighbours", [1, 2, kernel._SCORE_NEIGHBOURS])
     def test_equal_distances_far_from_the_origin(self, block, neighbours, monkeypatch):
         # each row of A has four rows of B exactly 5 away, in separate parts
@@ -245,6 +246,11 @@ class TestNearestByScore:
         assert nearest_by_score(A, sa, B, B[:, 2]).tolist() == [0] * 50
 
 
+def test_nearest_of_no_rows():
+    out = nearest(np.empty((0, 3)), np.ones((4, 3)))
+    assert out.dtype == np.int64 and out.shape == (0,)
+
+
 class TestSmallBlocks:
     def test_blocks_and_chunks_give_the_same_results(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -263,7 +269,7 @@ class TestSmallBlocks:
 
 
 class TestBudget:
-    @pytest.mark.parametrize("block", [7, 300, kernel._BLOCK])
+    @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
     def test_products_stay_within_the_block_budget(self, block, monkeypatch):
         # a row whose window alone exceeds the budget goes alone, and the
         # kernel splits its columns; any larger product holds the budget
@@ -275,10 +281,16 @@ class TestBudget:
                 return fn(A, half_a, B, half_b, *rest)
             return wrapped
 
+        def matmul(a, b, out):
+            # the products of the nearest search, whatever the call's shape
+            shapes.append(out.shape)
+            return real_matmul(a, b, out=out)
+
+        real_matmul = np.matmul
         monkeypatch.setattr(kernel, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "within", recording(kernel.within))
-        monkeypatch.setattr(kernel, "_nearest", recording(kernel._nearest))
+        monkeypatch.setattr(kernel.np, "matmul", matmul)
         monkeypatch.setattr(merging, "_BLOCK", block)
         monkeypatch.setattr(merging, "within", recording(kernel.within))
         rng = np.random.default_rng(block)
@@ -290,5 +302,11 @@ class TestBudget:
         before = len(shapes)
         density_merge(starts, p, 0.15 * p.mext)
         assert len(shapes) > before
+        before = len(shapes)
+        model = fit(p.centered, radius=0.15)
+        queries = rng.normal(size=(2 * block // model.num_groups + 5, 3))
+        predict(model, queries)
+        # a predict call spans more entries than the budget
+        assert queries.shape[0] * model.num_groups > block and len(shapes) > before
         assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)

@@ -136,7 +136,7 @@ class TestDensityMerge:
             assert edge_set(graph) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, p.d)
 
-    @pytest.mark.parametrize("block", [7, 300, kernel._BLOCK])
+    @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
     def test_blocks_and_column_chunks_give_the_oracle_edges(self, block, monkeypatch):
         # at 7 and 300 entries the ball windows split across column chunks
         # and single-centre blocks, and the shared-row keys across chunks

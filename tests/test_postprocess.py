@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from sortclust import postprocess
+from sortclust import kernel
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
 from sortclust.merging import connected_components
 from sortclust.postprocess import (apply_minpts, fit, from_json, load_model,
                                    predict, save_model, to_json)
+
+from _oracles import direct_nearest, direct_sq_matrix
 
 
 class TestFit:
@@ -67,6 +69,21 @@ class TestFit:
         # int() would run 2.7 as 2 and raise OverflowError on inf
         with pytest.raises(ValueError, match="minpts"):
             fit([[0.0], [1.0]], minpts=minpts)
+
+    @pytest.mark.parametrize("name, value", [
+        ("radius", "0.3"), ("radius", True), ("scale", "1.5"), ("scale", True),
+        ("minpts", True), pytest.param("scale", [1.5], id="scale-list")])
+    def test_arguments_are_validated_before_they_are_cast(self, name, value):
+        # float() would run "0.3" as 0.3 and True as 1.0, int() True as 1
+        with pytest.raises(ValueError, match=name):
+            fit([[0.0], [1.0]], **{name: value})
+
+    def test_numpy_scalars_are_accepted_and_cast(self):
+        m = fit([[0.0], [0.1], [9.0]], radius=np.float32(0.5), minpts=np.int64(2),
+                scale=np.float32(1.5))
+        assert (type(m.config.radius), type(m.config.minpts), type(m.config.scale)) == (
+            float, int, float)
+        assert m.config.radius == float(np.float32(0.5)) and m.config.scale == 1.5
 
     def test_integral_float_minpts_is_stored_as_an_integer(self):
         m = fit([[0.0], [0.1], [9.0]], radius=0.5, minpts=2.0, extent="scores")
@@ -207,18 +224,73 @@ class TestPredict:
         m = fit(data, radius=0.3, minpts=3)
         assert np.array_equal(predict(m, data), m.labels)
 
+    @staticmethod
+    def nearest_clusters(m, queries):
+        """The cluster of each query's nearest eligible start, by the direct formula."""
+        eligible = np.nonzero(m.group_cluster >= 0)[0]
+        near = direct_nearest(np.asarray(queries) - m.mean, m.starting_points[eligible])
+        return m.group_cluster[eligible[near]]
+
     @pytest.mark.parametrize("block_rows", [1, 7, 1000])
     def test_blocks_give_the_nearest_start(self, monkeypatch, block_rows):
-        # several blocks, a partial last one, and a single block
+        # several row blocks, a partial last one, and a single block
         data, _ = make_blobs(600, 3, 4, 0.5, 9)
         m = fit(data, radius=0.1)
         queries = np.random.default_rng(4).normal(0.0, 3.0, size=(100, 3))
-        monkeypatch.setattr(postprocess, "_PREDICT_BLOCK_BYTES",
-                            8 * m.num_groups * block_rows)
-        diff = (queries - m.mean)[:, None, :] - m.starting_points[None, :, :]
-        nearest = np.argmin(np.einsum("qgd,qgd->qg", diff, diff), axis=1)
-        assert np.array_equal(predict(m, queries), m.group_cluster[nearest])
+        monkeypatch.setattr(kernel, "_BLOCK", m.num_groups * block_rows)
+        assert np.array_equal(predict(m, queries), self.nearest_clusters(m, queries))
 
+    @pytest.mark.parametrize("block", [1, 2, 20])
+    def test_column_chunks_give_the_nearest_start(self, monkeypatch, block):
+        # a budget below the group count splits the starts into column chunks
+        data, _ = make_blobs(600, 3, 4, 0.5, 9)
+        m = fit(data, radius=0.1)
+        assert m.num_groups > 2 * block
+        queries = np.random.default_rng(5).normal(0.0, 3.0, size=(60, 3))
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        assert np.array_equal(predict(m, queries), self.nearest_clusters(m, queries))
+
+    def test_own_rows_far_from_the_origin(self):
+        # each row is its own group; unit gaps 1e9 from the origin are far
+        # below the rounding of the expanded form there
+        data = [[-1e9], [-1e9 + 1], [1e9], [1e9 + 1]]
+        m = fit(data, radius=1e-10)
+        assert m.labels.tolist() == [0, 1, 2, 3]
+        assert predict(m, data).tolist() == [0, 1, 2, 3]
+
+    def test_far_from_the_origin_equals_the_direct_formula(self):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            d = int(rng.integers(1, 4))
+            centre = rng.normal(size=d)
+            centre *= 10.0 ** rng.uniform(6, 10) / np.linalg.norm(centre)
+            data = np.vstack([centre + rng.normal(size=(30, d)),
+                              -centre + rng.normal(size=(30, d))])
+            m = fit(data, radius=1e-10)
+            queries = np.vstack([data, centre + rng.normal(size=(20, d))])
+            assert np.array_equal(predict(m, queries), self.nearest_clusters(m, queries))
+
+    def test_exact_ties_far_from_the_origin_skip_outliers(self):
+        # groups A and B (3 rows each) are exactly 5 from the query, the
+        # outlier group O (2 rows, below minpts) lies between them in score
+        # order and 1 from the query; the data is mirrored, so the mean is 0.
+        # At this centre the expanded form ranks the larger tied index first.
+        centre = np.array([105594974.0, -153161677.0])
+        half = np.array([(5.0, 0.0)] * 3 + [(-5.0, 0.0)] * 3 + [(-1.0, 0.0)] * 2) + centre
+        m = fit(np.vstack([half, -half]), radius=1e-10, minpts=3, outlier_mode="separate")
+        query = centre[None, :]
+        sq = direct_sq_matrix(query - m.mean, m.starting_points)[0]
+        tied = np.nonzero(sq == 25.0)[0]
+        outlier = np.nonzero(sq == 1.0)[0]
+        assert tied.size == 2 and outlier.size == 1 and tied[0] < outlier[0] < tied[1]
+        assert m.group_cluster[outlier[0]] == -1
+        assert m.group_cluster[tied[0]] != m.group_cluster[tied[1]]
+        assert predict(m, query).tolist() == [m.group_cluster[tied[0]]]
+
+    def test_no_query_rows(self):
+        m = fit([[0.0, 0.0], [1.0, 1.0]])
+        out = predict(m, np.empty((0, 2)))
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 class TestConcurrentUse:
     def test_predict_and_explain_share_a_model(self):
