@@ -281,12 +281,13 @@ class TestBudget:
                 return fn(A, half_a, B, half_b, *rest)
             return wrapped
 
+        real_matmul = np.matmul
+
         def matmul(a, b, out):
             # the products of the nearest search, whatever the call's shape
             shapes.append(out.shape)
             return real_matmul(a, b, out=out)
 
-        real_matmul = np.matmul
         monkeypatch.setattr(kernel, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "within", recording(kernel.within))
