@@ -37,6 +37,7 @@ ascending starting row of each group, and ``group_of`` (n,), each row's group.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,9 +45,18 @@ from .kernel import _BLOCK, half_sq_norms, window_pad, within
 from .prep import PreparedData
 
 
-def _check_radius(r: float) -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
+def _finite_real(value) -> bool:
+    """Whether `value` is a finite real number; a boolean or a string is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _radius(r) -> float:
+    """`r` as a float; it must be a positive finite real, as `fit` requires
+    of its radius."""
+    if not (_finite_real(r) and r > 0.0):
         raise ValueError(f"radius must be a positive finite number, got {r!r}")
+    return float(r)
 
 
 def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -60,8 +70,7 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     dist_count counts one evaluation per (starting point, unassigned
     candidate) pair inspected.
     """
-    _check_radius(r)
-    r = float(r)
+    r = _radius(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
     r_sq = r * r
     # Window ends never decrease, so no row at or past the window end of the

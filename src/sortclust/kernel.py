@@ -24,7 +24,12 @@ The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
 searches only the rows whose score lies within that bound (padded by
 ``window_pad``), by the projection bound of Friedman, Baskett and Shustek
-(IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
+(IEEE Trans. Computers, 1975): a score gap never exceeds the distance. The
+minPts rule runs it, and so does ``predict`` on calls that span many blocks
+of a model with many starts (the rule is in its docstring).
+
+``window_blocks`` cuts consecutive rows into blocks whose joint window
+fills the budget, however much or little the windows move from row to row.
 
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
 memory stays bounded whatever the width of a window or the number of groups.
@@ -130,22 +135,28 @@ def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float) -
 
 
 def window_blocks(los: np.ndarray, his: np.ndarray):
-    """Blocks of consecutive rows i with their joint windows [los[i], his[i]).
+    """Blocks of consecutive rows i with the hull [lo, hi) of their windows
+    [los[i], his[i]).
 
-    Yields ``(rows, cols)`` slices whose product stays within the block
-    budget; a window too wide for one row is split across several blocks.
-    `los` and `his` must be nondecreasing.
+    Yields ``(rows, lo, hi)``: from each first row, as many rows as keep
+    rows * max(hi - lo, 1) within the block budget, and at least one. A
+    window too wide for one row is the caller's to split into column
+    chunks. Windows need not be monotone; for nondecreasing `los` and `his`
+    the hull is ``[los[first], his[last])``.
     """
-    lookahead = math.isqrt(_BLOCK) + 2    # all the budget admits if his[i + k] - los[i] >= k
-    steps = np.arange(1, lookahead + 1)
+    base = math.isqrt(_BLOCK) + 2    # all the budget admits if the hull grows a column per row
     i, l = 0, len(his)
     while i < l:
-        width = his[i:i + lookahead] - los[i]
-        m = max(1, int(np.searchsorted(width * steps[:width.size], _BLOCK, side="right")))
-        lo, hi = int(los[i]), int(his[i + m - 1])
-        step = max(1, _BLOCK // m)
-        for c in range(lo, hi, step):
-            yield slice(i, i + m), slice(c, min(c + step, hi))
+        span = base
+        while True:
+            lo = np.minimum.accumulate(los[i:i + span])
+            hi = np.maximum.accumulate(his[i:i + span])
+            cost = np.maximum(hi - lo, 1) * np.arange(1, lo.size + 1)
+            m = max(1, int(np.searchsorted(cost, _BLOCK, side="right")))
+            if m < lo.size or i + m >= l:
+                break
+            span *= 4
+        yield slice(i, i + m), int(lo[m - 1]), int(hi[m - 1])
         i += m
 
 
@@ -219,33 +230,26 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     window holds the nearest row and every row tied with it, and the result
     is the index ``nearest`` gives over all of B, ties going to the smallest
     index. Consecutive rows of A whose joint window fits the block budget
-    share one call of ``nearest`` on that contiguous slice of B. B must
-    have a row.
+    (``window_blocks``) share one call of ``nearest`` on that contiguous
+    slice of B. B must have a row.
     """
     m, k = A.shape[0], B.shape[0]
     near = min(_SCORE_NEIGHBOURS, k)
     first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
+    # runs[j] is the view of rows j..j+near-1 of B: one gather per row of A
+    runs = np.lib.stride_tricks.sliding_window_view(B, (near, B.shape[1]))[:, 0]
     bound = np.empty(m)
-    step = max(1, _BLOCK // near)
+    step = max(1, _BLOCK // (near * B.shape[1]))
     for s in range(0, m, step):
-        rows = np.arange(s, min(s + step, m))
-        ib = (first[rows, None] + np.arange(near)).ravel()
-        bound[rows] = _direct_sq(A, np.repeat(rows, near), B, ib).reshape(-1, near).min(axis=1)
+        diff = runs[first[s:s + step]]
+        diff -= A[s:s + step, None]
+        bound[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
     reach = np.sqrt(bound)
     reach += np.maximum(window_pad(A, reach), window_pad(B, reach))
-    los = np.searchsorted(score_b, score_a - reach, side="left").tolist()
-    his = np.searchsorted(score_b, score_a + reach, side="right").tolist()
+    los = np.searchsorted(score_b, score_a - reach, side="left")
+    his = np.searchsorted(score_b, score_a + reach, side="right")
     half_a, half_b = half_sq_norms(A), half_sq_norms(B)
-
     best = np.empty(m, dtype=np.int64)
-    q = 0
-    while q < m:
-        lo, hi, g = los[q], his[q], q + 1
-        while g < m:
-            joint_lo, joint_hi = min(lo, los[g]), max(hi, his[g])
-            if (g + 1 - q) * (joint_hi - joint_lo) > _BLOCK:
-                break
-            lo, hi, g = joint_lo, joint_hi, g + 1
-        best[q:g] = lo + _nearest(A[q:g], half_a[q:g], B[lo:hi], half_b[lo:hi])
-        q = g
+    for rows, lo, hi in window_blocks(los, his):
+        best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], half_b[lo:hi])
     return best

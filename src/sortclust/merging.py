@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _check_radius
+from .aggregation import _finite_real, _radius
 from .geometry import overlap_fraction
 from .kernel import _BLOCK, _direct_sq, half_sq_norms, window_blocks, window_pad, within
 from .prep import PreparedData
@@ -131,9 +131,10 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     score gaps never exceed distances. Blocks of consecutive starting points
     are tested against their joint window by one matrix product each.
     """
-    _check_radius(r)
-    if not 1.0 <= scale <= 2.0:
+    r = _radius(r)
+    if not (_finite_real(scale) and 1.0 <= scale <= 2.0):
         raise ValueError(f"scale must lie in [1, 2], got {scale!r}")
+    scale = float(scale)
     sc = np.asarray(starting_scores, dtype=np.float64)
     pts = np.asarray(starting_points, dtype=np.float64)
     threshold = scale * r
@@ -148,12 +149,15 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     half_a, half_b = half_sq_norms(A), half_sq_norms(B)
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
-    for rows, cols in window_blocks(los, his):
-        i, j = np.nonzero(within(A[rows], half_a[rows, None], B[cols], half_b[cols], t))
-        j += cols.start
-        keep = (j >= los[rows][i]) & (j < his[rows][i])
-        counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
-        pieces.append(j[keep])
+    for rows, lo, hi in window_blocks(los, his):
+        step = max(1, _BLOCK // (rows.stop - rows.start))
+        for c in range(lo, hi, step):
+            cols = slice(c, min(c + step, hi))
+            i, j = np.nonzero(within(A[rows], half_a[rows, None], B[cols], half_b[cols], t))
+            j += c
+            keep = (j >= los[rows][i]) & (j < his[rows][i])
+            counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
+            pieces.append(j[keep])
     return counts, np.concatenate(pieces)
 
 
@@ -189,7 +193,7 @@ def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     (plus ``kernel.window_pad``), as no wider pair can overlap, and a center
     distance strictly below 2r; those that share a row take the pair test.
     """
-    _check_radius(r)
+    r = _radius(r)
     X, scores, starts = prepared.centered, prepared.scores, np.asarray(starts, dtype=np.int64)
     centers, cscores, l = np.take(X, starts, axis=0), scores[starts], starts.size
     # dsq < 4.0 * (r * r) is dsq <= the float below it

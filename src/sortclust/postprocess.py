@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregation import aggregate
-from .kernel import nearest, nearest_by_score
+from .aggregation import _finite_real, aggregate
+from .kernel import _BLOCK, _SCORE_NEIGHBOURS, nearest, nearest_by_score, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -29,12 +28,6 @@ MODEL_FORMAT_VERSION = 1
 
 MERGE_MODES = ("distance", "density")
 OUTLIER_MODES = ("reassign", "separate")
-
-
-def _finite_real(value) -> bool:
-    """Whether `value` is a finite real number; a boolean or a string is not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -214,13 +207,46 @@ def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
     )
 
 
+# The score-window search in predict: a bound-step distance costs about this
+# many dense product entries (15 to 35 for d from 2 to 100, one BLAS thread).
+_BOUND_COST = 32
+
+
+def _by_score(queries: int, starts: int) -> bool:
+    """Whether predict searches score windows rather than every start; see
+    :func:`predict`."""
+    return (starts >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST
+            and queries * starts >= 4 * _BLOCK)
+
+
 def predict(model: ClusterModel, new_points) -> np.ndarray:
     """Assign each query point the cluster of its nearest starting point.
 
     Queries are centered with the model's stored mean; no statistic is
-    re-estimated. The nearest start is the direct formula's at any magnitude
-    (``kernel.nearest``), exact ties going to the smallest group index. Outlier
-    groups (separate mode) are skipped; if no cluster survives, -1 is returned.
+    re-estimated. The nearest start is the direct formula's at any magnitude,
+    exact ties going to the smallest group index. Outlier groups (separate
+    mode) are skipped; if no cluster survives, -1 is returned.
+
+    Either path gives the same labels, bit for bit; the choice is one of
+    cost, made from the q query rows and the l eligible starts before any
+    distance is computed:
+
+    - dense (``kernel.nearest``): q * l product entries, about 2-3 ns each
+      at d = 10 (one BLAS thread), plus a pass over the starts per call;
+    - score windows (``kernel.nearest_by_score``): the queries are sorted
+      by their score along v1 and each gets ``_SCORE_NEIGHBOURS`` direct
+      distances to the starts nearest in score, about ``_BOUND_COST`` (32)
+      product entries each, then the products over its window, whose width
+      depends on the data (16-21% of the starts on the benchmark's
+      workloads), plus about 0.2 ms per call.
+
+    The windows are taken when l >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST
+    (2048) and q * l >= 4 * ``kernel._BLOCK`` (four blocks). Measured on
+    blob data with 1,000 queries, the window path breaks even at about
+    1,200 starts for d = 2, 2,500 for d = 10 and between 600 and 2,600 for
+    d = 50; with 6k to 14k starts it breaks even at two to five blocks (16
+    to 64 queries). The crossover does not grow with d, so d does not enter
+    the rule.
     """
     q = np.asarray(new_points, dtype=np.float64)
     if q.ndim != 2:
@@ -234,7 +260,17 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         return np.full(q.shape[0], -1, dtype=np.int64)
     pts = (model.starting_points if eligible.size == model.num_groups
            else np.take(model.starting_points, eligible, axis=0))
-    return model.group_cluster[eligible[nearest(q - model.mean, pts)]]
+    q = q - model.mean
+    if not _by_score(q.shape[0], eligible.size):
+        return model.group_cluster[eligible[nearest(q, pts)]]
+    # scores along v1 / |v1|, which from_json admits within 1e-6 of a unit vector
+    norm = float(np.linalg.norm(model.v1))
+    scores = (q @ model.v1) / norm
+    order = np.argsort(scores)
+    near = np.empty(q.shape[0], dtype=np.int64)
+    near[order] = nearest_by_score(np.take(q, order, axis=0), scores[order], pts,
+                                   model.starting_scores[eligible] / norm)
+    return model.group_cluster[eligible[near]]
 
 
 def to_json(model: ClusterModel) -> str:
@@ -324,6 +360,16 @@ def _model_from_doc(doc: dict) -> ClusterModel:
     _check(starting_points.shape == (l, d), f"starting_points must have shape ({l}, {d})")
     _check(starting_scores.shape == group_cluster.shape == (l,),
            f"starting_scores and group_cluster must have length {l}")
+    # predict's score windows rest on these three: a unit v1 (as prepare
+    # requires it), scores in order, and each score within a quarter of the
+    # window pad of its point's (twice the rounding of a score; the rest of
+    # the pad covers the queries')
+    _check(abs(float(np.linalg.norm(v1)) - 1.0) <= 1e-6, "v1 must have unit norm")
+    _check(bool(np.all(starting_scores[1:] >= starting_scores[:-1])),
+           "starting_scores must be nondecreasing")
+    _check(bool(np.all(np.abs(starting_points @ v1 - starting_scores)
+                       <= window_pad(starting_points, 0.0) / 4)),
+           "starting_scores must be the scores of the starting points along v1")
 
     # group_members must partition 0..n-1: n rows in range, none left over.
     sizes = np.fromiter(map(len, members), dtype=np.int64, count=l)
@@ -367,7 +413,10 @@ def from_json(text: str) -> ClusterModel:
     The document is checked first: keys, shapes, finite JSON numbers (no
     booleans or strings; integer ids and counts), `group_members`
     partitioning the rows 0..n-1, cluster ids in [-1, k) and edge endpoints
-    in [0, l). A malformed document raises ValueError.
+    in [0, l). The score windows of `predict` need three more: `v1` of unit
+    norm to within 1e-6, nondecreasing `starting_scores`, and each within a
+    quarter of ``kernel.window_pad`` of ``starting_points @ v1``. A
+    malformed document raises ValueError.
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None

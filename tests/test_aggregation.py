@@ -74,6 +74,15 @@ class TestAggregate:
             with pytest.raises(ValueError):
                 aggregate(p, bad)
 
+    def test_radius_follows_the_rule_of_fit(self):
+        # a finite positive real, no boolean; numpy scalars run as the float
+        p = prepared_1d([0.0, 0.2, 0.5, 1.0, 1.3])
+        with pytest.raises(ValueError):
+            aggregate(p, True)
+        got = aggregate(p, np.float32(0.3))
+        want = aggregate(p, float(np.float32(0.3)))
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
+
     def test_stats_average(self):
         # the per-point average lives on the model: aggregation count over n
         data = [[0.0], [0.5], [1.1], [5.0]]

@@ -17,7 +17,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import harness  # noqa: E402
 
-DIGESTS = {"starts", "group_of", "edges", "labels", "predict", "to_json",
+DIGESTS = {"starts", "group_of", "edges", "labels", "predict", "predict_small", "to_json",
            "summary_text", "summary_payload", "pair"}
 COUNTERS = {"dist_count", "groups", "edges", "clusters", "candidate_pairs",
             "density_tests", "components", "groups_reassigned", "model_bytes"}

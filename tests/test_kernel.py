@@ -5,7 +5,7 @@ dimensions up to 64, and equal nearest distances far from the origin."""
 import numpy as np
 import pytest
 
-from sortclust import aggregation, kernel, merging
+from sortclust import aggregation, kernel, merging, postprocess
 from sortclust.aggregation import aggregate
 from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
 from sortclust.merging import GroupClusterMap, density_merge, distance_merge
@@ -268,6 +268,32 @@ class TestSmallBlocks:
         assert np.array_equal(near, direct_nearest(A, B))
 
 
+class TestWindowBlocks:
+    def blocks(self, los, his):
+        return [(rows.start, rows.stop, lo, hi)
+                for rows, lo, hi in kernel.window_blocks(np.array(los), np.array(his))]
+
+    def test_blocks_fill_the_budget_when_windows_do_not_widen(self, monkeypatch):
+        # 1,000 rows sharing one window of 10 columns: 100 rows per block,
+        # far more than the square root of the budget
+        monkeypatch.setattr(kernel, "_BLOCK", 1000)
+        got = self.blocks([5] * 1000, [15] * 1000)
+        assert got == [(a, a + 100, 5, 15) for a in range(0, 1000, 100)]
+
+    def test_hull_of_windows_that_are_not_monotone(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", 12)
+        # rows 0-1 span [2, 6), 4 columns; row 2 would widen it to [0, 6)
+        assert self.blocks([2, 3, 0, 1], [5, 6, 3, 4]) == [(0, 2, 2, 6), (2, 4, 0, 4)]
+
+    def test_a_row_wider_than_the_budget_goes_alone(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", 8)
+        assert self.blocks([0, 1, 1], [20, 3, 4]) == [(0, 1, 0, 20), (1, 3, 1, 4)]
+
+    def test_empty_windows_stay_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", 16)
+        assert self.blocks([3] * 40, [3] * 40) == [(0, 16, 3, 3), (16, 32, 3, 3), (32, 40, 3, 3)]
+
+
 class TestBudget:
     @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
     def test_products_stay_within_the_block_budget(self, block, monkeypatch):
@@ -306,8 +332,12 @@ class TestBudget:
         before = len(shapes)
         model = fit(p.centered, radius=0.15)
         queries = rng.normal(size=(2 * block // model.num_groups + 5, 3))
-        predict(model, queries)
+        labels = predict(model, queries)
         # a predict call spans more entries than the budget
         assert queries.shape[0] * model.num_groups > block and len(shapes) > before
+        before = len(shapes)
+        monkeypatch.setattr(postprocess, "_by_score", lambda queries, starts: True)
+        assert np.array_equal(predict(model, queries), labels)
+        assert len(shapes) > before
         assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)

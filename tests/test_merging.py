@@ -59,12 +59,30 @@ class TestDistanceMerge:
         graph = distance_merge(pts[:, 0], pts, r, 1.5)
         assert edge_set(graph) == brute_force_distance_edges(pts, r, 1.5) == {(0, 1)}
 
+    def test_radius_follows_the_rule_of_fit(self):
+        sc = np.array([0.0, 0.4, 1.0])
+        pts = sc[:, None]
+        with pytest.raises(ValueError):
+            distance_merge(sc, pts, True)
+        assert np.array_equal(distance_merge(sc, pts, np.float32(0.3)).edges,
+                              distance_merge(sc, pts, float(np.float32(0.3))).edges)
+
     def test_scale_validation(self):
         sc = np.array([0.0, 1.0])
         pts = np.array([[0.0], [1.0]])
         for bad in (0.99, 2.01, -1.0):
             with pytest.raises(ValueError):
                 distance_merge(sc, pts, 1.0, bad)
+
+    def test_scale_follows_the_rule_of_fit(self):
+        # a float32 scale ran in float32: 1.5 * 0.1 rounds to 0.15 there,
+        # below the float64 product, and joined a pair just beyond it
+        r = 0.1
+        sc = np.array([0.0, np.nextafter(1.5 * r, 1.0)])
+        pts = sc[:, None]
+        assert distance_merge(sc, pts, r, np.float32(1.5)).edges.shape == (0, 2)
+        with pytest.raises(ValueError):
+            distance_merge(sc, pts, r, True)
 
     def test_pruned_equals_brute_force(self):
         rng = np.random.default_rng(8)
@@ -81,6 +99,14 @@ class TestDistanceMerge:
 
 
 class TestDensityMerge:
+    def test_radius_follows_the_rule_of_fit(self):
+        p = prepared_1d([0.0, 0.2, 0.3, 0.5, 0.7, 1.5])
+        starts, _, _ = aggregate(p, 0.25)
+        with pytest.raises(ValueError):
+            density_merge(starts, p, True)
+        assert np.array_equal(density_merge(starts, p, np.float32(0.3)).edges,
+                              density_merge(starts, p, float(np.float32(0.3))).edges)
+
     def test_one_dimensional_hand_computation(self):
         # union [-1, 2.5] holds 5 points over length 3.5; the lens [0.5, 1.0]
         # holds 3 points over length 0.5: 5/3.5 <= 6 merges the pair

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sortclust import kernel
+from sortclust import kernel, postprocess
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
 from sortclust.merging import connected_components
@@ -292,6 +292,101 @@ class TestPredict:
         out = predict(m, np.empty((0, 2)))
         assert out.dtype == np.int64 and out.shape == (0,)
 
+
+PATHS = ["dense", "windows"]
+
+
+@pytest.fixture
+def path(request, monkeypatch):
+    """Send every predict call of the test down one search."""
+    monkeypatch.setattr(postprocess, "_by_score", lambda queries, starts: request.param == "windows")
+    return request.param
+
+
+class TestPredictPaths:
+    """Both searches of predict give the direct formula's nearest eligible start."""
+
+    def test_rule_on_the_benchmark_shapes(self):
+        # many-groups: 16-row calls stay dense, the 1k query rows take the
+        # windows; few-groups (395 starts) stays dense at 10k query rows
+        assert not postprocess._by_score(16, 12_151)
+        assert postprocess._by_score(1_000, 12_151)
+        assert not postprocess._by_score(10_000, 395)
+        assert not postprocess._by_score(0, 12_151)
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_exact_ties_far_from_the_origin(self, path):
+        # every start lies exactly 5 from one of the queries, in all
+        # directions of the ring, 1e8 from the origin; mirrored, so the mean
+        # is 0 and each row is its own group
+        centre = np.array([105594974.0, -153161677.0])
+        ring = np.array([(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0),
+                         (4.0, -3.0), (-5.0, 0.0), (0.0, 5.0)])
+        half = centre + ring
+        m = fit(np.vstack([half, -half]), radius=1e-10)
+        assert m.num_groups == 16 and not m.mean.any()
+        queries = np.array([centre, -centre, centre + (1.0, 0.0), -centre - (0.0, 1.0)])
+        sq = direct_sq_matrix(queries, m.starting_points)
+        assert (sq[:2] == 25.0).sum() == 16
+        expected = TestPredict.nearest_clusters(m, queries)
+        assert np.array_equal(predict(m, queries), expected)
+        assert np.array_equal(predict(m, np.repeat(queries, 50, axis=0)),
+                              np.repeat(expected, 50))
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_random_fits_with_outlier_groups(self, path):
+        # density merging leaves small clusters, which "separate" mode drops,
+        # so the eligible starts are a strict subset of the starts
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            data, _ = make_blobs(300, 3, 4, 1.0, seed)
+            m = fit(data, radius=0.1, minpts=4, merge_mode="density", outlier_mode="separate")
+            assert 0 < np.count_nonzero(m.group_cluster < 0) < m.num_groups
+            queries = np.vstack([data[::3], rng.normal(0.0, 4.0, size=(60, 3))])
+            assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_queries_far_outside_the_data(self, path):
+        # the score windows of such queries cover every start
+        data, _ = make_blobs(400, 4, 4, 0.5, 7)
+        m = fit(data, radius=0.1)
+        rng = np.random.default_rng(32)
+        directions = rng.normal(size=(40, 4))
+        queries = directions * (10.0 ** rng.uniform(2, 8, size=(40, 1)))
+        assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_v1_off_unit_length_as_far_as_a_model_may_be(self, path):
+        # from_json admits |v1| within 1e-6 of 1; in 1-D each score gap is
+        # then |v1| times the distance, beyond the rounding the windows allow
+        doc = json.loads(to_json(fit([[0.0], [10.0], [20.0], [30.0]], radius=1e-3)))
+        stretch = 1.0 + 5e-7
+        doc["v1"] = [stretch * x for x in doc["v1"]]
+        doc["starting_scores"] = [stretch * x for x in doc["starting_scores"]]
+        m = from_json(json.dumps(doc))
+        assert m.num_groups == 4
+        queries = np.array([[4.9], [14.9], [25.1], [-3.0], [33.0]])
+        expected = TestPredict.nearest_clusters(m, queries)
+        assert expected.tolist() == m.group_cluster[[0, 1, 3, 0, 3]].tolist()
+        assert np.array_equal(predict(m, queries), expected)
+        # alone, a query's window is not widened by the others'
+        assert [predict(m, row[None])[0] for row in queries] == expected.tolist()
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_one_start(self, path):
+        data, _ = make_blobs(100, 3, 2, 0.5, 8)
+        m = fit(data, radius=100.0)
+        assert m.num_groups == 1
+        queries = np.random.default_rng(33).normal(0.0, 5.0, size=(30, 3))
+        assert predict(m, queries).tolist() == [0] * 30
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_no_query_rows(self, path):
+        data, _ = make_blobs(100, 3, 2, 0.5, 8)
+        out = predict(fit(data, radius=0.1), np.empty((0, 3)))
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+
 class TestConcurrentUse:
     def test_predict_and_explain_share_a_model(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -381,6 +476,21 @@ def _shift(values, index, by):
     values[index] += by
 
 
+def _unsort_scores(doc):
+    """Swap two starting points with different scores, and their scores:
+    each score still belongs to its point, but they are out of order."""
+    scores, points = doc["starting_scores"], doc["starting_points"]
+    i = next(i for i in range(len(scores) - 1) if scores[i] < scores[i + 1])
+    scores[i], scores[i + 1] = scores[i + 1], scores[i]
+    points[i], points[i + 1] = points[i + 1], points[i]
+
+
+def _scale_v1(doc):
+    """v1 and the scores 0.1% longer: the scores are still the points' own."""
+    doc["v1"] = [1.001 * x for x in doc["v1"]]
+    doc["starting_scores"] = [1.001 * s for s in doc["starting_scores"]]
+
+
 CORRUPTIONS = [
     pytest.param(lambda doc: doc.pop("config"), id="missing-config"),
     pytest.param(lambda doc: doc["config"].pop("radius"), id="missing-config-key"),
@@ -444,6 +554,11 @@ CORRUPTIONS = [
                  id="infinite-starting-score"),
     pytest.param(lambda doc: doc["config"].update(radius="0.2"), id="string-radius"),
     pytest.param(lambda doc: doc["config"].update(scale=True), id="boolean-scale"),
+    # the score windows of predict would miss the nearest start
+    pytest.param(_unsort_scores, id="unsorted-starting-scores"),
+    pytest.param(lambda doc: doc.update(starting_scores=[s + 1e-6 for s in doc["starting_scores"]]),
+                 id="scores-off-the-points"),
+    pytest.param(_scale_v1, id="non-unit-v1"),
 ]
 
 

@@ -6,7 +6,9 @@ For each workload and seed, fits the training rows of `bench/harness.py`'s
 workload with its parameters and predicts its query rows. It then prints one
 JSON line. The line holds the fit's counters and the sha256 digests of
 `starts`, `group_of` (as `aggregate` returned them inside `fit`), the merge
-edges, the labels, the predicted query labels, the `to_json` text, the
+edges, the labels, the predicted query labels (of one call on every query
+row, and of the benchmark's streaming calls on 16 rows each, concatenated:
+`predict` may take a different search for each), the `to_json` text, the
 `explain_summary` text and `json.dumps` payload, and the text and payload of
 `explain_pair` on the benchmark's pair (`harness.far_pair`). Two trees that
 print the same lines gave the same results bit for bit.
@@ -59,6 +61,10 @@ def fingerprint(workload, seed: int) -> dict:
     summary = explain_summary(model)
     pair = explain_pair(model, *harness.far_pair(model, inputs.train, inputs.train_truth))
     small = components.sizes < harness.MINPTS
+    # the query rows of the benchmark's streaming predict calls, as it slices them
+    wrap = inputs.query.shape[0] - harness.SMALL_BATCH
+    streamed = [predict(model, inputs.query[lo:lo + harness.SMALL_BATCH])
+                for lo in (i * harness.SMALL_BATCH % wrap for i in range(harness.SMALL_CALLS))]
     return {
         "workload": workload.name,
         "seed": seed,
@@ -75,6 +81,7 @@ def fingerprint(workload, seed: int) -> dict:
             "edges": digest(model.merge_edges),
             "labels": digest(model.labels),
             "predict": digest(predict(model, inputs.query)),
+            "predict_small": digest(np.concatenate(streamed)),
             "to_json": text_digest(text),
             "summary_text": text_digest(summary.text),
             "summary_payload": text_digest(json.dumps(summary.structured)),
