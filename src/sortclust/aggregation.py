@@ -14,19 +14,20 @@ The rows of a window are a contiguous slice of the sorted data, so the
 sweep runs in blocks: the next free rows from the current start, as many as
 fit one product of at most ``_BLOCK`` entries against their joint window
 (the sizing rule of ``kernel.window_blocks``), are tested against that
-window in one matrix product, compared with R^2 through precomputed half
-squared norms (``kernel.within``). The block is then resolved in row order:
-a candidate claimed by an earlier start of the block is skipped; one still
-free starts a group and claims the rows of its own window that are within R
-and still free. Only candidates with a hit among the rows after them touch
-an array. dist_count counts, for each start, the free rows of its own
-window at its turn. A start whose window alone exceeds the budget (wide
-windows, few groups) is a block of its own, its window tested in column
-chunks.
+window in one float32 matrix product (on a copy made once per call),
+compared with R^2 through half squared norms (``kernel.within``). The block
+is then resolved in row order: a candidate claimed by an earlier start of
+the block is skipped; one still free starts a group and claims the rows of
+its own window that are within R and still free. Only candidates with a hit
+among the rows after them touch an array. dist_count counts, for each
+start, the free rows of its own window at its turn. A start whose window
+alone exceeds the budget (wide windows, few groups) is a block of its own,
+its window tested in column chunks.
 
-A test whose expanded-norm value lies within the rounding band of R^2 is
-decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
-so the groups are exactly those of the direct formula, whatever the blocks.
+A test whose value lies within the rounding band of R^2 (float32's, or
+float64's beyond float32's range) is decided again by the direct formula
+``diff = y - x; einsum(diff, diff)``, so the groups are exactly those of
+the direct formula, whatever the blocks.
 ``aggregate_reference`` in ``tests/_oracles.py`` is the same procedure on the
 direct formula, one start at a time and without the early exit.
 
@@ -41,7 +42,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, half_sq_norms, window_pad, within
+from .kernel import _BLOCK, half_sq_norms, single, window_pad, within
 from .prep import PreparedData
 
 
@@ -76,7 +77,7 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     # Window ends never decrease, so no row at or past the window end of the
     # latest start has been assigned yet.
     ends = np.searchsorted(scores, scores + (r + window_pad(X, r)), side="right")
-    half = half_sq_norms(X)
+    half, X32 = half_sq_norms(X), single(X)
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
@@ -102,17 +103,15 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
                 count = int(np.count_nonzero(free[a:b]))
                 if count:
                     dist_count += count
-                    hit = within(X[i:i + 1], half[i], X[a:b], half[a:b], r_sq)[0]
-                    hit &= free[a:b]
-                    rows = np.flatnonzero(hit)
-                    if rows.size:
-                        rows += a
-                        free[rows] = False
-                        group_of[rows] = g
+                    hit = within(X[i:i + 1], half[i], X[a:b], half[a:b], r_sq,
+                                 X32[i:i + 1], X32[a:b])[0]
+                    rows = a + np.flatnonzero(hit & free[a:b])
+                    free[rows] = False
+                    group_of[rows] = g
             g += 1
             last = i
         else:
-            g, count = _sweep_block(X, half, r_sq, free, group_of, starts, g,
+            g, count = _sweep_block(X, X32, half, r_sq, free, group_of, starts, g,
                                     cand[:m], e[:m])
             dist_count += count
             last = int(cand[m - 1])
@@ -123,7 +122,7 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     return np.concatenate(starts), group_of, dist_count
 
 
-def _sweep_block(X, half, r_sq, free, group_of, starts, g, cand, e):
+def _sweep_block(X, X32, half, r_sq, free, group_of, starts, g, cand, e):
     """Run the sweep over the candidate rows `cand` (free, ascending, each
     with window end `e`) from one product against their joint window.
 
@@ -135,7 +134,8 @@ def _sweep_block(X, half, r_sq, free, group_of, starts, g, cand, e):
     """
     lo, top = int(cand[0]) + 1, int(e[-1])
     free_cols = free[lo:top]
-    mask = within(np.take(X, cand, axis=0), half[cand, None], X[lo:top], half[lo:top], r_sq)
+    mask = within(np.take(X, cand, axis=0), half[cand, None], X[lo:top], half[lo:top], r_sq,
+                  np.take(X32, cand, axis=0), X32[lo:top])
     mask &= free_cols
     mask &= np.arange(lo, top) > cand[:, None]
     # free rows of each candidate's window before the block claims any

@@ -20,6 +20,15 @@ again by the direct formula. So is every value of a block whose squared
 norms come near the overflow limit or are not finite. Outside the band, the
 two formulas cannot disagree.
 
+``within`` screens in float32, half the bytes of float64: the product and
+the subtraction of the half norms run on float32 copies of the rows
+(``single``, made once by each caller), and every entry within the float32
+band (`_band32`) goes to the direct formula. A block whose bound s (|x|^2/2
++ |y|^2/2 + t/2) leaves [2^-100, 2^100) keeps the float64 expanded form:
+above, a cast could near float32's overflow; below, float32 underflow would
+swamp the band. So every decision, at every magnitude, is the direct
+formula's. ``nearest`` and ``nearest_by_score`` stay in float64.
+
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
 searches only the rows whose score lies within that bound (padded by
@@ -49,6 +58,9 @@ _BLOCK = _BLOCK_BYTES // 8
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+_SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # s screened in float32
 # Blocks whose half squared norms sum to this or more (or to inf or nan) are
 # decided by the direct formula; below it no inner product can overflow.
 _NORM_LIMIT = 2.0 ** 1020
@@ -74,6 +86,31 @@ def _band(d: int, s):
     them enter one comparison, which the absolute term covers.
     """
     return 4.0 * (d + 2) * (_EPS * s + _TINY)
+
+
+def _band32(d: int, s):
+    """Rounding band of the float32 screen, in half squared distance.
+
+    `s` is as for `_band`; |x||y| <= s. With u = eps32/2, the screen errs
+    by at most 2u |x||y| for casting the rows, d u |x||y| for the product in
+    any summation order, fused or not (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), 3u s for casting and subtracting
+    the half norm and 2u s for the float32 threshold and band ends: (d + 7)
+    u s, against a band of 8 (d + 4) u s. The float64 parts err by under
+    2^-26 of that. At most 2 d + 4 roundings underflow, each by half the
+    smallest float32 subnormal (times |y_k| <= sqrt(2 s) for a cast entry):
+    the absolute term covers them for s <= 1/2, the relative one above.
+    """
+    return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
+
+
+def single(points: np.ndarray) -> np.ndarray:
+    """A float32 copy of `points` for the screen of :func:`within`.
+
+    Entries beyond 2^64 are clipped, not cast to inf: no screened block
+    reads their rows (s > 2^100).
+    """
+    return np.clip(points, -2.0 ** 64, 2.0 ** 64, out=np.empty(points.shape, np.float32))
 
 
 def window_pad(points: np.ndarray, r: float) -> float:
@@ -107,30 +144,39 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float) -> np.ndarray:
+def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float,
+           a32=None, b32=None) -> np.ndarray:
     """(m, k) mask: whether |B[j] - A[i]|^2 <= t, as the direct formula decides.
 
     `half_a` holds the half squared norms of the rows of A as an (m, 1)
     column, or as a numpy scalar when A has one row; `half_b` those of B,
-    which must have a row. The caller keeps m * k within the block budget.
+    which must have a row; `a32` and `b32`, ``single`` copies of A and B,
+    are made here if not given. The caller keeps m * k within the budget.
     """
     s = half_a + (half_b.max() + 0.5 * t)
-    if (s < _NORM_LIMIT).all():
-        width = _band(A.shape[1], s)
+    thr = half_a - 0.5 * t
+    if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
+        h = np.matmul(single(A) if a32 is None else a32, (single(B) if b32 is None else b32).T)
+        h -= half_b.astype(np.float32)
+        width = _band32(A.shape[1], s)
+        lower, upper = np.float32(thr - width), np.float32(thr + width)
+    elif np.max(s) < _NORM_LIMIT:
         h = A @ B.T
         h -= half_b
-        thr = half_a - 0.5 * t
-        unsure = h > thr - width
-        if not unsure.any():
-            return unsure
-        hit = h >= thr + width
-        unsure ^= hit
+        width = _band(A.shape[1], s)
+        lower, upper = thr - width, thr + width
     else:
-        hit = np.zeros((A.shape[0], B.shape[0]), dtype=bool)
-        unsure = np.ones(hit.shape, dtype=bool)
-    if unsure.any():
-        ia, ib = np.nonzero(unsure)
-        hit[ia, ib] = _direct_sq(A, ia, B, ib) <= t
+        # near overflow, or not finite: the direct formula decides every entry
+        h, lower, upper = np.zeros((A.shape[0], B.shape[0])), -np.inf, np.inf
+    unsure = h > lower
+    if not unsure.any():
+        return unsure
+    hit = h >= upper
+    unsure ^= hit
+    at = np.flatnonzero(unsure)
+    if at.size:
+        ia, ib = np.divmod(at, B.shape[0])
+        hit.reshape(-1)[at] = _direct_sq(A, ia, B, ib) <= t
     return hit
 
 
@@ -160,7 +206,7 @@ def window_blocks(los: np.ndarray, his: np.ndarray):
         i += m
 
 
-def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def nearest(A: np.ndarray, B: np.ndarray, half_b=None) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
 
@@ -168,9 +214,9 @@ def nearest(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     twice the band (one band per block, from its largest norms) is decided
     by the product; otherwise every row of B within twice the band of the
     lead is a candidate, compared by the direct formula. So are the winners
-    of several column chunks. B must have a row.
+    of several column chunks. B must have a row; `half_b` may be given.
     """
-    return _nearest(A, half_sq_norms(A), B, half_sq_norms(B))
+    return _nearest(A, half_sq_norms(A), B, half_sq_norms(B) if half_b is None else half_b)
 
 
 def _nearest(A, half_a, B, half_b) -> np.ndarray:
@@ -202,7 +248,7 @@ def _nearest(A, half_a, B, half_b) -> np.ndarray:
             else:
                 win, unsure, cand = np.empty(nr, np.int64), np.arange(nr), np.ones((nr, nc), bool)
             if unsure.size:
-                ia, ib = np.nonzero(cand)
+                ia, ib = np.divmod(np.flatnonzero(cand), nc)
                 sq = _direct_sq(A, unsure[ia] + r0, Bc, ib)
                 # each row's candidates by distance, then index: the first of a row wins
                 order = np.lexsort((ib, sq, ia))
@@ -217,7 +263,7 @@ def _nearest(A, half_a, B, half_b) -> np.ndarray:
 
 
 def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
-                     score_b: np.ndarray) -> np.ndarray:
+                     score_b: np.ndarray, half_b=None, pad_b=None) -> np.ndarray:
     """:func:`nearest` for rows in score order, searched in score windows.
 
     `score_a` and `score_b` are the scores of the rows of A and B along one
@@ -225,13 +271,14 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     direct-formula distances from a row of A to the ``_SCORE_NEIGHBOURS``
     rows of B nearest to it in score bound its nearest distance by some ub.
     Scores are 1-Lipschitz, so every row of B within ub has a score within
-    ub + ``window_pad`` of the row's score (the rounding of the square root
-    is one unit roundoff more, which the pad's factor four covers): the
-    window holds the nearest row and every row tied with it, and the result
-    is the index ``nearest`` gives over all of B, ties going to the smallest
-    index. Consecutive rows of A whose joint window fits the block budget
-    (``window_blocks``) share one call of ``nearest`` on that contiguous
-    slice of B. B must have a row.
+    ub + ``window_pad(A, ub) + window_pad(B, 0)`` of the row's score (the
+    rounding of the square root is one unit roundoff more, which the pads'
+    factor four covers): the window holds the nearest row and every row
+    tied with it, and the result is the index ``nearest`` gives over all of
+    B, ties going to the smallest index. Consecutive rows of A whose joint
+    window fits the block budget (``window_blocks``) share one call of
+    ``nearest`` on that contiguous slice of B. B must have a row; `half_b`
+    and `pad_b` (``window_pad(B, 0.0)``) may be given.
     """
     m, k = A.shape[0], B.shape[0]
     near = min(_SCORE_NEIGHBOURS, k)
@@ -245,10 +292,10 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
         diff -= A[s:s + step, None]
         bound[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
     reach = np.sqrt(bound)
-    reach += np.maximum(window_pad(A, reach), window_pad(B, reach))
+    reach += window_pad(A, reach) + (window_pad(B, 0.0) if pad_b is None else pad_b)
     los = np.searchsorted(score_b, score_a - reach, side="left")
     his = np.searchsorted(score_b, score_a + reach, side="right")
-    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
+    half_a, half_b = half_sq_norms(A), half_sq_norms(B) if half_b is None else half_b
     best = np.empty(m, dtype=np.int64)
     for rows, lo, hi in window_blocks(los, his):
         best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], half_b[lo:hi])

@@ -10,12 +10,12 @@ components come from vectorized passes over that array.
 The distance criterion only pairs starting points within a score window of
 ``scale * R``, widened by a slack far above the rounding of the scores
 (``kernel.window_pad``). Each block of consecutive starting points is
-tested against the rows its windows span by one matrix product, read
-through the expanded form |x|^2/2 + |y|^2/2 - x.y against precomputed half
-squared norms (``kernel.within``). A pair whose expanded value lies within
-the rounding band of the threshold is decided again by the direct formula
-``diff = y - x; einsum(diff, diff)``, so the edges are exactly those of the
-direct formula.
+tested against the rows its windows span by one float32 matrix product (on
+copies made once per search), read through the expanded form |x|^2/2 +
+|y|^2/2 - x.y against precomputed half squared norms (``kernel.within``).
+A pair whose value lies within the rounding band of the threshold is
+decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
+so the edges are exactly those of the direct formula.
 
 Density merging takes its candidates from the same search. The same
 products also find, for each row, the centers within r of it among those in
@@ -31,7 +31,7 @@ import numpy as np
 
 from .aggregation import _finite_real, _radius
 from .geometry import overlap_fraction
-from .kernel import _BLOCK, _direct_sq, half_sq_norms, window_blocks, window_pad, within
+from .kernel import _BLOCK, _direct_sq, half_sq_norms, single, window_blocks, window_pad, within
 from .prep import PreparedData
 
 
@@ -146,14 +146,16 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     """For each row i of A, the j with los[i] <= j < his[i] and
     |B[j] - A[i]|^2 <= t: their number per row, and the j, ascending per
     row, row after row. One product per block of ``kernel.window_blocks``."""
-    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
+    half_a, half_b, a32, b32 = half_sq_norms(A), half_sq_norms(B), single(A), single(B)
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
         step = max(1, _BLOCK // (rows.stop - rows.start))
         for c in range(lo, hi, step):
             cols = slice(c, min(c + step, hi))
-            i, j = np.nonzero(within(A[rows], half_a[rows, None], B[cols], half_b[cols], t))
+            hits = within(A[rows], half_a[rows, None], B[cols], half_b[cols], t,
+                          a32[rows], b32[cols])
+            i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
             j += c
             keep = (j >= los[rows][i]) & (j < his[rows][i])
             counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aggregation import _finite_real, aggregate
-from .kernel import _BLOCK, _SCORE_NEIGHBOURS, nearest, nearest_by_score, window_pad
+from .kernel import (_BLOCK, _SCORE_NEIGHBOURS, half_sq_norms, nearest, nearest_by_score,
+                     window_pad)
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import PreparedData, prepare
@@ -78,6 +79,15 @@ class ClusterModel:
     dist_count: int
     n: int
     d: int
+    # predict's eligible groups, their points, half norms and window_pad(points, 0)
+    _eligible: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eligible = (self.group_cluster >= 0).nonzero()[0]
+        pts = (self.starting_points if eligible.size == self.group_cluster.size
+               else np.take(self.starting_points, eligible, axis=0))
+        object.__setattr__(self, "_eligible",
+                           (eligible, pts, half_sq_norms(pts), window_pad(pts, 0.0)))
 
     @property
     def num_groups(self) -> int:
@@ -255,21 +265,19 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible = (model.group_cluster >= 0).nonzero()[0]
+    eligible, pts, half, pad = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
-    pts = (model.starting_points if eligible.size == model.num_groups
-           else np.take(model.starting_points, eligible, axis=0))
     q = q - model.mean
     if not _by_score(q.shape[0], eligible.size):
-        return model.group_cluster[eligible[nearest(q, pts)]]
+        return model.group_cluster[eligible[nearest(q, pts, half)]]
     # scores along v1 / |v1|, which from_json admits within 1e-6 of a unit vector
     norm = float(np.linalg.norm(model.v1))
     scores = (q @ model.v1) / norm
     order = np.argsort(scores)
     near = np.empty(q.shape[0], dtype=np.int64)
     near[order] = nearest_by_score(np.take(q, order, axis=0), scores[order], pts,
-                                   model.starting_scores[eligible] / norm)
+                                   model.starting_scores[eligible] / norm, half, pad)
     return model.group_cluster[eligible[near]]
 
 

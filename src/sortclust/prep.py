@@ -173,6 +173,7 @@ def prepare(raw, extent: str = "norms") -> PreparedData:
     centered, mean = center(raw)
     v1, sigma1, sigma2 = first_principal_component(centered)
     ordered, scores, perm = score_and_sort(centered, v1)
+    del centered    # n * d floats fewer at the peak, under the norms' temporaries
     if extent == "scores":
         mext = median_extend(scores)
     elif extent == "norms":

@@ -12,8 +12,8 @@ from sortclust.merging import GroupClusterMap, density_merge, distance_merge
 from sortclust.postprocess import apply_minpts, fit, predict
 from sortclust.prep import PreparedData, prepare
 
-from _oracles import (aggregate_reference, brute_force_distance_edges, direct_nearest,
-                      direct_sq_matrix)
+from _oracles import (aggregate_reference, brute_force_density_edges,
+                      brute_force_distance_edges, direct_nearest, direct_sq_matrix)
 
 # Pythagorean offsets of length exactly 5 and 7.5 (= 1.5 * 5) in the plane.
 AT_R = [(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0)]
@@ -112,6 +112,94 @@ class TestFloatRange:
         assert np.array_equal(within_all(A, B, float(np.median(exact))),
                               exact <= np.median(exact))
         assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+
+class TestSingleBand:
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_pairs_at_the_threshold_far_from_the_origin(self, d):
+        """Rows about 1e3 from the origin and partners whose squared distance
+        lies within 6 float32 ulps of t, on both sides: every such pair lies
+        inside the float32 band, so the direct formula decides it.
+
+        Catches a float32 band set to 0, or built from float64's eps in
+        place of float32's: either lets the screen decide pairs that its
+        rounding (float32 ulps of half norms near 5e5) puts on the wrong side.
+        """
+        rng = np.random.default_rng(d)
+        eps32 = float(np.finfo(np.float32).eps)
+        centre = rng.normal(size=d)
+        A = 1e3 * centre / np.linalg.norm(centre) + rng.normal(size=(6, d))
+        t = 1.7
+        ulps = np.repeat(np.arange(-6, 7), 4)
+        dirs = rng.normal(size=(A.shape[0], ulps.size, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        B = (A[:, None] + dirs * np.sqrt(t * (1.0 + ulps * eps32))[:, None]).reshape(-1, d)
+        exact = direct_sq_matrix(A, B)
+        own = exact[np.arange(A.shape[0])[:, None],
+                    np.arange(B.shape[0]).reshape(A.shape[0], -1)]
+        assert np.all(np.abs(own / t - 1.0) <= 7 * eps32)
+        assert (own <= t).any() and (own > t).any()
+        # the block is one the float32 screen covers
+        assert kernel._SINGLE_LOW <= 0.5 * t and half_sq_norms(A).max() < kernel._SINGLE_HIGH
+        half_a, half_b = half_sq_norms(A)[:, None], half_sq_norms(B)
+        assert np.array_equal(within_all(A, B, t), exact <= t)
+        assert np.array_equal(within(A, half_a, B, half_b, t, kernel.single(A), kernel.single(B)),
+                              exact <= t)
+
+
+class TestRangeGuard:
+    @pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e-16, 3e-16, 1e14, 3e14, 1e20, 1e40])
+    def test_stages_beyond_and_at_the_edges_of_the_float32_range(self, scale):
+        # c09's samples, scaled past the float32 screen's range [2^-100,
+        # 2^100) of s (1e-30, 1e-20, 1e20, 1e40) and to either side of its
+        # ends (1e-16 and 3e14 outside, 3e-16 and 1e14 inside)
+        rng = np.random.default_rng(109)
+        for _ in range(5):
+            n, d = int(rng.integers(20, 200)), int(rng.integers(1, 6))
+            p = prepare(scale * rng.normal(0.0, 2.0, size=(n, d)))
+            r = 0.35 * p.mext
+            starts, _, _ = check_stages(p, r)
+            edges = density_merge(starts, p, r).edges
+            assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
+                p.centered, p.centered[starts], r, d)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-22, 1.0, 1e20])
+    def test_few_entries_go_to_the_direct_formula(self, scale, monkeypatch):
+        # outside the float32 range the float64 band is as sharp as the
+        # float32 one inside it; screening in float32 below the range, where
+        # the band's absolute term swamps its relative one, sends every entry
+        # to the direct formula
+        rechecked, direct_sq = [], kernel._direct_sq
+
+        def counting(A, ia, B, ib):
+            rechecked.append(ia.size)
+            return direct_sq(A, ia, B, ib)
+
+        monkeypatch.setattr(kernel, "_direct_sq", counting)
+        rng = np.random.default_rng(7)
+        A, B = scale * rng.normal(size=(100, 4)), scale * rng.normal(size=(200, 4))
+        exact = direct_sq_matrix(A, B)
+        t = float(np.median(exact))
+        assert np.array_equal(within_all(A, B, t), exact <= t)
+        assert sum(rechecked) <= 0.001 * exact.size
+
+    def test_rows_beyond_the_range_beside_rows_within_it(self):
+        # one row far beyond float32's range: the float32 copy clips it, its
+        # blocks keep float64, and every other block is screened in float32
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(300, 3))
+        pts[17] = [3e25, -1e25, 2e25]
+        p = by_hand(pts, np.array([0.6, 0.0, 0.8]))
+        for r in (0.2, 0.6):
+            starts, _, _ = check_stages(p, r)
+            edges = density_merge(starts, p, r).edges
+            assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
+                p.centered, p.centered[starts], r, 3)
+        # blocks holding that row, with no float32 copies given
+        A, B = pts[:20], pts[20:]
+        exact = direct_sq_matrix(A, B)
+        assert np.array_equal(within_all(A, B, 1.0), exact <= 1.0)
+        assert np.array_equal(within_all(B, A, 1.0), exact.T <= 1.0)
 
 
 class TestDimensions:
@@ -308,11 +396,16 @@ class TestBudget:
             return wrapped
 
         real_matmul = np.matmul
+        singles = []
 
-        def matmul(a, b, out):
-            # the products of the nearest search, whatever the call's shape
-            shapes.append(out.shape)
-            return real_matmul(a, b, out=out)
+        def matmul(a, b, out=None):
+            # the products of the nearest search, whatever the call's shape,
+            # and the float32 products of within's screen
+            product = real_matmul(a, b, out=out)
+            shapes.append(product.shape)
+            if product.dtype == np.float32:
+                singles.append(product.shape)
+            return product
 
         monkeypatch.setattr(kernel, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "_BLOCK", block)
@@ -341,3 +434,4 @@ class TestBudget:
         assert len(shapes) > before
         assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)
+        assert any(m > 1 for m, _ in singles)

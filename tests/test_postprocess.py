@@ -334,6 +334,26 @@ class TestPredictPaths:
                               np.repeat(expected, 50))
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_starts_are_prepared_once_per_model(self, path, monkeypatch):
+        # the eligible starts' half norms and window pad come with the model
+        # (from fit or from_json); a call computes those of its queries only
+        data, _ = make_blobs(400, 3, 4, 1.0, 2)
+        fitted = fit(data, radius=0.1, minpts=4, merge_mode="density", outlier_mode="separate")
+        models, queries, rows = (fitted, from_json(to_json(fitted))), data[:16] + 0.01, []
+
+        def recording(fn):
+            def wrapped(points, *rest):
+                rows.append(points.shape[0])
+                return fn(points, *rest)
+            return wrapped
+
+        monkeypatch.setattr(kernel, "half_sq_norms", recording(kernel.half_sq_norms))
+        monkeypatch.setattr(kernel, "window_pad", recording(kernel.window_pad))
+        for m in models:
+            assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
+        assert rows and max(rows) == queries.shape[0]
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_random_fits_with_outlier_groups(self, path):
         # density merging leaves small clusters, which "separate" mode drops,
         # so the eligible starts are a strict subset of the starts
