@@ -60,11 +60,18 @@ def _radius(r) -> float:
     return float(r)
 
 
+def _scale(scale) -> float:
+    """`scale` as a float; it must be a real in [1, 2], as `fit` requires."""
+    if not (_finite_real(scale) and 1.0 <= scale <= 2.0):
+        raise ValueError(f"scale must lie in [1, 2], got {scale!r}")
+    return float(scale)
+
+
 def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Partition the prepared points into groups of absolute radius `r`.
 
     `r` is the absolute threshold (the caller multiplies the unit-free radius
-    parameter by the median extend). Returns ``(starts, group_of,
+    parameter by the median row norm). Returns ``(starts, group_of,
     dist_count)``: the starting row of each group in creation order (i.e. by
     score), the group id of each sorted row, and the number of pairwise
     distance evaluations. A candidate is evaluated only while unassigned, so

@@ -25,8 +25,9 @@ THREADS_ENV_VAR = "SORTCLUST_THREADS"
 def thread_cap() -> int | None:
     """Upper bound on internal parallelism from the environment.
 
-    0 means strictly sequential; unset means no cap. The current
-    implementation computes sequentially either way, which satisfies any cap.
+    Unset means no cap. The package's own code runs on one thread, which
+    satisfies any cap; BLAS is not capped, as its threads are set by
+    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
     """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:

@@ -9,32 +9,11 @@ pinned down in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 _EPS = 1e-15        # convergence threshold for series / continued fractions
 _FPMIN = 1e-300     # keeps the modified Lentz recurrences away from 0
 _MAX_ITER = 500
 _MAX_LINEAR_DIM = 300   # above this, plain volumes under/overflow; use the log forms
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball of a given radius around a center point."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of the rows of `points` inside the ball (boundary included)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        diff = pts - np.asarray(self.center, dtype=np.float64)
-        return np.einsum("ij,ij->i", diff, diff) <= self.radius * self.radius
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -196,22 +175,3 @@ def intersection_volume(dist: float, radius: float, d: int) -> float:
     if frac == 0.0:
         return 0.0
     return ball_volume(radius, d) * frac
-
-
-def union_volume(dist: float, radius: float, d: int) -> float:
-    """Volume of the union of two d-balls of equal radius."""
-    return 2.0 * ball_volume(radius, d) - intersection_volume(dist, radius, d)
-
-
-def log_intersection_volume(dist: float, radius: float, d: int) -> float:
-    """log of the intersection volume; -inf when the balls do not overlap."""
-    frac = overlap_fraction(dist, radius, d)
-    if frac == 0.0:
-        return float("-inf")
-    return log_ball_volume(radius, d) + math.log(frac)
-
-
-def log_union_volume(dist: float, radius: float, d: int) -> float:
-    """log of the union volume; well-defined in any dimension."""
-    frac = overlap_fraction(dist, radius, d)
-    return log_ball_volume(radius, d) + math.log(2.0 - frac)

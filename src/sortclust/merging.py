@@ -29,22 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _finite_real, _radius
+from .aggregation import _radius, _scale
 from .geometry import overlap_fraction
 from .kernel import _BLOCK, _direct_sq, half_sq_norms, single, window_blocks, window_pad, within
 from .prep import PreparedData
-
-
-@dataclass(frozen=True, eq=False)
-class MergeGraph:
-    """Undirected graph on group indices; edges are merge decisions.
-
-    `edges` is an (E, 2) int64 array of pairs i < j, unique, sorted
-    lexicographically.
-    """
-
-    num_groups: int
-    edges: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,22 +95,22 @@ def _component_roots(num_groups: int, edges: np.ndarray) -> np.ndarray:
             parent = grand
 
 
-def connected_components(graph: MergeGraph, group_sizes=None) -> GroupClusterMap:
-    """Clusters = connected components of the merge graph.
+def connected_components(num_groups: int, edges, group_sizes=None) -> GroupClusterMap:
+    """Clusters = connected components of the graph on `num_groups` groups
+    with the (E, 2) array `edges` of group-id pairs.
 
     `group_sizes` gives the point count of each group (defaults to 1 each)
     and only affects the ordering of the resulting cluster ids.
     """
-    l = graph.num_groups
-    sizes = np.ones(l, dtype=np.int64) if group_sizes is None \
+    sizes = np.ones(num_groups, dtype=np.int64) if group_sizes is None \
         else np.asarray(group_sizes, dtype=np.int64)
-    roots = _component_roots(l, np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2))
+    roots = _component_roots(num_groups, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     cluster_of_group, cluster_sizes = relabel_by_size(roots, sizes)
     return GroupClusterMap(cluster_of_group=cluster_of_group,
                            k=len(cluster_sizes), sizes=cluster_sizes)
 
 
-def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.5) -> MergeGraph:
+def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.5) -> np.ndarray:
     """Edge (i, j) iff the two starting points are within ``scale * r``.
 
     Starting points must be listed in score order; the scan from each i stops
@@ -130,16 +118,13 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     for the rounding of the scores), which cannot skip a true edge because
     score gaps never exceed distances. Blocks of consecutive starting points
     are tested against their joint window by one matrix product each.
+    Returns the (E, 2) int64 array of the edges i < j, unique and sorted
+    lexicographically, as :func:`density_merge` does.
     """
-    r = _radius(r)
-    if not (_finite_real(scale) and 1.0 <= scale <= 2.0):
-        raise ValueError(f"scale must lie in [1, 2], got {scale!r}")
-    scale = float(scale)
+    threshold = _scale(scale) * _radius(r)
     sc = np.asarray(starting_scores, dtype=np.float64)
     pts = np.asarray(starting_points, dtype=np.float64)
-    threshold = scale * r
-    return MergeGraph(num_groups=sc.size,
-                      edges=_close_pairs(sc, pts, threshold, threshold * threshold))
+    return _close_pairs(sc, pts, threshold, threshold * threshold)
 
 
 def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +171,7 @@ def density_pair_test(count_union: int, count_inter: int, dist: float,
     return count_union * frac <= count_inter * (2.0 - frac)
 
 
-def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
+def density_merge(starts, prepared: PreparedData, r: float) -> np.ndarray:
     """Edge (i, j) iff the intersection of the two R-balls is at least as
     dense in data points as their union.
 
@@ -224,4 +209,4 @@ def density_merge(starts, prepared: PreparedData, r: float) -> MergeGraph:
     union = (np.bincount(ball, minlength=l)[pairs].sum(axis=1) - inter).tolist()
     dist = np.sqrt(_direct_sq(centers, pairs[:, 0], centers, pairs[:, 1])).tolist()
     merged = [density_pair_test(*args, r, prepared.d) for args in zip(union, inter.tolist(), dist)]
-    return MergeGraph(num_groups=l, edges=pairs[np.array(merged, dtype=bool)])
+    return pairs[np.array(merged, dtype=bool)]

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregation import _finite_real, aggregate
+from .aggregation import _finite_real, _radius, _scale, aggregate
 from .kernel import (_BLOCK, _SCORE_NEIGHBOURS, half_sq_norms, nearest, nearest_by_score,
                      window_pad)
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
-from .prep import PreparedData, prepare
+from .prep import prepare
 
 MODEL_FORMAT_VERSION = 1
 
@@ -42,12 +42,10 @@ class FitConfig:
     outlier_mode: str = "reassign"
 
     def validate(self) -> None:
-        if not (_finite_real(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        _radius(self.radius)
         if not (_finite_real(self.minpts) and int(self.minpts) == self.minpts >= 0):
             raise ValueError(f"minpts must be a nonnegative integer, got {self.minpts!r}")
-        if not (_finite_real(self.scale) and 1.0 <= self.scale <= 2.0):
-            raise ValueError(f"scale must lie in [1, 2], got {self.scale!r}")
+        _scale(self.scale)
         if self.merge_mode not in MERGE_MODES:
             raise ValueError(f"merge_mode must be one of {MERGE_MODES}")
         if self.outlier_mode not in OUTLIER_MODES:
@@ -166,34 +164,29 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
 
 
 def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
-        merge_mode: str = "distance", outlier_mode: str = "reassign",
-        extent: str = "norms") -> ClusterModel:
+        merge_mode: str = "distance", outlier_mode: str = "reassign") -> ClusterModel:
     """Cluster `data` (n x d matrix) and return the fitted model.
 
     `radius` is unit-free; the absolute grouping threshold is
-    radius * median extend of the data.
+    radius * the median row norm of the centered data.
     """
     config = FitConfig(radius=radius, minpts=minpts, scale=scale,
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
     config.validate()
     config = replace(config, radius=float(radius), minpts=int(minpts), scale=float(scale))
-    prepared = prepare(data, extent=extent)
-    return _fit_prepared(prepared, config)
-
-
-def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
+    prepared = prepare(data)
     r = effective_radius(config.radius, prepared.mext)
     starts, group_of, dist_count = aggregate(prepared, r)
     starting_points = np.take(prepared.centered, starts, axis=0)
     starting_scores = prepared.scores[starts]
 
     if config.merge_mode == "distance":
-        graph = distance_merge(starting_scores, starting_points, r, config.scale)
+        edges = distance_merge(starting_scores, starting_points, r, config.scale)
     else:
-        graph = density_merge(starts, prepared, r)
+        edges = density_merge(starts, prepared, r)
 
     group_sizes = np.bincount(group_of, minlength=starts.size)
-    merged = connected_components(graph, group_sizes)
+    merged = connected_components(starts.size, edges, group_sizes)
     final_map = apply_minpts(merged, group_sizes, starting_points, starting_scores,
                              config.minpts, config.outlier_mode)
 
@@ -209,7 +202,7 @@ def _fit_prepared(prepared: PreparedData, config: FitConfig) -> ClusterModel:
         starting_scores=starting_scores,
         group_cluster=final_map.cluster_of_group,
         cluster_sizes=final_map.sizes,
-        merge_edges=graph.edges,
+        merge_edges=edges,
         point_group=point_group,
         dist_count=dist_count,
         n=prepared.n,

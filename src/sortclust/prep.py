@@ -2,8 +2,8 @@
 
 The output of :func:`prepare` is the canonical input of the aggregation
 phase: rows reordered by their projection onto the top principal direction,
-together with the scale statistic (median extend) that makes the user-facing
-radius parameter unit-free.
+together with the scale statistic (the median row norm) that makes the
+user-facing radius parameter unit-free.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernel import _BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +35,7 @@ class PreparedData:
     sigma1, sigma2 : float
         First and second singular values of the centered matrix.
     mext : float
-        Scale of the unit-free radius: by default (``extent="norms"``) the
-        median norm of the centered rows; with ``extent="scores"`` the median
-        extend, the smallest value such that ceil(n/2) scores lie in
-        [-mext, mext].
+        Scale of the unit-free radius: the median norm of the centered rows.
     """
 
     centered: np.ndarray
@@ -149,36 +148,19 @@ def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.take(X, perm, axis=0), scores, perm
 
 
-def median_extend(scores) -> float:
-    """Smallest m such that ceil(n/2) of the scores lie in [-m, m].
-
-    O(n); equals the ceil(n/2)-th smallest absolute score.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    n = s.size
-    if n < 1:
-        raise ValueError("scores must be nonempty")
-    m = (n + 1) // 2
-    return float(np.partition(np.abs(s), m - 1)[m - 1])
-
-
-def prepare(raw, extent: str = "norms") -> PreparedData:
+def prepare(raw) -> PreparedData:
     """Run the full preparation pipeline on raw points.
 
-    `extent` selects the scale statistic: "norms" (default, the median row
-    norm of the centered data) or "scores" (the score-interval median extend,
-    cheaper but much smaller on multi-modal data whose modes straddle the
-    origin, which starves the radius).
+    The row norms behind `mext` are taken in blocks of about ``_BLOCK``
+    entries, so no n x d temporary is made for them; each row reduces as it
+    would in one call, so the norms are the same bit for bit.
     """
     centered, mean = center(raw)
     v1, sigma1, sigma2 = first_principal_component(centered)
     ordered, scores, perm = score_and_sort(centered, v1)
     del centered    # n * d floats fewer at the peak, under the norms' temporaries
-    if extent == "scores":
-        mext = median_extend(scores)
-    elif extent == "norms":
-        mext = float(np.median(np.linalg.norm(ordered, axis=1)))
-    else:
-        raise ValueError(f"unknown extent mode {extent!r}")
-    return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores,
-                        perm=perm, sigma1=sigma1, sigma2=sigma2, mext=mext)
+    step = max(1, _BLOCK // ordered.shape[1])
+    norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
+                            for i in range(0, ordered.shape[0], step)])
+    return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
+                        sigma1=sigma1, sigma2=sigma2, mext=float(np.median(norms)))

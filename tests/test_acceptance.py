@@ -44,11 +44,11 @@ def test_c01_pruning_exactness():
         assert np.array_equal(starts, starts_ref)
         assert np.array_equal(group_of, group_of_ref)
         scale = float(rng.uniform(1.0, 2.0))
-        dist_graph = distance_merge(p.scores[starts], p.centered[starts], r, scale)
-        assert set(map(tuple, dist_graph.edges.tolist())) == brute_force_distance_edges(
+        dist_edges = distance_merge(p.scores[starts], p.centered[starts], r, scale)
+        assert set(map(tuple, dist_edges.tolist())) == brute_force_distance_edges(
             p.centered[starts], r, scale)
-        dens_graph = density_merge(starts, p, r)
-        assert set(map(tuple, dens_graph.edges.tolist())) == brute_force_density_edges(
+        dens_edges = density_merge(starts, p, r)
+        assert set(map(tuple, dens_edges.tolist())) == brute_force_density_edges(
             p.centered, p.centered[starts], r, p.d)
     elapsed = time.time() - start
     report(1, elapsed < 60.0,
@@ -204,7 +204,7 @@ def test_c09_invariance():
 
 
 def test_c10_explain_goldens():
-    chain = fit([[0.0], [1.2], [2.4]], radius=0.8, scale=1.3, extent="scores")
+    chain = fit([[0.0], [1.2], [2.4]], radius=0.8, scale=1.3)
     pair = explain_pair(chain, 0, 2)
     assert pair.structured["path_text"] == "0 <-> 1 <-> 2"
     rng = np.random.default_rng(110)

@@ -9,6 +9,15 @@ from sortclust.prep import PreparedData, prepare
 
 from _oracles import aggregate_reference, brute_force_groups, windowed_dist_count
 
+BAD_RADII = (True, 0.0, -1.0, float("nan"), float("inf"), "0.5")
+
+
+def value_error(fn, *args, **kwargs) -> str:
+    """The message of the ValueError that `fn(*args, **kwargs)` raises."""
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
 
 def prepared_1d(values):
     """PreparedData for already-sorted 1-D points with v1 = [1]."""
@@ -77,8 +86,8 @@ class TestAggregate:
     def test_radius_follows_the_rule_of_fit(self):
         # a finite positive real, no boolean; numpy scalars run as the float
         p = prepared_1d([0.0, 0.2, 0.5, 1.0, 1.3])
-        with pytest.raises(ValueError):
-            aggregate(p, True)
+        for bad in BAD_RADII:
+            assert value_error(aggregate, p, bad) == value_error(fit, [[0.0]], radius=bad)
         got = aggregate(p, np.float32(0.3))
         want = aggregate(p, float(np.float32(0.3)))
         assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
@@ -86,8 +95,8 @@ class TestAggregate:
     def test_stats_average(self):
         # the per-point average lives on the model: aggregation count over n
         data = [[0.0], [0.5], [1.1], [5.0]]
-        model = fit(data, radius=0.6, extent="scores")
-        _, _, dist_count = aggregate(prepare(data, extent="scores"), model.r)
+        model = fit(data, radius=0.6)
+        _, _, dist_count = aggregate(prepare(data), model.r)
         assert model.dist_count == dist_count
         assert model.avg_dist_pp == dist_count / 4.0
 

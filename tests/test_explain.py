@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,12 +22,12 @@ import harness  # noqa: E402
 def chain_model():
     """Three one-point groups merged into one cluster along a score chain:
     adjacent gaps 1.2 pass scale*R = 1.248, the outer pair (2.4) does not."""
-    return fit([[0.0], [1.2], [2.4]], radius=0.8, scale=1.3, extent="scores")
+    return fit([[0.0], [1.2], [2.4]], radius=0.8, scale=1.3)
 
 
 class TestSummary:
     def test_toy_counts(self):
-        m = fit([[0.0], [0.1], [5.0], [5.1]], radius=0.3, extent="scores")
+        m = fit([[0.0], [0.1], [5.0], [5.1]], radius=0.3)
         report = explain_summary(m)
         assert report.kind == "summary"
         p = report.structured
@@ -65,7 +66,7 @@ class TestSummary:
 
     def test_outlier_line_in_separate_mode(self):
         data = [[0.0], [0.1], [0.2], [9.0]]
-        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate", extent="scores")
+        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate")
         report = explain_summary(m)
         assert report.structured["outlier_points"] == 1
         assert "* outliers : 1" in report.text
@@ -99,7 +100,7 @@ class TestPoint:
 
     def test_outlier_wording(self):
         data = [[0.0], [0.1], [0.2], [9.0]]
-        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate", extent="scores")
+        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate")
         report = explain_point(m, 3)
         assert report.structured["cluster"] == -1
         assert "outliers" in report.text
@@ -114,13 +115,13 @@ class TestPair:
         assert "connected via groups 0 <-> 1 <-> 2" in report.text
 
     def test_same_group(self):
-        m = fit([[0.0], [0.05], [10.0]], radius=0.5, extent="scores")
+        m = fit([[0.0], [0.05], [10.0]], radius=0.5)
         assert m.point_group[0] == m.point_group[1]
         report = explain_pair(m, 0, 1)
         assert report.structured["path"] == [0]
 
     def test_different_clusters(self):
-        m = fit([[0.0], [9.0]], radius=0.2, extent="scores")
+        m = fit([[0.0], [9.0]], radius=0.2)
         report = explain_pair(m, 0, 1)
         assert report.structured["same_cluster"] is False
         assert report.structured["path"] is None
@@ -129,8 +130,7 @@ class TestPair:
     def test_minpts_reassignment_has_no_path(self):
         # the point at 9 forms its own merged cluster; minPts folds it into
         # cluster #0, so no chain of merge edges joins the two groups
-        m = fit([[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]], radius=0.5, minpts=2,
-                extent="scores")
+        m = fit([[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]], radius=0.5, minpts=2)
         report = explain_pair(m, 0, 5)
         assert report.structured["same_cluster"] is True
         assert report.structured["path"] is None
@@ -145,9 +145,10 @@ class TestPair:
     def test_four_group_chain(self):
         # unit-spaced singleton groups, merge threshold 1.05: only adjacent
         # groups connect, so the end-to-end path walks the whole chain
+        # (the median row norm is 1, so r = 0.7)
         data = [[0.0], [1.0], [2.0], [3.0]]
-        m = fit(data, radius=1.4, scale=1.5, extent="scores")
-        assert m.num_groups == 4 and m.num_clusters == 1
+        m = fit(data, radius=0.7, scale=1.5)
+        assert m.r == 0.7 and m.num_groups == 4 and m.num_clusters == 1
         report = explain_pair(m, 0, 3)
         assert report.structured["path"] == [0, 1, 2, 3]
 
@@ -187,10 +188,12 @@ class TestFitStatsText:
 def lattice_model():
     """A 9 x 5 integer grid, one group per point, merged along the grid
     lines only (threshold 1.2): every merge weight is exactly 1, so most
-    group pairs are joined by many paths of equal weight."""
+    group pairs are joined by many paths of equal weight. The median row
+    norm is sqrt(8), so r = 0.6."""
     grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(5.0), indexing="ij"),
                     axis=-1).reshape(-1, 2)
-    m = fit(grid, radius=0.3, scale=2.0, extent="scores")
+    m = fit(grid, radius=0.6 / math.sqrt(8.0), scale=2.0)
+    assert m.r == 0.6
     assert m.num_groups == 45 and len(m.merge_edges) == 76 and m.num_clusters == 1
     return m
 
@@ -265,7 +268,7 @@ class TestAgainstReference:
             assert_paths_match(m, same_cluster_pairs(m, np.random.default_rng(3), 30))
 
     def test_model_without_merge_edges(self):
-        m = fit([[0.0], [5.0], [10.0], [10.05]], radius=0.05, minpts=2, extent="scores")
+        m = fit([[0.0], [5.0], [10.0], [10.05]], radius=0.05, minpts=2)
         assert m.merge_edges.shape == (0, 2) and m.num_clusters == 1
         for model in (m, from_json(to_json(m))):
             assert_summary_matches(model)

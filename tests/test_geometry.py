@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sortclust.geometry import (Ball, ball_volume, intersection_volume,
-                                log_ball_volume, log_intersection_volume,
-                                log_union_volume, overlap_fraction,
-                                reg_inc_beta, reg_inc_gamma_lower, union_volume)
+from sortclust.geometry import (ball_volume, intersection_volume, log_ball_volume,
+                                overlap_fraction, reg_inc_beta, reg_inc_gamma_lower)
 
 from _oracles import erf_series, interval_overlap_1d, lens_area_2d, mc_lens_volume
 
@@ -155,10 +153,7 @@ class TestIntersectionVolume:
     def test_bounds_chain(self):
         for d in (1, 2, 5):
             for dist in (0.3, 1.0, 1.7):
-                inter = intersection_volume(dist, 1.0, d)
-                ball = ball_volume(1.0, d)
-                union = union_volume(dist, 1.0, d)
-                assert 0.0 <= inter <= ball <= union <= 2.0 * ball + 1e-12
+                assert 0.0 <= intersection_volume(dist, 1.0, d) <= ball_volume(1.0, d)
 
     def test_monte_carlo_agreement(self):
         for d in (1, 2, 3, 5):
@@ -167,34 +162,9 @@ class TestIntersectionVolume:
                 assert abs(intersection_volume(dist, 1.0, d) - est) <= 3.0 * se
 
 
-class TestUnionVolume:
-    def test_limits(self):
-        assert union_volume(0.0, 1.0, 3) == pytest.approx(ball_volume(1.0, 3), rel=1e-12)
-        assert union_volume(2.0, 1.0, 3) == pytest.approx(2.0 * ball_volume(1.0, 3), rel=1e-12)
-        assert union_volume(1.0, 1.0, 1) == pytest.approx(3.0, rel=1e-12)
-
-    def test_log_forms(self):
-        for d in (1, 3, 8):
-            for dist in (0.4, 1.2):
-                assert math.exp(log_intersection_volume(dist, 1.0, d)) == pytest.approx(
-                    intersection_volume(dist, 1.0, d), rel=1e-10)
-                assert math.exp(log_union_volume(dist, 1.0, d)) == pytest.approx(
-                    union_volume(dist, 1.0, d), rel=1e-10)
-        assert log_intersection_volume(2.0, 1.0, 3) == float("-inf")
-
+class TestOverlapFraction:
     def test_overlap_fraction_range(self):
         for d in (1, 2, 10, 500):
             for dist in (0.0, 0.5, 1.5, 2.0):
                 f = overlap_fraction(dist, 1.0, d)
                 assert 0.0 <= f <= 1.0
-
-
-class TestBall:
-    def test_contains_boundary(self):
-        ball = Ball(center=np.array([0.0, 0.0]), radius=1.0)
-        mask = ball.contains(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-        assert mask.tolist() == [True, True, False]
-
-    def test_radius_validated(self):
-        with pytest.raises(ValueError):
-            Ball(center=np.zeros(2), radius=0.0)

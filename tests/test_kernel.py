@@ -42,10 +42,10 @@ def check_stages(p, r, scale=1.5):
     starts_ref, group_of_ref, _ = aggregate_reference(p, r)
     assert np.array_equal(starts, starts_ref)
     assert np.array_equal(group_of, group_of_ref)
-    graph = distance_merge(p.scores[starts], p.centered[starts], r, scale)
-    assert set(map(tuple, graph.edges.tolist())) == brute_force_distance_edges(
+    edges = distance_merge(p.scores[starts], p.centered[starts], r, scale)
+    assert set(map(tuple, edges.tolist())) == brute_force_distance_edges(
         p.centered[starts], r, scale)
-    return starts, group_of, graph
+    return starts, group_of, edges
 
 
 class TestLattice:
@@ -70,8 +70,8 @@ class TestLattice:
         data = np.vstack([half + 20.0, -(half + 20.0)])
         p = prepare(data)
         assert np.array_equal(p.mean, np.zeros(2))
-        starts, group_of, graph = check_stages(p, 5.0)
-        assert graph.edges.shape[0] > 0
+        starts, group_of, edges = check_stages(p, 5.0)
+        assert edges.shape[0] > 0
         assert starts.size < p.n
 
 
@@ -159,7 +159,7 @@ class TestRangeGuard:
             p = prepare(scale * rng.normal(0.0, 2.0, size=(n, d)))
             r = 0.35 * p.mext
             starts, _, _ = check_stages(p, r)
-            edges = density_merge(starts, p, r).edges
+            edges = density_merge(starts, p, r)
             assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, d)
 
@@ -192,7 +192,7 @@ class TestRangeGuard:
         p = by_hand(pts, np.array([0.6, 0.0, 0.8]))
         for r in (0.2, 0.6):
             starts, _, _ = check_stages(p, r)
-            edges = density_merge(starts, p, r).edges
+            edges = density_merge(starts, p, r)
             assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, 3)
         # blocks holding that row, with no float32 copies given
@@ -351,7 +351,7 @@ class TestSmallBlocks:
         monkeypatch.setattr(aggregation, "_BLOCK", 7)
         after = check_stages(p, r)
         assert all(np.array_equal(x, y) for x, y in zip(before[:2], after[:2]))
-        assert np.array_equal(before[2].edges, after[2].edges)
+        assert np.array_equal(before[2], after[2])
         assert np.array_equal(nearest(A, B), near)
         assert np.array_equal(near, direct_nearest(A, B))
 

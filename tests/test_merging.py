@@ -5,18 +5,19 @@ import pytest
 
 from sortclust import kernel, merging
 from sortclust.aggregation import aggregate
-from sortclust.merging import (MergeGraph, connected_components, density_merge,
-                               density_pair_test, distance_merge, relabel_by_size)
+from sortclust.merging import (connected_components, density_merge, density_pair_test,
+                               distance_merge, relabel_by_size)
+from sortclust.postprocess import fit
 from sortclust.prep import prepare
 
 from _oracles import (brute_force_components, brute_force_density_edges,
                       brute_force_distance_edges, direct_density_pairs, direct_sq_matrix)
 
-from test_aggregation import prepared_1d, prepared_raw
+from test_aggregation import BAD_RADII, prepared_1d, prepared_raw, value_error
 
 
-def edge_set(graph):
-    return set(map(tuple, graph.edges.tolist()))
+def edge_set(edges):
+    return set(map(tuple, edges.tolist()))
 
 
 def pairwise_density_edges(points, starting_points, r, d):
@@ -27,7 +28,7 @@ def pairwise_density_edges(points, starting_points, r, d):
 
 def check_density(p, starts, r, brute_force=True):
     """density_merge's edges, checked to be sorted and to equal both oracles."""
-    edges = density_merge(starts, p, r).edges
+    edges = density_merge(starts, p, r)
     assert edges.dtype == np.int64 and edges.shape[1] == 2
     assert np.array_equal(edges, np.unique(edges, axis=0))
     pts, found = p.centered[starts], set(map(tuple, edges.tolist()))
@@ -39,33 +40,33 @@ def check_density(p, starts, r, brute_force=True):
 
 class TestDistanceMerge:
     def test_one_dimensional_hand_check(self):
-        g = distance_merge(np.array([0.0, 1.2, 5.0]),
-                           np.array([[0.0], [1.2], [5.0]]), 1.0, 1.5)
-        assert g.edges.tolist() == [[0, 1]]
+        edges = distance_merge(np.array([0.0, 1.2, 5.0]),
+                               np.array([[0.0], [1.2], [5.0]]), 1.0, 1.5)
+        assert edges.tolist() == [[0, 1]]
 
     def test_single_group(self):
-        g = distance_merge(np.array([0.0]), np.array([[0.0]]), 1.0, 1.5)
-        assert g.edges.shape == (0, 2) and g.num_groups == 1
+        edges = distance_merge(np.array([0.0]), np.array([[0.0]]), 1.0, 1.5)
+        assert edges.shape == (0, 2)
 
     def test_boundary_distance_is_an_edge(self):
-        g = distance_merge(np.array([0.0, 1.5]), np.array([[0.0], [1.5]]), 1.0, 1.5)
-        assert g.edges.tolist() == [[0, 1]]
+        edges = distance_merge(np.array([0.0, 1.5]), np.array([[0.0], [1.5]]), 1.0, 1.5)
+        assert edges.tolist() == [[0, 1]]
 
     def test_pair_at_threshold_past_the_unpadded_window(self):
         # the pair is within 1.5 r by the direct formula, but s_0 + 1.5 r
         # rounds below the second score: only the padded window keeps it
         pts = np.array([[-7.116807745607325], [-2.840182650560313]])
         r = 2.8510833966980074
-        graph = distance_merge(pts[:, 0], pts, r, 1.5)
-        assert edge_set(graph) == brute_force_distance_edges(pts, r, 1.5) == {(0, 1)}
+        edges = distance_merge(pts[:, 0], pts, r, 1.5)
+        assert edge_set(edges) == brute_force_distance_edges(pts, r, 1.5) == {(0, 1)}
 
     def test_radius_follows_the_rule_of_fit(self):
         sc = np.array([0.0, 0.4, 1.0])
         pts = sc[:, None]
-        with pytest.raises(ValueError):
-            distance_merge(sc, pts, True)
-        assert np.array_equal(distance_merge(sc, pts, np.float32(0.3)).edges,
-                              distance_merge(sc, pts, float(np.float32(0.3))).edges)
+        for bad in BAD_RADII:
+            assert value_error(distance_merge, sc, pts, bad) == value_error(fit, pts, radius=bad)
+        assert np.array_equal(distance_merge(sc, pts, np.float32(0.3)),
+                              distance_merge(sc, pts, float(np.float32(0.3))))
 
     def test_scale_validation(self):
         sc = np.array([0.0, 1.0])
@@ -80,9 +81,10 @@ class TestDistanceMerge:
         r = 0.1
         sc = np.array([0.0, np.nextafter(1.5 * r, 1.0)])
         pts = sc[:, None]
-        assert distance_merge(sc, pts, r, np.float32(1.5)).edges.shape == (0, 2)
-        with pytest.raises(ValueError):
-            distance_merge(sc, pts, r, True)
+        assert distance_merge(sc, pts, r, np.float32(1.5)).shape == (0, 2)
+        for bad in (True, 0.99, 2.01, float("nan"), "1.5"):
+            assert value_error(distance_merge, sc, pts, r, bad) == value_error(
+                fit, pts, scale=bad)
 
     def test_pruned_equals_brute_force(self):
         rng = np.random.default_rng(8)
@@ -93,8 +95,8 @@ class TestDistanceMerge:
             r = float(rng.uniform(0.1, 2.0))
             scale = float(rng.uniform(1.0, 2.0))
             starts, _, _ = aggregate(p, r)
-            graph = distance_merge(p.scores[starts], p.centered[starts], r, scale)
-            assert edge_set(graph) == brute_force_distance_edges(
+            edges = distance_merge(p.scores[starts], p.centered[starts], r, scale)
+            assert edge_set(edges) == brute_force_distance_edges(
                 p.centered[starts], r, scale)
 
 
@@ -102,10 +104,11 @@ class TestDensityMerge:
     def test_radius_follows_the_rule_of_fit(self):
         p = prepared_1d([0.0, 0.2, 0.3, 0.5, 0.7, 1.5])
         starts, _, _ = aggregate(p, 0.25)
-        with pytest.raises(ValueError):
-            density_merge(starts, p, True)
-        assert np.array_equal(density_merge(starts, p, np.float32(0.3)).edges,
-                              density_merge(starts, p, float(np.float32(0.3))).edges)
+        for bad in BAD_RADII:
+            assert value_error(density_merge, starts, p, bad) == value_error(
+                fit, p.centered, radius=bad, merge_mode="density")
+        assert np.array_equal(density_merge(starts, p, np.float32(0.3)),
+                              density_merge(starts, p, float(np.float32(0.3))))
 
     def test_one_dimensional_hand_computation(self):
         # union [-1, 2.5] holds 5 points over length 3.5; the lens [0.5, 1.0]
@@ -113,14 +116,14 @@ class TestDensityMerge:
         p = prepared_1d([0.0, 0.6, 0.7, 0.9, 1.5])
         starts, _, _ = aggregate(p, 1.0)
         assert starts.tolist() == [0, 4]
-        graph = density_merge(starts, p, 1.0)
-        assert graph.edges.tolist() == [[0, 1]]
+        edges = density_merge(starts, p, 1.0)
+        assert edges.tolist() == [[0, 1]]
 
     def test_empty_lens_count_blocks_edge(self):
         p = prepared_1d([0.0, 0.0, 0.0, 1.5, 1.5])
         starts, _, _ = aggregate(p, 1.0)
-        graph = density_merge(starts, p, 1.0)
-        assert graph.edges.shape == (0, 2)
+        edges = density_merge(starts, p, 1.0)
+        assert edges.shape == (0, 2)
 
     def test_pair_just_inside_2r_past_the_unpadded_window(self):
         # centres 2r - 1e-10 apart along v1, far from the origin, with one
@@ -134,8 +137,8 @@ class TestDensityMerge:
         p = prepared_raw(pts, v1)
         starts = np.array([0, 2])
         assert p.scores[2] > p.scores[0] + 2.0 * r
-        graph = density_merge(starts, p, r)
-        assert edge_set(graph) == brute_force_density_edges(
+        edges = density_merge(starts, p, r)
+        assert edge_set(edges) == brute_force_density_edges(
             p.centered, p.centered[starts], r, 2) == {(0, 1)}
 
     def test_pair_test_zero_intersection_count(self):
@@ -158,8 +161,8 @@ class TestDensityMerge:
             p = prepare(rng.normal(size=(n, d)))
             r = float(rng.uniform(0.2, 1.5))
             starts, _, _ = aggregate(p, r)
-            graph = density_merge(starts, p, r)
-            assert edge_set(graph) == brute_force_density_edges(
+            edges = density_merge(starts, p, r)
+            assert edge_set(edges) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, p.d)
 
     @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
@@ -222,30 +225,30 @@ class TestDensityMerge:
 
 class TestConnectedComponents:
     def test_chain(self):
-        cmap = connected_components(MergeGraph(4, np.array([[0, 1], [1, 2]])))
+        cmap = connected_components(4, np.array([[0, 1], [1, 2]]))
         assert cmap.k == 2
         assert cmap.cluster_of_group.tolist() == [0, 0, 0, 1]
         assert cmap.sizes.tolist() == [3, 1]
 
     def test_no_edges(self):
-        cmap = connected_components(MergeGraph(3, np.empty((0, 2), dtype=np.int64)))
+        cmap = connected_components(3, np.empty((0, 2), dtype=np.int64))
         assert cmap.k == 3
         assert cmap.cluster_of_group.tolist() == [0, 1, 2]
 
     def test_spanning_chain(self):
-        cmap = connected_components(MergeGraph(5, np.array([[i, i + 1] for i in range(4)])))
+        cmap = connected_components(5, np.array([[i, i + 1] for i in range(4)]))
         assert cmap.k == 1
         assert cmap.sizes.tolist() == [5]
 
     def test_ids_ordered_by_point_count(self):
         # second component holds more points, so it takes id 0
-        cmap = connected_components(MergeGraph(4, np.array([[0, 1], [2, 3]])),
+        cmap = connected_components(4, np.array([[0, 1], [2, 3]]),
                                     group_sizes=[1, 1, 5, 5])
         assert cmap.cluster_of_group.tolist() == [1, 1, 0, 0]
         assert cmap.sizes.tolist() == [10, 2]
 
     def test_tie_broken_by_smallest_group_index(self):
-        cmap = connected_components(MergeGraph(4, np.array([[0, 3], [1, 2]])),
+        cmap = connected_components(4, np.array([[0, 3], [1, 2]]),
                                     group_sizes=[2, 2, 2, 2])
         assert cmap.cluster_of_group.tolist() == [0, 1, 1, 0]
 
@@ -262,7 +265,7 @@ class TestConnectedComponents:
             pairs = rng.integers(0, l, size=(int(rng.integers(0, l + 1)), 2))
             pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
             sizes = rng.integers(1, 4, size=l)
-            cmap = connected_components(MergeGraph(l, pairs.reshape(-1, 2)), sizes)
+            cmap = connected_components(l, pairs.reshape(-1, 2), sizes)
             expected, expected_sizes = brute_force_components(l, pairs.tolist(), sizes.tolist())
             assert cmap.cluster_of_group.tolist() == expected
             assert cmap.sizes.tolist() == expected_sizes

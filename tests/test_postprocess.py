@@ -18,16 +18,16 @@ class TestFit:
     def test_reassign_hand_trace(self):
         # R isolates the point at 9; minpts folds its singleton cluster back
         data = [[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]]
-        model = fit(data, radius=0.5, minpts=2, extent="scores")
+        model = fit(data, radius=0.5, minpts=2)
         assert model.labels.tolist() == [0, 0, 0, 0, 0, 0]
         assert model.cluster_sizes.tolist() == [6]
 
     def test_minpts_zero_and_one_are_no_ops(self):
         data = [[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]]
-        base = fit(data, radius=0.5, extent="scores")
+        base = fit(data, radius=0.5)
         assert base.labels.tolist() == [0, 0, 0, 0, 0, 1]
         for minpts in (0, 1):
-            m = fit(data, radius=0.5, minpts=minpts, extent="scores")
+            m = fit(data, radius=0.5, minpts=minpts)
             assert m.labels.tolist() == base.labels.tolist()
 
     def test_all_clusters_small_stays_unchanged(self):
@@ -38,7 +38,7 @@ class TestFit:
 
     def test_separate_mode_marks_outliers(self):
         data = [[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]]
-        m = fit(data, radius=0.5, minpts=2, outlier_mode="separate", extent="scores")
+        m = fit(data, radius=0.5, minpts=2, outlier_mode="separate")
         assert m.labels.tolist() == [0, 0, 0, 0, 0, -1]
         assert m.cluster_sizes.tolist() == [5]
         assert m.num_clusters == 1
@@ -86,7 +86,7 @@ class TestFit:
         assert m.config.radius == float(np.float32(0.5)) and m.config.scale == 1.5
 
     def test_integral_float_minpts_is_stored_as_an_integer(self):
-        m = fit([[0.0], [0.1], [9.0]], radius=0.5, minpts=2.0, extent="scores")
+        m = fit([[0.0], [0.1], [9.0]], radius=0.5, minpts=2.0)
         assert type(m.config.minpts) is int and m.config.minpts == 2
         assert from_json(to_json(m)).config.minpts == 2
 
@@ -123,7 +123,7 @@ class TestDegenerateData:
 
     def test_two_identical_clusters_of_duplicates(self):
         data = [[0.0]] * 5 + [[10.0]] * 5
-        m = fit(data, radius=0.4, extent="scores")
+        m = fit(data, radius=0.4)
         assert m.num_clusters == 2
         assert m.labels.tolist() == [0] * 5 + [1] * 5
 
@@ -157,9 +157,9 @@ class TestApplyMinpts:
                          sigma1=1.0, sigma2=0.0, mext=1.0)
         starts, group_of, _ = aggregate(p, 0.35)
         from sortclust.merging import distance_merge
-        graph = distance_merge(p.scores[starts], p.centered[starts], 0.35, 1.5)
+        edges = distance_merge(p.scores[starts], p.centered[starts], 0.35, 1.5)
         sizes = np.bincount(group_of)
-        cmap = connected_components(graph, sizes)
+        cmap = connected_components(starts.size, edges, sizes)
         new_map = apply_minpts(cmap, sizes, p.centered[starts], p.scores[starts], 3,
                                "reassign")
         assert new_map.k == 1
@@ -167,20 +167,18 @@ class TestApplyMinpts:
 
     def test_separate_renumbers_survivors(self):
         data = [[0.0], [0.1], [5.0], [5.1], [5.2], [9.0]]
-        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate", extent="scores")
+        m = fit(data, radius=0.2, minpts=2, outlier_mode="separate")
         # survivors: the size-3 cluster gets id 0, the size-2 cluster id 1
         assert m.labels.tolist() == [1, 1, 0, 0, 0, -1]
 
     def test_mode_validation(self):
-        from sortclust.merging import MergeGraph
         from sortclust.prep import prepare
 
         data = [[0.0], [1.0]]
         m = fit(data)
         starts, group_of, _ = aggregate(prepare(data), m.r)
         sizes = np.bincount(group_of)
-        cmap = connected_components(MergeGraph(starts.size, np.empty((0, 2), dtype=np.int64)),
-                                    sizes)
+        cmap = connected_components(starts.size, np.empty((0, 2), dtype=np.int64), sizes)
         with pytest.raises(ValueError):
             apply_minpts(cmap, sizes, m.starting_points, m.starting_scores, 2, "purge")
 
@@ -196,7 +194,7 @@ class TestPredict:
 
     def test_one_dimensional_nearest(self):
         data = [[0.0], [0.2], [5.0], [5.2]]
-        m = fit(data, radius=0.3, extent="scores")
+        m = fit(data, radius=0.3)
         assert m.num_clusters == 2
         cluster_of_high = m.labels[2]
         pred = predict(m, [[4.0]])
@@ -211,7 +209,7 @@ class TestPredict:
 
     def test_never_outlier_with_surviving_clusters(self):
         data = [[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]]
-        m = fit(data, radius=0.5, minpts=2, outlier_mode="separate", extent="scores")
+        m = fit(data, radius=0.5, minpts=2, outlier_mode="separate")
         pred = predict(m, [[9.0], [100.0], [0.0]])
         assert np.all(pred >= 0)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sortclust import fit, prep, to_json
-from sortclust.prep import (_stable_argsort, center, first_principal_component,
-                            median_extend, prepare, principal_plane, score_and_sort)
+from sortclust.prep import (_stable_argsort, center, first_principal_component, prepare,
+                            principal_plane, score_and_sort)
 
 from _oracles import singular_values_oracle, stable_score_sort
 
@@ -215,26 +215,6 @@ class TestStableOrder:
         assert to_json(fit(X, **kwargs)) == text
 
 
-class TestMedianExtend:
-    def test_two_points(self):
-        assert median_extend([-SQRT2, SQRT2]) == pytest.approx(SQRT2, rel=1e-15)
-
-    def test_degenerate_zeros(self):
-        assert median_extend([0.0, 0.0, 0.0]) == 0.0
-
-    def test_five_points_by_definition(self):
-        # sorted |scores| = [0, 1, 2, 3, 5]; the 3rd smallest is 2
-        assert median_extend([-3.0, -1.0, 0.0, 2.0, 5.0]) == 2.0
-
-    def test_half_within_interval(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            scores = np.sort(rng.normal(size=rng.integers(1, 60)))
-            m = median_extend(scores)
-            inside = np.count_nonzero(np.abs(scores) <= m)
-            assert inside >= (len(scores) + 1) // 2
-
-
 class TestPrepare:
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(21)
@@ -253,27 +233,13 @@ class TestPrepare:
             assert p.sigma1 >= p.sigma2 >= 0.0
             assert sorted(p.perm.tolist()) == list(range(n))
 
-    def test_score_extent_interval_mass(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(101, 3))
-        p = prepare(data, extent="scores")
-        inside = np.count_nonzero(np.abs(p.scores) <= p.mext)
-        assert inside >= 51
-
     def test_norm_extent_is_median_norm(self):
+        # bit for bit, on one block of rows and on many (_BLOCK // d rows each)
         rng = np.random.default_rng(4)
-        data = rng.normal(size=(41, 3))
-        p = prepare(data, extent="norms")
-        assert p.mext == pytest.approx(
-            float(np.median(np.linalg.norm(data - data.mean(axis=0), axis=1))),
-            rel=1e-12)
-        # a row norm dominates the score of that row, so the score-interval
-        # statistic can never exceed the norm median
-        assert prepare(data, extent="scores").mext <= p.mext + 1e-12
-
-    def test_unknown_extent(self):
-        with pytest.raises(ValueError):
-            prepare(np.ones((3, 2)), extent="widths")
+        for shape in [(41, 3), (1000, 1), (300, 129), (600, 1000), (40_000, 8)]:
+            data = rng.normal(size=shape)
+            centered = data - data.mean(axis=0)
+            assert prepare(data).mext == float(np.median(np.linalg.norm(centered, axis=1)))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(33)
