@@ -14,15 +14,35 @@ The rows of a window are a contiguous slice of the sorted data, so the
 sweep runs in blocks: the next free rows from the current start, as many as
 fit one product of at most ``_BLOCK`` entries against their joint window
 (the sizing rule of ``kernel.window_blocks``), are tested against that
-window in one float32 matrix product (on a copy made once per call),
-compared with R^2 through half squared norms (``kernel.within``). The block
-is then resolved in row order: a candidate claimed by an earlier start of
-the block is skipped; one still free starts a group and claims the rows of
-its own window that are within R and still free. Only candidates with a hit
-among the rows after them touch an array. dist_count counts, for each
-start, the free rows of its own window at its turn. A start whose window
-alone exceeds the budget (wide windows, few groups) is a block of its own,
-its window tested in column chunks.
+window in one float32 matrix product, compared with R^2 through half
+squared norms (``kernel.within``). The block is then resolved in row order:
+a candidate claimed by an earlier start of the block is skipped; one still
+free starts a group and claims the rows of its own window that are within R
+and still free. Only candidates with a hit among the rows after them touch
+an array. dist_count counts, for each start, the free rows of its own
+window at its turn. A start whose window alone exceeds the budget (wide
+windows, few groups) is a block of its own, its window tested in column
+chunks. Whether a start goes alone, and how many candidates share its
+block, is decided on the windows in rows, so that dropping claimed rows
+(below) does not turn the wide windows of starts that claim most of them
+into blocks whose later candidates are mostly claimed already.
+
+The products run on a layout of the rows still free, made once per call:
+slot j holds row ``ids[j]``, its float32 copy and its float64 and float32
+half squared norms, in score order, with a flag for whether it is still
+free. Every row at or past the latest window end is free and in its own
+slot. A compaction moves the free rows of the zone between the next start
+and that end to the right end of the zone, in place and in order: they stay
+contiguous with the untouched rows after them, so every later window is
+still one slice of slots, holding all its free rows and no row claimed
+before the compaction. The direct re-checks read the float64 rows of X
+through ``ids``. A compaction runs when less than half of the next start's
+window is free. The zone then holds more claimed rows than free ones, so a
+compaction moves fewer rows than it drops, and since a row is dropped once,
+all compactions together move fewer than n rows. A start that goes alone
+multiplies at most 2c + 1 columns for its c evaluations. dist_count is
+unchanged, since every window holds the same free rows in either layout and
+claimed rows are never counted.
 
 A test whose value lies within the rounding band of R^2 (float32's, or
 float64's beyond float32's range) is decided again by the direct formula
@@ -84,65 +104,102 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     # Window ends never decrease, so no row at or past the window end of the
     # latest start has been assigned yet.
     ends = np.searchsorted(scores, scores + (r + window_pad(X, r)), side="right")
-    half, X32 = half_sq_norms(X), single(X)
+    half = half_sq_norms(X)
+    # the layout: slot j holds row ids[j], its float32 row and half norms
+    ids, X32, half32 = np.arange(n), single(X), single(half)
+    layout = (ids, X32, half, half32)
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
     lookahead = math.isqrt(_BLOCK) + 2    # a block of m candidates spans >= m - 1 columns
     steps = np.arange(1, lookahead + 1)
     g = dist_count = 0
-    i = 0
+    i = zone = 0    # the slot of the next start; the latest window end
+    left = n        # rows neither started nor claimed: the free slots from i on
     while i < n:
-        hi = int(ends[i])
+        hi = int(ends[ids[i]])
+        if 2 * (left - (n - hi)) < hi - i:
+            # under half the window is free: drop the zone's claimed rows
+            i = _compact(layout, free, i, zone)
         m = 1
-        if 2 * (hi - i - 1) <= _BLOCK:
+        row = int(ids[i])
+        # blocks are sized on the windows in rows (see the module docstring)
+        if 2 * (hi - row - 1) <= _BLOCK:
             # the next free rows, as many as fit one product with their joint window
             cand = i + np.flatnonzero(free[i:hi + lookahead])[:lookahead]
-            e = ends[cand]
-            m = max(1, int(np.searchsorted((e - (i + 1)) * steps[:cand.size], _BLOCK,
+            e = ends[ids[cand]]
+            m = max(1, int(np.searchsorted((e - (row + 1)) * steps[:cand.size], _BLOCK,
                                            side="right")))
         if m == 1:
             # this start alone; a window too wide for one product goes in column chunks
-            starts.append(np.array([i]))
-            group_of[i] = g
+            starts.append(np.array([row]))
+            group_of[row] = g
+            left -= 1
             for a in range(i + 1, hi, _BLOCK):
                 b = min(a + _BLOCK, hi)
                 count = int(np.count_nonzero(free[a:b]))
                 if count:
                     dist_count += count
-                    hit = within(X[i:i + 1], half[i], X[a:b], half[a:b], r_sq,
-                                 X32[i:i + 1], X32[a:b])[0]
-                    rows = a + np.flatnonzero(hit & free[a:b])
-                    free[rows] = False
-                    group_of[rows] = g
+                    hit = within(X[row:row + 1], half[i], X, half[a:b], r_sq,
+                                 X32[i:i + 1], X32[a:b], half32[a:b], ids[a:b])[0]
+                    slots = a + np.flatnonzero(hit & free[a:b])
+                    free[slots] = False
+                    group_of[ids[slots]] = g
+                    left -= slots.size
             g += 1
             last = i
         else:
-            g, count = _sweep_block(X, X32, half, r_sq, free, group_of, starts, g,
-                                    cand[:m], e[:m])
+            g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g,
+                                           cand[:m], e[:m])
             dist_count += count
+            left -= taken
             last = int(cand[m - 1])
         # the next start is the first free row after the last candidate, or its window end
-        lo, hi = last + 1, int(ends[last])
-        k = int(free[lo:hi].argmax()) if hi > lo else 0
-        i = lo + k if hi > lo and free[lo + k] else hi
+        lo, zone = last + 1, int(ends[ids[last]])
+        k = int(free[lo:zone].argmax()) if zone > lo else 0
+        i = lo + k if zone > lo and free[lo + k] else zone
     return np.concatenate(starts), group_of, dist_count
 
 
-def _sweep_block(X, X32, half, r_sq, free, group_of, starts, g, cand, e):
-    """Run the sweep over the candidate rows `cand` (free, ascending, each
+def _compact(layout, free, lo: int, hi: int) -> int:
+    """Move the free slots of [lo, hi) to its right end, in order, and
+    return the first of them.
+
+    Each array of `layout` moves with them. The slots go a budget's worth at
+    a time, the highest first: a slot only moves right, and never onto a
+    slot still to be moved.
+    """
+    top = hi
+    # a chunk's indices and float32 rows take 8 + 4 d bytes a slot
+    step = max(1, _BLOCK // (layout[1].shape[1] + 1))
+    for b in range(hi, lo, -step):
+        a = max(lo, b - step)
+        src = np.flatnonzero(free[a:b])
+        src += a
+        for column in layout:
+            column[top - src.size:top] = np.take(column, src, axis=0)
+        top -= src.size
+    free[lo:top] = False
+    free[top:hi] = True
+    return top
+
+
+def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e):
+    """Run the sweep over the candidate slots `cand` (free, ascending, each
     with window end `e`) from one product against their joint window.
 
-    In row order, a candidate still free becomes the start of group g, g + 1,
+    In slot order, a candidate still free becomes the start of group g, g + 1,
     ... and claims the rows of its own window that are within r and still
     free; a candidate claimed by an earlier start of the block is skipped.
     Appends the new starts, updates `free` and `group_of`, and returns the
-    next group id and the block's distance evaluations.
+    next group id, the block's distance evaluations and the number of rows
+    it started or claimed.
     """
+    ids, X32, half, half32 = layout
     lo, top = int(cand[0]) + 1, int(e[-1])
     free_cols = free[lo:top]
-    mask = within(np.take(X, cand, axis=0), half[cand, None], X[lo:top], half[lo:top], r_sq,
-                  np.take(X32, cand, axis=0), X32[lo:top])
+    mask = within(np.take(X, ids[cand], axis=0), half[cand, None], X, half[lo:top], r_sq,
+                  np.take(X32, cand, axis=0), X32[lo:top], half32[lo:top], ids[lo:top])
     mask &= free_cols
     mask &= np.arange(lo, top) > cand[:, None]
     # free rows of each candidate's window before the block claims any
@@ -163,16 +220,18 @@ def _sweep_block(X, X32, half, r_sq, free, group_of, starts, g, cand, e):
                 claimed.append(rows)
     is_start = free[cand]
     block_starts = cand[is_start]
-    ids = g - 1 + np.cumsum(is_start)
-    group_of[block_starts] = ids[is_start]
-    starts.append(block_starts)
+    gids = g - 1 + np.cumsum(is_start)
+    group_of[ids[block_starts]] = gids[is_start]
+    starts.append(ids[block_starts])
     evaluations = int(counts[is_start].sum())
+    taken = block_starts.size
     if claimed:
         # a start's window loses the rows claimed before its turn: a row j
         # claimed by candidate k is counted by every later start below j
         owner = np.repeat(owners, [rows.size for rows in claimed])
         rows = np.concatenate(claimed)
-        group_of[rows] = ids[owner]
+        group_of[ids[rows]] = gids[owner]
         evaluations -= int(np.searchsorted(block_starts, rows).sum()
                            - np.searchsorted(block_starts, cand[owner], side="right").sum())
-    return g + block_starts.size, evaluations
+        taken += rows.size
+    return g + block_starts.size, evaluations, taken

@@ -21,13 +21,14 @@ norms come near the overflow limit or are not finite. Outside the band, the
 two formulas cannot disagree.
 
 ``within`` screens in float32, half the bytes of float64: the product and
-the subtraction of the half norms run on float32 copies of the rows
-(``single``, made once by each caller), and every entry within the float32
-band (`_band32`) goes to the direct formula. A block whose bound s (|x|^2/2
-+ |y|^2/2 + t/2) leaves [2^-100, 2^100) keeps the float64 expanded form:
-above, a cast could near float32's overflow; below, float32 underflow would
-swamp the band. So every decision, at every magnitude, is the direct
-formula's. ``nearest`` and ``nearest_by_score`` stay in float64.
+the subtraction of the half norms run on float32 copies of the rows and of
+their half norms (``single``, made once by each caller), and every entry
+within the float32 band (`_band32`) goes to the direct formula. A block
+whose bound s (|x|^2/2 + |y|^2/2 + t/2) leaves [2^-100, 2^100) keeps the
+float64 expanded form: above, a cast could near float32's overflow; below,
+float32 underflow would swamp the band. So every decision, at every
+magnitude, is the direct formula's. ``nearest`` and ``nearest_by_score``
+stay in float64.
 
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
@@ -104,13 +105,15 @@ def _band32(d: int, s):
     return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
 
 
-def single(points: np.ndarray) -> np.ndarray:
-    """A float32 copy of `points` for the screen of :func:`within`.
+def single(values: np.ndarray) -> np.ndarray:
+    """A float32 copy of `values` (rows, or half squared norms) for the
+    screen of :func:`within`.
 
-    Entries beyond 2^64 are clipped, not cast to inf: no screened block
-    reads their rows (s > 2^100).
+    Entries beyond 2^100 are clipped, not cast to inf: no screened block
+    reads them (its s, which bounds every half squared norm it reads, is
+    below 2^100).
     """
-    return np.clip(points, -2.0 ** 64, 2.0 ** 64, out=np.empty(points.shape, np.float32))
+    return np.clip(values, -_SINGLE_HIGH, _SINGLE_HIGH, out=np.empty(values.shape, np.float32))
 
 
 def window_pad(points: np.ndarray, r: float) -> float:
@@ -145,29 +148,41 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
 
 
 def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float,
-           a32=None, b32=None) -> np.ndarray:
+           a32=None, b32=None, half_b32=None, b_rows=None) -> np.ndarray:
     """(m, k) mask: whether |B[j] - A[i]|^2 <= t, as the direct formula decides.
 
     `half_a` holds the half squared norms of the rows of A as an (m, 1)
-    column, or as a numpy scalar when A has one row; `half_b` those of B,
-    which must have a row; `a32` and `b32`, ``single`` copies of A and B,
-    are made here if not given. The caller keeps m * k within the budget.
+    column, or as a numpy scalar when A has one row; `half_b` those of the k
+    rows of B, which must have a row. `a32`, `b32` and `half_b32`, the
+    ``single`` copies of A, B and `half_b`, are made here if not given. If
+    `b_rows` is given, the k rows are ``B[b_rows]``, gathered only where
+    their float64 values are read. The caller keeps m * k within the budget.
     """
+    k = half_b.shape[0]
     s = half_a + (half_b.max() + 0.5 * t)
     thr = half_a - 0.5 * t
     if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
-        h = np.matmul(single(A) if a32 is None else a32, (single(B) if b32 is None else b32).T)
-        h -= half_b.astype(np.float32)
+        if b32 is None:
+            b32 = single(B if b_rows is None else B[b_rows])
+        h = np.matmul(single(A) if a32 is None else a32, b32.T)
+        h -= single(half_b) if half_b32 is None else half_b32
         width = _band32(A.shape[1], s)
         lower, upper = np.float32(thr - width), np.float32(thr + width)
     elif np.max(s) < _NORM_LIMIT:
-        h = A @ B.T
+        if b_rows is None:
+            h = A @ B.T
+        else:
+            # the gathered rows of B, a budget's worth at a time
+            h = np.empty((A.shape[0], k))
+            step = max(1, _BLOCK // B.shape[1])
+            for c in range(0, k, step):
+                h[:, c:c + step] = A @ B[b_rows[c:c + step]].T
         h -= half_b
         width = _band(A.shape[1], s)
         lower, upper = thr - width, thr + width
     else:
         # near overflow, or not finite: the direct formula decides every entry
-        h, lower, upper = np.zeros((A.shape[0], B.shape[0])), -np.inf, np.inf
+        h, lower, upper = np.zeros((A.shape[0], k)), -np.inf, np.inf
     unsure = h > lower
     if not unsure.any():
         return unsure
@@ -175,8 +190,8 @@ def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float,
     unsure ^= hit
     at = np.flatnonzero(unsure)
     if at.size:
-        ia, ib = np.divmod(at, B.shape[0])
-        hit.reshape(-1)[at] = _direct_sq(A, ia, B, ib) <= t
+        ia, ib = np.divmod(at, k)
+        hit.reshape(-1)[at] = _direct_sq(A, ia, B, ib if b_rows is None else b_rows[ib]) <= t
     return hit
 
 

@@ -132,6 +132,7 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     |B[j] - A[i]|^2 <= t: their number per row, and the j, ascending per
     row, row after row. One product per block of ``kernel.window_blocks``."""
     half_a, half_b, a32, b32 = half_sq_norms(A), half_sq_norms(B), single(A), single(B)
+    half_b32 = single(half_b)
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
@@ -139,7 +140,7 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
         for c in range(lo, hi, step):
             cols = slice(c, min(c + step, hi))
             hits = within(A[rows], half_a[rows, None], B[cols], half_b[cols], t,
-                          a32[rows], b32[cols])
+                          a32[rows], b32[cols], half_b32[cols])
             i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
             j += c
             keep = (j >= los[rows][i]) & (j < his[rows][i])

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sortclust import aggregation
+from sortclust import aggregation, kernel
 from sortclust.aggregation import aggregate
 from sortclust.kernel import window_pad
 from sortclust.postprocess import fit
@@ -215,3 +217,143 @@ class TestBlockedSweep:
         rng = np.random.default_rng(9)
         p = prepare(rng.normal(size=(150, 3)))
         check_sweep(p, 0.9 * p.mext)
+
+
+def recorded_compactions(monkeypatch) -> list[tuple[int, int]]:
+    """(free rows, rows) of the zone of each compaction `aggregate` makes."""
+    zones = []
+    real = aggregation._compact
+
+    def recording(layout, free, lo, hi):
+        zones.append((int(np.count_nonzero(free[lo:hi])), hi - lo))
+        return real(layout, free, lo, hi)
+
+    monkeypatch.setattr(aggregation, "_compact", recording)
+    return zones
+
+
+def moves_fewer_than_it_drops(zones) -> bool:
+    """Whether each compaction moved fewer (free) rows than it dropped."""
+    return all(2 * free < size for free, size in zones)
+
+
+def recorded_columns(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, columns) of each product `aggregate` asks of the kernel."""
+    shapes = []
+    real = aggregation.within
+
+    def recording(A, half_a, B, half_b, *rest):
+        shapes.append((A.shape[0], half_b.shape[0]))
+        return real(A, half_a, B, half_b, *rest)
+
+    monkeypatch.setattr(aggregation, "within", recording)
+    return shapes
+
+
+def wide_groups(seed, n, d, k):
+    """n points in k unit blobs: a start claims much of its window, and the
+    rows it leaves start groups inside the windows of earlier starts."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=4.0, size=(k, d))
+    return centres[rng.integers(k, size=n)] + rng.normal(size=(n, d))
+
+
+def strip(seed, n=600, scale=1.0):
+    """Points 0.02 apart along x, spread over 3 in y, in score order along
+    x: with r = scale, every window holds about 50 rows, of which a start
+    claims some and leaves the rest."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack((np.arange(n) * 0.02, rng.uniform(0.0, 3.0, n)))
+    return prepared_raw(scale * pts, [1.0, 0.0])
+
+
+class TestCompactedSweep:
+    @pytest.mark.parametrize("block", [7, 400, aggregation._BLOCK])
+    def test_few_wide_groups_compact_and_match(self, block, monkeypatch):
+        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        zones = recorded_compactions(monkeypatch)
+        for seed in range(3):
+            for d, k, radius in ((2, 3, 0.3), (3, 2, 0.5)):
+                p = prepare(wide_groups(seed, 800, d, k))
+                check_sweep(p, radius * p.mext)
+        # the default budget puts up to 364 candidates in one block, which
+        # leaves fewer zones behind
+        assert len(zones) >= (5 if block == aggregation._BLOCK else 20)
+        assert moves_fewer_than_it_drops(zones)
+
+    def test_products_skip_the_dropped_rows(self, monkeypatch):
+        # each window (about 50 rows) is one column chunk and too wide to
+        # share a block at a budget of 60 entries: without compaction the
+        # products would cover the windows exactly
+        monkeypatch.setattr(aggregation, "_BLOCK", 60)
+        zones = recorded_compactions(monkeypatch)
+        shapes = recorded_columns(monkeypatch)
+        r = 1.0
+        for seed in (0, 3):
+            p = strip(seed)
+            del shapes[:]
+            starts, _, _ = check_sweep(p, r)
+            ends = np.searchsorted(p.scores, p.scores + (r + window_pad(p.centered, r)),
+                                   side="right")
+            assert sum(k for _, k in shapes) < int((ends[starts] - starts - 1).sum())
+        assert len(zones) >= 4 and moves_fewer_than_it_drops(zones)
+
+    def test_windows_split_into_column_chunks(self, monkeypatch):
+        # windows of about 50 rows against a budget of 7 entries: every
+        # start goes alone, its compacted window in chunks of 7 columns
+        monkeypatch.setattr(aggregation, "_BLOCK", 7)
+        zones = recorded_compactions(monkeypatch)
+        shapes = recorded_columns(monkeypatch)
+        for seed in range(3):
+            check_sweep(strip(seed), 1.0)
+        assert len(zones) >= 6 and moves_fewer_than_it_drops(zones)
+        assert all(m == 1 and k <= 7 for m, k in shapes)
+
+    @pytest.mark.parametrize("block", [7, 400])
+    def test_equal_scores_and_duplicate_rows(self, block, monkeypatch):
+        # points of a coarse lattice: most rows have duplicates, and whole
+        # columns of the lattice share one score
+        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        zones = recorded_compactions(monkeypatch)
+        rng = np.random.default_rng(block)
+        for _ in range(3):
+            pts = 0.25 * rng.integers(0, 12, size=(500, 2)).astype(np.float64)
+            pts = pts[np.argsort(pts[:, 0], kind="stable")]
+            p = prepared_raw(pts, [1.0, 0.0])
+            for r in (0.3, 0.8):
+                check_sweep(p, r)
+        assert zones and moves_fewer_than_it_drops(zones)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e40, 1e154])
+    def test_scales_beyond_the_float32_screen(self, scale, monkeypatch):
+        # s below 2^-100 (1e-30) or above 2^100 (1e40): every block takes the
+        # float64 expanded form, its gathered rows in chunks of the budget;
+        # at 1e154, r^2 / 2 exceeds the norm limit and the direct formula
+        # decides every entry
+        monkeypatch.setattr(kernel, "_BLOCK", 7)
+        for block in (7, 60):
+            monkeypatch.setattr(aggregation, "_BLOCK", block)
+            zones = recorded_compactions(monkeypatch)
+            for seed in range(2):
+                p = strip(seed, scale=scale)
+                s = kernel.half_sq_norms(p.centered) + 0.5 * scale * scale
+                limit = kernel._NORM_LIMIT if scale > 1e100 else kernel._SINGLE_HIGH
+                assert s.max() < kernel._SINGLE_LOW or s.min() >= limit
+                # at 1e154 the window count's squares overflow to inf, as the
+                # direct formula's do
+                with np.errstate(over="ignore"):
+                    check_sweep(p, scale)
+            assert zones and moves_fewer_than_it_drops(zones)
+
+
+def test_products_stay_near_the_evaluations_on_few_groups(monkeypatch):
+    # the benchmark's few-groups training rows: with the claimed rows
+    # dropped, the sweep multiplies at most 1.5 entries per evaluation
+    # (2.8 when every window was multiplied whole)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import harness
+    workload = harness.WORKLOADS["few-groups"]
+    p = prepare(harness.make_inputs(workload, 3).train)
+    shapes = recorded_columns(monkeypatch)
+    _, _, dist_count = aggregate(p, workload.radius * p.mext)
+    assert sum(m * k for m, k in shapes) <= 1.5 * dist_count

@@ -2,6 +2,8 @@
 edges: exact ties at the threshold, subnormal and overflowing squared norms,
 dimensions up to 64, and equal nearest distances far from the origin."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -391,7 +393,8 @@ class TestBudget:
 
         def recording(fn):
             def wrapped(A, half_a, B, half_b, *rest):
-                shapes.append((A.shape[0], B.shape[0]))
+                # B may be all the rows, with the product's among them
+                shapes.append((A.shape[0], half_b.shape[0]))
                 return fn(A, half_a, B, half_b, *rest)
             return wrapped
 
@@ -435,3 +438,35 @@ class TestBudget:
         assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)
         assert any(m > 1 for m, _ in singles)
+
+    def test_compaction_moves_rows_within_the_budget(self, monkeypatch):
+        # zones of thousands of free rows against a budget of 4,096 entries
+        # (32 kB): the rows move a chunk at a time, and all that one
+        # compaction holds at once fits the budget
+        block = 1 << 12
+        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        zones, peaks = [], []
+        real = aggregation._compact
+
+        def measured(layout, free, lo, hi):
+            zones.append(int(np.count_nonzero(free[lo:hi])))
+            tracemalloc.start()
+            try:
+                out = real(layout, free, lo, hi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(aggregation, "_compact", measured)
+        rng = np.random.default_rng(5)
+        centres = rng.normal(scale=4.0, size=(3, 3))
+        p = prepare(centres[rng.integers(3, size=60_000)] + rng.normal(size=(60_000, 3)))
+        starts, group_of, _ = aggregate(p, 0.4 * p.mext)
+        # moved at once, a zone's free rows (an 8-byte index and a 12-byte
+        # float32 row each) would exceed the budget
+        assert max(zones) * 20 > 8 * block
+        assert max(peaks) <= 8 * block
+        oracle = aggregate_reference(p, 0.4 * p.mext)
+        assert np.array_equal(starts, oracle[0]) and np.array_equal(group_of, oracle[1])
+
