@@ -11,21 +11,21 @@ R; the slack moves a window end only when a score lies within it of the
 boundary.
 
 The rows of a window are a contiguous slice of the sorted data, so the
-sweep runs in blocks: the next free rows from the current start, as many as
-fit one product of at most ``_BLOCK`` entries against their joint window
-(the sizing rule of ``kernel.window_blocks``), are tested against that
-window in one float32 matrix product, compared with R^2 through half
-squared norms (``kernel.within``). The block is then resolved in row order:
-a candidate claimed by an earlier start of the block is skipped; one still
-free starts a group and claims the rows of its own window that are within R
-and still free. Only candidates with a hit among the rows after them touch
-an array. dist_count counts, for each start, the free rows of its own
-window at its turn. A start whose window alone exceeds the budget (wide
-windows, few groups) is a block of its own, its window tested in column
-chunks. Whether a start goes alone, and how many candidates share its
-block, is decided on the windows in rows, so that dropping claimed rows
-(below) does not turn the wide windows of starts that claim most of them
-into blocks whose later candidates are mostly claimed already.
+sweep runs in blocks, every start on one path: the next free rows from the
+current start, as many as fit one product of at most ``_BLOCK`` entries
+against their joint window (the sizing rule of ``kernel.window_blocks``),
+are tested against that window in one float32 matrix product, compared with
+R^2 through half squared norms (``kernel.within``, which splits a window too
+wide for one product into column chunks). A start whose window alone
+exceeds half the budget (wide windows, few groups) is a block of its own.
+The block is then resolved in row order: a candidate claimed by an earlier
+start of the block is skipped; one still free starts a group and claims the
+rows of its own window that are within R and still free. Only candidates
+with a hit among the rows after them touch an array. Whether a start goes
+alone, and how many candidates share its block, is decided on the windows
+in rows, so that dropping claimed rows (below) does not turn the wide
+windows of starts that claim most of them into blocks whose later
+candidates are mostly claimed already.
 
 The products run on a layout of the rows still free, made once per call:
 slot j holds row ``ids[j]``, its float32 copy and its float64 and float32
@@ -40,9 +40,16 @@ through ``ids``. A compaction runs when less than half of the next start's
 window is free. The zone then holds more claimed rows than free ones, so a
 compaction moves fewer rows than it drops, and since a row is dropped once,
 all compactions together move fewer than n rows. A start that goes alone
-multiplies at most 2c + 1 columns for its c evaluations. dist_count is
-unchanged, since every window holds the same free rows in either layout and
-claimed rows are never counted.
+multiplies at most 2c + 1 columns for its c evaluations.
+
+dist_count counts, for each start, the free rows of its own window at its
+turn, with no pass over the window, from two invariants: a block's
+candidates are the first free slots, and every slot from a window end on is
+free. So if ``left`` slots are free, the window of candidate k (from 0),
+which ends at slot e_k, held left - (n - e_k) - (k + 1) free rows before
+the block claimed any; the rows claimed in it before k's turn are then
+subtracted. The count is the same in either layout, since every window
+holds the same free rows and claimed rows are never counted.
 
 A test whose value lies within the rounding band of R^2 (float32's, or
 float64's beyond float32's range) is decided again by the direct formula
@@ -121,41 +128,20 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
         if 2 * (left - (n - hi)) < hi - i:
             # under half the window is free: drop the zone's claimed rows
             i = _compact(layout, free, i, zone)
-        m = 1
-        row = int(ids[i])
+        cand, row = np.array([i]), int(ids[i])
         # blocks are sized on the windows in rows (see the module docstring)
         if 2 * (hi - row - 1) <= _BLOCK:
             # the next free rows, as many as fit one product with their joint window
             cand = i + np.flatnonzero(free[i:hi + lookahead])[:lookahead]
-            e = ends[ids[cand]]
-            m = max(1, int(np.searchsorted((e - (row + 1)) * steps[:cand.size], _BLOCK,
-                                           side="right")))
-        if m == 1:
-            # this start alone; a window too wide for one product goes in column chunks
-            starts.append(np.array([row]))
-            group_of[row] = g
-            left -= 1
-            for a in range(i + 1, hi, _BLOCK):
-                b = min(a + _BLOCK, hi)
-                count = int(np.count_nonzero(free[a:b]))
-                if count:
-                    dist_count += count
-                    hit = within(X[row:row + 1], half[i], X, half[a:b], r_sq,
-                                 X32[i:i + 1], X32[a:b], half32[a:b], ids[a:b])[0]
-                    slots = a + np.flatnonzero(hit & free[a:b])
-                    free[slots] = False
-                    group_of[ids[slots]] = g
-                    left -= slots.size
-            g += 1
-            last = i
-        else:
-            g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g,
-                                           cand[:m], e[:m])
-            dist_count += count
-            left -= taken
-            last = int(cand[m - 1])
+            cost = (ends[ids[cand]] - (row + 1)) * steps[:cand.size]
+            cand = cand[:max(1, int(np.searchsorted(cost, _BLOCK, side="right")))]
+        e = ends[ids[cand]]
+        g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e,
+                                       left)
+        dist_count += count
+        left -= taken
         # the next start is the first free row after the last candidate, or its window end
-        lo, zone = last + 1, int(ends[ids[last]])
+        lo, zone = int(cand[-1]) + 1, int(e[-1])
         k = int(free[lo:zone].argmax()) if zone > lo else 0
         i = lo + k if zone > lo and free[lo + k] else zone
     return np.concatenate(starts), group_of, dist_count
@@ -184,9 +170,10 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     return top
 
 
-def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e):
-    """Run the sweep over the candidate slots `cand` (free, ascending, each
-    with window end `e`) from one product against their joint window.
+def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left):
+    """Run the sweep over the candidate slots `cand` (the first `cand.size`
+    of the `left` free slots, each with window end `e`) from one product
+    against their joint window.
 
     In slot order, a candidate still free becomes the start of group g, g + 1,
     ... and claims the rows of its own window that are within r and still
@@ -201,10 +188,13 @@ def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e):
     mask = within(np.take(X, ids[cand], axis=0), half[cand, None], X, half[lo:top], r_sq,
                   np.take(X32, cand, axis=0), X32[lo:top], half32[lo:top], ids[lo:top])
     mask &= free_cols
-    mask &= np.arange(lo, top) > cand[:, None]
-    # free rows of each candidate's window before the block claims any
-    seen = np.concatenate(([0], np.cumsum(free_cols)))
-    counts = seen[e - lo] - seen[cand + 1 - lo]
+    # keep out of the loop the candidates whose hits all lie before them;
+    # past the last candidate, every column lies after every candidate
+    head = int(cand[-1]) + 1
+    mask[:, :head - lo] &= np.arange(lo, head) > cand[:, None]
+    # free rows of each candidate's window before the block claims any (see
+    # the module docstring)
+    counts = left - (free.size - e) - np.arange(1, cand.size + 1)
 
     owners, claimed = [], []
     cands, window_ends = cand.tolist(), e.tolist()
@@ -226,12 +216,14 @@ def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e):
     evaluations = int(counts[is_start].sum())
     taken = block_starts.size
     if claimed:
-        # a start's window loses the rows claimed before its turn: a row j
-        # claimed by candidate k is counted by every later start below j
-        owner = np.repeat(owners, [rows.size for rows in claimed])
+        sizes = [rows.size for rows in claimed]
         rows = np.concatenate(claimed)
-        group_of[ids[rows]] = gids[owner]
-        evaluations -= int(np.searchsorted(block_starts, rows).sum()
-                           - np.searchsorted(block_starts, cand[owner], side="right").sum())
+        group_of[ids[rows]] = np.repeat(gids[owners], sizes)
         taken += rows.size
+        if block_starts.size > 1:
+            # a start's window loses the rows claimed before its turn: a row j
+            # claimed by candidate k is counted by every later start below j
+            evaluations -= int(np.searchsorted(block_starts, rows).sum()
+                               - np.searchsorted(block_starts, cand[owners], side="right")
+                               @ sizes)
     return g + block_starts.size, evaluations, taken

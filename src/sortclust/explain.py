@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import _finite_real
 from .postprocess import ClusterModel
 
 TEXT_VERSION = 1
@@ -39,7 +40,7 @@ class ExplainReport:
 
 
 def _check_index(model: ClusterModel, index: int, name: str = "index") -> int:
-    if int(index) != index or not 0 <= index < model.n:
+    if not (_finite_real(index) and int(index) == index and 0 <= index < model.n):
         raise ValueError(f"{name} must be an integer in [0, {model.n - 1}], got {index!r}")
     return int(index)
 
@@ -105,22 +106,12 @@ def _render_summary(p: dict) -> str:
             f"The data has no spread along its principal direction, so data points "
             f"within a radius of R={p['r']:.2f} were aggregated into groups."
         )
-    lines.append(
-        f"In total {p['dist_count']} comparisons were required "
-        f"({p['avg_dist_pp']:.2f} comparisons per data point)."
-    )
-    lines.append(
+    lines += _work_lines(p["dist_count"], p["avg_dist_pp"], [
         f"This resulted in {p['num_groups']} groups, each uniquely associated "
-        f"with a starting point."
-    )
-    lines.append(
+        f"with a starting point.",
         f"These {p['num_groups']} groups were subsequently merged into "
-        f"{p['num_clusters']} clusters with the following sizes:"
-    )
-    for c, size in enumerate(p["cluster_sizes"]):
-        lines.append(f"* cluster {c} : {size}")
-    if p["outlier_points"]:
-        lines.append(f"* outliers : {p['outlier_points']}")
+        f"{p['num_clusters']} clusters with the following sizes:",
+    ], p["cluster_sizes"], p["outlier_points"])
     lines.append("A list of all starting points is shown below.")
     lines.append("-----")
     lines.append(" Group  NrPts  Cluster  Coordinates")
@@ -227,19 +218,24 @@ def explain_pair(model: ClusterModel, first: int, second: int) -> ExplainReport:
     return ExplainReport(kind="pair", text=text, structured=payload)
 
 
-def fit_stats_text(model: ClusterModel) -> str:
-    """Short fit report: group and cluster counts plus the comparison counters."""
-    lines = [
-        f"The {model.n} data points with {model.d} features were aggregated "
-        f"into {model.num_groups} groups.",
-        f"In total {model.dist_count} comparisons were required "
-        f"({model.avg_dist_pp:.2f} comparisons per data point).",
-        f"The {model.num_groups} groups were merged into {model.num_clusters} "
-        f"clusters with the following sizes:",
-    ]
-    for c, size in enumerate(model.cluster_sizes):
-        lines.append(f"* cluster {c} : {int(size)}")
-    outliers = int(model.n - model.cluster_sizes.sum())
+def _work_lines(dist_count: int, avg_dist_pp: float, merged: list[str],
+                cluster_sizes: list[int], outliers: int) -> list[str]:
+    """The comparison count, the lines `merged`, then the cluster sizes."""
+    lines = [f"In total {dist_count} comparisons were required "
+             f"({avg_dist_pp:.2f} comparisons per data point).", *merged]
+    lines += [f"* cluster {c} : {size}" for c, size in enumerate(cluster_sizes)]
     if outliers:
         lines.append(f"* outliers : {outliers}")
-    return "\n".join(lines)
+    return lines
+
+
+def fit_stats_text(model: ClusterModel) -> str:
+    """Short fit report: group and cluster counts plus the comparison counters."""
+    return "\n".join([
+        f"The {model.n} data points with {model.d} features were aggregated "
+        f"into {model.num_groups} groups.",
+        *_work_lines(model.dist_count, model.avg_dist_pp, [
+            f"The {model.num_groups} groups were merged into {model.num_clusters} "
+            f"clusters with the following sizes:",
+        ], model.cluster_sizes.tolist(), int(model.n - model.cluster_sizes.sum())),
+    ])

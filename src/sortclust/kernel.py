@@ -42,7 +42,8 @@ of a model with many starts (the rule is in its docstring).
 fills the budget, however much or little the windows move from row to row.
 
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
-memory stays bounded whatever the width of a window or the number of groups.
+memory stays bounded whatever the width of a window or the number of groups:
+``within`` and ``nearest`` split the columns of a wide window themselves.
 ``nearest`` reuses one product buffer: fresh 1 MB temporaries were paged in
 afresh on some heap states after a fit, and predict's time varied with them.
 """
@@ -147,25 +148,34 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float,
-           a32=None, b32=None, half_b32=None, b_rows=None) -> np.ndarray:
+def within(A: np.ndarray, half_a: np.ndarray, B: np.ndarray, half_b: np.ndarray, t: float,
+           a32: np.ndarray, b32: np.ndarray, half_b32: np.ndarray, b_rows=None) -> np.ndarray:
     """(m, k) mask: whether |B[j] - A[i]|^2 <= t, as the direct formula decides.
 
-    `half_a` holds the half squared norms of the rows of A as an (m, 1)
-    column, or as a numpy scalar when A has one row; `half_b` those of the k
-    rows of B, which must have a row. `a32`, `b32` and `half_b32`, the
-    ``single`` copies of A, B and `half_b`, are made here if not given. If
-    `b_rows` is given, the k rows are ``B[b_rows]``, gathered only where
-    their float64 values are read. The caller keeps m * k within the budget.
+    `half_a` holds the half squared norms of the m rows of A as an (m, 1)
+    column, `half_b` those of the k rows of B; k may be 0. `a32`, `b32` and
+    `half_b32` are the ``single`` copies of A, of the k rows and of
+    `half_b`. If `b_rows` is given, the k rows are ``B[b_rows]``, gathered
+    only where their float64 values are read. The columns go ``_BLOCK // m``
+    at a time, so every product holds the budget however wide the window.
     """
-    k = half_b.shape[0]
+    hit = np.zeros((A.shape[0], half_b.shape[0]), dtype=bool)
+    step = max(1, _BLOCK // A.shape[0])
+    for c in range(0, hit.shape[1], step):
+        cols = slice(c, c + step)
+        _within_chunk(hit[:, cols], A, half_a, B[cols] if b_rows is None else B,
+                      half_b[cols], t, a32, b32[cols], half_b32[cols],
+                      None if b_rows is None else b_rows[cols])
+    return hit
+
+
+def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, half_b32, b_rows) -> None:
+    """:func:`within` on one product's worth of columns, into `out` (all false)."""
     s = half_a + (half_b.max() + 0.5 * t)
     thr = half_a - 0.5 * t
     if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
-        if b32 is None:
-            b32 = single(B if b_rows is None else B[b_rows])
-        h = np.matmul(single(A) if a32 is None else a32, b32.T)
-        h -= single(half_b) if half_b32 is None else half_b32
+        h = np.matmul(a32, b32.T)
+        h -= half_b32
         width = _band32(A.shape[1], s)
         lower, upper = np.float32(thr - width), np.float32(thr + width)
     elif np.max(s) < _NORM_LIMIT:
@@ -173,26 +183,25 @@ def within(A: np.ndarray, half_a, B: np.ndarray, half_b: np.ndarray, t: float,
             h = A @ B.T
         else:
             # the gathered rows of B, a budget's worth at a time
-            h = np.empty((A.shape[0], k))
+            h = np.empty(out.shape)
             step = max(1, _BLOCK // B.shape[1])
-            for c in range(0, k, step):
+            for c in range(0, out.shape[1], step):
                 h[:, c:c + step] = A @ B[b_rows[c:c + step]].T
         h -= half_b
         width = _band(A.shape[1], s)
         lower, upper = thr - width, thr + width
     else:
         # near overflow, or not finite: the direct formula decides every entry
-        h, lower, upper = np.zeros((A.shape[0], k)), -np.inf, np.inf
+        h, lower, upper = np.zeros(out.shape), -np.inf, np.inf
     unsure = h > lower
     if not unsure.any():
-        return unsure
-    hit = h >= upper
-    unsure ^= hit
+        return
+    np.greater_equal(h, upper, out=out)
+    unsure ^= out
     at = np.flatnonzero(unsure)
     if at.size:
-        ia, ib = np.divmod(at, k)
-        hit.reshape(-1)[at] = _direct_sq(A, ia, B, ib if b_rows is None else b_rows[ib]) <= t
-    return hit
+        ia, ib = np.divmod(at, out.shape[1])
+        out[ia, ib] = _direct_sq(A, ia, B, ib if b_rows is None else b_rows[ib]) <= t
 
 
 def window_blocks(los: np.ndarray, his: np.ndarray):
@@ -200,10 +209,10 @@ def window_blocks(los: np.ndarray, his: np.ndarray):
     [los[i], his[i]).
 
     Yields ``(rows, lo, hi)``: from each first row, as many rows as keep
-    rows * max(hi - lo, 1) within the block budget, and at least one. A
-    window too wide for one row is the caller's to split into column
-    chunks. Windows need not be monotone; for nondecreasing `los` and `his`
-    the hull is ``[los[first], his[last])``.
+    rows * max(hi - lo, 1) within the block budget, and at least one: a
+    row whose window alone exceeds the budget is a block of its own.
+    Windows need not be monotone; for nondecreasing `los` and `his` the
+    hull is ``[los[first], his[last])``.
     """
     base = math.isqrt(_BLOCK) + 2    # all the budget admits if the hull grows a column per row
     i, l = 0, len(his)

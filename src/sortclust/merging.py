@@ -46,8 +46,11 @@ class GroupClusterMap:
     """
 
     cluster_of_group: np.ndarray
-    k: int
     sizes: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return int(self.sizes.size)
 
 
 def relabel_by_size(raw_ids, group_sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -106,8 +109,7 @@ def connected_components(num_groups: int, edges, group_sizes=None) -> GroupClust
         else np.asarray(group_sizes, dtype=np.int64)
     roots = _component_roots(num_groups, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     cluster_of_group, cluster_sizes = relabel_by_size(roots, sizes)
-    return GroupClusterMap(cluster_of_group=cluster_of_group,
-                           k=len(cluster_sizes), sizes=cluster_sizes)
+    return GroupClusterMap(cluster_of_group=cluster_of_group, sizes=cluster_sizes)
 
 
 def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.5) -> np.ndarray:
@@ -136,16 +138,13 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
-        step = max(1, _BLOCK // (rows.stop - rows.start))
-        for c in range(lo, hi, step):
-            cols = slice(c, min(c + step, hi))
-            hits = within(A[rows], half_a[rows, None], B[cols], half_b[cols], t,
-                          a32[rows], b32[cols], half_b32[cols])
-            i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
-            j += c
-            keep = (j >= los[rows][i]) & (j < his[rows][i])
-            counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
-            pieces.append(j[keep])
+        hits = within(A[rows], half_a[rows, None], B[lo:hi], half_b[lo:hi], t,
+                      a32[rows], b32[lo:hi], half_b32[lo:hi])
+        i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
+        j += lo
+        keep = (j >= los[rows][i]) & (j < his[rows][i])
+        counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
+        pieces.append(j[keep])
     return counts, np.concatenate(pieces)
 
 

@@ -67,7 +67,6 @@ class ClusterModel:
     mean: np.ndarray
     v1: np.ndarray
     mext: float
-    r: float                              # effective aggregation radius
     starting_points: np.ndarray           # (l, d) centered coordinates
     starting_scores: np.ndarray           # (l,)
     group_cluster: np.ndarray             # (l,) cluster id per group, -1 = outlier
@@ -75,8 +74,6 @@ class ClusterModel:
     merge_edges: np.ndarray               # (E, 2) merge graph edges, i < j
     point_group: np.ndarray               # (n,) original row -> group id
     dist_count: int
-    n: int
-    d: int
     # predict's eligible groups, their points, half norms and window_pad(points, 0)
     _eligible: tuple = field(init=False, repr=False, compare=False)
 
@@ -86,6 +83,18 @@ class ClusterModel:
                else np.take(self.starting_points, eligible, axis=0))
         object.__setattr__(self, "_eligible",
                            (eligible, pts, half_sq_norms(pts), window_pad(pts, 0.0)))
+
+    @property
+    def r(self) -> float:    # effective aggregation radius
+        return effective_radius(self.config.radius, self.mext)
+
+    @property
+    def n(self) -> int:
+        return int(self.point_group.size)
+
+    @property
+    def d(self) -> int:
+        return int(self.mean.size)
 
     @property
     def num_groups(self) -> int:
@@ -160,7 +169,7 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
     else:
         raw[small[assignment]] = -1
     new_ids, sizes = relabel_by_size(raw, group_sizes)
-    return GroupClusterMap(cluster_of_group=new_ids, k=len(sizes), sizes=sizes)
+    return GroupClusterMap(cluster_of_group=new_ids, sizes=sizes)
 
 
 def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
@@ -197,7 +206,6 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
         mean=prepared.mean.copy(),
         v1=prepared.v1.copy(),
         mext=prepared.mext,
-        r=r,
         starting_points=starting_points,
         starting_scores=starting_scores,
         group_cluster=final_map.cluster_of_group,
@@ -205,8 +213,6 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
         merge_edges=edges,
         point_group=point_group,
         dist_count=dist_count,
-        n=prepared.n,
-        d=prepared.d,
     )
 
 
@@ -389,13 +395,11 @@ def _model_from_doc(doc: dict) -> ClusterModel:
     edges = edges.reshape(0, 2) if edges.shape == (0,) else edges
     _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
            f"merge_edges must be pairs of group ids in [0, {l})")
-    mext = float(_scalar(doc["mext"], "mext", (int, float)))
     return ClusterModel(
         config=config,
         mean=mean,
         v1=v1,
-        mext=mext,
-        r=effective_radius(config.radius, mext),
+        mext=float(_scalar(doc["mext"], "mext", (int, float))),
         starting_points=starting_points,
         starting_scores=starting_scores,
         group_cluster=group_cluster,
@@ -403,8 +407,6 @@ def _model_from_doc(doc: dict) -> ClusterModel:
         merge_edges=edges,
         point_group=point_group,
         dist_count=_scalar(stats["dist_count"], "stats.dist_count"),
-        n=n,
-        d=d,
     )
 
 
@@ -421,7 +423,7 @@ def from_json(text: str) -> ClusterModel:
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {version!r}")
     try:
         return _model_from_doc(doc)

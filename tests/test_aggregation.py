@@ -209,7 +209,7 @@ class TestBlockedSweep:
     def test_window_split_across_column_chunks(self, monkeypatch):
         # windows of about 30 rows against a budget of 7 entries: every start
         # goes alone, its window in column chunks
-        monkeypatch.setattr(aggregation, "_BLOCK", 7)
+        budget(monkeypatch, 7)
         values = np.arange(200) * 0.05
         values[::7] += 0.01
         starts, group_of, _ = check_sweep(prepared_1d(values), 1.5)
@@ -237,16 +237,22 @@ def moves_fewer_than_it_drops(zones) -> bool:
     return all(2 * free < size for free, size in zones)
 
 
+def budget(monkeypatch, block: int) -> None:
+    """Set the budget of the sweep's blocks and of the kernel's products."""
+    monkeypatch.setattr(aggregation, "_BLOCK", block)
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+
+
 def recorded_columns(monkeypatch) -> list[tuple[int, int]]:
-    """(rows, columns) of each product `aggregate` asks of the kernel."""
+    """(rows, columns) of each product the kernel makes, one per column chunk."""
     shapes = []
-    real = aggregation.within
+    real = kernel._within_chunk
 
-    def recording(A, half_a, B, half_b, *rest):
-        shapes.append((A.shape[0], half_b.shape[0]))
-        return real(A, half_a, B, half_b, *rest)
+    def recording(out, *rest):
+        shapes.append(out.shape)
+        return real(out, *rest)
 
-    monkeypatch.setattr(aggregation, "within", recording)
+    monkeypatch.setattr(kernel, "_within_chunk", recording)
     return shapes
 
 
@@ -270,7 +276,7 @@ def strip(seed, n=600, scale=1.0):
 class TestCompactedSweep:
     @pytest.mark.parametrize("block", [7, 400, aggregation._BLOCK])
     def test_few_wide_groups_compact_and_match(self, block, monkeypatch):
-        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        budget(monkeypatch, block)
         zones = recorded_compactions(monkeypatch)
         for seed in range(3):
             for d, k, radius in ((2, 3, 0.3), (3, 2, 0.5)):
@@ -285,7 +291,7 @@ class TestCompactedSweep:
         # each window (about 50 rows) is one column chunk and too wide to
         # share a block at a budget of 60 entries: without compaction the
         # products would cover the windows exactly
-        monkeypatch.setattr(aggregation, "_BLOCK", 60)
+        budget(monkeypatch, 60)
         zones = recorded_compactions(monkeypatch)
         shapes = recorded_columns(monkeypatch)
         r = 1.0
@@ -301,7 +307,7 @@ class TestCompactedSweep:
     def test_windows_split_into_column_chunks(self, monkeypatch):
         # windows of about 50 rows against a budget of 7 entries: every
         # start goes alone, its compacted window in chunks of 7 columns
-        monkeypatch.setattr(aggregation, "_BLOCK", 7)
+        budget(monkeypatch, 7)
         zones = recorded_compactions(monkeypatch)
         shapes = recorded_columns(monkeypatch)
         for seed in range(3):
@@ -313,7 +319,7 @@ class TestCompactedSweep:
     def test_equal_scores_and_duplicate_rows(self, block, monkeypatch):
         # points of a coarse lattice: most rows have duplicates, and whole
         # columns of the lattice share one score
-        monkeypatch.setattr(aggregation, "_BLOCK", block)
+        budget(monkeypatch, block)
         zones = recorded_compactions(monkeypatch)
         rng = np.random.default_rng(block)
         for _ in range(3):

@@ -165,6 +165,21 @@ class TestPredict:
         data = fixture_csv(tmp_path)
         assert main(["predict", "--input", data, "--model", model]) == 2
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_model_version_that_is_no_integer(self, tmp_path, capsys, version):
+        data = fixture_csv(tmp_path)
+        model = tmp_path / "model.json"
+        main(["fit", "--input", data, "--output", str(tmp_path / "l.txt"),
+              "--radius", "0.3", "--model", str(model)])
+        text = model.read_text()
+        assert text.startswith('{"version": 1,')
+        model.write_text(text.replace('{"version": 1,', '{"version": %s,' % version, 1))
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--input", data, "--model", str(model),
+                     "--output", str(out)]) == 2
+        assert "unsupported model version" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path):
         data = fixture_csv(tmp_path)
         assert main(["predict", "--input", data,

@@ -98,6 +98,23 @@ class TestPoint:
         with pytest.raises(ValueError):
             explain_point(m, -1)
 
+    @pytest.mark.parametrize("index", [True, False, None, 1.5, float("nan"), float("inf"), "1"])
+    def test_non_integral_indices_raise_value_error(self, index):
+        # a boolean is no row index, though True == 1
+        m = chain_model()
+        with pytest.raises(ValueError):
+            explain_point(m, index)
+        with pytest.raises(ValueError):
+            explain_pair(m, 0, index)
+        with pytest.raises(ValueError):
+            explain_pair(m, index, 0)
+
+    def test_integral_reals_are_indices(self):
+        m = chain_model()
+        assert explain_point(m, np.int64(1)).structured == explain_point(m, 1).structured
+        assert explain_point(m, 2.0).structured["index"] == 2
+        assert explain_pair(m, np.float64(0.0), 2).structured == explain_pair(m, 0, 2).structured
+
     def test_outlier_wording(self):
         data = [[0.0], [0.1], [0.2], [9.0]]
         m = fit(data, radius=0.2, minpts=2, outlier_mode="separate")

@@ -23,7 +23,9 @@ AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 
 
 def within_all(A, B, t):
-    return within(A, half_sq_norms(A)[:, None], B, half_sq_norms(B), t)
+    half_b = half_sq_norms(B)
+    return within(A, half_sq_norms(A)[:, None], B, half_b, t, kernel.single(A),
+                  kernel.single(B), kernel.single(half_b))
 
 
 def by_hand(points, v1):
@@ -143,10 +145,7 @@ class TestSingleBand:
         assert (own <= t).any() and (own > t).any()
         # the block is one the float32 screen covers
         assert kernel._SINGLE_LOW <= 0.5 * t and half_sq_norms(A).max() < kernel._SINGLE_HIGH
-        half_a, half_b = half_sq_norms(A)[:, None], half_sq_norms(B)
         assert np.array_equal(within_all(A, B, t), exact <= t)
-        assert np.array_equal(within(A, half_a, B, half_b, t, kernel.single(A), kernel.single(B)),
-                              exact <= t)
 
 
 class TestRangeGuard:
@@ -197,7 +196,7 @@ class TestRangeGuard:
             edges = density_merge(starts, p, r)
             assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, 3)
-        # blocks holding that row, with no float32 copies given
+        # blocks holding that row, whose float32 copy is clipped
         A, B = pts[:20], pts[20:]
         exact = direct_sq_matrix(A, B)
         assert np.array_equal(within_all(A, B, 1.0), exact <= 1.0)
@@ -247,7 +246,7 @@ class TestNearestTies:
         starting_points = centre + offsets
         scores = starting_points[:, 0]
         sizes = np.array([5, 6, 7, 1, 8, 9, 10])
-        cluster_map = GroupClusterMap(cluster_of_group=np.arange(7), k=7, sizes=sizes)
+        cluster_map = GroupClusterMap(cluster_of_group=np.arange(7), sizes=sizes)
         out = apply_minpts(cluster_map, sizes, starting_points, scores, 3)
         # group 3 joins the cluster of group 1, the smallest tied index
         assert out.cluster_of_group[3] == out.cluster_of_group[1]
@@ -358,6 +357,41 @@ class TestSmallBlocks:
         assert np.array_equal(near, direct_nearest(A, B))
 
 
+class TestColumnChunks:
+    def test_empty_window(self):
+        out = within_all(np.ones((3, 2)), np.empty((0, 2)), 1.0)
+        assert out.dtype == bool and out.shape == (3, 0)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e40])
+    def test_windows_wider_than_the_budget(self, m, scale, monkeypatch):
+        # 40 columns against a budget of 7 entries: chunks of 7 columns for
+        # one row, of 2 for three; at 1e40, s exceeds the float32 range and
+        # the gathered rows take the float64 form
+        monkeypatch.setattr(kernel, "_BLOCK", 7)
+        shapes = []
+        real = kernel._within_chunk
+
+        def recording(out, *rest):
+            shapes.append(out.shape)
+            return real(out, *rest)
+
+        monkeypatch.setattr(kernel, "_within_chunk", recording)
+        rng = np.random.default_rng(m)
+        A, pool = scale * rng.normal(size=(m, 3)), scale * rng.normal(size=(60, 3))
+        rows = rng.permutation(60)[:40]
+        B = pool[rows]
+        exact = direct_sq_matrix(A, B)
+        t = float(np.median(exact))
+        assert np.array_equal(within_all(A, B, t), exact <= t)
+        half = half_sq_norms(pool)
+        gathered = within(A, half_sq_norms(A)[:, None], pool, half[rows], t, kernel.single(A),
+                          kernel.single(pool)[rows], kernel.single(half)[rows], rows)
+        assert np.array_equal(gathered, exact <= t)
+        assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
+        assert sum(k for _, k in shapes) == 2 * B.shape[0]
+
+
 class TestWindowBlocks:
     def blocks(self, los, his):
         return [(rows.start, rows.stop, lo, hi)
@@ -388,15 +422,13 @@ class TestBudget:
     @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
     def test_products_stay_within_the_block_budget(self, block, monkeypatch):
         # a row whose window alone exceeds the budget goes alone, and the
-        # kernel splits its columns; any larger product holds the budget
+        # kernel splits its columns: every product holds the budget
         shapes = []
+        real_chunk = kernel._within_chunk
 
-        def recording(fn):
-            def wrapped(A, half_a, B, half_b, *rest):
-                # B may be all the rows, with the product's among them
-                shapes.append((A.shape[0], half_b.shape[0]))
-                return fn(A, half_a, B, half_b, *rest)
-            return wrapped
+        def recording(out, *rest):
+            shapes.append(out.shape)
+            return real_chunk(out, *rest)
 
         real_matmul = np.matmul
         singles = []
@@ -412,10 +444,9 @@ class TestBudget:
 
         monkeypatch.setattr(kernel, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "_BLOCK", block)
-        monkeypatch.setattr(aggregation, "within", recording(kernel.within))
+        monkeypatch.setattr(kernel, "_within_chunk", recording)
         monkeypatch.setattr(kernel.np, "matmul", matmul)
         monkeypatch.setattr(merging, "_BLOCK", block)
-        monkeypatch.setattr(merging, "within", recording(kernel.within))
         rng = np.random.default_rng(block)
         p = prepare(rng.normal(size=(400, 3)))
         starts, _, _ = aggregate(p, 0.15 * p.mext)
@@ -435,7 +466,7 @@ class TestBudget:
         monkeypatch.setattr(postprocess, "_by_score", lambda queries, starts: True)
         assert np.array_equal(predict(model, queries), labels)
         assert len(shapes) > before
-        assert shapes and all(m == 1 or m * k <= block for m, k in shapes)
+        assert shapes and all(m * k <= block for m, k in shapes)
         assert any(m > 1 for m, _ in shapes)
         assert any(m > 1 for m, _ in singles)
 

@@ -483,6 +483,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_a_json_integer(self, version):
+        # true and 1.0 equal 1 in Python, but the version is a JSON integer
+        doc = json.loads(to_json(fit([[0.0], [1.0]])))
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported model version"):
+            from_json(json.dumps(doc))
+
 
 def _replace_member(doc, source_group, target_group):
     """Swap the first member of target_group for the first of source_group:
