@@ -14,10 +14,8 @@ import sys
 
 import numpy as np
 
-from .evaluation import GaussianModelParams, ami, ari, make_blobs, model_ratio
-from .explain import explain_pair, explain_point, explain_summary, fit_stats_text
-from .postprocess import fit, load_model, predict, to_json
-from .prep import principal_plane
+# Each command imports the modules it uses, so that none pays for the others'
+# imports: `predict` loads neither `explain` nor `evaluation`.
 
 THREADS_ENV_VAR = "SORTCLUST_THREADS"
 
@@ -190,6 +188,7 @@ def _parse_float_grid(raw: str, flag: str) -> list[float]:
 
 
 def cmd_fit(args) -> int:
+    from .postprocess import fit, to_json
     data = _read_matrix(args.input, args.header, args.drop_bad_rows)
     model = fit(data, radius=args.radius, minpts=args.minpts, scale=args.scale,
                 merge_mode=args.merge, outlier_mode=args.outliers)
@@ -200,6 +199,7 @@ def cmd_fit(args) -> int:
     if args.model:
         outputs.append((args.model, to_json(model) + "\n"))
     if args.plot_data:
+        from .prep import principal_plane
         centered = data - model.mean
         v1, v2 = principal_plane(centered)
         pc1 = (centered @ v1).tolist()
@@ -211,11 +211,13 @@ def cmd_fit(args) -> int:
     if args.output is None:
         _write_labels(labels, None)
     if args.stats:
+        from .explain import fit_stats_text
         print(fit_stats_text(model))
     return 0
 
 
 def cmd_predict(args) -> int:
+    from .postprocess import load_model, predict
     model = load_model(args.model)
     queries = _read_matrix(args.input, args.header, args.drop_bad_rows)
     labels = predict(model, queries)
@@ -224,6 +226,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .explain import explain_pair, explain_point, explain_summary
+    from .postprocess import load_model
     model = load_model(args.model)
     if args.index is None and args.index2 is not None:
         raise ValueError("--index2 requires --index")
@@ -241,6 +245,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import ami, ari
     truth = _read_labels(args.truth)
     pred = _read_labels(args.pred)
     if truth.size != pred.size:
@@ -253,6 +258,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .evaluation import GaussianModelParams, model_ratio
     cs = _parse_float_grid(args.grid_c, "--grid-c")
     rs = _parse_float_grid(args.grid_r, "--grid-r")
     ss = _parse_float_grid(args.grid_s, "--grid-s")
@@ -274,6 +280,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_blobs(args) -> int:
+    from .evaluation import make_blobs
     data, labels = make_blobs(args.n, args.d, args.k, args.std, args.seed)
     header = ",".join(f"f{j}" for j in range(args.d)) + "\n" if args.header else ""
     rows = (",".join(repr(float(v)) for v in row) + "\n" for row in data)

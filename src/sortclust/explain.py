@@ -15,7 +15,8 @@ is ``round``'s result. Entries within a few ulps of a half-way point, or with
 
 The group path search pops the smallest (distance, path) entry of its heap.
 Equal entries are indistinguishable, so the order of a node's neighbours in
-the CSR adjacency cannot change the path, and numpy's fastest argsort builds it.
+the CSR adjacency cannot change the path, and numpy's fastest argsort builds it
+(``ClusterModel._merge_adjacency``, once per model).
 """
 
 from __future__ import annotations
@@ -148,16 +149,7 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
     sequence of group ids wins. None when no path exists."""
     if start == goal:
         return [start]
-    edges = model.merge_edges
-    pts = model.starting_points
-    diff = np.take(pts, edges[:, 0], axis=0) - np.take(pts, edges[:, 1], axis=0)
-    weight = np.sqrt(np.sum(diff ** 2, axis=1))
-    # CSR adjacency: the neighbours of g are nbr[offsets[g]:offsets[g + 1]].
-    src = np.concatenate((edges[:, 0], edges[:, 1]))
-    order = np.argsort(src)
-    nbr = np.take(np.concatenate((edges[:, 1], edges[:, 0])), order)
-    nbr_weight = np.take(np.concatenate((weight, weight)), order)
-    offsets = [0, *np.cumsum(np.bincount(src, minlength=model.num_groups)).tolist()]
+    offsets, nbr, nbr_weight = model._merge_adjacency
     heap = [(0.0, (start,))]
     settled: set[int] = set()
     while heap:

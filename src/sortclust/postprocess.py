@@ -11,6 +11,8 @@ the model keeps ``point_group`` and derives per-group member lists from it.
 
 from __future__ import annotations
 
+import base64
+import functools
 import itertools
 import json
 import math
@@ -25,7 +27,7 @@ from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import prepare
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 MERGE_MODES = ("distance", "density")
 OUTLIER_MODES = ("reassign", "separate")
@@ -112,6 +114,20 @@ class ClusterModel:
         """Original row indices of each group, ascending."""
         order, ends = self._member_order()
         return np.split(order, ends[:-1])
+
+    @functools.cached_property
+    def _merge_adjacency(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The merge graph in CSR form, built once per model: the neighbours
+        of group g are ``nbr[offsets[g]:offsets[g + 1]]``, at the distances
+        between the starting points in ``weight``."""
+        edges, pts = self.merge_edges, self.starting_points
+        diff = np.take(pts, edges[:, 0], axis=0) - np.take(pts, edges[:, 1], axis=0)
+        weight = np.sqrt(np.sum(diff ** 2, axis=1))
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        order = np.argsort(src)
+        nbr = np.take(np.concatenate((edges[:, 1], edges[:, 0])), order)
+        offsets = [0, *np.cumsum(np.bincount(src, minlength=self.num_groups)).tolist()]
+        return offsets, nbr, np.take(np.concatenate((weight, weight)), order)
 
     @property
     def num_clusters(self) -> int:
@@ -280,15 +296,27 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     return model.group_cluster[eligible[near]]
 
 
-def to_json(model: ClusterModel) -> str:
-    """Serialize the model to a single JSON document.
+def _encode(values: np.ndarray, dtype) -> str:
+    """Format 2's encoding of an array: base64 (RFC 4648) of its values as
+    little-endian `dtype` bytes, in C order."""
+    raw = np.asarray(values, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
-    Floats are written with full round-trip precision. `merge_edges` is an
-    extension field beyond the minimum schema so that pair explanations work
-    on reloaded density-merged models, where the graph cannot be recomputed
-    without the training data.
+
+def to_json(model: ClusterModel) -> str:
+    """Serialize the model to a single JSON document, in format 2.
+
+    Every array is one base64 string (RFC 4648) of its little-endian bytes
+    in C order: float64 for `mean`, `v1`, `starting_points` (l x d) and
+    `starting_scores`; int64 for `group_cluster`, `cluster_sizes`,
+    `merge_edges` (E x 2) and `group_members`, which holds the n row
+    indices in group order (ascending within a group) followed by the l
+    group ends. Floats are thus stored exactly. Scalars, `config` and
+    `stats` are JSON values. `merge_edges` is an extension field beyond the
+    minimum schema so that pair explanations work on reloaded
+    density-merged models, where the graph cannot be recomputed without
+    the training data.
     """
-    order, ends = (a.tolist() for a in model._member_order())
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "config": {
@@ -298,15 +326,15 @@ def to_json(model: ClusterModel) -> str:
             "merge_mode": model.config.merge_mode,
             "outlier_mode": model.config.outlier_mode,
         },
-        "mean": model.mean.tolist(),
-        "v1": model.v1.tolist(),
+        "mean": _encode(model.mean, np.float64),
+        "v1": _encode(model.v1, np.float64),
         "mext": model.mext,
-        "starting_points": model.starting_points.tolist(),
-        "starting_scores": model.starting_scores.tolist(),
-        "group_members": [order[a:b] for a, b in zip([0, *ends], ends)],
-        "group_cluster": model.group_cluster.tolist(),
-        "cluster_sizes": model.cluster_sizes.tolist(),
-        "merge_edges": model.merge_edges.tolist(),
+        "starting_points": _encode(model.starting_points, np.float64),
+        "starting_scores": _encode(model.starting_scores, np.float64),
+        "group_members": _encode(np.concatenate(model._member_order()), np.int64),
+        "group_cluster": _encode(model.group_cluster, np.int64),
+        "cluster_sizes": _encode(model.cluster_sizes, np.int64),
+        "merge_edges": _encode(model.merge_edges, np.int64),
         "stats": {"dist_count": model.dist_count, "n": model.n, "d": model.d},
     }
     return json.dumps(doc)
@@ -328,13 +356,13 @@ def _check(ok: bool, message: str) -> None:
 
 def _numbers(values, name: str, dtype=np.int64) -> np.ndarray:
     """`values`, a list of JSON numbers or of lists of them, as `dtype`. A
-    boolean or a string raises ValueError instead of being cast, as do a
-    float where integers are due (even 1.0) and a NaN or an infinity."""
+    boolean or a string raises ValueError instead of being cast, as does a
+    float where integers are due (even 1.0)."""
     arr = np.asarray(values)
     flat = itertools.chain.from_iterable(values) if arr.ndim > 1 else values
     _check((arr.size == 0 or arr.dtype.kind in "i" + np.dtype(dtype).kind)
-           and bool not in set(map(type, flat)) and bool(np.isfinite(arr).all()),
-           f"{name} must hold finite {np.dtype(dtype).name} numbers")
+           and bool not in set(map(type, flat)),
+           f"{name} must hold {np.dtype(dtype).name} numbers")
     return arr.astype(dtype)
 
 
@@ -346,27 +374,91 @@ def _scalar(value, name: str, types=(int,)):
     return value
 
 
-def _model_from_doc(doc: dict) -> ClusterModel:
+def _format1_arrays(doc: dict, n: int, d: int) -> dict:
+    """Format 1's arrays: JSON number lists, `starting_points` and
+    `merge_edges` as lists of rows, `group_members` as one list per group."""
+    members = doc["group_members"]
+    _check(isinstance(members, list), "group_members must be a list")
+    edges = _numbers(doc["merge_edges"], "merge_edges")
+    return {
+        "mean": _numbers(doc["mean"], "mean", np.float64),
+        "v1": _numbers(doc["v1"], "v1", np.float64),
+        "starting_points": _numbers(doc["starting_points"], "starting_points", np.float64),
+        "starting_scores": _numbers(doc["starting_scores"], "starting_scores", np.float64),
+        "order": _numbers(list(itertools.chain.from_iterable(members)), "group_members"),
+        "ends": np.cumsum(np.fromiter(map(len, members), dtype=np.int64, count=len(members))),
+        "group_cluster": _numbers(doc["group_cluster"], "group_cluster"),
+        "cluster_sizes": _numbers(doc["cluster_sizes"], "cluster_sizes"),
+        "merge_edges": edges.reshape(0, 2) if edges.shape == (0,) else edges,
+    }
+
+
+def _decode(value, name: str, dtype, shape: tuple) -> np.ndarray:
+    """Format 2's array `name`: a base64 string of the little-endian bytes
+    of `dtype` values (8 bytes each) in C order, as many as `shape` holds;
+    its first entry may be -1, which any whole number of rows fills."""
+    _check(type(value) is str, f"{name} must be a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # a character outside the alphabet, or bad padding
+        raise ValueError(f"{name} must be a base64 string") from None
+    count, rest = divmod(len(raw), 8)
+    row = math.prod(shape[1:])
+    free = shape[0] == -1
+    _check(rest == 0 and (count % row == 0 if free else count == shape[0] * row),
+           f"{name} must hold {f'a multiple of {row}' if free else shape[0] * row} "
+           f"values of 8 bytes, found {len(raw)} bytes")
+    # astype: native byte order, in a writable copy
+    return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype).reshape(shape)
+
+
+def _format2_arrays(doc: dict, n: int, d: int) -> dict:
+    """Format 2's arrays: base64 strings, as :func:`to_json` writes them."""
+    members = _decode(doc["group_members"], "group_members", np.int64, (-1,))
+    _check(members.size >= n, f"group_members must hold {n} rows and the group ends")
+    l = members.size - n
+    return {
+        "mean": _decode(doc["mean"], "mean", np.float64, (d,)),
+        "v1": _decode(doc["v1"], "v1", np.float64, (d,)),
+        "starting_points": _decode(doc["starting_points"], "starting_points", np.float64,
+                                   (l, d)),
+        "starting_scores": _decode(doc["starting_scores"], "starting_scores", np.float64,
+                                   (l,)),
+        "order": members[:n],
+        "ends": members[n:],
+        "group_cluster": _decode(doc["group_cluster"], "group_cluster", np.int64, (l,)),
+        "cluster_sizes": _decode(doc["cluster_sizes"], "cluster_sizes", np.int64, (-1,)),
+        "merge_edges": _decode(doc["merge_edges"], "merge_edges", np.int64, (-1, 2)),
+    }
+
+
+# The reader of each model format version: the document's arrays as numpy arrays.
+_FORMATS = {1: _format1_arrays, 2: _format2_arrays}
+
+
+def _model_from_doc(doc: dict, version: int) -> ClusterModel:
     for part, keys in _REQUIRED_KEYS.items():
         obj = doc if part == "model" else doc[part]
         _check(isinstance(obj, dict) and all(key in obj for key in keys),
                f"{part} must be an object with the keys {', '.join(keys)}")
-    cfg, stats, members = doc["config"], doc["stats"], doc["group_members"]
-    _check(isinstance(members, list), "group_members must be a list")
+    cfg, stats = doc["config"], doc["stats"]
     config = FitConfig(radius=float(_scalar(cfg["radius"], "config.radius", (int, float))),
                        minpts=_scalar(cfg["minPts"], "config.minPts"),
                        scale=float(_scalar(cfg["scale"], "config.scale", (int, float))),
                        merge_mode=cfg["merge_mode"], outlier_mode=cfg["outlier_mode"])
     config.validate()
-    n, d, l = _scalar(stats["n"], "stats.n"), _scalar(stats["d"], "stats.d"), len(members)
-    mean, v1 = _numbers(doc["mean"], "mean", np.float64), _numbers(doc["v1"], "v1", np.float64)
+    n, d = _scalar(stats["n"], "stats.n"), _scalar(stats["d"], "stats.d")
+    a = _FORMATS[version](doc, n, d)
+    mean, v1, starting_points, starting_scores = (
+        a["mean"], a["v1"], a["starting_points"], a["starting_scores"])
+    order, ends, group_cluster = a["order"], a["ends"], a["group_cluster"]
+    l = ends.size
     _check(mean.shape == v1.shape == (d,), f"mean and v1 must have length d={d}")
-    starting_points = _numbers(doc["starting_points"], "starting_points", np.float64)
-    starting_scores = _numbers(doc["starting_scores"], "starting_scores", np.float64)
-    group_cluster = _numbers(doc["group_cluster"], "group_cluster")
     _check(starting_points.shape == (l, d), f"starting_points must have shape ({l}, {d})")
     _check(starting_scores.shape == group_cluster.shape == (l,),
            f"starting_scores and group_cluster must have length {l}")
+    _check(all(bool(np.isfinite(x).all()) for x in (mean, v1, starting_points, starting_scores)),
+           "mean, v1, starting_points and starting_scores must be finite")
     # predict's score windows rest on these three: a unit v1 (as prepare
     # requires it), scores in order, and each score within a quarter of the
     # window pad of its point's (twice the rounding of a score; the rest of
@@ -378,21 +470,20 @@ def _model_from_doc(doc: dict) -> ClusterModel:
                        <= window_pad(starting_points, 0.0) / 4)),
            "starting_scores must be the scores of the starting points along v1")
 
-    # group_members must partition 0..n-1: n rows in range, none left over.
-    sizes = np.fromiter(map(len, members), dtype=np.int64, count=l)
-    rows = _numbers(list(itertools.chain.from_iterable(members)), "group_members")
-    _check(rows.size == n and bool(np.all((rows >= 0) & (rows < n))),
-           f"group_members must partition the rows 0..{n - 1}")
+    # group_members must partition 0..n-1: group ends that rise from 0 to n
+    # (so no size is negative or overflows), n rows in range, none left over.
+    partition = f"group_members must partition the rows 0..{n - 1}"
+    _check(order.shape == (n,) and l > 0 and ends[0] >= 0 and ends[-1] == n
+           and bool(np.all(ends[1:] >= ends[:-1])) and bool(np.all((order >= 0) & (order < n))),
+           partition)
     point_group = np.full(n, -1, dtype=np.int64)
-    point_group[rows] = np.repeat(np.arange(l), sizes)
-    _check(bool(np.all(point_group >= 0)), f"group_members must partition the rows 0..{n - 1}")
+    point_group[order] = np.repeat(np.arange(l), np.diff(ends, prepend=0))
+    _check(bool(np.all(point_group >= 0)), partition)
 
-    cluster_sizes = _numbers(doc["cluster_sizes"], "cluster_sizes")
+    cluster_sizes, edges = a["cluster_sizes"], a["merge_edges"]
     k = cluster_sizes.size
     _check(cluster_sizes.ndim == 1 and bool(np.all((group_cluster >= -1) & (group_cluster < k))),
            f"group_cluster ids must lie in [-1, {k})")
-    edges = _numbers(doc["merge_edges"], "merge_edges")
-    edges = edges.reshape(0, 2) if edges.shape == (0,) else edges
     _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
            f"merge_edges must be pairs of group ids in [0, {l})")
     return ClusterModel(
@@ -411,22 +502,30 @@ def _model_from_doc(doc: dict) -> ClusterModel:
 
 
 def from_json(text: str) -> ClusterModel:
-    """Rebuild a model from its JSON document.
+    """Rebuild a model from its JSON document, in format 2 (see
+    :func:`to_json`) or format 1.
 
-    The document is checked first: keys, shapes, finite JSON numbers (no
-    booleans or strings; integer ids and counts), `group_members`
-    partitioning the rows 0..n-1, cluster ids in [-1, k) and edge endpoints
-    in [0, l). The score windows of `predict` need three more: `v1` of unit
-    norm to within 1e-6, nondecreasing `starting_scores`, and each within a
-    quarter of ``kernel.window_pad`` of ``starting_points @ v1``. A
-    malformed document raises ValueError.
+    Format 1, which earlier versions wrote, holds JSON number lists: the
+    vectors and `starting_scores`, `group_cluster` and `cluster_sizes` as
+    lists, `starting_points` and `merge_edges` as lists of rows, and
+    `group_members` as one list of row indices per group. Its numbers must
+    be JSON numbers (no booleans or strings), integers for ids and counts.
+    Format 2's arrays must be base64 strings of a whole number of 8-byte
+    values, as many as their shapes hold.
+
+    Both formats then pass the same checks: keys, shapes, finite floats,
+    `group_members` partitioning the rows 0..n-1, cluster ids in [-1, k)
+    and edge endpoints in [0, l). The score windows of `predict` need three
+    more: `v1` of unit norm to within 1e-6, nondecreasing
+    `starting_scores`, and each within a quarter of ``kernel.window_pad``
+    of ``starting_points @ v1``. A malformed document raises ValueError.
     """
     doc = json.loads(text)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version not in _FORMATS:
         raise ValueError(f"unsupported model version {version!r}")
     try:
-        return _model_from_doc(doc)
+        return _model_from_doc(doc, version)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model: {exc}") from None
 

@@ -148,6 +148,18 @@ def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.take(X, perm, axis=0), scores, perm
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty float64 vector with no nan, bit for bit:
+    the middle element, or the mean ``(a + b) / 2`` of the two middle ones,
+    as ``np.median`` takes it. ``np.median`` imports ``numpy.ma`` for its nan
+    check, which would add that module to every fit's start-up."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    part = np.partition(values, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2)
+
+
 def prepare(raw) -> PreparedData:
     """Run the full preparation pipeline on raw points.
 
@@ -163,4 +175,4 @@ def prepare(raw) -> PreparedData:
     norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
                             for i in range(0, ordered.shape[0], step)])
     return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
-                        sigma1=sigma1, sigma2=sigma2, mext=float(np.median(norms)))
+                        sigma1=sigma1, sigma2=sigma2, mext=_median(norms))

@@ -8,12 +8,17 @@ sampling instead of quadrature, plain-python hypergeometric sums instead of
 log-factorial tables, all-pairs direct differences instead of score windows
 and the expanded-norm kernel, a stable argsort instead of a tie repair, and
 per-row Python (``round``, f-strings, list adjacency) instead of whole-array
-explanations.
+explanations, and the model document of format 1 (JSON lists) written and
+converted to format 2 (base64 strings) field by field.
 """
 
 from __future__ import annotations
 
+import base64
+import copy
 import heapq
+import itertools
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -450,3 +455,75 @@ def brute_force_group_path(model, start: int, goal: int):
             if nbr not in settled:
                 heapq.heappush(heap, (dist + w, path + (nbr,)))
     return None
+
+
+def to_json_format1(model) -> str:
+    """The model document in format 1, which ``to_json`` wrote before format
+    2: every array as JSON number lists, `group_members` as one list of row
+    indices per group."""
+    members = [[] for _ in range(model.starting_scores.size)]
+    for row, g in enumerate(model.point_group.tolist()):
+        members[g].append(row)
+    doc = {
+        "version": 1,
+        "config": {
+            "radius": model.config.radius,
+            "minPts": model.config.minpts,
+            "scale": model.config.scale,
+            "merge_mode": model.config.merge_mode,
+            "outlier_mode": model.config.outlier_mode,
+        },
+        "mean": model.mean.tolist(),
+        "v1": model.v1.tolist(),
+        "mext": model.mext,
+        "starting_points": model.starting_points.tolist(),
+        "starting_scores": model.starting_scores.tolist(),
+        "group_members": members,
+        "group_cluster": model.group_cluster.tolist(),
+        "cluster_sizes": model.cluster_sizes.tolist(),
+        "merge_edges": model.merge_edges.tolist(),
+        "stats": {"dist_count": model.dist_count, "n": model.n, "d": model.d},
+    }
+    return json.dumps(doc)
+
+
+# Format 2's array fields and the little-endian type of their values.
+FORMAT2_ARRAYS = {"mean": "<f8", "v1": "<f8", "starting_points": "<f8",
+                  "starting_scores": "<f8", "group_members": "<i8", "group_cluster": "<i8",
+                  "cluster_sizes": "<i8", "merge_edges": "<i8"}
+
+
+def _flat(values) -> list:
+    return list(itertools.chain.from_iterable(values)) if values and isinstance(
+        values[0], list) else values
+
+
+def format2_doc(doc1: dict) -> dict:
+    """A format-1 document (parsed JSON) in format 2: each array field
+    present becomes base64 of its values in row order, `group_members` the
+    rows group by group followed by each group's end."""
+    doc = dict(copy.deepcopy(doc1), version=2)
+    if "group_members" in doc:
+        members = doc["group_members"]
+        doc["group_members"] = [*_flat(members),
+                                *itertools.accumulate(len(m) for m in members)]
+    for key, dtype in FORMAT2_ARRAYS.items():
+        if key in doc:
+            raw = np.array(_flat(doc[key]), dtype=dtype).tobytes()
+            doc[key] = base64.b64encode(raw).decode("ascii")
+    return doc
+
+
+def format1_doc(doc2: dict) -> dict:
+    """A format-2 document (parsed JSON) decoded to format 1's lists."""
+    doc = dict(copy.deepcopy(doc2), version=1)
+    for key, dtype in FORMAT2_ARRAYS.items():
+        doc[key] = np.frombuffer(base64.b64decode(doc[key]), dtype=dtype).tolist()
+    n, d = doc["stats"]["n"], doc["stats"]["d"]
+    rows, ends = doc["group_members"][:n], doc["group_members"][n:]
+    doc["group_members"] = [rows[a:b] for a, b in zip([0, *ends], ends)]
+    doc["starting_points"] = [doc["starting_points"][i:i + d]
+                              for i in range(0, len(doc["starting_points"]), d)]
+    edges = doc["merge_edges"]
+    doc["merge_edges"] = [edges[i:i + 2] for i in range(0, len(edges), 2)]
+    return doc

@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,19 +168,38 @@ class TestPredict:
         data = fixture_csv(tmp_path)
         assert main(["predict", "--input", data, "--model", model]) == 2
 
-    @pytest.mark.parametrize("version", ["true", "1.0"])
+    @pytest.mark.parametrize("version", ["true", "1.0", "2.0"])
     def test_model_version_that_is_no_integer(self, tmp_path, capsys, version):
         data = fixture_csv(tmp_path)
         model = tmp_path / "model.json"
         main(["fit", "--input", data, "--output", str(tmp_path / "l.txt"),
               "--radius", "0.3", "--model", str(model)])
         text = model.read_text()
-        assert text.startswith('{"version": 1,')
-        model.write_text(text.replace('{"version": 1,', '{"version": %s,' % version, 1))
+        assert text.startswith('{"version": 2,')
+        model.write_text(text.replace('{"version": 2,', '{"version": %s,' % version, 1))
         out = tmp_path / "pred.txt"
         assert main(["predict", "--input", data, "--model", str(model),
                      "--output", str(out)]) == 2
         assert "unsupported model version" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, corrupt", [
+        ("mean", lambda text: "*" + text[1:]),
+        ("starting_scores", lambda text: text[:-4]),
+        ("group_members", lambda text: [0, 1, 2]),
+    ])
+    def test_corrupted_format2_model(self, tmp_path, capsys, field, corrupt):
+        data = fixture_csv(tmp_path)
+        model = tmp_path / "model.json"
+        main(["fit", "--input", data, "--output", str(tmp_path / "l.txt"),
+              "--radius", "0.3", "--model", str(model)])
+        doc = json.loads(model.read_text())
+        doc[field] = corrupt(doc[field])
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--input", data, "--model", str(model),
+                     "--output", str(out)]) == 2
+        assert f"malformed model: {field}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
@@ -221,6 +243,54 @@ class TestExplain:
 
     def test_index2_requires_index(self, model_path):
         assert main(["explain", "--model", model_path, "--index2", "1"]) == 2
+
+
+class TestImports:
+    """Each command imports only the modules it uses."""
+
+    MODULES = ("sortclust.evaluation", "sortclust.explain", "numpy.ma")
+
+    def loaded_after(self, code, args=(), cwd=None):
+        """The MODULES a fresh interpreter holds after running `code`."""
+        code += f"\nprint('loaded', *(m for m in {self.MODULES!r} if m in sys.modules))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1].split()
+        assert last[0] == "loaded"
+        return set(last[1:])
+
+    def test_commands(self, tmp_path):
+        data = fixture_csv(tmp_path)
+        command = "import sys\nfrom sortclust.cli import main\nassert main(sys.argv[1:]) == 0"
+        fit_args = ["fit", "--input", data, "--output", "l.txt", "--radius", "0.3",
+                    "--model", "model.json", "--stats"]
+        assert self.loaded_after(command, fit_args, tmp_path) == {"sortclust.explain"}
+        assert self.loaded_after(command, ["predict", "--input", data, "--model", "model.json",
+                                           "--output", "p.txt"], tmp_path) == set()
+        assert self.loaded_after(command, ["explain", "--model", "model.json", "--index", "0",
+                                           "--index2", "5"], tmp_path) == {"sortclust.explain"}
+
+    def test_package_names(self):
+        # as bench/tracing.py imports them: submodules through the package
+        assert self.loaded_after("import sys\nfrom sortclust import postprocess, prep\n"
+                                 "from sortclust.cli import _read_matrix, _write_labels") == set()
+        assert self.loaded_after("import sys\nimport sortclust\n"
+                                 "assert sortclust.explain_pair.__module__ == 'sortclust.explain'"
+                                 ) == {"sortclust.explain"}
+        assert self.loaded_after("import sys\nfrom sortclust import *\n"
+                                 "import sortclust\n"
+                                 "assert all(name in globals() for name in sortclust.__all__)\n"
+                                 "assert set(sortclust.__all__) <= set(dir(sortclust))"
+                                 ) == {"sortclust.evaluation", "sortclust.explain"}
+
+    def test_unknown_name(self):
+        import sortclust
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sortclust.no_such_name
 
 
 class TestEval:

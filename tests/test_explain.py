@@ -11,7 +11,7 @@ import pytest
 from sortclust.evaluation import make_blobs
 from sortclust.explain import (_round2, _shortest_group_path, explain_pair, explain_point,
                                explain_summary, fit_stats_text)
-from sortclust.postprocess import fit, from_json, to_json
+from sortclust.postprocess import ClusterModel, fit, from_json, to_json
 
 from _oracles import brute_force_group_path, summary_reference
 
@@ -168,6 +168,20 @@ class TestPair:
         assert m.r == 0.7 and m.num_groups == 4 and m.num_clusters == 1
         report = explain_pair(m, 0, 3)
         assert report.structured["path"] == [0, 1, 2, 3]
+
+    def test_adjacency_is_built_once_per_model(self, monkeypatch):
+        adjacency = ClusterModel.__dict__["_merge_adjacency"]
+        build, built = adjacency.func, []
+        monkeypatch.setattr(adjacency, "func", lambda model: built.append(model) or build(model))
+        m = fit([[0.0], [1.0], [2.0], [3.0]], radius=0.7, scale=1.5)
+        first, second = explain_pair(m, 0, 3), explain_pair(m, 0, 3)
+        assert first.structured["path"] == [0, 1, 2, 3]
+        assert (first.structured, first.text) == (second.structured, second.text)
+        assert explain_pair(m, 1, 3).structured["path"] == [1, 2, 3]
+        assert built == [m]
+        reloaded = from_json(to_json(m))
+        assert explain_pair(reloaded, 0, 3).structured == first.structured
+        assert built == [m, reloaded]
 
     def test_path_stays_inside_cluster(self):
         rng = np.random.default_rng(23)

@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from sortclust import kernel, postprocess
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
+from sortclust.explain import explain_pair, explain_point, explain_summary
 from sortclust.merging import connected_components
 from sortclust.postprocess import (apply_minpts, fit, from_json, load_model,
                                    predict, save_model, to_json)
 
-from _oracles import direct_nearest, direct_sq_matrix
+from _oracles import (direct_nearest, direct_sq_matrix, format1_doc, format2_doc,
+                      to_json_format1)
 
 
 class TestFit:
@@ -377,11 +381,12 @@ class TestPredictPaths:
     def test_v1_off_unit_length_as_far_as_a_model_may_be(self, path):
         # from_json admits |v1| within 1e-6 of 1; in 1-D each score gap is
         # then |v1| times the distance, beyond the rounding the windows allow
-        doc = json.loads(to_json(fit([[0.0], [10.0], [20.0], [30.0]], radius=1e-3)))
+        doc = format1_doc(json.loads(to_json(fit([[0.0], [10.0], [20.0], [30.0]],
+                                                 radius=1e-3))))
         stretch = 1.0 + 5e-7
         doc["v1"] = [stretch * x for x in doc["v1"]]
         doc["starting_scores"] = [stretch * x for x in doc["starting_scores"]]
-        m = from_json(json.dumps(doc))
+        m = from_json(json.dumps(format2_doc(doc)))
         assert m.num_groups == 4
         queries = np.array([[4.9], [14.9], [25.1], [-3.0], [33.0]])
         expected = TestPredict.nearest_clusters(m, queries)
@@ -423,6 +428,16 @@ class TestConcurrentUse:
         assert points == m.labels[:100].tolist()
 
 
+# A model document in format 1, written by the package's format-1 writer
+# (now `_oracles.to_json_format1`) from the fit of `format1_fixture_fit`.
+FORMAT1_FIXTURE = Path(__file__).parent / "data" / "model_format1.json"
+
+
+def format1_fixture_fit():
+    data, _ = make_blobs(60, 2, 3, 0.6, 3)
+    return data, fit(data, radius=0.15, minpts=4, outlier_mode="separate")
+
+
 class TestSerialization:
     @pytest.mark.parametrize("num_groups", [1, 200, 300, 70_000])
     def test_member_lists_for_every_id_width(self, num_groups):
@@ -435,7 +450,7 @@ class TestSerialization:
         expected = [[] for _ in range(num_groups)]
         for row, g in enumerate(point_group.tolist()):
             expected[g].append(row)
-        assert json.loads(to_json(m))["group_members"] == expected
+        assert format1_doc(json.loads(to_json(m)))["group_members"] == expected
         assert [members.tolist() for members in m.group_members] == expected
 
     def test_round_trip_exact(self, tmp_path):
@@ -458,6 +473,35 @@ class TestSerialization:
         assert np.array_equal(m2.merge_edges, m.merge_edges)
         assert m2.labels.tolist() == m.labels.tolist()
         assert (m2.dist_count, m2.n, m2.d) == (m.dist_count, m.n, m.d)
+
+    def test_format2_is_format1_in_base64(self):
+        # each array of the format-1 document, as base64 of its little-endian values
+        data, _ = make_blobs(200, 3, 3, 0.6, 5)
+        m = fit(data, radius=0.37, minpts=4, merge_mode="density", outlier_mode="separate")
+        assert m.merge_edges.size > 0
+        doc, doc1 = json.loads(to_json(m)), json.loads(to_json_format1(m))
+        assert doc["version"] == 2 and doc == format2_doc(doc1)
+        assert format1_doc(doc) == doc1
+
+    def test_format1_fixture_loads_to_its_fit(self):
+        text = FORMAT1_FIXTURE.read_text(encoding="utf-8")
+        data, fitted = format1_fixture_fit()
+        assert text == to_json_format1(fitted) + "\n"
+        assert fitted.merge_edges.size > 0 and (fitted.labels == -1).any()
+        m = load_model(FORMAT1_FIXTURE)
+        assert (m.config, m.mext, m.dist_count) == (fitted.config, fitted.mext, fitted.dist_count)
+        for name in ("mean", "v1", "starting_points", "starting_scores", "group_cluster",
+                     "cluster_sizes", "merge_edges", "point_group", "labels"):
+            a, b = getattr(m, name), getattr(fitted, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        assert to_json(m) == to_json(fitted)
+        queries = np.random.default_rng(12).normal(0.0, 4.0, size=(200, 2)) + fitted.mean
+        assert predict(m, queries).tolist() == predict(fitted, queries).tolist()
+        assert explain_summary(m).text == explain_summary(fitted).text
+        for i in range(m.n):
+            assert explain_point(m, i).text == explain_point(fitted, i).text
+            for j in range(0, m.n, 7):
+                assert explain_pair(m, i, j).text == explain_pair(fitted, i, j).text
 
     def test_schema_fields(self):
         m = fit([[0.0], [0.5], [9.0]], radius=0.4)
@@ -517,6 +561,10 @@ def _scale_v1(doc):
     doc["starting_scores"] = [1.001 * s for s in doc["starting_scores"]]
 
 
+# Faults in a document's structure, which both formats must reject: keys,
+# shapes, ids and rows out of range, non-finite floats, scalars, and what the
+# score windows of predict trust. Format 2 takes them decoded to lists,
+# changed and encoded again.
 CORRUPTIONS = [
     pytest.param(lambda doc: doc.pop("config"), id="missing-config"),
     pytest.param(lambda doc: doc["config"].pop("radius"), id="missing-config-key"),
@@ -537,7 +585,6 @@ CORRUPTIONS = [
     pytest.param(lambda doc: _replace_member(doc, 0, 1), id="duplicated-member"),
     pytest.param(lambda doc: doc["group_members"][0].append(doc["stats"]["n"]),
                  id="member-out-of-range"),
-    pytest.param(lambda doc: doc["group_members"].__setitem__(0, 3), id="member-list-not-list"),
     pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, len(doc["cluster_sizes"])),
                  id="cluster-id-too-large"),
     pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, -2), id="cluster-id-below-minus-one"),
@@ -545,11 +592,6 @@ CORRUPTIONS = [
                  id="edge-endpoint-too-large"),
     pytest.param(lambda doc: doc["merge_edges"].append([-1, 0]), id="edge-endpoint-negative"),
     pytest.param(lambda doc: doc.update(merge_edges=[[0, 1, 2]]), id="edge-not-a-pair"),
-    # non-integral ids would otherwise be truncated to a valid id
-    pytest.param(lambda doc: _shift(doc["group_members"][0], 0, 0.7), id="fractional-member"),
-    pytest.param(lambda doc: _shift(doc["group_cluster"], 0, 0.5), id="fractional-cluster-id"),
-    pytest.param(lambda doc: _shift(doc["cluster_sizes"], 0, 0.5), id="fractional-cluster-size"),
-    pytest.param(lambda doc: _shift(doc["merge_edges"][0], 1, 0.5), id="fractional-edge-endpoint"),
     # non-integral counts would otherwise be truncated, booleans cast to 0 or 1
     pytest.param(lambda doc: doc["config"].update(minPts=2.7), id="fractional-minpts"),
     pytest.param(lambda doc: doc["config"].update(minPts=True), id="boolean-minpts"),
@@ -557,25 +599,14 @@ CORRUPTIONS = [
     pytest.param(lambda doc: _shift(doc["stats"], "n", 0.5), id="fractional-n"),
     pytest.param(lambda doc: _shift(doc["stats"], "d", 0.5), id="fractional-d"),
     pytest.param(lambda doc: doc["stats"].update(dist_count=-1), id="negative-dist-count"),
-    pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, True), id="boolean-cluster-id"),
-    pytest.param(lambda doc: doc["group_members"][0].__setitem__(0, False),
-                 id="boolean-member"),
-    pytest.param(lambda doc: doc["cluster_sizes"].__setitem__(0, True), id="boolean-cluster-size"),
-    pytest.param(lambda doc: doc["merge_edges"][0].__setitem__(1, True),
-                 id="boolean-edge-endpoint"),
     # float fields must be finite JSON numbers; float() would cast strings
     # and booleans, and a NaN or infinity would load
     pytest.param(lambda doc: doc.update(mext=-3.0), id="negative-mext"),
     pytest.param(lambda doc: doc.update(mext=float("nan")), id="nan-mext"),
     pytest.param(lambda doc: doc.update(mext="2.5"), id="string-mext"),
     pytest.param(lambda doc: doc.update(mext=[doc["mext"]]), id="list-mext"),
-    pytest.param(lambda doc: doc["mean"].__setitem__(0, str(doc["mean"][0])),
-                 id="string-mean-coordinate"),
-    pytest.param(lambda doc: doc["v1"].__setitem__(0, True), id="boolean-v1-coordinate"),
     pytest.param(lambda doc: doc["starting_points"][0].__setitem__(0, float("nan")),
                  id="nan-starting-point"),
-    pytest.param(lambda doc: doc["starting_points"][0].__setitem__(0, "0.5"),
-                 id="string-starting-point"),
     pytest.param(lambda doc: doc["starting_scores"].__setitem__(0, float("inf")),
                  id="infinite-starting-score"),
     pytest.param(lambda doc: doc["config"].update(radius="0.2"), id="string-radius"),
@@ -587,23 +618,134 @@ CORRUPTIONS = [
     pytest.param(_scale_v1, id="non-unit-v1"),
 ]
 
+# Faults in format 1's number lists, which format 2's bytes cannot hold.
+LIST_CORRUPTIONS = [
+    pytest.param(lambda doc: doc["group_members"].__setitem__(0, 3), id="member-list-not-list"),
+    # non-integral ids would otherwise be truncated to a valid id
+    pytest.param(lambda doc: _shift(doc["group_members"][0], 0, 0.7), id="fractional-member"),
+    pytest.param(lambda doc: _shift(doc["group_cluster"], 0, 0.5), id="fractional-cluster-id"),
+    pytest.param(lambda doc: _shift(doc["cluster_sizes"], 0, 0.5), id="fractional-cluster-size"),
+    pytest.param(lambda doc: _shift(doc["merge_edges"][0], 1, 0.5), id="fractional-edge-endpoint"),
+    pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, True), id="boolean-cluster-id"),
+    pytest.param(lambda doc: doc["group_members"][0].__setitem__(0, False),
+                 id="boolean-member"),
+    pytest.param(lambda doc: doc["cluster_sizes"].__setitem__(0, True), id="boolean-cluster-size"),
+    pytest.param(lambda doc: doc["merge_edges"][0].__setitem__(1, True),
+                 id="boolean-edge-endpoint"),
+    pytest.param(lambda doc: doc["mean"].__setitem__(0, str(doc["mean"][0])),
+                 id="string-mean-coordinate"),
+    pytest.param(lambda doc: doc["v1"].__setitem__(0, True), id="boolean-v1-coordinate"),
+    pytest.param(lambda doc: doc["starting_points"][0].__setitem__(0, "0.5"),
+                 id="string-starting-point"),
+]
+
+
+def _edit_bytes(doc, key, edit):
+    """Replace the bytes of format-2 field `key` by `edit` of them."""
+    doc[key] = base64.b64encode(edit(base64.b64decode(doc[key]))).decode("ascii")
+
+
+def _edit_values(doc, key, dtype, edit):
+    """Apply `edit` to the values of format-2 field `key`, in place."""
+    def edited(raw):
+        values = np.frombuffer(raw, dtype=dtype).copy()
+        edit(values)
+        return values.tobytes()
+    _edit_bytes(doc, key, edited)
+
+
+def _set_end(doc, group, value):
+    """Set the end of `group` in format 2's `group_members`."""
+    n = doc["stats"]["n"]
+    _edit_values(doc, "group_members", "<i8", lambda v: v[n:].__setitem__(group, value))
+
+
+# Faults in format 2's encoding, and the start of the message each raises.
+NOT_FINITE = "mean, v1, starting_points and starting_scores must be finite"
+ENCODING_FAULTS = [
+    pytest.param(lambda doc: doc.update(mean="*" + doc["mean"][1:]),
+                 "mean must be a base64 string", id="character-outside-the-alphabet"),
+    pytest.param(lambda doc: doc.update(v1="\u00e9" + doc["v1"][1:]),
+                 "v1 must be a base64 string", id="non-ascii-character"),
+    pytest.param(lambda doc: doc.update(mean=doc["mean"][:4] + "\n" + doc["mean"][4:]),
+                 "mean must be a base64 string", id="line-break"),
+    pytest.param(lambda doc: doc.update(starting_scores=doc["starting_scores"][:-1]),
+                 "starting_scores must be a base64 string", id="incomplete-base64"),
+    pytest.param(lambda doc: _edit_bytes(doc, "starting_scores", lambda raw: raw + bytes(4)),
+                 "starting_scores must hold 6 values", id="bytes-not-a-multiple-of-8"),
+    pytest.param(lambda doc: _edit_bytes(doc, "starting_points", lambda raw: raw[:-8]),
+                 "starting_points must hold 12 values", id="bytes-off-the-shape"),
+    pytest.param(lambda doc: _edit_bytes(doc, "merge_edges", lambda raw: raw + bytes(8)),
+                 "merge_edges must hold a multiple of 2 values", id="half-an-edge"),
+    pytest.param(lambda doc: _edit_bytes(doc, "group_members", lambda raw: raw[:80]),
+                 "group_members must hold 200 rows", id="fewer-members-than-rows"),
+    pytest.param(lambda doc: _edit_values(doc, "v1", "<f8", lambda v: v.__setitem__(0, np.nan)),
+                 NOT_FINITE, id="nan-bytes"),
+    pytest.param(lambda doc: _edit_values(doc, "mean", "<f8", lambda v: v.__setitem__(1, np.inf)),
+                 NOT_FINITE, id="infinite-bytes"),
+    pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
+                                          lambda v: v.__setitem__(-1, -np.inf)),
+                 NOT_FINITE, id="negative-infinite-bytes"),
+    pytest.param(lambda doc: _set_end(doc, 0, -1),
+                 "group_members must partition", id="negative-group-end"),
+    pytest.param(lambda doc: _set_end(doc, 0, doc["stats"]["n"]),
+                 "group_members must partition", id="decreasing-group-ends"),
+    pytest.param(lambda doc: _set_end(doc, -1, 2 ** 62),
+                 "group_members must partition", id="group-end-beyond-n"),
+    pytest.param(lambda doc: doc.update(mean=format1_doc(doc)["mean"]),
+                 "mean must be a base64 string", id="list-for-a-string"),
+    pytest.param(lambda doc: doc.update(merge_edges=0),
+                 "merge_edges must be a base64 string", id="number-for-a-string"),
+    pytest.param(lambda doc: doc.update(group_members=None),
+                 "group_members must be a base64 string", id="null-for-a-string"),
+    pytest.param(lambda doc: doc.update(format1_doc(doc), version=2),
+                 "group_members must be a base64 string", id="version-2-with-format-1-lists"),
+    pytest.param(lambda doc: doc.update(version=1),
+                 "group_members must be a list", id="version-1-with-format-2-strings"),
+]
+
 
 class TestModelValidation:
     @pytest.fixture(scope="class")
-    def doc(self):
+    def model(self):
         data, _ = make_blobs(200, 2, 2, 0.5, 3)
         m = fit(data, radius=0.2, minpts=3)
         assert m.num_groups > 2 and m.merge_edges.shape[0] > 0
-        return json.loads(to_json(m))
+        return m
 
-    def test_valid_document_loads(self, doc):
+    @pytest.fixture(scope="class")
+    def doc(self, model):
+        return json.loads(to_json_format1(model))
+
+    @pytest.fixture(scope="class")
+    def doc2(self, model):
+        return json.loads(to_json(model))
+
+    def test_valid_document_loads(self, doc, doc2):
         assert from_json(json.dumps(doc)).n == 200
+        assert from_json(json.dumps(doc2)).n == 200
+        assert from_json(json.dumps(format2_doc(format1_doc(doc2)))).n == 200
 
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS + LIST_CORRUPTIONS)
     def test_malformed_document_raises_value_error(self, doc, corrupt):
         bad = json.loads(json.dumps(doc))
         corrupt(bad)
         with pytest.raises(ValueError, match="malformed model"):
+            from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_malformed_format2_document_raises_value_error(self, doc2, corrupt):
+        bad = format1_doc(doc2)
+        corrupt(bad)
+        with pytest.raises(ValueError, match="malformed model"):
+            from_json(json.dumps(format2_doc(bad)))
+
+    @pytest.mark.parametrize("corrupt, message", ENCODING_FAULTS)
+    def test_format2_encoding_fault_raises_value_error(self, doc2, corrupt, message):
+        assert from_json(json.dumps(doc2)).num_groups == 6
+        bad = json.loads(json.dumps(doc2))
+        corrupt(bad)
+        with pytest.raises(ValueError, match=f"^malformed model: {message}"):
             from_json(json.dumps(bad))
 
     def test_non_object_document(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sortclust import fit, prep, to_json
-from sortclust.prep import (_stable_argsort, center, first_principal_component, prepare,
-                            principal_plane, score_and_sort)
+from sortclust.prep import (_median, _stable_argsort, center, first_principal_component,
+                            prepare, principal_plane, score_and_sort)
 
 from _oracles import singular_values_oracle, stable_score_sort
 
@@ -278,3 +278,29 @@ class TestPrepare:
     def test_n_equals_one(self):
         p = prepare([[7.0, -2.0]])
         assert p.n == 1 and p.scores.tolist() == [0.0] and p.mext == 0.0
+
+
+class TestMedian:
+    """`_median` is ``np.median`` bit for bit on nonnegative norms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 101, 1000, 4097])
+    def test_bits_equal_np_median(self, n):
+        rng = np.random.default_rng(n)
+        samples = [rng.uniform(0.0, 10.0, n), rng.lognormal(0.0, 30.0, n),
+                   rng.integers(0, 3, n).astype(np.float64), np.zeros(n),
+                   np.linalg.norm(rng.normal(size=(n, 3)), axis=1)]
+        for values in samples:
+            expected = float(np.median(values))
+            assert _median(values.copy()).hex() == expected.hex()
+
+    @pytest.mark.parametrize("values", [
+        [np.inf], [1.0, np.inf], [np.inf, np.inf], [2.0, np.inf, 1.0],
+        [np.inf, 1.0, np.inf, 3.0], [0.0, np.inf, np.inf, np.inf, 5e153],
+        [1.3e154, 1.34e154], [1.34e154, 1.34e154, np.inf, 0.0]])
+    def test_norms_that_overflow_to_inf(self, values):
+        values = np.array(values)
+        assert _median(values.copy()).hex() == float(np.median(values)).hex()
+
+    def test_input_is_left_as_it_is(self):
+        values = np.array([3.0, 1.0, 2.0, 0.5])
+        assert _median(values) == 1.5 and values.tolist() == [3.0, 1.0, 2.0, 0.5]
