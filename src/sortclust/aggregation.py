@@ -13,7 +13,7 @@ boundary.
 The rows of a window are a contiguous slice of the sorted data, so the
 sweep runs in blocks, every start on one path: the next free rows from the
 current start, as many as fit one product of at most ``_BLOCK`` entries
-against their joint window (the sizing rule of ``kernel.window_blocks``),
+against their joint window (``kernel.block_rows``, as ``window_blocks``),
 are tested against that window in one float32 matrix product, compared with
 R^2 through half squared norms (``kernel.within``, which splits a window too
 wide for one product into column chunks). A start whose window alone
@@ -69,7 +69,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, half_sq_norms, single, window_pad, within
+from .kernel import _BLOCK, _SPAN, block_rows, half_sq_norms, single, window_pad, within
 from .prep import PreparedData
 
 
@@ -118,8 +118,6 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
-    lookahead = math.isqrt(_BLOCK) + 2    # a block of m candidates spans >= m - 1 columns
-    steps = np.arange(1, lookahead + 1)
     g = dist_count = 0
     i = zone = 0    # the slot of the next start; the latest window end
     left = n        # rows neither started nor claimed: the free slots from i on
@@ -132,9 +130,8 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
         # blocks are sized on the windows in rows (see the module docstring)
         if 2 * (hi - row - 1) <= _BLOCK:
             # the next free rows, as many as fit one product with their joint window
-            cand = i + np.flatnonzero(free[i:hi + lookahead])[:lookahead]
-            cost = (ends[ids[cand]] - (row + 1)) * steps[:cand.size]
-            cand = cand[:max(1, int(np.searchsorted(cost, _BLOCK, side="right")))]
+            cand = i + np.flatnonzero(free[i:hi + _SPAN])[:_SPAN]
+            cand = cand[:block_rows(ends[ids[cand]] - (row + 1))]
         e = ends[ids[cand]]
         g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e,
                                        left)

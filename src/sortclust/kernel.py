@@ -34,9 +34,10 @@ The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
 searches only the rows whose score lies within that bound (padded by
 ``window_pad``), by the projection bound of Friedman, Baskett and Shustek
-(IEEE Trans. Computers, 1975): a score gap never exceeds the distance. The
-minPts rule runs it, and so does ``predict`` on calls that span many blocks
-of a model with many starts (the rule is in its docstring).
+(IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
+``nearest``, which the minPts rule and ``predict`` call, takes it when given
+scores for a search of at least four blocks against at least 2,048 rows
+(the cost rule is in its docstring).
 
 ``window_blocks`` cuts consecutive rows into blocks whose joint window
 fills the budget, however much or little the windows move from row to row.
@@ -68,6 +69,11 @@ _SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # s screened in float32
 _NORM_LIMIT = 2.0 ** 1020
 # Rows of B nearest in score whose distances bound a score-windowed search.
 _SCORE_NEIGHBOURS = 32
+# A bound-step distance of that search costs about this many dense product
+# entries (15 to 35 for d from 2 to 100, one BLAS thread).
+_BOUND_COST = 32
+# The most rows a block can hold if its hull grows a column per row.
+_SPAN = math.isqrt(_BLOCK) + 2
 
 
 def half_sq_norms(points: np.ndarray) -> np.ndarray:
@@ -149,23 +155,22 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
 
 
 def within(A: np.ndarray, half_a: np.ndarray, B: np.ndarray, half_b: np.ndarray, t: float,
-           a32: np.ndarray, b32: np.ndarray, half_b32: np.ndarray, b_rows=None) -> np.ndarray:
-    """(m, k) mask: whether |B[j] - A[i]|^2 <= t, as the direct formula decides.
+           a32: np.ndarray, b32: np.ndarray, half_b32: np.ndarray, b_rows) -> np.ndarray:
+    """(m, k) mask: whether |B[b_rows[j]] - A[i]|^2 <= t, as the direct formula decides.
 
     `half_a` holds the half squared norms of the m rows of A as an (m, 1)
-    column, `half_b` those of the k rows of B; k may be 0. `a32`, `b32` and
+    column, `half_b` those of the k rows ``B[b_rows]``, which are gathered
+    only where their float64 values are read; k may be 0. `a32`, `b32` and
     `half_b32` are the ``single`` copies of A, of the k rows and of
-    `half_b`. If `b_rows` is given, the k rows are ``B[b_rows]``, gathered
-    only where their float64 values are read. The columns go ``_BLOCK // m``
-    at a time, so every product holds the budget however wide the window.
+    `half_b`. The columns go ``_BLOCK // m`` at a time, so every product
+    holds the budget however wide the window.
     """
     hit = np.zeros((A.shape[0], half_b.shape[0]), dtype=bool)
     step = max(1, _BLOCK // A.shape[0])
     for c in range(0, hit.shape[1], step):
         cols = slice(c, c + step)
-        _within_chunk(hit[:, cols], A, half_a, B[cols] if b_rows is None else B,
-                      half_b[cols], t, a32, b32[cols], half_b32[cols],
-                      None if b_rows is None else b_rows[cols])
+        _within_chunk(hit[:, cols], A, half_a, B, half_b[cols], t, a32, b32[cols],
+                      half_b32[cols], b_rows[cols])
     return hit
 
 
@@ -179,14 +184,11 @@ def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, half_b32, b_rows) -> N
         width = _band32(A.shape[1], s)
         lower, upper = np.float32(thr - width), np.float32(thr + width)
     elif np.max(s) < _NORM_LIMIT:
-        if b_rows is None:
-            h = A @ B.T
-        else:
-            # the gathered rows of B, a budget's worth at a time
-            h = np.empty(out.shape)
-            step = max(1, _BLOCK // B.shape[1])
-            for c in range(0, out.shape[1], step):
-                h[:, c:c + step] = A @ B[b_rows[c:c + step]].T
+        # the gathered rows of B, a budget's worth at a time
+        h = np.empty(out.shape)
+        step = max(1, _BLOCK // B.shape[1])
+        for c in range(0, out.shape[1], step):
+            h[:, c:c + step] = A @ B[b_rows[c:c + step]].T
         h -= half_b
         width = _band(A.shape[1], s)
         lower, upper = thr - width, thr + width
@@ -201,28 +203,33 @@ def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, half_b32, b_rows) -> N
     at = np.flatnonzero(unsure)
     if at.size:
         ia, ib = np.divmod(at, out.shape[1])
-        out[ia, ib] = _direct_sq(A, ia, B, ib if b_rows is None else b_rows[ib]) <= t
+        out[ia, ib] = _direct_sq(A, ia, B, b_rows[ib]) <= t
+
+
+def block_rows(widths: np.ndarray) -> int:
+    """The most first rows m of a block with m * max(widths[m - 1], 1) within
+    the budget, and at least one; `widths[m - 1]` (nondecreasing) is the width
+    of the first m rows' joint window, so a row too wide goes alone."""
+    cost = np.maximum(widths, 1) * np.arange(1, widths.size + 1)
+    return max(1, int(np.searchsorted(cost, _BLOCK, side="right")))
 
 
 def window_blocks(los: np.ndarray, his: np.ndarray):
     """Blocks of consecutive rows i with the hull [lo, hi) of their windows
     [los[i], his[i]).
 
-    Yields ``(rows, lo, hi)``: from each first row, as many rows as keep
-    rows * max(hi - lo, 1) within the block budget, and at least one: a
-    row whose window alone exceeds the budget is a block of its own.
-    Windows need not be monotone; for nondecreasing `los` and `his` the
-    hull is ``[los[first], his[last])``.
+    Yields ``(rows, lo, hi)``: from each first row, as many rows as
+    :func:`block_rows` admits for the widths of their hulls. Windows need
+    not be monotone; for nondecreasing `los` and `his` the hull is
+    ``[los[first], his[last])``.
     """
-    base = math.isqrt(_BLOCK) + 2    # all the budget admits if the hull grows a column per row
     i, l = 0, len(his)
     while i < l:
-        span = base
+        span = _SPAN
         while True:
             lo = np.minimum.accumulate(los[i:i + span])
             hi = np.maximum.accumulate(his[i:i + span])
-            cost = np.maximum(hi - lo, 1) * np.arange(1, lo.size + 1)
-            m = max(1, int(np.searchsorted(cost, _BLOCK, side="right")))
+            m = block_rows(hi - lo)
             if m < lo.size or i + m >= l:
                 break
             span *= 4
@@ -230,7 +237,8 @@ def window_blocks(los: np.ndarray, his: np.ndarray):
         i += m
 
 
-def nearest(A: np.ndarray, B: np.ndarray, half_b=None) -> np.ndarray:
+def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=None,
+            pad_b=None) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
 
@@ -239,8 +247,36 @@ def nearest(A: np.ndarray, B: np.ndarray, half_b=None) -> np.ndarray:
     by the product; otherwise every row of B within twice the band of the
     lead is a candidate, compared by the direct formula. So are the winners
     of several column chunks. B must have a row; `half_b` may be given.
+
+    Given `score_a` and `score_b`, the rows' scores along one unit direction
+    (nondecreasing for B), it may search score windows instead
+    (:func:`nearest_by_score` on A sorted by score, with `pad_b` as there),
+    with the same result bit for bit. The choice is one of cost, made from
+    the m rows of A and the k of B before any distance is computed. The
+    dense search costs m * k product entries, about 2-3 ns each at d = 10
+    (one BLAS thread). The windows cost ``_SCORE_NEIGHBOURS`` direct
+    distances per row of A, about ``_BOUND_COST`` (32) entries each, then
+    the products over its window, whose width depends on the data (16-21% of
+    the rows of B on the benchmark's workloads), plus about 0.2 ms per call.
+    They are taken when k >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST (2048) and
+    m * k >= 4 * ``_BLOCK`` (four blocks). Measured on blob data with 1,000
+    rows of A against the starting points of a fit, they break even at about
+    1,200 rows of B for d = 2, 2,500 for d = 10 and between 600 and 2,600
+    for d = 50; with 6k to 14k rows of B, at two to five blocks (16 to 64
+    rows of A). The crossover does not grow with d, so d does not enter the
+    rule.
     """
-    return _nearest(A, half_sq_norms(A), B, half_sq_norms(B) if half_b is None else half_b)
+    if score_a is None or not _by_score(A.shape[0], B.shape[0]):
+        return _nearest(A, half_sq_norms(A), B, half_sq_norms(B) if half_b is None else half_b)
+    order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
+    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b)
+    return near
+
+
+def _by_score(rows_a: int, rows_b: int) -> bool:
+    """Whether :func:`nearest` searches score windows rather than all of B."""
+    return (rows_b >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST
+            and rows_a * rows_b >= 4 * _BLOCK)
 
 
 def _nearest(A, half_a, B, half_b) -> np.ndarray:

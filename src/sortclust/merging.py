@@ -138,8 +138,8 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
-        hits = within(A[rows], half_a[rows, None], B[lo:hi], half_b[lo:hi], t,
-                      a32[rows], b32[lo:hi], half_b32[lo:hi])
+        hits = within(A[rows], half_a[rows, None], B, half_b[lo:hi], t,
+                      a32[rows], b32[lo:hi], half_b32[lo:hi], np.arange(lo, hi))
         i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
         j += lo
         keep = (j >= los[rows][i]) & (j < his[rows][i])

@@ -16,13 +16,12 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregation import _finite_real, _radius, _scale, aggregate
-from .kernel import (_BLOCK, _SCORE_NEIGHBOURS, half_sq_norms, nearest, nearest_by_score,
-                     window_pad)
+from .kernel import half_sq_norms, nearest, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import prepare
@@ -76,15 +75,17 @@ class ClusterModel:
     merge_edges: np.ndarray               # (E, 2) merge graph edges, i < j
     point_group: np.ndarray               # (n,) original row -> group id
     dist_count: int
-    # predict's eligible groups, their points, half norms and window_pad(points, 0)
-    _eligible: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def _eligible(self) -> tuple:
+        """predict's eligible groups, their points, half norms and
+        window_pad(points, 0), |v1| and their scores along v1 / |v1|."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
-        object.__setattr__(self, "_eligible",
-                           (eligible, pts, half_sq_norms(pts), window_pad(pts, 0.0)))
+        norm = float(np.linalg.norm(self.v1))    # from_json admits v1 within 1e-6 of unit
+        return (eligible, pts, half_sq_norms(pts), window_pad(pts, 0.0), norm,
+                self.starting_scores[eligible] / norm)
 
     @property
     def r(self) -> float:    # effective aggregation radius
@@ -156,9 +157,9 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
     to the cluster of the nearest starting point (ties: smallest group index)
     whose cluster has at least `minpts` points; eligibility uses the sizes
     before any reassignment. If no cluster is large enough, nothing changes.
-    The nearest starting point is searched in a score window around each
-    moved one (``kernel.nearest_by_score``), so `starting_scores` must be
-    the nondecreasing scores of the starting points, as ``fit`` passes them.
+    The nearest starting point is found by ``kernel.nearest``, which may
+    search score windows, so `starting_scores` must be the nondecreasing
+    scores of the starting points, as ``fit`` passes them.
 
     separate: points of too-small clusters are labelled -1 and surviving
     clusters are renumbered contiguously.
@@ -179,8 +180,8 @@ def apply_minpts(cluster_map: GroupClusterMap, group_sizes, starting_points,
         scores = np.asarray(starting_scores, dtype=np.float64)
         eligible = np.nonzero(~small[assignment])[0]
         moved = np.nonzero(small[assignment])[0]
-        near = nearest_by_score(np.take(pts, moved, axis=0), scores[moved],
-                                np.take(pts, eligible, axis=0), scores[eligible])
+        near = nearest(np.take(pts, moved, axis=0), np.take(pts, eligible, axis=0),
+                       scores[moved], scores[eligible])
         raw[moved] = assignment[eligible[near]]
     else:
         raw[small[assignment]] = -1
@@ -232,18 +233,6 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     )
 
 
-# The score-window search in predict: a bound-step distance costs about this
-# many dense product entries (15 to 35 for d from 2 to 100, one BLAS thread).
-_BOUND_COST = 32
-
-
-def _by_score(queries: int, starts: int) -> bool:
-    """Whether predict searches score windows rather than every start; see
-    :func:`predict`."""
-    return (starts >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST
-            and queries * starts >= 4 * _BLOCK)
-
-
 def predict(model: ClusterModel, new_points) -> np.ndarray:
     """Assign each query point the cluster of its nearest starting point.
 
@@ -252,26 +241,9 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     exact ties going to the smallest group index. Outlier groups (separate
     mode) are skipped; if no cluster survives, -1 is returned.
 
-    Either path gives the same labels, bit for bit; the choice is one of
-    cost, made from the q query rows and the l eligible starts before any
-    distance is computed:
-
-    - dense (``kernel.nearest``): q * l product entries, about 2-3 ns each
-      at d = 10 (one BLAS thread), plus a pass over the starts per call;
-    - score windows (``kernel.nearest_by_score``): the queries are sorted
-      by their score along v1 and each gets ``_SCORE_NEIGHBOURS`` direct
-      distances to the starts nearest in score, about ``_BOUND_COST`` (32)
-      product entries each, then the products over its window, whose width
-      depends on the data (16-21% of the starts on the benchmark's
-      workloads), plus about 0.2 ms per call.
-
-    The windows are taken when l >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST
-    (2048) and q * l >= 4 * ``kernel._BLOCK`` (four blocks). Measured on
-    blob data with 1,000 queries, the window path breaks even at about
-    1,200 starts for d = 2, 2,500 for d = 10 and between 600 and 2,600 for
-    d = 50; with 6k to 14k starts it breaks even at two to five blocks (16
-    to 64 queries). The crossover does not grow with d, so d does not enter
-    the rule.
+    The search is ``kernel.nearest`` on the queries' scores along v1: it
+    takes score windows or every start by the cost rule in its docstring,
+    with the same labels either way.
     """
     q = np.asarray(new_points, dtype=np.float64)
     if q.ndim != 2:
@@ -280,19 +252,11 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible, pts, half, pad = model._eligible
+    eligible, pts, half, pad, norm, scores = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     q = q - model.mean
-    if not _by_score(q.shape[0], eligible.size):
-        return model.group_cluster[eligible[nearest(q, pts, half)]]
-    # scores along v1 / |v1|, which from_json admits within 1e-6 of a unit vector
-    norm = float(np.linalg.norm(model.v1))
-    scores = (q @ model.v1) / norm
-    order = np.argsort(scores)
-    near = np.empty(q.shape[0], dtype=np.int64)
-    near[order] = nearest_by_score(np.take(q, order, axis=0), scores[order], pts,
-                                   model.starting_scores[eligible] / norm, half, pad)
+    near = nearest(q, pts, (q @ model.v1) / norm, scores, half, pad)
     return model.group_cluster[eligible[near]]
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sortclust import aggregation, kernel, merging, postprocess
+from sortclust import aggregation, kernel, merging
 from sortclust.aggregation import aggregate
 from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
 from sortclust.merging import GroupClusterMap, density_merge, distance_merge
@@ -25,7 +25,7 @@ AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 def within_all(A, B, t):
     half_b = half_sq_norms(B)
     return within(A, half_sq_norms(A)[:, None], B, half_b, t, kernel.single(A),
-                  kernel.single(B), kernel.single(half_b))
+                  kernel.single(B), kernel.single(half_b), np.arange(B.shape[0]))
 
 
 def by_hand(points, v1):
@@ -418,6 +418,42 @@ class TestWindowBlocks:
         assert self.blocks([3] * 40, [3] * 40) == [(0, 16, 3, 3), (16, 32, 3, 3), (32, 40, 3, 3)]
 
 
+def sweep_rule(widths):
+    """The block size that aggregate's sweep computed inline, with no floor
+    of one column on the widths."""
+    cost = widths * np.arange(1, widths.size + 1)
+    return max(1, int(np.searchsorted(cost, kernel._BLOCK, side="right")))
+
+
+class TestBlockRows:
+    BLOCK = kernel._BLOCK
+
+    @pytest.mark.parametrize("widths, m", [
+        ([0, 0, 0, 5, 100, 1_000, 20_000, 40_000], 6),
+        # 4 rows of 32,768 columns land exactly on the budget; 32,769 pass it
+        ([10, 100, 1_000, BLOCK // 4, BLOCK // 4], 4),
+        ([10, 100, 1_000, BLOCK // 4 + 1], 3),
+        # a first window alone over the budget is a block of its own
+        ([BLOCK + 1, BLOCK + 5], 1),
+        ([BLOCK, BLOCK], 1),
+        ([0] * 40, 40),
+    ])
+    def test_cases_match_the_sweep_rule(self, widths, m):
+        widths = np.array(widths)
+        assert kernel.block_rows(widths) == sweep_rule(widths) == m
+
+    def test_random_widths_match_the_sweep_rule(self):
+        # the sweep passes at most _SPAN widths, fewer than the budget's
+        # entries, so a zero width costs a column without changing m
+        assert kernel._SPAN < kernel._BLOCK
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            size = int(rng.integers(1, kernel._SPAN + 1))
+            top = int(rng.choice([10, 1_000, 2 * kernel._BLOCK // size + 1]))
+            widths = np.sort(np.maximum(rng.integers(-top // 4, top, size=size), 0))
+            assert kernel.block_rows(widths) == sweep_rule(widths)
+
+
 class TestBudget:
     @pytest.mark.parametrize("block", [7, 300, 1 << 15, kernel._BLOCK])
     def test_products_stay_within_the_block_budget(self, block, monkeypatch):
@@ -463,7 +499,7 @@ class TestBudget:
         # a predict call spans more entries than the budget
         assert queries.shape[0] * model.num_groups > block and len(shapes) > before
         before = len(shapes)
-        monkeypatch.setattr(postprocess, "_by_score", lambda queries, starts: True)
+        monkeypatch.setattr(kernel, "_by_score", lambda queries, starts: True)
         assert np.array_equal(predict(model, queries), labels)
         assert len(shapes) > before
         assert shapes and all(m * k <= block for m, k in shapes)

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortclust import kernel, postprocess
+from sortclust import kernel
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
 from sortclust.explain import explain_pair, explain_point, explain_summary
-from sortclust.merging import connected_components
-from sortclust.postprocess import (apply_minpts, fit, from_json, load_model,
+from sortclust.merging import connected_components, distance_merge
+from sortclust.postprocess import (ClusterModel, apply_minpts, fit, from_json, load_model,
                                    predict, save_model, to_json)
+from sortclust.prep import prepare
 
 from _oracles import (direct_nearest, direct_sq_matrix, format1_doc, format2_doc,
                       to_json_format1)
@@ -169,6 +170,61 @@ class TestApplyMinpts:
         assert new_map.k == 1
         assert new_map.cluster_of_group[group_of].tolist() == [0] * 7
 
+    @staticmethod
+    def small_clusters():
+        """A distance-merged grouping with many clusters under minpts = 10:
+        781 of its 1,198 groups move, into 417 eligible starts."""
+        data = np.random.default_rng(4).normal(size=(2000, 2))
+        p = prepare(data)
+        r = 0.05 * p.mext
+        starts, group_of, _ = aggregate(p, r)
+        pts, scores = p.centered[starts], p.scores[starts]
+        sizes = np.bincount(group_of)
+        cmap = connected_components(starts.size, distance_merge(scores, pts, r), sizes)
+        return data, (cmap, sizes, pts, scores, 10)
+
+    def test_both_searches_reassign_alike(self, monkeypatch):
+        _, args = self.small_clusters()
+        cmap, minpts = args[0], args[-1]
+        small = cmap.sizes < minpts
+        assert small[cmap.cluster_of_group].sum() == 781 and (~small).sum() > 0
+        calls, results = [], []
+        real = kernel.nearest_by_score
+
+        def recording(*rest):
+            calls.append(rest[0].shape[0])
+            return real(*rest)
+
+        monkeypatch.setattr(kernel, "nearest_by_score", recording)
+        for windows in (True, False):
+            monkeypatch.setattr(kernel, "_by_score", lambda queries, starts: windows)
+            results.append(apply_minpts(*args))
+        assert calls == [781]
+        assert np.array_equal(results[0].cluster_of_group, results[1].cluster_of_group)
+        assert np.array_equal(results[0].sizes, results[1].sizes)
+
+    def test_fewer_than_2048_eligible_starts_are_searched_densely(self, monkeypatch):
+        # one product search of the moved groups against every eligible
+        # start, and no score windows
+        data, (cmap, *_, minpts) = self.small_clusters()
+        eligible = int((cmap.sizes[cmap.cluster_of_group] >= minpts).sum())
+        assert eligible < 2048
+        calls = []
+        real = kernel._nearest
+
+        def recording(A, half_a, B, half_b):
+            calls.append((A.shape[0], B.shape[0]))
+            return real(A, half_a, B, half_b)
+
+        def windows(*args, **kwargs):
+            raise AssertionError("score windows searched")
+
+        monkeypatch.setattr(kernel, "_nearest", recording)
+        monkeypatch.setattr(kernel, "nearest_by_score", windows)
+        m = fit(data, radius=0.05, minpts=minpts)
+        assert calls == [(781, eligible)]
+        assert np.all(m.cluster_sizes >= minpts)
+
     def test_separate_renumbers_survivors(self):
         data = [[0.0], [0.1], [5.0], [5.1], [5.2], [9.0]]
         m = fit(data, radius=0.2, minpts=2, outlier_mode="separate")
@@ -195,6 +251,21 @@ class TestPredict:
         raw_starts = m.starting_points + m.mean
         pred = predict(m, raw_starts)
         assert pred.tolist() == m.group_cluster.tolist()
+
+    def test_eligible_starts_are_prepared_once_per_model(self, monkeypatch):
+        # by the first predict call, not by the fit or a load
+        eligible = ClusterModel.__dict__["_eligible"]
+        build, built = eligible.func, []
+        monkeypatch.setattr(eligible, "func", lambda model: built.append(model) or build(model))
+        data, _ = make_blobs(300, 3, 3, 0.4, 11)
+        m = fit(data, radius=0.4)
+        reloaded = from_json(to_json(m))
+        assert built == []
+        first = predict(m, data[:20])
+        assert np.array_equal(predict(m, data[:20]), first)
+        assert built == [m]
+        assert np.array_equal(predict(reloaded, data[:20]), first)
+        assert built == [m, reloaded]
 
     def test_one_dimensional_nearest(self):
         data = [[0.0], [0.2], [5.0], [5.2]]
@@ -301,7 +372,7 @@ PATHS = ["dense", "windows"]
 @pytest.fixture
 def path(request, monkeypatch):
     """Send every predict call of the test down one search."""
-    monkeypatch.setattr(postprocess, "_by_score", lambda queries, starts: request.param == "windows")
+    monkeypatch.setattr(kernel, "_by_score", lambda queries, starts: request.param == "windows")
     return request.param
 
 
@@ -311,10 +382,10 @@ class TestPredictPaths:
     def test_rule_on_the_benchmark_shapes(self):
         # many-groups: 16-row calls stay dense, the 1k query rows take the
         # windows; few-groups (395 starts) stays dense at 10k query rows
-        assert not postprocess._by_score(16, 12_151)
-        assert postprocess._by_score(1_000, 12_151)
-        assert not postprocess._by_score(10_000, 395)
-        assert not postprocess._by_score(0, 12_151)
+        assert not kernel._by_score(16, 12_151)
+        assert kernel._by_score(1_000, 12_151)
+        assert not kernel._by_score(10_000, 395)
+        assert not kernel._by_score(0, 12_151)
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_exact_ties_far_from_the_origin(self, path):
