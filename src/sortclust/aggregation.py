@@ -28,19 +28,20 @@ windows of starts that claim most of them into blocks whose later
 candidates are mostly claimed already.
 
 The products run on a layout of the rows still free, made once per call:
-slot j holds row ``ids[j]``, its float32 copy and its float64 and float32
-half squared norms, in score order, with a flag for whether it is still
-free. Every row at or past the latest window end is free and in its own
-slot. A compaction moves the free rows of the zone between the next start
-and that end to the right end of the zone, in place and in order: they stay
-contiguous with the untouched rows after them, so every later window is
-still one slice of slots, holding all its free rows and no row claimed
-before the compaction. The direct re-checks read the float64 rows of X
-through ``ids``. A compaction runs when less than half of the next start's
-window is free. The zone then holds more claimed rows than free ones, so a
-compaction moves fewer rows than it drops, and since a row is dropped once,
-all compactions together move fewer than n rows. A start that goes alone
-multiplies at most 2c + 1 columns for its c evaluations.
+slot j holds row ``ids[j]``, its half squared norm and its float32 column
+of ``kernel.screen`` (the row, then its half norm), in score order, with a
+flag for whether it is still free. Only the starts and block candidates
+look up their window ends. Every row at or past the latest window end is
+free and in its own slot. A compaction moves the free rows of the zone
+between the next start and that end to the right end of the zone, in place
+and in order: they stay contiguous with the untouched rows after them, so
+every later window is still one slice of slots, holding all its free rows
+and no row claimed before the compaction. The direct re-checks read the
+float64 rows of X through ``ids``. A compaction runs when less than half of
+the next start's window is free. The zone then holds more claimed rows than
+free ones, so a compaction moves fewer rows than it drops, and since a row
+is dropped once, all compactions together move fewer than n rows. A start
+that goes alone multiplies at most 2c + 1 columns for its c evaluations.
 
 dist_count counts, for each start, the free rows of its own window at its
 turn, with no pass over the window, from two invariants: a block's
@@ -69,7 +70,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, _SPAN, block_rows, half_sq_norms, single, window_pad, within
+from .kernel import _BLOCK, _SPAN, block_rows, half_sq_norms, screen, window_pad, within
 from .prep import PreparedData
 
 
@@ -107,14 +108,11 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     """
     r = _radius(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
-    r_sq = r * r
-    # Window ends never decrease, so no row at or past the window end of the
-    # latest start has been assigned yet.
-    ends = np.searchsorted(scores, scores + (r + window_pad(X, r)), side="right")
+    r_sq, reach = r * r, r + window_pad(X, r)
     half = half_sq_norms(X)
-    # the layout: slot j holds row ids[j], its float32 row and half norms
-    ids, X32, half32 = np.arange(n), single(X), single(half)
-    layout = (ids, X32, half, half32)
+    # the layout: slot j holds row ids[j], its float32 column and half norm
+    ids, X32 = np.arange(n), screen(X, half)
+    layout = (ids, X32, half)
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
@@ -122,17 +120,20 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     i = zone = 0    # the slot of the next start; the latest window end
     left = n        # rows neither started nor claimed: the free slots from i on
     while i < n:
-        hi = int(ends[ids[i]])
+        # window ends never decrease, so no row at or past the window end of
+        # the latest start has been assigned yet
+        hi = int(np.searchsorted(scores, scores[ids[i]] + reach, side="right"))
         if 2 * (left - (n - hi)) < hi - i:
             # under half the window is free: drop the zone's claimed rows
             i = _compact(layout, free, i, zone)
-        cand, row = np.array([i]), int(ids[i])
+        cand, e, row = np.array([i]), np.array([hi]), int(ids[i])
         # blocks are sized on the windows in rows (see the module docstring)
         if 2 * (hi - row - 1) <= _BLOCK:
             # the next free rows, as many as fit one product with their joint window
             cand = i + np.flatnonzero(free[i:hi + _SPAN])[:_SPAN]
-            cand = cand[:block_rows(ends[ids[cand]] - (row + 1))]
-        e = ends[ids[cand]]
+            e = np.searchsorted(scores, scores[ids[cand]] + reach, side="right")
+            cand = cand[:block_rows(e - (row + 1))]
+            e = e[:cand.size]
         g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e,
                                        left)
         dist_count += count
@@ -148,19 +149,19 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     """Move the free slots of [lo, hi) to its right end, in order, and
     return the first of them.
 
-    Each array of `layout` moves with them. The slots go a budget's worth at
-    a time, the highest first: a slot only moves right, and never onto a
-    slot still to be moved.
+    Each array of `layout` moves with them, along its last axis. The slots
+    go a budget's worth at a time, the highest first: a slot only moves
+    right, and never onto a slot still to be moved.
     """
     top = hi
-    # a chunk's indices and float32 rows take 8 + 4 d bytes a slot
-    step = max(1, _BLOCK // (layout[1].shape[1] + 1))
+    # a chunk's indices and float32 columns take 12 + 4 d bytes a slot
+    step = max(1, _BLOCK // layout[1].shape[0])
     for b in range(hi, lo, -step):
         a = max(lo, b - step)
         src = np.flatnonzero(free[a:b])
         src += a
-        for column in layout:
-            column[top - src.size:top] = np.take(column, src, axis=0)
+        for array in layout:
+            array[..., top - src.size:top] = np.take(array, src, axis=-1)
         top -= src.size
     free[lo:top] = False
     free[top:hi] = True
@@ -179,11 +180,11 @@ def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left):
     next group id, the block's distance evaluations and the number of rows
     it started or claimed.
     """
-    ids, X32, half, half32 = layout
+    ids, X32, half = layout
     lo, top = int(cand[0]) + 1, int(e[-1])
     free_cols = free[lo:top]
     mask = within(np.take(X, ids[cand], axis=0), half[cand, None], X, half[lo:top], r_sq,
-                  np.take(X32, cand, axis=0), X32[lo:top], half32[lo:top], ids[lo:top])
+                  X32[:, lo:top], ids[lo:top])
     mask &= free_cols
     # keep out of the loop the candidates whose hits all lie before them;
     # past the last candidate, every column lies after every candidate

@@ -20,15 +20,15 @@ again by the direct formula. So is every value of a block whose squared
 norms come near the overflow limit or are not finite. Outside the band, the
 two formulas cannot disagree.
 
-``within`` screens in float32, half the bytes of float64: the product and
-the subtraction of the half norms run on float32 copies of the rows and of
-their half norms (``single``, made once by each caller), and every entry
-within the float32 band (`_band32`) goes to the direct formula. A block
-whose bound s (|x|^2/2 + |y|^2/2 + t/2) leaves [2^-100, 2^100) keeps the
-float64 expanded form: above, a cast could near float32's overflow; below,
-float32 underflow would swamp the band. So every decision, at every
-magnitude, is the direct formula's. ``nearest`` and ``nearest_by_score``
-stay in float64.
+``within`` screens in float32, half the bytes of float64, on a (d + 1, n)
+column-major copy made once by each caller (``screen``): column j is row j,
+then its half squared norm. Each row of A gets -1 in its last place, so one
+product gives x.y - |y|^2/2; every entry within the float32 band (`_band32`)
+goes to the direct formula. A block whose bound s (|x|^2/2 + |y|^2/2 + t/2)
+leaves [2^-100, 2^100) keeps the float64 expanded form: above, a cast could
+near float32's overflow; below, float32 underflow would swamp the band. So
+every decision, at every magnitude, is the direct formula's. ``nearest``
+and ``nearest_by_score`` stay in float64.
 
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
@@ -99,28 +99,33 @@ def _band(d: int, s):
 def _band32(d: int, s):
     """Rounding band of the float32 screen, in half squared distance.
 
-    `s` is as for `_band`; |x||y| <= s. With u = eps32/2, the screen errs
-    by at most 2u |x||y| for casting the rows, d u |x||y| for the product in
-    any summation order, fused or not (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 3.1), 3u s for casting and subtracting
-    the half norm and 2u s for the float32 threshold and band ends: (d + 7)
-    u s, against a band of 8 (d + 4) u s. The float64 parts err by under
-    2^-26 of that. At most 2 d + 4 roundings underflow, each by half the
-    smallest float32 subnormal (times |y_k| <= sqrt(2 s) for a cast entry):
-    the absolute term covers them for s <= 1/2, the relative one above.
+    `s` is as for `_band`; |x||y| <= s and |y|^2/2 <= s. With u = eps32/2,
+    the screen errs by at most 2u s for casting the rows, u s for casting
+    the half norm, 2 (d + 1) u s for the product of d + 1 terms (the last
+    -1 times the half norm) in any order, fused or not (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1), and 2u s for the
+    float32 threshold and band ends: (2 d + 7) u s, against a band of
+    8 (d + 4) u s. The float64 parts err by under 2^-26 of that. At most
+    3 d + 3 roundings underflow, each by half the smallest float32 subnormal
+    (times |y_k| <= sqrt(2 s) for a cast entry): the absolute term covers
+    them for s <= 1/2, the relative one above.
     """
     return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
 
 
-def single(values: np.ndarray) -> np.ndarray:
-    """A float32 copy of `values` (rows, or half squared norms) for the
-    screen of :func:`within`.
-
-    Entries beyond 2^100 are clipped, not cast to inf: no screened block
-    reads them (its s, which bounds every half squared norm it reads, is
-    below 2^100).
+def screen(points: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The (d + 1, n) float32 layout of :func:`within`'s screen: column j
+    is row j of `points`, then `half[j]`. Entries beyond 2^100 are clipped,
+    not cast to inf: no screened block reads them (its s, which bounds every
+    half squared norm it reads, is below 2^100). The rows go a budget's
+    worth at a time: one strided cast of them all is several times slower.
     """
-    return np.clip(values, -_SINGLE_HIGH, _SINGLE_HIGH, out=np.empty(values.shape, np.float32))
+    out = np.empty((points.shape[1] + 1, points.shape[0]), np.float32)
+    step = max(1, _BLOCK // out.shape[0])
+    for c in range(0, out.shape[1], step):
+        np.clip(points[c:c + step].T, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[:-1, c:c + step])
+    np.clip(half, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[-1])
+    return out
 
 
 def window_pad(points: np.ndarray, r: float) -> float:
@@ -155,32 +160,33 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
 
 
 def within(A: np.ndarray, half_a: np.ndarray, B: np.ndarray, half_b: np.ndarray, t: float,
-           a32: np.ndarray, b32: np.ndarray, half_b32: np.ndarray, b_rows) -> np.ndarray:
+           b32: np.ndarray, b_rows) -> np.ndarray:
     """(m, k) mask: whether |B[b_rows[j]] - A[i]|^2 <= t, as the direct formula decides.
 
     `half_a` holds the half squared norms of the m rows of A as an (m, 1)
     column, `half_b` those of the k rows ``B[b_rows]``, which are gathered
-    only where their float64 values are read; k may be 0. `a32`, `b32` and
-    `half_b32` are the ``single`` copies of A, of the k rows and of
-    `half_b`. The columns go ``_BLOCK // m`` at a time, so every product
-    holds the budget however wide the window.
+    only where their float64 values are read; k may be 0. `b32` holds their
+    (d + 1, k) columns of a :func:`screen` layout; the rows of A are cast
+    here, with -1 last. The columns go ``_BLOCK // m`` at a time, so every
+    product holds the budget however wide the window.
     """
     hit = np.zeros((A.shape[0], half_b.shape[0]), dtype=bool)
+    a32 = np.full((A.shape[0], A.shape[1] + 1), -1.0, np.float32)
+    np.clip(A, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
     step = max(1, _BLOCK // A.shape[0])
     for c in range(0, hit.shape[1], step):
         cols = slice(c, c + step)
-        _within_chunk(hit[:, cols], A, half_a, B, half_b[cols], t, a32, b32[cols],
-                      half_b32[cols], b_rows[cols])
+        _within_chunk(hit[:, cols], A, half_a, B, half_b[cols], t, a32, b32[:, cols],
+                      b_rows[cols])
     return hit
 
 
-def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, half_b32, b_rows) -> None:
+def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, b_rows) -> None:
     """:func:`within` on one product's worth of columns, into `out` (all false)."""
     s = half_a + (half_b.max() + 0.5 * t)
     thr = half_a - 0.5 * t
     if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
-        h = np.matmul(a32, b32.T)
-        h -= half_b32
+        h = np.matmul(a32, b32)
         width = _band32(A.shape[1], s)
         lower, upper = np.float32(thr - width), np.float32(thr + width)
     elif np.max(s) < _NORM_LIMIT:
@@ -251,23 +257,25 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=Non
     Given `score_a` and `score_b`, the rows' scores along one unit direction
     (nondecreasing for B), it may search score windows instead
     (:func:`nearest_by_score` on A sorted by score, with `pad_b` as there),
-    with the same result bit for bit. The choice is one of cost, made from
-    the m rows of A and the k of B before any distance is computed. The
-    dense search costs m * k product entries, about 2-3 ns each at d = 10
-    (one BLAS thread). The windows cost ``_SCORE_NEIGHBOURS`` direct
-    distances per row of A, about ``_BOUND_COST`` (32) entries each, then
-    the products over its window, whose width depends on the data (16-21% of
-    the rows of B on the benchmark's workloads), plus about 0.2 ms per call.
-    They are taken when k >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST (2048) and
-    m * k >= 4 * ``_BLOCK`` (four blocks). Measured on blob data with 1,000
-    rows of A against the starting points of a fit, they break even at about
-    1,200 rows of B for d = 2, 2,500 for d = 10 and between 600 and 2,600
-    for d = 50; with 6k to 14k rows of B, at two to five blocks (16 to 64
-    rows of A). The crossover does not grow with d, so d does not enter the
-    rule.
+    with the same result bit for bit; `score_a` may be a function that
+    scores A, called only then. The choice is one of cost, made from the m
+    rows of A and the k of B before any distance is computed. The dense
+    search costs m * k product entries, about 2-3 ns each at d = 10 (one
+    BLAS thread). The windows cost ``_SCORE_NEIGHBOURS`` direct distances
+    per row of A, about ``_BOUND_COST`` (32) entries each, then the products
+    over its window, whose width depends on the data (16-21% of the rows of
+    B on the benchmark's workloads), plus about 0.2 ms per call. They are
+    taken when k >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST (2048) and m * k >=
+    4 * ``_BLOCK`` (four blocks). Measured on blob data with 1,000 rows of A
+    against the starting points of a fit, they break even at about 1,200
+    rows of B for d = 2, 2,500 for d = 10 and between 600 and 2,600 for
+    d = 50; with 6k to 14k rows of B, at two to five blocks (16 to 64 rows
+    of A). The crossover does not grow with d, so d does not enter the rule.
     """
     if score_a is None or not _by_score(A.shape[0], B.shape[0]):
         return _nearest(A, half_sq_norms(A), B, half_sq_norms(B) if half_b is None else half_b)
+    if callable(score_a):
+        score_a = score_a(A)
     order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
     near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b)
     return near

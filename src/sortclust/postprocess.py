@@ -256,7 +256,7 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     q = q - model.mean
-    near = nearest(q, pts, (q @ model.v1) / norm, scores, half, pad)
+    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, half, pad)
     return model.group_cluster[eligible[near]]
 
 

@@ -330,6 +330,40 @@ class TestCompactedSweep:
                 check_sweep(p, r)
         assert zones and moves_fewer_than_it_drops(zones)
 
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("block", [7, 400, aggregation._BLOCK])
+    def test_scores_on_the_window_ends_of_earlier_rows(self, d, block, monkeypatch):
+        # half the rows have a copy whose score is exactly score + reach, the
+        # key of the row's window end: the copy is the last row of that
+        # window, which the row counts if it is still free at its turn. In
+        # 5-D, a fifth of the rows lie 1 to 3 off the score axis, so a start
+        # leaves them in its window and the sweep compacts with small blocks.
+        budget(monkeypatch, block)
+        zones = recorded_compactions(monkeypatch)
+        rng = np.random.default_rng(d + block)
+        r, n = 0.3, 400
+        pts = np.zeros((n, d))
+        pts[:, 0] = rng.uniform(0.0, 3.0, n)
+        if d > 1:
+            off = rng.random(n) < 0.2
+            pts[off, 1] = rng.uniform(1.0, 3.0, np.count_nonzero(off))
+        # the largest coordinate, which sets the pad, is not copied
+        pts[0, 0] = 4.0
+        reach = r + window_pad(pts, r)
+        copies = pts[1:n // 2].copy()
+        copies[:, 0] += reach
+        pts = np.vstack([pts, copies])
+        pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        p = prepared_raw(pts, np.eye(d)[0])
+        assert r + window_pad(p.centered, r) == reach
+        ends = np.searchsorted(p.scores, p.scores + reach, side="right")
+        assert np.count_nonzero(p.scores[ends - 1] == p.scores + reach) >= n // 2 - 1
+        starts, group_of, dist_count = check_sweep(p, r)
+        assert dist_count <= aggregate_reference(p, r)[2]
+        # at the default budget, one block resolves the starts of many windows
+        assert zones or d == 1 or block == aggregation._BLOCK
+        assert moves_fewer_than_it_drops(zones)
+
     @pytest.mark.parametrize("scale", [1e-30, 1e40, 1e154])
     def test_scales_beyond_the_float32_screen(self, scale, monkeypatch):
         # s below 2^-100 (1e-30) or above 2^100 (1e40): every block takes the

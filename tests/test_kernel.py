@@ -24,8 +24,8 @@ AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 
 def within_all(A, B, t):
     half_b = half_sq_norms(B)
-    return within(A, half_sq_norms(A)[:, None], B, half_b, t, kernel.single(A),
-                  kernel.single(B), kernel.single(half_b), np.arange(B.shape[0]))
+    return within(A, half_sq_norms(A)[:, None], B, half_b, t, kernel.screen(B, half_b),
+                  np.arange(B.shape[0]))
 
 
 def by_hand(points, v1):
@@ -146,6 +146,66 @@ class TestSingleBand:
         # the block is one the float32 screen covers
         assert kernel._SINGLE_LOW <= 0.5 * t and half_sq_norms(A).max() < kernel._SINGLE_HIGH
         assert np.array_equal(within_all(A, B, t), exact <= t)
+
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_the_screen_is_one_fused_product(self, d, monkeypatch):
+        # the pairs above go through one float32 product of the rows, each
+        # with -1 in its last place, and the (d + 1)-row screen columns,
+        # whose last row is the half squared norms
+        products = []
+        real = np.matmul
+
+        def matmul(a, b, out=None):
+            products.append((a.dtype, b.dtype, a.shape, b.shape, a[:, -1].tolist()))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(kernel.np, "matmul", matmul)
+        self.test_pairs_at_the_threshold_far_from_the_origin(d)
+        assert len(products) == 1
+        a_type, b_type, a_shape, b_shape, last = products[0]
+        assert a_type == b_type == np.float32
+        assert a_shape == (6, d + 1) and b_shape == (d + 1, 6 * 13 * 4)
+        assert last == [-1.0] * 6
+
+
+def single(values):
+    """The float32 cast of the screen, one array at a time: clipped at
+    +-2^100, then rounded to the nearest float32."""
+    return np.clip(values, -2.0 ** 100, 2.0 ** 100).astype(np.float32)
+
+
+class TestScreen:
+    """``kernel.screen`` against the cast of the rows and half norms, whole."""
+
+    def check(self, points):
+        half = half_sq_norms(points)
+        got = kernel.screen(points, half)
+        assert got.dtype == np.float32 and got.shape == (points.shape[1] + 1, points.shape[0])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.vstack([single(points).T, single(half)]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("block", [60, kernel._BLOCK])
+    def test_columns_across_block_boundaries(self, d, block, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        step = block // (d + 1)
+        rng = np.random.default_rng(d)
+        for n in (1, step - 1, step, step + 1, 3 * step + 2):
+            self.check(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-20, 20, size=(n, 1)))
+
+    def test_clipped_beyond_two_to_the_hundred(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_BLOCK", 12)
+        edge = 2.0 ** 100
+        points = np.array([[1e40, -1e40], [edge, -edge], [np.nextafter(edge, 0.0), 1.0],
+                           [1e15, -1e15], [3.0, -4.0], [1e300, 0.0], [-1e300, 0.5]])
+        with np.errstate(over="ignore"):
+            self.check(points)
+            half = half_sq_norms(points)
+        got = kernel.screen(points, half)
+        assert np.all(np.abs(got) <= np.float32(edge))
+        # column j is row j, then its half norm: 1e80, and inf for 1e300
+        assert got[:, 0].tolist() == got[:, 1].tolist() == [edge, -edge, edge]
+        assert np.isinf(half[5]) and got[:, 5].tolist() == [edge, 0.0, edge]
 
 
 class TestRangeGuard:
@@ -385,8 +445,8 @@ class TestColumnChunks:
         t = float(np.median(exact))
         assert np.array_equal(within_all(A, B, t), exact <= t)
         half = half_sq_norms(pool)
-        gathered = within(A, half_sq_norms(A)[:, None], pool, half[rows], t, kernel.single(A),
-                          kernel.single(pool)[rows], kernel.single(half)[rows], rows)
+        gathered = within(A, half_sq_norms(A)[:, None], pool, half[rows], t,
+                          kernel.screen(pool, half)[:, rows], rows)
         assert np.array_equal(gathered, exact <= t)
         assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
         assert sum(k for _, k in shapes) == 2 * B.shape[0]

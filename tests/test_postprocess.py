@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortclust import kernel
+from sortclust import kernel, postprocess
 from sortclust.aggregation import aggregate
 from sortclust.evaluation import make_blobs
 from sortclust.explain import explain_pair, explain_point, explain_summary
@@ -425,6 +425,41 @@ class TestPredictPaths:
         for m in models:
             assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
         assert rows and max(rows) == queries.shape[0]
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_queries_are_scored_only_for_the_windows(self, path, monkeypatch):
+        # predict hands kernel.nearest a function that scores the queries;
+        # the dense search never reads the scores, so it never calls it
+        data, _ = make_blobs(400, 3, 4, 1.0, 2)
+        m = fit(data, radius=0.1)
+        queries, scored, real = data[:40] + 0.01, [], kernel.nearest
+
+        def spying(A, B, score_a, *rest):
+            def scoring(points):
+                scored.append(points.shape[0])
+                return score_a(points)
+            return real(A, B, scoring, *rest)
+
+        monkeypatch.setattr(postprocess, "nearest", spying)
+        assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
+        assert scored == ([] if path == "dense" else [queries.shape[0]])
+
+    def test_windows_score_the_queries_as_before(self, monkeypatch):
+        # the windows' labels are those of the queries' scores computed up
+        # front, (q - mean) @ v1 / |v1|, with v1 as far off unit length as a
+        # model may be
+        monkeypatch.setattr(kernel, "_by_score", lambda queries, starts: True)
+        data, _ = make_blobs(600, 3, 4, 1.0, 6)
+        doc = format1_doc(json.loads(to_json(fit(data, radius=0.05))))
+        for key in ("v1", "starting_scores"):
+            doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
+        m = from_json(json.dumps(format2_doc(doc)))
+        eligible, pts, half, pad, norm, scores = m._eligible
+        assert norm != 1.0
+        queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
+        q = queries - m.mean
+        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad)
+        assert np.array_equal(predict(m, queries), m.group_cluster[eligible[near]])
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_random_fits_with_outlier_groups(self, path):
