@@ -10,38 +10,37 @@ scores (``kernel.window_pad``), so rounding never leaves out a point within
 R; the slack moves a window end only when a score lies within it of the
 boundary.
 
-The rows of a window are a contiguous slice of the sorted data, so the
-sweep runs in blocks, every start on one path: the next free rows from the
-current start, as many as fit one product of at most ``_BLOCK`` entries
-against their joint window (``kernel.block_rows``, as ``window_blocks``),
-are tested against that window in one float32 matrix product, compared with
-R^2 through half squared norms (``kernel.within``, which splits a window too
-wide for one product into column chunks). A start whose window alone
-exceeds half the budget (wide windows, few groups) is a block of its own.
-The block is then resolved in row order: a candidate claimed by an earlier
-start of the block is skipped; one still free starts a group and claims the
-rows of its own window that are within R and still free. Only candidates
-with a hit among the rows after them touch an array. Whether a start goes
-alone, and how many candidates share its block, is decided on the windows
-in rows, so that dropping claimed rows (below) does not turn the wide
-windows of starts that claim most of them into blocks whose later
-candidates are mostly claimed already.
+The rows of a window are a contiguous slice of the sorted data, so the sweep
+runs in blocks, every start on one path: the next free rows from the current
+start, as many as fit one product of at most ``_BLOCK`` entries against
+their joint window (``kernel.block_rows``, as ``window_blocks``), are tested
+against that window in one float32 matrix product, compared with R^2 through
+half squared norms (``kernel.within``, which splits a window too wide for
+one product into column chunks). A start whose window alone exceeds half the
+budget (wide windows, few groups) is a block of its own. The block is then
+resolved by array steps on its mask of free rows within R: a candidate
+starts a group unless an earlier start of the block hits it (decided in
+order, only for those an earlier candidate hits), and each hit row goes to
+the first start that hits it. Whether a start goes alone, and how many
+candidates share its block, is decided on the windows in rows, so that
+dropping claimed rows (below) does not turn the wide windows of starts that
+claim most of them into blocks whose later candidates are claimed already.
 
 The products run on a layout of the rows still free, made once per call:
-slot j holds row ``ids[j]``, its half squared norm and its float32 column
-of ``kernel.screen`` (the row, then its half norm), in score order, with a
-flag for whether it is still free. Only the starts and block candidates
-look up their window ends. Every row at or past the latest window end is
-free and in its own slot. A compaction moves the free rows of the zone
-between the next start and that end to the right end of the zone, in place
-and in order: they stay contiguous with the untouched rows after them, so
-every later window is still one slice of slots, holding all its free rows
-and no row claimed before the compaction. The direct re-checks read the
-float64 rows of X through ``ids``. A compaction runs when less than half of
-the next start's window is free. The zone then holds more claimed rows than
-free ones, so a compaction moves fewer rows than it drops, and since a row
-is dropped once, all compactions together move fewer than n rows. A start
-that goes alone multiplies at most 2c + 1 columns for its c evaluations.
+slot j holds row ``ids[j]`` and its float32 column of ``kernel.screen`` (the
+row, then its half norm, the sweep's only one), in score order, with a flag
+for whether it is still free. Only the starts and block candidates look up
+their window ends. Every row at or past the latest window end is free and in
+its own slot. A compaction moves the free rows of the zone between the next
+start and that end to the right end of the zone, in place and in order: they
+stay contiguous with the untouched rows after them, so every later window is
+still one slice of slots, holding all its free rows and no row claimed
+before the compaction. The direct re-checks read the float64 rows of X
+through ``ids``. A compaction runs when less than half of the next start's
+window is free. The zone then holds more claimed rows than free ones, so a
+compaction moves fewer rows than it drops, and since a row is dropped once,
+all compactions together move fewer than n rows. A start that goes alone
+multiplies at most 2c + 1 columns for its c evaluations.
 
 dist_count counts, for each start, the free rows of its own window at its
 turn, with no pass over the window, from two invariants: a block's
@@ -70,7 +69,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, _SPAN, block_rows, half_sq_norms, screen, window_pad, within
+from .kernel import _BLOCK, _SPAN, block_rows, screen, window_pad, within
 from .prep import PreparedData
 
 
@@ -109,10 +108,8 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     r = _radius(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
     r_sq, reach = r * r, r + window_pad(X, r)
-    half = half_sq_norms(X)
-    # the layout: slot j holds row ids[j], its float32 column and half norm
-    ids, X32 = np.arange(n), screen(X, half)
-    layout = (ids, X32, half)
+    ids = np.arange(n)
+    layout = (ids, screen(X))    # slot j holds row ids[j] and its float32 column
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
@@ -134,8 +131,7 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
             e = np.searchsorted(scores, scores[ids[cand]] + reach, side="right")
             cand = cand[:block_rows(e - (row + 1))]
             e = e[:cand.size]
-        g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e,
-                                       left)
+        g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left)
         dist_count += count
         left -= taken
         # the next start is the first free row after the last candidate, or its window end
@@ -158,8 +154,7 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     step = max(1, _BLOCK // layout[1].shape[0])
     for b in range(hi, lo, -step):
         a = max(lo, b - step)
-        src = np.flatnonzero(free[a:b])
-        src += a
+        src = a + np.flatnonzero(free[a:b])
         for array in layout:
             array[..., top - src.size:top] = np.take(array, src, axis=-1)
         top -= src.size
@@ -173,55 +168,49 @@ def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left):
     of the `left` free slots, each with window end `e`) from one product
     against their joint window.
 
-    In slot order, a candidate still free becomes the start of group g, g + 1,
-    ... and claims the rows of its own window that are within r and still
-    free; a candidate claimed by an earlier start of the block is skipped.
+    A candidate starts a group (g, g + 1, ... in slot order) unless an
+    earlier start of the block hits it; each free row that a start hits
+    after it goes to the first such start, and lies before that start's
+    window end (``kernel.window_pad`` pads it past the scores' rounding).
     Appends the new starts, updates `free` and `group_of`, and returns the
     next group id, the block's distance evaluations and the number of rows
     it started or claimed.
     """
-    ids, X32, half = layout
+    ids, X32 = layout
     lo, top = int(cand[0]) + 1, int(e[-1])
-    free_cols = free[lo:top]
-    mask = within(np.take(X, ids[cand], axis=0), half[cand, None], X, half[lo:top], r_sq,
-                  X32[:, lo:top], ids[lo:top])
-    mask &= free_cols
-    # keep out of the loop the candidates whose hits all lie before them;
-    # past the last candidate, every column lies after every candidate
+    mask = within(np.take(X, ids[cand], axis=0), X, r_sq, X32[:, lo:top], ids[lo:top])
+    mask &= free[lo:top]
+    # a candidate is hit only by earlier ones, and a start claims only the
+    # rows after it; past the last candidate, every column lies after every
+    # candidate
     head = int(cand[-1]) + 1
     mask[:, :head - lo] &= np.arange(lo, head) > cand[:, None]
     # free rows of each candidate's window before the block claims any (see
     # the module docstring)
     counts = left - (free.size - e) - np.arange(1, cand.size + 1)
-
-    owners, claimed = [], []
-    cands, window_ends = cand.tolist(), e.tolist()
-    for k in mask.any(axis=1).nonzero()[0].tolist():
-        c = cands[k]
-        if free[c]:
-            own = slice(c + 1 - lo, window_ends[k] - lo)
-            rows = (mask[k, own] & free_cols[own]).nonzero()[0]
-            if rows.size:
-                rows += c + 1
-                free[rows] = False
-                owners.append(k)
-                claimed.append(rows)
-    is_start = free[cand]
+    is_start = np.ones(cand.size, dtype=bool)
+    # candidate k + 1 against candidates 0..k: only those hit need a decision
+    early = mask[:-1, cand[1:] - lo]
+    for k in early.any(axis=0).nonzero()[0].tolist():
+        is_start[k + 1] = not early[:k + 1, k][is_start[:k + 1]].any()
     block_starts = cand[is_start]
-    gids = g - 1 + np.cumsum(is_start)
-    group_of[ids[block_starts]] = gids[is_start]
-    starts.append(ids[block_starts])
+    l = block_starts.size
     evaluations = int(counts[is_start].sum())
-    taken = block_starts.size
-    if claimed:
-        sizes = [rows.size for rows in claimed]
-        rows = np.concatenate(claimed)
-        group_of[ids[rows]] = np.repeat(gids[owners], sizes)
-        taken += rows.size
-        if block_starts.size > 1:
-            # a start's window loses the rows claimed before its turn: a row j
-            # claimed by candidate k is counted by every later start below j
-            evaluations -= int(np.searchsorted(block_starts, rows).sum()
-                               - np.searchsorted(block_starts, cand[owners], side="right")
-                               @ sizes)
-    return g + block_starts.size, evaluations, taken
+    if l > 1:
+        # each hit row goes to the first start whose row hits it, the one of
+        # largest weight down its column when start j weighs l - j
+        first = (mask[is_start] * np.arange(l, 0, -1, dtype=np.int16)[:, None]).max(axis=0)
+        rows = np.flatnonzero(first)
+        owners = l - first[rows].astype(np.int64)
+        rows += lo
+        # a start's window loses the rows claimed before its turn: a row j
+        # claimed by start k is counted by every later start below j
+        evaluations -= int((np.searchsorted(block_starts, rows) - owners).sum()) - rows.size
+    else:
+        # candidate 0 is the one start: it owns all its hits
+        rows, owners = np.flatnonzero(mask[0]) + lo, 0
+    free[rows] = False
+    group_of[ids[block_starts]] = np.arange(g, g + l)
+    group_of[ids[rows]] = g + owners
+    starts.append(ids[block_starts])
+    return g + l, evaluations, l + rows.size

@@ -8,6 +8,8 @@ write all of their output files or none of them.
 from __future__ import annotations
 
 import argparse
+import errno
+import itertools
 import json
 import os
 import sys
@@ -131,19 +133,22 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     outlive it; a file already at a temporary's name is an error naming that
     file, and is left as it is.
 
-    Two paths that name the same file are a ValueError, raised before
-    anything is written. Each temporary file is preallocated to its size
-    before it is written: ext4 (with its default auto_da_alloc) flushes a
-    file that still has delayed-allocation blocks when it is renamed over an
-    existing one, which costs tens of milliseconds, and preallocated blocks
-    are not delayed. Nothing is fsynced, so a power loss right after a call
-    may leave a replaced target incomplete.
+    Two paths that name the same file are a ValueError, and a path that
+    names a directory is an IsADirectoryError, both raised before anything
+    is written. Each temporary file is preallocated to its size before it is
+    written: ext4 (with its default auto_da_alloc) flushes a file that still
+    has delayed-allocation blocks when it is renamed over an existing one,
+    which costs tens of milliseconds, and preallocated blocks are not
+    delayed. Nothing is fsynced, so a power loss right after a call may
+    leave a replaced target incomplete.
     """
     seen: dict[str, str] = {}
     for path, _ in outputs:
         key = os.path.realpath(path)
         if key in seen:
             raise ValueError(f"{seen[key]} and {path} name the same file")
+        if os.path.isdir(key):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
         seen[key] = path
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in outputs]
     created: list[str] = []
@@ -180,11 +185,12 @@ def _write_labels(labels: np.ndarray, path: str | None) -> None:
         _write_outputs([(path, _labels_text(labels))])
 
 
-def _parse_float_grid(raw: str, flag: str) -> list[float]:
+def _parse_grid(raw: str, flag: str, kind=float) -> list:
     try:
-        return [float(p) for p in raw.split(",") if p.strip() != ""]
+        return [kind(p) for p in raw.split(",") if p.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of numbers, got {raw!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects a comma-separated list of {noun}, got {raw!r}")
 
 
 def cmd_fit(args) -> int:
@@ -237,10 +243,7 @@ def cmd_explain(args) -> int:
         report = explain_point(model, args.index)
     else:
         report = explain_pair(model, args.index, args.index2)
-    if args.json:
-        print(json.dumps(report.structured))
-    else:
-        print(report.text)
+    print(json.dumps(report.structured) if args.json else report.text)
     return 0
 
 
@@ -259,23 +262,14 @@ def cmd_eval(args) -> int:
 
 def cmd_probe(args) -> int:
     from .evaluation import GaussianModelParams, model_ratio
-    cs = _parse_float_grid(args.grid_c, "--grid-c")
-    rs = _parse_float_grid(args.grid_r, "--grid-r")
-    ss = _parse_float_grid(args.grid_s, "--grid-s")
-    try:
-        ds = [int(p) for p in args.grid_d.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ValueError(f"--grid-d expects a comma-separated list of integers, "
-                         f"got {args.grid_d!r}")
-    if not (cs and rs and ss and ds):
+    grids = [_parse_grid(args.grid_c, "--grid-c"), _parse_grid(args.grid_r, "--grid-r"),
+             _parse_grid(args.grid_s, "--grid-s"), _parse_grid(args.grid_d, "--grid-d", int)]
+    if not all(grids):
         raise ValueError("all four grids must be nonempty")
     print("c r s d ratio")
-    for c in cs:
-        for r in rs:
-            for s in ss:
-                for d in ds:
-                    params = GaussianModelParams(c=c, r=r, s=s, d=d)
-                    print(f"{c:g} {r:g} {s:g} {d} {model_ratio(params):.6f}")
+    for c, r, s, d in itertools.product(*grids):
+        params = GaussianModelParams(c=c, r=r, s=s, d=d)
+        print(f"{c:g} {r:g} {s:g} {d} {model_ratio(params):.6f}")
     return 0
 
 

@@ -149,8 +149,8 @@ def make_blobs(n: int, d: int, k: int, std: float, seed: int) -> tuple[np.ndarra
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if std < 0.0:
-        raise ValueError("std must be nonnegative")
+    if not (math.isfinite(std) and std >= 0.0):
+        raise ValueError(f"std must be finite and nonnegative, got {std!r}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-10.0, 10.0, size=(k, d))
     base, extra = divmod(n, k)

@@ -24,11 +24,12 @@ two formulas cannot disagree.
 column-major copy made once by each caller (``screen``): column j is row j,
 then its half squared norm. Each row of A gets -1 in its last place, so one
 product gives x.y - |y|^2/2; every entry within the float32 band (`_band32`)
-goes to the direct formula. A block whose bound s (|x|^2/2 + |y|^2/2 + t/2)
-leaves [2^-100, 2^100) keeps the float64 expanded form: above, a cast could
-near float32's overflow; below, float32 underflow would swamp the band. So
-every decision, at every magnitude, is the direct formula's. ``nearest``
-and ``nearest_by_score`` stay in float64.
+goes to the direct formula. A block whose bound s (|x|^2/2 + max |y|^2/2 +
+t/2, read from the copy) leaves [2^-100, 2^100) keeps the float64 form on
+its gathered rows: above, a cast could near float32's overflow; below,
+float32 underflow would swamp the band. So every decision, at every
+magnitude, is the direct formula's. ``nearest`` and ``nearest_by_score``
+stay in float64.
 
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
@@ -104,27 +105,29 @@ def _band32(d: int, s):
     the half norm, 2 (d + 1) u s for the product of d + 1 terms (the last
     -1 times the half norm) in any order, fused or not (Higham, *Accuracy
     and Stability of Numerical Algorithms*, section 3.1), and 2u s for the
-    float32 threshold and band ends: (2 d + 7) u s, against a band of
-    8 (d + 4) u s. The float64 parts err by under 2^-26 of that. At most
-    3 d + 3 roundings underflow, each by half the smallest float32 subnormal
-    (times |y_k| <= sqrt(2 s) for a cast entry): the absolute term covers
-    them for s <= 1/2, the relative one above.
+    float32 threshold and band ends: (2 d + 7) u s (1 + 2u), as s reads
+    max |y|^2/2 rounded to float32, against a band of 8 (d + 4) u s. The
+    float64 parts err by under 2^-26 of that. At most 3 d + 3 roundings
+    underflow, each by half the smallest float32 subnormal (times
+    |y_k| <= sqrt(2 s) for a cast entry): the absolute term covers them for
+    s <= 1/2, the relative one above.
     """
     return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
 
 
-def screen(points: np.ndarray, half: np.ndarray) -> np.ndarray:
+def screen(points: np.ndarray) -> np.ndarray:
     """The (d + 1, n) float32 layout of :func:`within`'s screen: column j
-    is row j of `points`, then `half[j]`. Entries beyond 2^100 are clipped,
-    not cast to inf: no screened block reads them (its s, which bounds every
-    half squared norm it reads, is below 2^100). The rows go a budget's
-    worth at a time: one strided cast of them all is several times slower.
+    is row j of `points`, then its half squared norm. Entries beyond 2^100
+    are clipped, not cast to inf: no screened block reads them, as a clipped
+    half norm puts s at or above 2^100. The rows go a budget's worth at a
+    time: one strided cast of them all is several times slower.
     """
     out = np.empty((points.shape[1] + 1, points.shape[0]), np.float32)
     step = max(1, _BLOCK // out.shape[0])
     for c in range(0, out.shape[1], step):
-        np.clip(points[c:c + step].T, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[:-1, c:c + step])
-    np.clip(half, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[-1])
+        rows = points[c:c + step]
+        np.clip(rows.T, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[:-1, c:c + step])
+        np.clip(half_sq_norms(rows), -_SINGLE_HIGH, _SINGLE_HIGH, out=out[-1, c:c + step])
     return out
 
 
@@ -159,48 +162,52 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, half_a: np.ndarray, B: np.ndarray, half_b: np.ndarray, t: float,
-           b32: np.ndarray, b_rows) -> np.ndarray:
+def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows) -> np.ndarray:
     """(m, k) mask: whether |B[b_rows[j]] - A[i]|^2 <= t, as the direct formula decides.
 
-    `half_a` holds the half squared norms of the m rows of A as an (m, 1)
-    column, `half_b` those of the k rows ``B[b_rows]``, which are gathered
-    only where their float64 values are read; k may be 0. `b32` holds their
-    (d + 1, k) columns of a :func:`screen` layout; the rows of A are cast
-    here, with -1 last. The columns go ``_BLOCK // m`` at a time, so every
+    `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
+    :func:`screen` layout; k may be 0. The rows of A are cast here, with -1
+    last. The float64 rows and half norms of B are gathered only for a block
+    outside the screen. The columns go ``_BLOCK // m`` at a time, so every
     product holds the budget however wide the window.
     """
-    hit = np.zeros((A.shape[0], half_b.shape[0]), dtype=bool)
+    hit = np.zeros((A.shape[0], b32.shape[1]), dtype=bool)
+    half_a = half_sq_norms(A)[:, None]
     a32 = np.full((A.shape[0], A.shape[1] + 1), -1.0, np.float32)
     np.clip(A, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
     step = max(1, _BLOCK // A.shape[0])
     for c in range(0, hit.shape[1], step):
         cols = slice(c, c + step)
-        _within_chunk(hit[:, cols], A, half_a, B, half_b[cols], t, a32, b32[:, cols],
-                      b_rows[cols])
+        _within_chunk(hit[:, cols], A, half_a, B, t, a32, b32[:, cols], b_rows[cols])
     return hit
 
 
-def _within_chunk(out, A, half_a, B, half_b, t, a32, b32, b_rows) -> None:
+def _within_chunk(out, A, half_a, B, t, a32, b32, b_rows) -> None:
     """:func:`within` on one product's worth of columns, into `out` (all false)."""
-    s = half_a + (half_b.max() + 0.5 * t)
+    # the largest half norm of the columns, as the screen holds it
+    s = half_a + (float(b32[-1].max()) + 0.5 * t)
     thr = half_a - 0.5 * t
     if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
         h = np.matmul(a32, b32)
         width = _band32(A.shape[1], s)
         lower, upper = np.float32(thr - width), np.float32(thr + width)
-    elif np.max(s) < _NORM_LIMIT:
-        # the gathered rows of B, a budget's worth at a time
-        h = np.empty(out.shape)
-        step = max(1, _BLOCK // B.shape[1])
-        for c in range(0, out.shape[1], step):
-            h[:, c:c + step] = A @ B[b_rows[c:c + step]].T
-        h -= half_b
-        width = _band(A.shape[1], s)
-        lower, upper = thr - width, thr + width
     else:
-        # near overflow, or not finite: the direct formula decides every entry
-        h, lower, upper = np.zeros(out.shape), -np.inf, np.inf
+        # the gathered rows and their float64 half norms, a budget's worth at a time
+        h, half_b = np.empty(out.shape), np.empty(out.shape[1])
+        step = max(1, _BLOCK // B.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):    # read only below the limit
+            for c in range(0, out.shape[1], step):
+                rows = B[b_rows[c:c + step]]
+                h[:, c:c + step] = np.matmul(A, rows.T)
+                half_b[c:c + step] = half_sq_norms(rows)
+            h -= half_b
+        s = half_a + (half_b.max() + 0.5 * t)
+        if np.max(s) < _NORM_LIMIT:
+            width = _band(A.shape[1], s)
+            lower, upper = thr - width, thr + width
+        else:
+            # near overflow, or not finite: the direct formula decides every entry
+            h, lower, upper = np.zeros(out.shape), -np.inf, np.inf
     unsure = h > lower
     if not unsure.any():
         return

@@ -11,8 +11,8 @@ The distance criterion only pairs starting points within a score window of
 ``scale * R``, widened by a slack far above the rounding of the scores
 (``kernel.window_pad``). Each block of consecutive starting points is
 tested against the rows its windows span by one float32 product with a
-copy made once per search, whose last row holds the half squared norms
-(``kernel.screen``), so that it gives x.y - |y|^2/2 (``kernel.within``).
+copy made once per search, whose last row holds the only half squared norms
+kept (``kernel.screen``), so that it gives x.y - |y|^2/2 (``kernel.within``).
 A pair whose value lies within the rounding band of the threshold is
 decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
 so the edges are exactly those of the direct formula.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .aggregation import _radius, _scale
 from .geometry import overlap_fraction
-from .kernel import _BLOCK, _direct_sq, half_sq_norms, screen, window_blocks, window_pad, within
+from .kernel import _BLOCK, _direct_sq, screen, window_blocks, window_pad, within
 from .prep import PreparedData
 
 
@@ -133,13 +133,11 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     """For each row i of A, the j with los[i] <= j < his[i] and
     |B[j] - A[i]|^2 <= t: their number per row, and the j, ascending per
     row, row after row. One product per block of ``kernel.window_blocks``."""
-    half_a, half_b = half_sq_norms(A), half_sq_norms(B)
-    b32 = screen(B, half_b)
+    b32 = screen(B)
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
-        hits = within(A[rows], half_a[rows, None], B, half_b[lo:hi], t, b32[:, lo:hi],
-                      np.arange(lo, hi))
+        hits = within(A[rows], B, t, b32[:, lo:hi], np.arange(lo, hi))
         i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
         j += lo
         keep = (j >= los[rows][i]) & (j < his[rows][i])

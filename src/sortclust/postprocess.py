@@ -24,7 +24,7 @@ from .aggregation import _finite_real, _radius, _scale, aggregate
 from .kernel import half_sq_norms, nearest, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
-from .prep import prepare
+from .prep import prepare, real_array
 
 MODEL_FORMAT_VERSION = 2
 
@@ -245,7 +245,7 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     takes score windows or every start by the cost rule in its docstring,
     with the same labels either way.
     """
-    q = np.asarray(new_points, dtype=np.float64)
+    q = real_array(new_points, "query")
     if q.ndim != 2:
         raise ValueError("query points must form a 2-D matrix")
     if q.shape[1] != model.d:

@@ -56,9 +56,20 @@ class PreparedData:
         return self.centered.shape[1]
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """`values` as float64; complex values or entries that are no float raise ValueError."""
+    try:
+        arr = np.asarray(values)    # one pass over a list, which finds its dtype
+        if arr.dtype.kind != "c":
+            return arr.astype(np.float64, copy=False)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} does not convert to real numbers: {exc}") from None
+    raise ValueError(f"{name} contains complex values")
+
+
 def center(raw) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the per-column mean. Returns (centered matrix, mean vector)."""
-    pts = np.asarray(raw, dtype=np.float64)
+    pts = real_array(raw, "input")
     if pts.ndim != 2:
         raise ValueError("input must be a 2-D matrix of points")
     if pts.shape[0] < 1 or pts.shape[1] < 1:

@@ -397,3 +397,13 @@ def test_products_stay_near_the_evaluations_on_few_groups(monkeypatch):
     shapes = recorded_columns(monkeypatch)
     _, _, dist_count = aggregate(p, workload.radius * p.mext)
     assert sum(m * k for m, k in shapes) <= 1.5 * dist_count
+
+
+def test_group_ids_past_the_range_of_the_claim_weights():
+    # 40,000 pairs of rows 0.5 apart, 3 apart from pair to pair: blocks of
+    # many starts, each claiming its partner, with group ids past 2^15
+    values = (3.0 * np.arange(40_000)[:, None] + [0.0, 0.5]).ravel()
+    starts, group_of, dist_count = aggregate(prepared_1d(values), 1.0)
+    assert np.array_equal(starts, np.arange(0, values.size, 2))
+    assert np.array_equal(group_of, np.arange(values.size) // 2)
+    assert dist_count == 40_000

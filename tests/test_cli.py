@@ -42,6 +42,18 @@ class TestFit:
         main(["fit", "--input", data, "--output", str(out2), "--radius", "0.3"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_model_naming_a_directory_writes_nothing(self, tmp_path, capsys):
+        # the labels come first and must keep their old bytes
+        data = fixture_csv(tmp_path)
+        out = write(tmp_path / "labels.txt", "old\n")
+        (tmp_path / "m").mkdir()
+        assert main(["fit", "--input", data, "--radius", "0.3", "--output", out,
+                     "--model", str(tmp_path / "m")]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert Path(out).read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "labels.txt", "m"]
+        assert list((tmp_path / "m").iterdir()) == []
+
     def test_empty_input(self, tmp_path, capsys):
         empty = write(tmp_path / "empty.csv", "")
         assert main(["fit", "--input", empty]) == 2
@@ -369,6 +381,21 @@ class TestBlobs:
         assert "d.csv and ./d.csv name the same file" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_truth_naming_a_directory_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "t").mkdir()
+        assert main(["blobs", "--n", "10", "--d", "2", "--k", "2",
+                     "--output", str(tmp_path / "d.csv"), "--truth", str(tmp_path / "t")]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["t"]
+        assert list((tmp_path / "t").iterdir()) == []
+
+    @pytest.mark.parametrize("std", ["nan", "inf"])
+    def test_non_finite_std_writes_nothing(self, tmp_path, capsys, std):
+        assert main(["blobs", "--n", "20", "--d", "2", "--k", "2", "--std", std,
+                     "--output", str(tmp_path / "d.csv")]) == 2
+        assert "std must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_below_k(self, tmp_path, capsys):
         assert main(["blobs", "--n", "2", "--d", "2", "--k", "5",
                      "--output", str(tmp_path / "x.csv")]) == 2
@@ -527,6 +554,17 @@ class TestWriteOutputs:
         assert f"File exists: '{leftover}'" in capsys.readouterr().err
         assert leftover.read_bytes() == b"left by another run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", leftover.name]
+
+    def test_directory_target_is_rejected_before_any_write(self, tmp_path):
+        # the directory is the second target: the first keeps its bytes
+        (tmp_path / "dir").mkdir()
+        old = tmp_path / "a.txt"
+        old.write_text("old\n")
+        with pytest.raises(IsADirectoryError, match="dir"):
+            cli._write_outputs([(str(old), "new\n"), (str(tmp_path / "dir"), "new\n")])
+        assert old.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_failed_rename_keeps_the_old_targets(self, tmp_path):
         # every temporary file is written; the first rename fails

@@ -143,6 +143,11 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(5, 2, 2, -1.0, 0)
 
+    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    def test_non_finite_std(self, std):
+        with pytest.raises(ValueError, match="std must be finite"):
+            make_blobs(20, 2, 2, std, 0)
+
 
 class TestWindowModel:
     def test_p1_total_probability(self):

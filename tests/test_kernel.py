@@ -23,9 +23,7 @@ AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 
 
 def within_all(A, B, t):
-    half_b = half_sq_norms(B)
-    return within(A, half_sq_norms(A)[:, None], B, half_b, t, kernel.screen(B, half_b),
-                  np.arange(B.shape[0]))
+    return within(A, B, t, kernel.screen(B), np.arange(B.shape[0]))
 
 
 def by_hand(points, v1):
@@ -179,7 +177,7 @@ class TestScreen:
 
     def check(self, points):
         half = half_sq_norms(points)
-        got = kernel.screen(points, half)
+        got = kernel.screen(points)
         assert got.dtype == np.float32 and got.shape == (points.shape[1] + 1, points.shape[0])
         assert got.flags.c_contiguous
         assert got.tobytes() == np.vstack([single(points).T, single(half)]).tobytes()
@@ -201,11 +199,110 @@ class TestScreen:
         with np.errstate(over="ignore"):
             self.check(points)
             half = half_sq_norms(points)
-        got = kernel.screen(points, half)
+        got = kernel.screen(points)
         assert np.all(np.abs(got) <= np.float32(edge))
         # column j is row j, then its half norm: 1e80, and inf for 1e300
         assert got[:, 0].tolist() == got[:, 1].tolist() == [edge, -edge, edge]
         assert np.isinf(half[5]) and got[:, 5].tolist() == [edge, 0.0, edge]
+
+
+class TestBoundFromTheScreen:
+    """The bound s = |x|^2/2 + max |y|^2/2 + t/2 that picks a block's form
+    reads max |y|^2/2 from the screen, as float32 holds it: rounded, or
+    clipped to 2^100. Blocks whose s lies on one side of an end of
+    [2^-100, 2^100) in float64 and on the other as the screen reads it take
+    the form that reading picks, and decide as the direct formula does."""
+
+    def forms(self, A, B, t, monkeypatch):
+        """The dtypes that `within` multiplies in; checks its decisions."""
+        dtypes, real = set(), np.matmul
+
+        def matmul(a, b, out=None):
+            dtypes.update((a.dtype, b.dtype))
+            return real(a, b, out=out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel.np, "matmul", matmul)
+            got = within_all(A, B, t)
+        exact = direct_sq_matrix(A, B) <= t
+        assert np.array_equal(got, exact)
+        assert exact.any() and not exact.all()
+        return dtypes
+
+    def bounds(self, A, B, t):
+        """s in float64, and s as read from the screen."""
+        half_a, top = half_sq_norms(A)[:, None], half_sq_norms(B).max()
+        read = float(np.float32(min(top, 2.0 ** 100)))
+        return half_a + (top + 0.5 * t), half_a + (read + 0.5 * t)
+
+    def around(self, A, t, extra, rng):
+        """Columns near each row of A, some just within sqrt(t) and some
+        just beyond, then the columns `extra`."""
+        d = A.shape[1]
+        dirs = rng.normal(size=(A.shape[0], 12, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        reach = np.sqrt(t) * np.linspace(0.95, 1.05, 12)[:, None]
+        return np.vstack([(A[:, None] + dirs * reach).reshape(-1, d), extra])
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_a_column_rounded_up_to_two_to_the_hundred(self, d, monkeypatch):
+        # |y|^2/2 = 2^100 (1 - 2^-27) rounds to 2^100 in float32: s is below
+        # 2^100 in float64 and not below it as the screen reads it
+        rng = np.random.default_rng(d)
+        A, t = rng.normal(size=(4, d)), 1.7
+        far = np.zeros((1, d))
+        far[0, 0] = 2.0 ** 50 * np.sqrt(2.0 - 2.0 ** -26)
+        B = self.around(A, t, far, rng)
+        s64, s32 = self.bounds(A, B, t)
+        assert s64.max() < kernel._SINGLE_HIGH <= s32.min()
+        assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_a_column_clipped_to_two_to_the_hundred(self, d, monkeypatch):
+        # |y|^2/2 just above 2^100 is clipped to 2^100; the float64 form reads
+        # the gathered half norms, and past the norm limit the direct formula
+        # decides every entry
+        rng = np.random.default_rng(d)
+        A, t = rng.normal(size=(4, d)), 1.7
+        far = np.zeros((2, d))
+        far[:, 0] = 2.0 ** 50 * np.sqrt(2.0 + 2.0 ** -19), -(2.0 ** 50)
+        B = self.around(A, t, far, rng)
+        assert kernel._SINGLE_HIGH < self.bounds(A, B, t)[0].min()
+        assert kernel.screen(B)[-1].max() == kernel._SINGLE_HIGH
+        assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
+        far[1, 0] = 2.0 ** 511
+        B = self.around(A, t, far, rng)
+        rechecked, direct_sq = [], kernel._direct_sq
+        monkeypatch.setattr(kernel, "_direct_sq",
+                            lambda *args: rechecked.append(args[1].size) or direct_sq(*args))
+        self.forms(A, B, t, monkeypatch)
+        assert rechecked == [A.shape[0] * B.shape[0]]
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_blocks_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
+        # one row of norm 2^-50 / 5 and a column whose |y|^2/2 lies 2^-26 of
+        # itself off a float32 value M, on the side `side`; t puts s just
+        # across 2^-100 from the screen's reading of it: side 1 is in range
+        # in float64 only (the float64 form), side -1 as read only (float32)
+        rng = np.random.default_rng(d)
+        unit = 2.0 ** -50
+        A = rng.normal(size=(1, d))
+        A *= 0.2 * unit / np.linalg.norm(A)
+        M = float(np.float32(0.88 * unit * unit))
+        far = np.zeros((1, d))
+        far[0, 0] = np.sqrt(2.0 * M * (1.0 + side * 2.0 ** -26))
+        top = float(half_sq_norms(far)[0])
+        assert float(np.float32(top)) == M
+        t = 2.0 * (kernel._SINGLE_LOW - float(half_sq_norms(A)[0]) - 0.5 * (M + top))
+        B = self.around(A, t, far, rng)
+        s64, s32 = self.bounds(A, B, t)
+        if side == 1:
+            assert s32.max() < kernel._SINGLE_LOW <= s64.min()
+            assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
+        else:
+            assert s64.max() < kernel._SINGLE_LOW <= s32.min()
+            assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float32)}
 
 
 class TestRangeGuard:
@@ -444,9 +541,7 @@ class TestColumnChunks:
         exact = direct_sq_matrix(A, B)
         t = float(np.median(exact))
         assert np.array_equal(within_all(A, B, t), exact <= t)
-        half = half_sq_norms(pool)
-        gathered = within(A, half_sq_norms(A)[:, None], pool, half[rows], t,
-                          kernel.screen(pool, half)[:, rows], rows)
+        gathered = within(A, pool, t, kernel.screen(pool)[:, rows], rows)
         assert np.array_equal(gathered, exact <= t)
         assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
         assert sum(k for _, k in shapes) == 2 * B.shape[0]

@@ -69,6 +69,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, outlier_mode="drop")
 
+    @pytest.mark.parametrize("stage", ["fit", "prepare", "predict"])
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param(np.array([[1.0 + 2.0j, 0.0], [3.0, 4.0]]), "complex", id="complex-array"),
+        pytest.param([[1.0 + 2.0j, 0.0], [3.0, 4.0]], "complex", id="complex-list"),
+        pytest.param([[10 ** 400, 0.0], [3.0, 4.0]], "does not convert", id="int-past-float")])
+    def test_input_that_is_not_real_numbers(self, stage, rows, message):
+        # numpy would drop the imaginary parts with a warning, or raise
+        # TypeError or OverflowError
+        run = {"fit": fit, "prepare": prepare,
+               "predict": lambda q: predict(fit([[0.0, 0.0], [5.0, 5.0]]), q)}[stage]
+        with pytest.raises(ValueError, match=message):
+            run(rows)
+
     @pytest.mark.parametrize("minpts", [2.7, float("inf"), float("nan"), "3"])
     def test_minpts_is_validated_before_it_is_cast(self, minpts):
         # int() would run 2.7 as 2 and raise OverflowError on inf
