@@ -28,8 +28,17 @@ goes to the direct formula. A block whose bound s (|x|^2/2 + max |y|^2/2 +
 t/2, read from the copy) leaves [2^-100, 2^100) keeps the float64 form on
 its gathered rows: above, a cast could near float32's overflow; below,
 float32 underflow would swamp the band. So every decision, at every
-magnitude, is the direct formula's. ``nearest`` and ``nearest_by_score``
-stay in float64.
+magnitude, is the direct formula's.
+
+The nearest search (``nearest``, ``nearest_by_score``) screens the same
+way, on a ``screen`` copy of B made once per search (or once per model, by
+``predict``): the largest of x.y - |y|^2/2 over a row's block leads, and
+the row is decided by the product unless a runner-up lies within twice the
+float32 band of it (s = max |x|^2/2 + max |y|^2/2, read from the copy).
+Only blocks of at least ``_SCREEN_ENTRIES`` (2^15) product entries are
+screened, with s in [2^-100, 2^100). Smaller blocks gain nothing measurable
+from it (16 rows against 395, in process) and keep the float64 form, as do
+blocks out of that range.
 
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
@@ -37,7 +46,7 @@ searches only the rows whose score lies within that bound (padded by
 ``window_pad``), by the projection bound of Friedman, Baskett and Shustek
 (IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
 ``nearest``, which the minPts rule and ``predict`` call, takes it when given
-scores for a search of at least four blocks against at least 2,048 rows
+scores for a search of at least four blocks against at least 4,096 rows
 (the cost rule is in its docstring).
 
 ``window_blocks`` cuts consecutive rows into blocks whose joint window
@@ -46,8 +55,9 @@ fills the budget, however much or little the windows move from row to row.
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
 memory stays bounded whatever the width of a window or the number of groups:
 ``within`` and ``nearest`` split the columns of a wide window themselves.
-``nearest`` reuses one product buffer: fresh 1 MB temporaries were paged in
-afresh on some heap states after a fit, and predict's time varied with them.
+``nearest`` reuses one product buffer, for float64 or float32 entries: fresh
+1 MB temporaries were paged in afresh on some heap states after a fit, and
+predict's time varied with them.
 """
 
 from __future__ import annotations
@@ -65,14 +75,17 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 _SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # s screened in float32
+# Product entries of a nearest-search block below which it stays in float64.
+_SCREEN_ENTRIES = 1 << 15
 # Blocks whose half squared norms sum to this or more (or to inf or nan) are
 # decided by the direct formula; below it no inner product can overflow.
 _NORM_LIMIT = 2.0 ** 1020
 # Rows of B nearest in score whose distances bound a score-windowed search.
 _SCORE_NEIGHBOURS = 32
 # A bound-step distance of that search costs about this many dense product
-# entries (15 to 35 for d from 2 to 100, one BLAS thread).
-_BOUND_COST = 32
+# entries, float32-screened (twice the 15 to 35 float64 entries measured for
+# d from 2 to 100, one BLAS thread: the screen halves an entry's cost).
+_BOUND_COST = 64
 # The most rows a block can hold if its hull grows a column per row.
 _SPAN = math.isqrt(_BLOCK) + 2
 
@@ -111,6 +124,16 @@ def _band32(d: int, s):
     underflow, each by half the smallest float32 subnormal (times
     |y_k| <= sqrt(2 s) for a cast entry): the absolute term covers them for
     s <= 1/2, the relative one above.
+
+    The nearest search compares the screened entries of a row with its
+    largest, the lead h1, for s = max |x|^2/2 + max |y|^2/2: each entry errs
+    by at most (2 d + 5) u s (1 + 2u), as there is no threshold, and the
+    direct formula by under 2^-26 of that. The bar h1 - 2 band is computed
+    in float64, erring by under 2^-51 s, and each float32 entry h2 is
+    compared with it exactly. An h2 below the bar puts the exact values
+    more than 2 (6 d + 26) u s apart, far more than the direct formula's
+    error: the lead is strictly nearer by the direct formula, and the row
+    of h2 is neither the nearest nor tied with it.
     """
     return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
 
@@ -251,7 +274,7 @@ def window_blocks(los: np.ndarray, his: np.ndarray):
 
 
 def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=None,
-            pad_b=None) -> np.ndarray:
+            pad_b=None, b32=None) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
 
@@ -259,7 +282,11 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=Non
     twice the band (one band per block, from its largest norms) is decided
     by the product; otherwise every row of B within twice the band of the
     lead is a candidate, compared by the direct formula. So are the winners
-    of several column chunks. B must have a row; `half_b` may be given.
+    of several column chunks. A block of at least ``_SCREEN_ENTRIES``
+    entries whose s lies in [2^-100, 2^100) is multiplied in float32, on
+    `b32`, and takes the float32 band (`_band32`); others multiply in
+    float64. B must have a row (a ValueError otherwise); `half_b` and `b32`
+    (``screen(B)``) may be given.
 
     Given `score_a` and `score_b`, the rows' scores along one unit direction
     (nondecreasing for B), it may search score windows instead
@@ -267,25 +294,37 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=Non
     with the same result bit for bit; `score_a` may be a function that
     scores A, called only then. The choice is one of cost, made from the m
     rows of A and the k of B before any distance is computed. The dense
-    search costs m * k product entries, about 2-3 ns each at d = 10 (one
-    BLAS thread). The windows cost ``_SCORE_NEIGHBOURS`` direct distances
-    per row of A, about ``_BOUND_COST`` (32) entries each, then the products
-    over its window, whose width depends on the data (16-21% of the rows of
-    B on the benchmark's workloads), plus about 0.2 ms per call. They are
-    taken when k >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST (2048) and m * k >=
-    4 * ``_BLOCK`` (four blocks). Measured on blob data with 1,000 rows of A
-    against the starting points of a fit, they break even at about 1,200
-    rows of B for d = 2, 2,500 for d = 10 and between 600 and 2,600 for
-    d = 50; with 6k to 14k rows of B, at two to five blocks (16 to 64 rows
-    of A). The crossover does not grow with d, so d does not enter the rule.
+    search costs m * k product entries, about 1 ns each at d = 10 on the
+    float32 screen (2 ns in float64; one BLAS thread). The windows cost
+    ``_SCORE_NEIGHBOURS`` direct distances per row of A, about
+    ``_BOUND_COST`` (64) screened entries each, then the products over its
+    window, whose width depends on the data (16-21% of the rows of B on the
+    benchmark's workloads), plus about 0.2 ms per call. They are taken when
+    k >= 2 * _SCORE_NEIGHBOURS * _BOUND_COST (4096) and m * k >= 4 *
+    ``_BLOCK`` (four blocks). Measured on the benchmark's blobs (10 blobs of
+    standard deviation 1, held-out rows of A against a subsample of a fit's
+    starting points), with 1,000 rows of A they break even at about 2,500
+    rows of B for d = 2, 3,500 for d = 10 and 4,000 to 6,000 for d = 50
+    (1,000 to 2,000 for each in float64); with 6k to 12k rows of B, at 32
+    to 128 rows of A (three to six blocks). d moves the crossover less than
+    the data does, so it does not enter the rule.
     """
+    _check_rows(B)
+    half_b = half_sq_norms(B) if half_b is None else half_b
+    b32 = screen(B) if b32 is None else b32
     if score_a is None or not _by_score(A.shape[0], B.shape[0]):
-        return _nearest(A, half_sq_norms(A), B, half_sq_norms(B) if half_b is None else half_b)
+        return _nearest(A, half_sq_norms(A), B, half_b, b32)
     if callable(score_a):
         score_a = score_a(A)
     order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
-    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b)
+    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b, b32)
     return near
+
+
+def _check_rows(B: np.ndarray) -> None:
+    """The nearest searches need a row of B to find."""
+    if B.shape[0] == 0:
+        raise ValueError("B has no rows: the nearest row of B needs one")
 
 
 def _by_score(rows_a: int, rows_b: int) -> bool:
@@ -294,27 +333,45 @@ def _by_score(rows_a: int, rows_b: int) -> bool:
             and rows_a * rows_b >= 4 * _BLOCK)
 
 
-def _nearest(A, half_a, B, half_b) -> np.ndarray:
-    """:func:`nearest`, given the half squared norms of the rows of A and B."""
-    m, k = A.shape[0], B.shape[0]
+def _nearest(A, half_a, B, half_b, b32) -> np.ndarray:
+    """:func:`nearest`, given the half squared norms of the rows of A and B
+    and the :func:`screen` of B."""
+    m, k, d = A.shape[0], B.shape[0], A.shape[1]
     cols = min(k, _BLOCK)
     rows = max(1, _BLOCK // cols)
     best = np.zeros(m, dtype=np.int64)
     best_sq = np.full(m, np.inf) if k > cols else None
-    buf = np.empty(min(m, rows) * cols)
+    buf, a32 = np.empty(min(m, rows) * cols), None    # buf holds float64 or float32 entries
     for c0 in range(0, k, cols):
-        Bc, hb = B[c0:c0 + cols], half_b[c0:c0 + cols]
+        Bc, hb, b32c = B[c0:c0 + cols], half_b[c0:c0 + cols], b32[:, c0:c0 + cols]
         nc, top = Bc.shape[0], float(np.maximum.reduce(hb))
+        # the largest half norm of the columns, as the screen holds it, if a
+        # block of them (at most min(m, rows) rows) is large enough to screen
+        top32 = (float(np.maximum.reduce(b32c[-1])) if min(m, rows) * nc >= _SCREEN_ENTRIES
+                 else np.inf)
         for r0 in range(0, m, rows):
             at = slice(r0, min(r0 + rows, m))
             nr = at.stop - r0
-            s = float(np.maximum.reduce(half_a[at])) + top
-            if s < _NORM_LIMIT:
+            top_a = float(np.maximum.reduce(half_a[at]))
+            s, s32 = top_a + top, top_a + top32
+            if nr * nc >= _SCREEN_ENTRIES and _SINGLE_LOW <= s32 < _SINGLE_HIGH:
+                if a32 is None:
+                    a32 = np.full((min(m, rows), d + 1), -1.0, np.float32)
+                a32[:nr, :-1] = A[at]    # within range: |x|^2/2 < s32 < 2^100
+                h = np.matmul(a32[:nr], b32c,
+                              out=buf.view(np.float32)[:nr * nc].reshape(nr, nc))
+                width = _band32(d, s32)
+            elif s < _NORM_LIMIT:
                 h = np.matmul(A[at], Bc.T, out=buf[:nr * nc].reshape(nr, nc))
                 h -= hb
+                width = _band(d, s)
+            else:
+                width = None
+            if width is not None:
                 flat, off = h.reshape(-1), np.arange(0, nr * nc, nc)
                 win = h.argmax(axis=1)
-                lead = flat[win + off] - 2.0 * _band(A.shape[1], s)
+                # the bar in float64: a float32 lead minus the bands would round
+                lead = flat[win + off].astype(np.float64, copy=False) - 2.0 * width
                 flat[win + off] = -np.inf
                 unsure = (flat[h.argmax(axis=1) + off] >= lead).nonzero()[0]
                 if unsure.size:
@@ -338,7 +395,7 @@ def _nearest(A, half_a, B, half_b) -> np.ndarray:
 
 
 def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
-                     score_b: np.ndarray, half_b=None, pad_b=None) -> np.ndarray:
+                     score_b: np.ndarray, half_b=None, pad_b=None, b32=None) -> np.ndarray:
     """:func:`nearest` for rows in score order, searched in score windows.
 
     `score_a` and `score_b` are the scores of the rows of A and B along one
@@ -352,9 +409,11 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     tied with it, and the result is the index ``nearest`` gives over all of
     B, ties going to the smallest index. Consecutive rows of A whose joint
     window fits the block budget (``window_blocks``) share one call of
-    ``nearest`` on that contiguous slice of B. B must have a row; `half_b`
-    and `pad_b` (``window_pad(B, 0.0)``) may be given.
+    ``nearest`` on that contiguous slice of B and of its screen. B must have
+    a row; `half_b`, `pad_b` (``window_pad(B, 0.0)``) and `b32`
+    (``screen(B)``) may be given.
     """
+    _check_rows(B)
     m, k = A.shape[0], B.shape[0]
     near = min(_SCORE_NEIGHBOURS, k)
     first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
@@ -371,7 +430,9 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     los = np.searchsorted(score_b, score_a - reach, side="left")
     his = np.searchsorted(score_b, score_a + reach, side="right")
     half_a, half_b = half_sq_norms(A), half_sq_norms(B) if half_b is None else half_b
+    b32 = screen(B) if b32 is None else b32
     best = np.empty(m, dtype=np.int64)
     for rows, lo, hi in window_blocks(los, his):
-        best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], half_b[lo:hi])
+        best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], half_b[lo:hi],
+                                   b32[:, lo:hi])
     return best

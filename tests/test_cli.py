@@ -577,6 +577,33 @@ class TestWriteOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "dir"]
         assert list((tmp_path / "dir").iterdir()) == []
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_rename_removes_every_temporary(self, tmp_path, monkeypatch, capsys,
+                                                   failing):
+        # every temporary is written, then rename number `failing` fails: the
+        # targets replaced before it hold the new bytes, the others their old
+        # ones, no temporary is left and the command exits 2
+        data = fixture_csv(tmp_path)
+        targets = [tmp_path / "out.txt", tmp_path / "m.json"]
+        for target in targets:
+            target.write_bytes(b"old " + target.name.encode() + b"\n")
+        renames, real = [], os.replace
+
+        def replace(src, dst):
+            renames.append(dst)
+            if len(renames) == failing + 1:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), src)
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["fit", "--input", data, "--radius", "0.3",
+                     "--output", str(targets[0]), "--model", str(targets[1])]) == 2
+        assert renames == [str(target) for target in targets[:failing + 1]]
+        assert os.strerror(errno.EIO) in capsys.readouterr().err
+        assert targets[0].read_bytes() == (b"0\n0\n0\n1\n1\n1\n" if failing else b"old out.txt\n")
+        assert targets[1].read_bytes() == b"old m.json\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.json", "out.txt"]
+
     def test_labels_text(self):
         labels = np.array([3, -1, 0, 12], dtype=np.int64)
         assert cli._labels_text(labels) == "3\n-1\n0\n12\n"

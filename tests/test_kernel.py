@@ -410,6 +410,165 @@ class TestNearestTies:
         assert out.sizes.tolist() == [10, 9, 8, 7, 7, 5]
 
 
+def multiplied(monkeypatch, call):
+    """The result of `call`, and each np.matmul it makes: the dtypes and
+    shapes of both factors and the last column of the first."""
+    products, real = [], np.matmul
+
+    def matmul(a, b, out=None):
+        products.append((a.dtype, b.dtype, a.shape, b.shape, a[:, -1].tolist()))
+        return real(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel.np, "matmul", matmul)
+        got = call()
+    return got, products
+
+
+def dtypes(products) -> set:
+    return {t for a, b, *_ in products for t in (a, b)}
+
+
+def screen_bound(A, B) -> float:
+    """s of the nearest search's float32 screen for one block of A against B:
+    the largest |x|^2/2, plus the largest |y|^2/2 as the screen holds it."""
+    return float(half_sq_norms(A).max()) + float(kernel.screen(B)[-1].max())
+
+
+def fillers(A, count, spread, gap, rng):
+    """`count` rows about the mean of A, each farther than `gap` from every row of A."""
+    out = np.empty((0, A.shape[1]))
+    while out.shape[0] < count:
+        rows = A.mean(axis=0) + spread * rng.normal(size=(2 * count, A.shape[1]))
+        out = np.vstack([out, rows[direct_sq_matrix(A, rows).min(axis=0) > gap ** 2]])
+    return out[:count]
+
+
+class TestNearestScreen:
+    """Blocks of the nearest search with at least ``_SCREEN_ENTRIES`` product
+    entries, whose s lies in [2^-100, 2^100), are screened by one float32
+    product; every row whose runner-up lies within twice the float32 band
+    of its lead goes to the direct formula. The rest stay in float64."""
+
+    COLS = kernel._SCREEN_ENTRIES // 8    # 8 rows of A fill one screened block
+
+    @pytest.mark.parametrize("norm", [1e3, 1e6])
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_near_ties_far_from_the_origin(self, norm, d, monkeypatch):
+        """Each row of A has two rows of B whose squared distances lie within
+        6 float32 ulps of 1.7, far inside the float32 band at this distance
+        from the origin; the others are farther than 3. The nearer of the
+        two is the one the direct formula picks, at whichever index.
+
+        Catches a band set to 0 or built from float64's eps, and a screen
+        with 0 for the -1 in the rows' last column.
+        """
+        rng = np.random.default_rng(d)
+        eps32 = float(np.finfo(np.float32).eps)
+        centre = rng.normal(size=d)
+        A = norm * centre / np.linalg.norm(centre) + 25.0 * rng.normal(size=(8, d))
+        dirs = rng.normal(size=(8, 2, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        ulps = rng.choice(np.arange(-6, 7), size=(8, 2), replace=True)
+        pairs = (A[:, None] + dirs * np.sqrt(1.7 * (1.0 + ulps * eps32))[..., None]).reshape(-1, d)
+        B = np.vstack([pairs, fillers(A, self.COLS - pairs.shape[0], 60.0, 10.0, rng)])
+        B = B[rng.permutation(B.shape[0])]
+        exact = np.sort(direct_sq_matrix(A, B), axis=1)
+        gap = 0.5 * (exact[:, 1] - exact[:, 0])
+        assert np.all(exact[:, 1] < 1.8) and np.all(exact[:, 2] > 9.0)
+        assert np.all(gap < kernel._band32(d, screen_bound(A, B)))
+        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        # one fused product of the rows, each with -1 last, and the screen
+        assert len(products) == 1
+        a_type, b_type, a_shape, b_shape, last = products[0]
+        assert a_type == b_type == np.float32
+        assert a_shape == (8, d + 1) and b_shape == (d + 1, self.COLS)
+        assert last == [-1.0] * 8
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_runners_up_within_twice_the_band_go_to_the_direct_formula(self, d,
+                                                                        monkeypatch):
+        """Rows 0-3 have a runner-up whose half squared distance exceeds the
+        lead's by 1.5 float32 bands, rows 4-7 by 3 bands; every other row of
+        B is 4 bands or more beyond. The screen errs by under half a band, so
+        rows 0-3, and only they, go to the direct formula.
+
+        Catches a margin of one band in place of two.
+        """
+        rng = np.random.default_rng(d)
+        centre = rng.normal(size=d)
+        A = 1e3 * centre / np.linalg.norm(centre) + 50.0 * rng.normal(size=(8, d))
+        far = fillers(A, self.COLS - 16, 100.0, 20.0, rng)
+        band = kernel._band32(d, screen_bound(A, far))
+        assert 1.0 + 8.0 * band < 20.0 ** 2
+        dirs = rng.normal(size=(8, 2, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        margin = np.repeat([1.5, 3.0], 4)
+        reach = np.sqrt(np.stack([np.ones(8), 1.0 + 2.0 * margin * band], axis=1))
+        B = np.vstack([(A[:, None] + dirs * reach[..., None]).reshape(-1, d), far])
+        order = rng.permutation(B.shape[0])
+        B = B[order]
+        assert kernel._band32(d, screen_bound(A, B)) == band
+        rechecked, direct_sq = [], kernel._direct_sq
+
+        def recording(A, ia, B, ib):
+            rechecked.extend(ia.tolist())
+            return direct_sq(A, ia, B, ib)
+
+        monkeypatch.setattr(kernel, "_direct_sq", recording)
+        near = nearest(A, B)
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert np.array_equal(order[near], 2 * np.arange(8))
+        assert sorted(set(rechecked)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("rows, cols, screened", [
+        (8, COLS - 1, []), (8, COLS, [8]), (1, 8 * COLS - 1, []), (1, 8 * COLS, [1]),
+        # 32 rows fill the budget against 4,096 columns; the 33rd goes alone
+        (33, COLS, [32])])
+    def test_blocks_either_side_of_the_screened_size(self, rows, cols, screened,
+                                                     monkeypatch):
+        rng = np.random.default_rng(rows + cols)
+        A, B = rng.normal(size=(rows, 3)), 1.5 * rng.normal(size=(cols, 3))
+        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert [a_shape[0] for a_type, _, a_shape, *_ in products
+                if a_type == np.float32] == screened
+        assert len(products) == -(-rows // (kernel._BLOCK // cols))
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_bounds_either_side_of_two_to_the_hundred(self, d, side, monkeypatch):
+        # a row of B whose |y|^2/2 the screen reads as 2^100 (side 1: s not
+        # below 2^100, the float64 form) or as just below it (side -1: float32)
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(8, d))
+        big = np.zeros((1, d))
+        big[0, 0] = 2.0 ** 50 * np.sqrt(2.0 - (2.0 ** -26 if side == 1 else 2.0 ** -20))
+        B = np.vstack([1.5 * rng.normal(size=(self.COLS - 1, d)), big])
+        s = screen_bound(A, B)
+        assert (s >= kernel._SINGLE_HIGH) == (side == 1)
+        assert float(half_sq_norms(A).max() + half_sq_norms(big)[0]) < kernel._SINGLE_HIGH
+        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert dtypes(products) == {np.dtype(np.float64 if side == 1 else np.float32)}
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_bounds_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
+        # rows scaled so that s lies 2^-8 of itself below 2^-100 (side -1:
+        # float64) or above it (side 1: float32)
+        rng = np.random.default_rng(d)
+        A, B = rng.normal(size=(8, d)), 1.5 * rng.normal(size=(self.COLS, d))
+        scale = np.sqrt(kernel._SINGLE_LOW * (1.0 + side * 2.0 ** -8) / screen_bound(A, B))
+        A, B = scale * A, scale * B
+        s = screen_bound(A, B)
+        assert (s >= kernel._SINGLE_LOW) == (side == 1)
+        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert dtypes(products) == {np.dtype(np.float32 if side == 1 else np.float64)}
+
+
 def scored(points, v1):
     """Rows sorted by their score along the unit vector v1, and the scores."""
     scores = np.asarray(points) @ np.asarray(v1, dtype=np.float64)
@@ -495,6 +654,25 @@ class TestNearestByScore:
 def test_nearest_of_no_rows():
     out = nearest(np.empty((0, 3)), np.ones((4, 3)))
     assert out.dtype == np.int64 and out.shape == (0,)
+
+
+def test_windows_from_4096_rows_of_b():
+    # a bound-step distance costs about 64 float32-screened entries, so the
+    # windows need 2 * 32 * 64 rows of B, and four blocks of entries
+    assert kernel._BOUND_COST == 64
+    assert not kernel._by_score(1_000, 4_095)
+    assert kernel._by_score(1_000, 4_096)
+    assert not kernel._by_score(4 * kernel._BLOCK // 4_096 - 1, 4_096)
+    assert kernel._by_score(4 * kernel._BLOCK // 4_096, 4_096)
+
+
+def test_nearest_in_no_rows_of_b():
+    # the nearest row of B needs one: a ValueError naming B, for both searches
+    X = np.ones((2, 3))
+    with pytest.raises(ValueError, match="B has no rows"):
+        nearest(X, np.empty((0, 3)))
+    with pytest.raises(ValueError, match="B has no rows"):
+        nearest_by_score(X, X[:, 0], np.empty((0, 3)), np.empty(0))
 
 
 class TestSmallBlocks:

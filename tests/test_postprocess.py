@@ -146,6 +146,20 @@ class TestDegenerateData:
         assert m.labels.tolist() == [0] * 5 + [1] * 5
 
 
+def multiplied_in(monkeypatch, call):
+    """The result of `call`, and the dtypes of every np.matmul it makes."""
+    dtypes, real = set(), np.matmul
+
+    def matmul(a, b, out=None):
+        dtypes.update((a.dtype, b.dtype))
+        return real(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel.np, "matmul", matmul)
+        got = call()
+    return got, dtypes
+
+
 class TestApplyMinpts:
     def test_reassign_eliminates_small_clusters(self):
         rng = np.random.default_rng(5)
@@ -216,6 +230,22 @@ class TestApplyMinpts:
         assert np.array_equal(results[0].cluster_of_group, results[1].cluster_of_group)
         assert np.array_equal(results[0].sizes, results[1].sizes)
 
+    @pytest.mark.parametrize("path", ["dense", "windows"], indirect=True)
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_reassigns_to_the_nearest_eligible_start_at_any_scale(self, path, scale,
+                                                                 monkeypatch):
+        # the searches against the direct formula's nearest eligible start;
+        # both screen in float32 at scale 1 only
+        _, (cmap, sizes, pts, scores, minpts) = self.small_clusters()
+        args = (cmap, sizes, scale * pts, scale * scores, minpts)
+        got, dtypes = multiplied_in(monkeypatch, lambda: apply_minpts(*args))
+        with monkeypatch.context() as patch:
+            patch.setattr(postprocess, "nearest", lambda A, B, *rest: direct_nearest(A, B))
+            expected = apply_minpts(*args)
+        assert np.array_equal(got.cluster_of_group, expected.cluster_of_group)
+        assert np.array_equal(got.sizes, expected.sizes)
+        assert (np.dtype(np.float32) in dtypes) == (scale == 1.0)
+
     def test_fewer_than_2048_eligible_starts_are_searched_densely(self, monkeypatch):
         # one product search of the moved groups against every eligible
         # start, and no score windows
@@ -225,9 +255,9 @@ class TestApplyMinpts:
         calls = []
         real = kernel._nearest
 
-        def recording(A, half_a, B, half_b):
+        def recording(A, half_a, B, half_b, b32):
             calls.append((A.shape[0], B.shape[0]))
-            return real(A, half_a, B, half_b)
+            return real(A, half_a, B, half_b, b32)
 
         def windows(*args, **kwargs):
             raise AssertionError("score windows searched")
@@ -421,11 +451,14 @@ class TestPredictPaths:
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_starts_are_prepared_once_per_model(self, path, monkeypatch):
-        # the eligible starts' half norms and window pad come with the model
-        # (from fit or from_json); a call computes those of its queries only
+        # the eligible starts' half norms, screen and window pad come with the
+        # model (from fit or from_json, made once); a call computes those of
+        # its queries only
         data, _ = make_blobs(400, 3, 4, 1.0, 2)
         fitted = fit(data, radius=0.1, minpts=4, merge_mode="density", outlier_mode="separate")
         models, queries, rows = (fitted, from_json(to_json(fitted))), data[:16] + 0.01, []
+        for m in models:
+            m._eligible
 
         def recording(fn):
             def wrapped(points, *rest):
@@ -435,6 +468,7 @@ class TestPredictPaths:
 
         monkeypatch.setattr(kernel, "half_sq_norms", recording(kernel.half_sq_norms))
         monkeypatch.setattr(kernel, "window_pad", recording(kernel.window_pad))
+        monkeypatch.setattr(kernel, "screen", recording(kernel.screen))
         for m in models:
             assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
         assert rows and max(rows) == queries.shape[0]
@@ -467,11 +501,11 @@ class TestPredictPaths:
         for key in ("v1", "starting_scores"):
             doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
         m = from_json(json.dumps(format2_doc(doc)))
-        eligible, pts, half, pad, norm, scores = m._eligible
+        eligible, pts, half, b32, pad, norm, scores = m._eligible
         assert norm != 1.0
         queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
         q = queries - m.mean
-        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad)
+        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad, b32)
         assert np.array_equal(predict(m, queries), m.group_cluster[eligible[near]])
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
@@ -485,6 +519,36 @@ class TestPredictPaths:
             assert 0 < np.count_nonzero(m.group_cluster < 0) < m.num_groups
             queries = np.vstack([data[::3], rng.normal(0.0, 4.0, size=(60, 3))])
             assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_float32_screen_within_its_range_only(self, path, scale, monkeypatch):
+        # 2,440 starts against 400 queries: the blocks of either search hold
+        # enough entries for the screen, which multiplies in float32 at scale
+        # 1 and leaves s outside [2^-100, 2^100) at 1e-30 and 1e30
+        data, _ = make_blobs(3400, 3, 4, 1.0, 9)
+        m = fit(scale * data[:3000], radius=0.02)
+        assert m.num_groups == 2440
+        queries = scale * np.vstack([data[3000:], data[:3000:300] + 0.01])
+        labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
+        assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
+        assert (np.dtype(np.float32) in dtypes) == (scale == 1.0)
+
+    @pytest.mark.parametrize("far", [1e60, 1e200])
+    def test_a_query_far_outside_an_in_range_model(self, far, monkeypatch):
+        # 16 queries against 2,440 starts make one screened block; a query
+        # far beyond float32's range sends its block to the float64 product
+        # (1e60) or to the direct formula (1e200)
+        data, _ = make_blobs(3400, 3, 4, 1.0, 9)
+        m = fit(data[:3000], radius=0.02)
+        queries = data[3000:3016].copy()
+        labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
+        assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
+        assert dtypes == {np.dtype(np.float32)}
+        queries[5] = far * np.array([0.6, -0.8, 0.0])
+        labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
+        assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
+        assert dtypes == ({np.dtype(np.float64)} if far == 1e60 else set())
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_queries_far_outside_the_data(self, path):
