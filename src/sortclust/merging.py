@@ -17,10 +17,11 @@ A pair whose value lies within the rounding band of the threshold is
 decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
 so the edges are exactly those of the direct formula.
 
-Density merging takes its candidates from the same search. The same
-products also find, for each row, the centers within r of it among those in
-its score window. Each pair of balls that holds a row is one key, so a row
-in k balls adds k(k - 1)/2 keys; sorting the keys counts the shared rows.
+Density merging makes one search of the same kind: for each row, the
+centers within r of it among those in its score window. Each pair of balls
+that holds a row is one key, so a row in k balls adds k(k - 1)/2 keys;
+sorting the keys counts the shared rows. As balls that share no row never
+merge, the keys whose centers are under 2r apart are the pairs tested.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def distance_merge(starting_scores, starting_points, r: float, scale: float = 1.
     threshold = _scale(scale) * _radius(r)
     sc = np.asarray(starting_scores, dtype=np.float64)
     pts = np.asarray(starting_points, dtype=np.float64)
-    return _close_pairs(sc, pts, threshold, threshold * threshold)
+    ends = np.searchsorted(sc, sc + (threshold + window_pad(pts, threshold)), side="right")
+    counts, j = _window_hits(pts, pts, np.arange(1, sc.size + 1), ends, threshold * threshold)
+    return np.stack((np.repeat(np.arange(sc.size), counts), j), axis=1)
 
 
 def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,14 +147,6 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
         counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)
         pieces.append(j[keep])
     return counts, np.concatenate(pieces)
-
-
-def _close_pairs(scores, points, width: float, t: float) -> np.ndarray:
-    """(P, 2) sorted pairs i < j of points in score order whose score gap is
-    at most `width` (plus ``kernel.window_pad``) and with |p_j - p_i|^2 <= t."""
-    ends = np.searchsorted(scores, scores + (width + window_pad(points, width)), side="right")
-    counts, j = _window_hits(points, points, np.arange(1, scores.size + 1), ends, t)
-    return np.stack((np.repeat(np.arange(scores.size), counts), j), axis=1)
 
 
 def density_pair_test(count_union: int, count_inter: int, dist: float,
@@ -174,37 +169,38 @@ def density_merge(starts, prepared: PreparedData, r: float) -> np.ndarray:
     dense in data points as their union.
 
     `starts` holds the sorted-row index of each group's starting point, in
-    score order. The candidates are the pairs with a score gap of at most 2r
-    (plus ``kernel.window_pad``), as no wider pair can overlap, and a center
-    distance strictly below 2r; those that share a row take the pair test.
+    score order. The pairs tested are the balls that share a row, as no
+    other pair can merge, with a center distance strictly below 2r.
     """
     r = _radius(r)
     X, scores, starts = prepared.centered, prepared.scores, np.asarray(starts, dtype=np.int64)
     centers, cscores, l = np.take(X, starts, axis=0), scores[starts], starts.size
-    # dsq < 4.0 * (r * r) is dsq <= the float below it
-    pairs = _close_pairs(cscores, centers, 2.0 * r, np.nextafter(4.0 * (r * r), -np.inf))
     reach = r + window_pad(X, r)
     k, ball = _window_hits(X, centers, np.searchsorted(cscores, scores - reach),
                            np.searchsorted(cscores, scores + reach, side="right"), r * r)
     # every two balls of one row make one key; the keys of rows p0..p1-1 are
     # made and counted about _BLOCK at a time (a row with more goes alone)
-    keys, inter = pairs[:, 0] * l + pairs[:, 1], np.zeros(len(pairs), dtype=np.int64)
     bounds, done = np.r_[0, np.cumsum(k)], np.cumsum(k * (k - 1) // 2)
     cuts = np.searchsorted(done, np.arange(_BLOCK, done[-1], _BLOCK), side="right")
+    pieces = []
     for p0, p1 in zip([0, *cuts], [*cuts, k.size]):
         q0, q1 = bounds[p0], bounds[p1]
         # the balls after each ball of the chunk in its row: one key with each
         later = np.repeat(bounds[p0 + 1:p1 + 1], k[p0:p1]) - np.arange(q0 + 1, q1 + 1)
         first = np.repeat(np.arange(q0, q1), later)
         shift = np.repeat(np.arange(q0 + 1, q1 + 1) - (np.cumsum(later) - later), later)
-        shared, runs = np.unique(ball[first] * l + ball[shift + np.arange(first.size)],
-                                 return_counts=True)
-        at = np.searchsorted(keys, shared)
-        found = at < keys.size     # a key that is no candidate is dropped
-        found[found] = keys[at[found]] == shared[found]
-        inter[at[found]] += runs[found]
-    pairs, inter = pairs[inter > 0], inter[inter > 0]
+        pieces.append(np.unique(ball[first] * l + ball[shift + np.arange(first.size)],
+                                return_counts=True))
+    keys, runs = map(np.concatenate, zip(*pieces))
+    keys, at = np.unique(keys, return_inverse=True)     # the chunks' counts summed per key
+    inter = np.bincount(at, weights=runs).astype(np.int64)
+    # a row lists its balls in ascending order, so i < j; dsq < 4.0 * (r * r)
+    # is the 2r test
+    pairs = np.stack(np.divmod(keys, l), axis=1)
+    dsq = _direct_sq(centers, pairs[:, 0], centers, pairs[:, 1])
+    close = dsq < 4.0 * (r * r)
+    pairs, inter, dsq = pairs[close], inter[close], dsq[close]
     union = (np.bincount(ball, minlength=l)[pairs].sum(axis=1) - inter).tolist()
-    dist = np.sqrt(_direct_sq(centers, pairs[:, 0], centers, pairs[:, 1])).tolist()
-    merged = [density_pair_test(*args, r, prepared.d) for args in zip(union, inter.tolist(), dist)]
+    merged = [density_pair_test(*args, r, prepared.d)
+              for args in zip(union, inter.tolist(), np.sqrt(dsq).tolist())]
     return pairs[np.array(merged, dtype=bool)]

@@ -435,20 +435,25 @@ def _model_from_doc(doc: dict, version: int) -> ClusterModel:
                        <= window_pad(starting_points, 0.0) / 4)),
            "starting_scores must be the scores of the starting points along v1")
 
-    # group_members must partition 0..n-1: group ends that rise from 0 to n
-    # (so no size is negative or overflows), n rows in range, none left over.
-    partition = f"group_members must partition the rows 0..{n - 1}"
-    _check(order.shape == (n,) and l > 0 and ends[0] >= 0 and ends[-1] == n
-           and bool(np.all(ends[1:] >= ends[:-1])) and bool(np.all((order >= 0) & (order < n))),
+    # group_members must partition 0..n-1: group ends that rise strictly from
+    # 0 to n (each group holds its starting row), n rows in range, none left over.
+    partition = f"group_members must partition the rows 0..{n - 1} into nonempty groups"
+    _check(order.shape == (n,) and l > 0 and ends[0] > 0 and ends[-1] == n
+           and bool(np.all(ends[1:] > ends[:-1])) and bool(np.all((order >= 0) & (order < n))),
            partition)
+    group_sizes = np.diff(ends, prepend=0)
     point_group = np.full(n, -1, dtype=np.int64)
-    point_group[order] = np.repeat(np.arange(l), np.diff(ends, prepend=0))
+    point_group[order] = np.repeat(np.arange(l), group_sizes)
     _check(bool(np.all(point_group >= 0)), partition)
 
     cluster_sizes, edges = a["cluster_sizes"], a["merge_edges"]
     k = cluster_sizes.size
     _check(cluster_sizes.ndim == 1 and bool(np.all((group_cluster >= -1) & (group_cluster < k))),
            f"group_cluster ids must lie in [-1, {k})")
+    # summed over groups, not rows: exact in float64, as n < 2^53
+    kept = group_cluster >= 0
+    _check(np.array_equal(cluster_sizes, np.bincount(group_cluster[kept], group_sizes[kept], k)),
+           "cluster_sizes must count the rows of each cluster")
     _check(edges.ndim == 2 and edges.shape[1] == 2 and bool(np.all((edges >= 0) & (edges < l))),
            f"merge_edges must be pairs of group ids in [0, {l})")
     return ClusterModel(
@@ -479,9 +484,10 @@ def from_json(text: str) -> ClusterModel:
     values, as many as their shapes hold.
 
     Both formats then pass the same checks: keys, shapes, finite floats,
-    `group_members` partitioning the rows 0..n-1, cluster ids in [-1, k)
-    and edge endpoints in [0, l). The score windows of `predict` need three
-    more: `v1` of unit norm to within 1e-6, nondecreasing
+    `group_members` partitioning the rows 0..n-1 into nonempty groups,
+    cluster ids in [-1, k), `cluster_sizes` counting the rows of each
+    cluster and edge endpoints in [0, l). The score windows of `predict`
+    need three more: `v1` of unit norm to within 1e-6, nondecreasing
     `starting_scores`, and each within a quarter of ``kernel.window_pad``
     of ``starting_points @ v1``. A malformed document raises ValueError.
     """

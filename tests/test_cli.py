@@ -11,6 +11,9 @@ import pytest
 from sortclust import cli
 from sortclust.cli import main
 
+from _oracles import format1_doc, format2_doc
+from test_postprocess import strip_rows
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -213,6 +216,20 @@ class TestPredict:
                      "--output", str(out)]) == 2
         assert f"malformed model: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_model_with_no_rows(self, tmp_path, capsys, version):
+        # groups with no rows, as a model of n = 0 has: explain would divide
+        # by the row counts
+        data = fixture_csv(tmp_path)
+        model = tmp_path / "model.json"
+        main(["fit", "--input", data, "--output", str(tmp_path / "l.txt"),
+              "--radius", "0.3", "--model", str(model)])
+        doc = format1_doc(json.loads(model.read_text()))
+        strip_rows(doc)
+        model.write_text(json.dumps(doc if version == 1 else format2_doc(doc)))
+        assert main(["explain", "--model", str(model)]) == 2
+        assert "malformed model: group_members must partition" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         data = fixture_csv(tmp_path)

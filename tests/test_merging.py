@@ -27,11 +27,30 @@ def pairwise_density_edges(points, starting_points, r, d):
 
 
 def check_density(p, starts, r, brute_force=True):
-    """density_merge's edges, checked to be sorted and to equal both oracles."""
-    edges = density_merge(starts, p, r)
+    """density_merge's edges, checked to be sorted and to equal both oracles.
+
+    Its pair tests must also be the direct pairs' in order, with their
+    shared-row counts and distances, after a single window search."""
+    tests, searches, search = [], [], merging._window_hits
+
+    def pair_test(union, inter, dist, *rest):
+        tests.append((union, inter, dist))
+        return density_pair_test(union, inter, dist, *rest)
+
+    def window_hits(*args):
+        searches.append(args)
+        return search(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merging, "density_pair_test", pair_test)
+        mp.setattr(merging, "_window_hits", window_hits)
+        edges = density_merge(starts, p, r)
+    assert len(searches) == 1
     assert edges.dtype == np.int64 and edges.shape[1] == 2
     assert np.array_equal(edges, np.unique(edges, axis=0))
     pts, found = p.centered[starts], set(map(tuple, edges.tolist()))
+    assert tests == [(union, inter, math.sqrt(dsq))
+                     for _, _, union, inter, dsq in direct_density_pairs(p.centered, pts, r)]
     assert found == pairwise_density_edges(p.centered, pts, r, p.d)
     if brute_force:
         assert found == brute_force_density_edges(p.centered, pts, r, p.d)
@@ -190,9 +209,9 @@ class TestDensityMerge:
         check_density(p, starts, r)
 
     def test_centres_exactly_2r_apart_sharing_a_boundary_row(self):
-        # rows 1-3 are in the balls of both 0 and 4, which are 2r apart: no
-        # candidate, so their count must be dropped, not added to the
-        # candidate (4, 5), whose own counts do not merge it
+        # rows 1-3 are in the balls of both 0 and 4, which are 2r apart: the
+        # pair (0, 4) shares rows but is not tested, and (4, 5), which is,
+        # takes only its own counts, which do not merge it
         p = prepared_1d([0.0, 1.0, 1.0, 1.0, 2.0, 2.6])
         starts = np.array([0, 4, 5])
         assert check_density(p, starts, 1.0).shape == (0, 2)
@@ -200,7 +219,7 @@ class TestDensityMerge:
     def test_subnormal_four_r_squared(self):
         # centres x apart with a row at x / 2, scaled near 1e-160: r * r is
         # subnormal, so 4.0 * (r * r) and (2r)^2 differ and x^2 can fall
-        # between them; the candidate test is dsq < 4.0 * (r * r) exactly
+        # between them; the 2r test is dsq < 4.0 * (r * r) exactly
         rng = np.random.default_rng(4)
         seen = set()
         for _ in range(400):

@@ -729,6 +729,29 @@ def _shift(values, index, by):
     values[index] += by
 
 
+def _negative_cluster_size(doc):
+    """The last cluster's size -1, the rows it loses given to cluster 0, so
+    the sizes still add up to n."""
+    sizes = doc["cluster_sizes"]
+    sizes[0] += sizes[-1] + 1
+    sizes[-1] = -1
+
+
+def _empty_group(doc):
+    """Group 0's rows moved into group 1: the rows are still partitioned,
+    but group 0 holds none, not even its starting row."""
+    members = doc["group_members"]
+    members[1] += members[0]
+    members[0] = []
+
+
+def strip_rows(doc):
+    """A model of no rows: every group empty, n and every cluster size 0."""
+    doc["group_members"] = [[] for _ in doc["group_members"]]
+    doc["cluster_sizes"] = [0] * len(doc["cluster_sizes"])
+    doc["stats"]["n"] = 0
+
+
 def _unsort_scores(doc):
     """Swap two starting points with different scores, and their scores:
     each score still belongs to its point, but they are out of order."""
@@ -771,6 +794,9 @@ CORRUPTIONS = [
     pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, len(doc["cluster_sizes"])),
                  id="cluster-id-too-large"),
     pytest.param(lambda doc: doc["group_cluster"].__setitem__(0, -2), id="cluster-id-below-minus-one"),
+    # explain_summary would report a negative outlier count
+    pytest.param(lambda doc: _shift(doc["cluster_sizes"], 0, 1), id="cluster-size-off-by-one"),
+    pytest.param(_negative_cluster_size, id="negative-cluster-size"),
     pytest.param(lambda doc: doc["merge_edges"].append([0, len(doc["group_cluster"])]),
                  id="edge-endpoint-too-large"),
     pytest.param(lambda doc: doc["merge_edges"].append([-1, 0]), id="edge-endpoint-negative"),
@@ -922,6 +948,17 @@ class TestModelValidation:
         corrupt(bad)
         with pytest.raises(ValueError, match="malformed model"):
             from_json(json.dumps(format2_doc(bad)))
+
+    @pytest.mark.parametrize("corrupt", [_empty_group, strip_rows], ids=["empty-group", "no-rows"])
+    def test_group_without_rows_raises_value_error(self, doc, corrupt):
+        # every fitted group holds its starting row; explain would divide by
+        # the row count of an empty group or model
+        bad = json.loads(json.dumps(doc))
+        corrupt(bad)
+        for text in (json.dumps(bad), json.dumps(format2_doc(bad))):
+            with pytest.raises(ValueError,
+                               match="^malformed model: group_members must partition"):
+                from_json(text)
 
     @pytest.mark.parametrize("corrupt, message", ENCODING_FAULTS)
     def test_format2_encoding_fault_raises_value_error(self, doc2, corrupt, message):
