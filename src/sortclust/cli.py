@@ -55,7 +55,7 @@ def _read_matrix(path: str, header: bool, drop_bad_rows: bool) -> np.ndarray:
     file the row reader runs instead, so it alone produces the diagnostics
     and drops rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     data = lines[int(header):]
     # loadtxt warns when it reads no rows, which happens only when every data
@@ -112,7 +112,7 @@ def _parse_rows(path: str, lines: list[str], header: bool,
 
 def _read_labels(path: str) -> np.ndarray:
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

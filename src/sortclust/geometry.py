@@ -1,8 +1,10 @@
 """Special functions and equal-radius ball volume formulas.
 
-Everything in this module is plain scalar float arithmetic. The continued
-fractions and series are written out directly instead of pulled from scipy so
-that the package stays dependency-light and the convergence behaviour is
+The incomplete beta and the overlap fraction take arrays (a Python float
+gives a Python float) and make the IEEE operations of the scalar recurrence
+in its order, each entry stopping at its own convergence. The continued
+fractions and series are written out directly instead of pulled from scipy
+so that the package stays dependency-light and the convergence behaviour is
 pinned down in one place.
 """
 
@@ -10,66 +12,75 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .aggregation import _finite_real, _radius
+
 _EPS = 1e-15        # convergence threshold for series / continued fractions
 _FPMIN = 1e-300     # keeps the modified Lentz recurrences away from 0
 _MAX_ITER = 500
 _MAX_LINEAR_DIM = 300   # above this, plain volumes under/overflow; use the log forms
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+def _away_from_zero(v):
+    """`v` with each entry of magnitude below _FPMIN replaced by _FPMIN."""
+    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta function (modified Lentz) at
+    each entry of `x`; an entry keeps the `h` of the step where its |delta - 1| < _EPS."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    out, live = np.empty_like(x), np.arange(x.size)
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        d = 1.0 / _away_from_zero(1.0 + aa * d)
+        c = _away_from_zero(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        out[live[done]] = h[done]
+        if done.all():
+            return out
+        live, x, c, d, h = (v[~done] for v in (live, x, c, d, h))
     raise ValueError(f"incomplete beta continued fraction failed to converge "
-                     f"(a={a}, b={b}, x={x})")
+                     f"(a={a}, b={b}, x={x[0]})")
 
 
-def reg_inc_beta(s: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_s(a, b) for s in [0, 1], a > 0, b > 0."""
+def _each(f, v: np.ndarray) -> np.ndarray:
+    """`f` of each entry of `v`; numpy's log, log1p and exp differ from `math`'s in last bits."""
+    return np.fromiter(map(f, v.tolist()), np.float64, v.size)
+
+
+def reg_inc_beta(s, a: float, b: float):
+    """Regularized incomplete beta I_s(a, b) for each s in [0, 1], a > 0, b > 0;
+    a Python float for a scalar s."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("beta parameters must be positive")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s={s} outside [0, 1]")
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        return 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(s) + b * math.log1p(-s))
+    x = np.asarray(s, dtype=np.float64)
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"s={x[outside][0]} outside [0, 1]")
+    out = np.where(x == 1.0, 1.0, 0.0)
+    inner = (x > 0.0) & (x < 1.0)
+    x = x[inner]
+    front = _each(math.exp, math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                  + a * _each(math.log, x) + b * _each(math.log1p, -x))
     # Symmetry switch: the continued fraction converges fast only on one side.
-    if s < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, s) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - s) / b
+    low = x < (a + 1.0) / (a + b + 2.0)
+    frac = np.empty_like(x)
+    frac[low] = front[low] * _betacf(a, b, x[low]) / a
+    frac[~low] = 1.0 - front[~low] * _betacf(b, a, 1.0 - x[~low]) / b
+    out[inner] = frac
+    return out if out.ndim else float(out)
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -126,9 +137,8 @@ def reg_inc_gamma_lower(x: float, a: float) -> float:
 
 
 def _check_ball_args(radius: float, d: int) -> None:
-    if not radius > 0.0 or not math.isfinite(radius):
-        raise ValueError("radius must be positive and finite")
-    if int(d) != d or d < 1:
+    _radius(radius)
+    if not (_finite_real(d) and d >= 1 and int(d) == d):
         raise ValueError("dimension must be a positive integer")
 
 
@@ -150,8 +160,8 @@ def ball_volume(radius: float, d: int) -> float:
     return v
 
 
-def overlap_fraction(dist: float, radius: float, d: int) -> float:
-    """Intersection volume of two equal d-balls divided by one ball's volume.
+def overlap_fraction(dist, radius: float, d: int):
+    """Intersection volume of two equal d-balls over one ball's volume, per distance.
 
     This is I_s((d+1)/2, 1/2) with s = 1 - dist^2/(4 radius^2), i.e. twice the
     relative volume of the spherical cap cut off at half the center distance.
@@ -160,18 +170,15 @@ def overlap_fraction(dist: float, radius: float, d: int) -> float:
     intervals at distance t is exactly 2-t.
     """
     _check_ball_args(radius, d)
-    if dist < 0.0:
+    t = np.asarray(dist, dtype=np.float64)
+    if (t < 0.0).any():
         raise ValueError("dist must be nonnegative")
-    if dist >= 2.0 * radius:
-        return 0.0
-    s = 1.0 - (dist * dist) / (4.0 * radius * radius)
-    s = min(max(s, 0.0), 1.0)
+    s, near = np.zeros_like(t), ~(t >= 2.0 * radius)   # a nan is near: reg_inc_beta rejects it
+    s[near] = np.clip(1.0 - (t[near] * t[near]) / (4.0 * radius * radius), 0.0, 1.0)
     return reg_inc_beta(s, 0.5 * (d + 1.0), 0.5)
 
 
-def intersection_volume(dist: float, radius: float, d: int) -> float:
-    """Volume of the intersection of two d-balls of equal radius."""
+def intersection_volume(dist, radius: float, d: int):
+    """Volume of the intersection of two d-balls of equal radius, per distance."""
     frac = overlap_fraction(dist, radius, d)
-    if frac == 0.0:
-        return 0.0
-    return ball_volume(radius, d) * frac
+    return ball_volume(radius, d) * frac if np.any(frac) else frac

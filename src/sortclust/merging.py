@@ -21,7 +21,8 @@ Density merging makes one search of the same kind: for each row, the
 centers within r of it among those in its score window. Each pair of balls
 that holds a row is one key, so a row in k balls adds k(k - 1)/2 keys;
 sorting the keys counts the shared rows. As balls that share no row never
-merge, the keys whose centers are under 2r apart are the pairs tested.
+merge, the keys whose centers are under 2r apart are the pairs tested, all
+by one array expression on their overlap fractions.
 """
 
 from __future__ import annotations
@@ -149,28 +150,16 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.concatenate(pieces)
 
 
-def density_pair_test(count_union: int, count_inter: int, dist: float,
-                      r: float, d: int) -> bool:
-    """Density criterion for one candidate pair of groups.
-
-    Decides count_union / vol(union) <= count_inter / vol(intersection) with
-    the common ball volume cancelled out, which keeps the comparison exact in
-    any dimension (the raw volumes underflow for large d; their ratio does
-    not). An empty intersection count can never witness shared density.
-    """
-    if count_inter == 0:
-        return False
-    frac = overlap_fraction(dist, r, d)
-    return count_union * frac <= count_inter * (2.0 - frac)
-
-
 def density_merge(starts, prepared: PreparedData, r: float) -> np.ndarray:
     """Edge (i, j) iff the intersection of the two R-balls is at least as
     dense in data points as their union.
 
     `starts` holds the sorted-row index of each group's starting point, in
     score order. The pairs tested are the balls that share a row, as no
-    other pair can merge, with a center distance strictly below 2r.
+    other pair can merge, with a center distance strictly below 2r. The
+    balls' overlap fraction f makes the test count_union * f <= count_inter
+    * (2 - f): the common volume cancels, which keeps it exact in any
+    dimension, where the raw volumes underflow and their ratio does not.
     """
     r = _radius(r)
     X, scores, starts = prepared.centered, prepared.scores, np.asarray(starts, dtype=np.int64)
@@ -200,7 +189,6 @@ def density_merge(starts, prepared: PreparedData, r: float) -> np.ndarray:
     dsq = _direct_sq(centers, pairs[:, 0], centers, pairs[:, 1])
     close = dsq < 4.0 * (r * r)
     pairs, inter, dsq = pairs[close], inter[close], dsq[close]
-    union = (np.bincount(ball, minlength=l)[pairs].sum(axis=1) - inter).tolist()
-    merged = [density_pair_test(*args, r, prepared.d)
-              for args in zip(union, inter.tolist(), np.sqrt(dsq).tolist())]
-    return pairs[np.array(merged, dtype=bool)]
+    union = np.bincount(ball, minlength=l)[pairs].sum(axis=1) - inter
+    frac = overlap_fraction(np.sqrt(dsq), r, prepared.d)
+    return pairs[union * frac <= inter * (2.0 - frac)]

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check, and
 imports nothing from the package: Jacobi rotations instead of LAPACK's
 eigensolver, breadth-first search instead of vectorized component passes,
-closed-form areas and lens volumes instead of the incomplete beta, rejection
+closed-form areas and lens volumes instead of the incomplete beta, the
+incomplete beta one Python float at a time instead of on arrays, rejection
 sampling instead of quadrature, plain-python hypergeometric sums instead of
 log-factorial tables, all-pairs direct differences instead of score windows
 and the expanded-norm kernel, a stable argsort instead of a tie repair, and
@@ -293,6 +294,93 @@ def lens_volume(dist, radius: float, d: int) -> np.ndarray:
     for k in range(k + 2, d + 1, 2):
         integral = ((k - 1) * integral - sin ** (k - 1) * cos) / k
     return 2.0 * _unit_ball_volume(d - 1) * radius ** d * integral
+
+
+_EPS = 1e-15        # convergence threshold of the continued fraction
+_FPMIN = 1e-300     # keeps the modified Lentz recurrence away from 0
+_MAX_ITER = 500
+
+
+def scalar_betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function (modified Lentz),
+    one Python float at a time: the reference for the array recurrence."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise ValueError(f"incomplete beta continued fraction failed to converge "
+                     f"(a={a}, b={b}, x={x})")
+
+
+def scalar_reg_inc_beta(s: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_s(a, b) for s in [0, 1], a > 0, b > 0,
+    by `math` and Python floats."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("beta parameters must be positive")
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s={s} outside [0, 1]")
+    if s == 0.0:
+        return 0.0
+    if s == 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(s) + b * math.log1p(-s))
+    # Symmetry switch: the continued fraction converges fast only on one side.
+    if s < (a + 1.0) / (a + b + 2.0):
+        return front * scalar_betacf(a, b, s) / a
+    return 1.0 - front * scalar_betacf(b, a, 1.0 - s) / b
+
+
+def scalar_overlap_fraction(dist: float, radius: float, d: int) -> float:
+    """Intersection volume of two equal d-balls over one ball's volume,
+    I_s((d+1)/2, 1/2) with s = 1 - dist^2/(4 radius^2), for one distance."""
+    if dist < 0.0:
+        raise ValueError("dist must be nonnegative")
+    if dist >= 2.0 * radius:
+        return 0.0
+    s = 1.0 - (dist * dist) / (4.0 * radius * radius)
+    s = min(max(s, 0.0), 1.0)
+    return scalar_reg_inc_beta(s, 0.5 * (d + 1.0), 0.5)
+
+
+def density_pair_test(count_union: int, count_inter: int, dist: float,
+                      r: float, d: int) -> bool:
+    """Density criterion for one pair of groups: count_union / vol(union)
+    <= count_inter / vol(intersection), with the common ball volume
+    cancelled out. An empty intersection count never witnesses shared
+    density."""
+    if count_inter == 0:
+        return False
+    frac = scalar_overlap_fraction(dist, r, d)
+    return count_union * frac <= count_inter * (2.0 - frac)
 
 
 def brute_force_density_edges(points, starting_points, r: float, d: int) -> set:

@@ -69,6 +69,11 @@ class TestFit:
         assert "row 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_mark_after_the_first_line_reports_its_row(self, tmp_path, capsys):
+        bad = write(tmp_path / "bad.csv", "1.0\n\ufeff2.0\n")
+        assert main(["fit", "--input", bad]) == 2
+        assert "malformed row 2: non-numeric field '\\ufeff2.0'" in capsys.readouterr().err
+
     def test_drop_bad_rows(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "1.0\nnope\n2.0\n\n3.0\n")
         out = tmp_path / "labels.txt"
@@ -148,6 +153,26 @@ class TestBlobPipeline:
                      "--metric", "ari"]) == 0
         score = float(capsys.readouterr().out.split()[-1])
         assert score >= 0.95
+
+    def test_files_starting_with_a_byte_order_mark(self, tmp_path, capsys):
+        # spreadsheets save "CSV UTF-8" with a leading U+FEFF
+        assert main(["blobs", "--n", "300", "--d", "2", "--k", "3", "--seed", "4",
+                     "--output", str(tmp_path / "data.csv"),
+                     "--truth", str(tmp_path / "truth.txt")]) == 0
+        for name in ("data.csv", "truth.txt"):
+            write(tmp_path / f"bom-{name}", "\ufeff" + (tmp_path / name).read_text())
+        scores = []
+        for prefix in ("", "bom-"):
+            capsys.readouterr()
+            assert main(["fit", "--input", str(tmp_path / f"{prefix}data.csv"), "--radius",
+                         "0.3", "--output", str(tmp_path / f"{prefix}labels.txt")]) == 0
+            labels = (tmp_path / f"{prefix}labels.txt").read_text()
+            write(tmp_path / f"{prefix}pred.txt", "\ufeff" + labels if prefix else labels)
+            assert main(["eval", "--truth", str(tmp_path / f"{prefix}truth.txt"),
+                         "--pred", str(tmp_path / f"{prefix}pred.txt")]) == 0
+            scores.append(capsys.readouterr().out)
+        assert (tmp_path / "bom-labels.txt").read_bytes() == (tmp_path / "labels.txt").read_bytes()
+        assert scores[0] == scores[1] and "ari " in scores[0]
 
     def test_labels_to_stdout_without_output_flag(self, tmp_path, capsys):
         data = fixture_csv(tmp_path)
@@ -336,6 +361,11 @@ class TestEval:
                      "--metric", "ari"]) == 0
         assert "ari -0.500000" in capsys.readouterr().out
 
+    def test_byte_order_mark_after_the_first_line_reports_its_row(self, tmp_path, capsys):
+        labels = write(tmp_path / "l.txt", "0\n\ufeff1\n")
+        assert main(["eval", "--truth", labels, "--pred", labels]) == 2
+        assert "malformed label on row 2: '\\ufeff1'" in capsys.readouterr().err
+
     def test_length_mismatch(self, tmp_path, capsys):
         truth = write(tmp_path / "t.txt", "0\n1\n")
         pred = write(tmp_path / "p.txt", "0\n1\n1\n")
@@ -448,6 +478,7 @@ CSV_CORPUS = {
     "underscore": "1_0,2\n3,4\n",
     "bom": "\ufeff1,2\n3,4\n",
     "bom-header": "\ufefff0,f1\n1,2\n3,4\n",
+    "bom-second-line": "1,2\n\ufeff3,4\n",
     "crlf": "1,2\r\n3,4\r\n",
     "cr": "1,2\r3,4\r",
     "no-final-newline": "1,2\n3,4",
@@ -469,7 +500,7 @@ def _outcome(read):
 
 
 def _row_reader(path, header, drop_bad_rows):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     return cli._parse_rows(path, lines, header, drop_bad_rows)
 

@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from sortclust import geometry
 from sortclust.geometry import (ball_volume, intersection_volume, log_ball_volume,
                                 overlap_fraction, reg_inc_beta, reg_inc_gamma_lower)
 
-from _oracles import erf_series, interval_overlap_1d, lens_area_2d, mc_lens_volume
+from _oracles import (erf_series, interval_overlap_1d, lens_area_2d, mc_lens_volume,
+                      scalar_overlap_fraction, scalar_reg_inc_beta)
+
+# dimensions of the array-against-scalar comparisons: both sides of the
+# linear-volume cap at 300, and far beyond it
+ORACLE_DIMS = (1, 2, 10, 50, 200, 301, 10_000)
+BAD_DIMS = (0, -1, 2.5, float("inf"), float("nan"), True, "3")
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 class TestRegIncBeta:
@@ -168,3 +179,69 @@ class TestOverlapFraction:
             for dist in (0.0, 0.5, 1.5, 2.0):
                 f = overlap_fraction(dist, 1.0, d)
                 assert 0.0 <= f <= 1.0
+
+    def test_array_fractions_equal_the_scalar_bit_for_bit(self):
+        # at 0, at 2r and one ulp below, beyond 2r, at the distances of the
+        # density pairs in test_merging, and random
+        rng = np.random.default_rng(5)
+        for radius in (1.0, 0.37):
+            dist = np.r_[0.0, 2.0 * radius, np.nextafter(2.0 * radius, 0.0), 3.0 * radius,
+                         np.array([0.1, 0.5, 1.5, 1.9]) * radius,
+                         rng.uniform(0.0, 2.0 * radius, 3000)]
+            for d in ORACLE_DIMS:
+                expected = [scalar_overlap_fraction(t, radius, d) for t in dist.tolist()]
+                assert np.array_equal(bits(overlap_fraction(dist, radius, d)), bits(expected))
+
+    def test_scalar_in_scalar_out(self):
+        for f in (reg_inc_beta, overlap_fraction, intersection_volume):
+            args = (0.3, 1.0, 0.5) if f is reg_inc_beta else (0.3, 1.0, 3)
+            assert type(f(*args)) is float
+            assert type(f(np.float64(0.3), *args[1:])) is float
+            assert f(np.array([[0.3]]), *args[1:]).shape == (1, 1)
+        assert type(intersection_volume(2.5, 1.0, 3)) is float
+        assert overlap_fraction(np.empty(0), 1.0, 3).shape == (0,)
+
+    def test_distance_errors(self):
+        for dist in (-1e-300, -1.0, float("nan"), np.array([0.5, -0.5]),
+                     np.array([0.5, float("nan")])):
+            with pytest.raises(ValueError):
+                overlap_fraction(dist, 1.0, 3)
+            with pytest.raises(ValueError):
+                intersection_volume(dist, 1.0, 3)
+
+
+class TestBallArguments:
+    @pytest.mark.parametrize("f", [log_ball_volume, ball_volume, overlap_fraction,
+                                   intersection_volume])
+    def test_dimension_must_be_a_positive_integer(self, f):
+        args = (1.0,) if f in (log_ball_volume, ball_volume) else (0.5, 1.0)
+        for bad in BAD_DIMS:
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                f(*args, bad)
+        assert f(*args, 3.0) == f(*args, np.int64(3)) == f(*args, 3)
+
+
+class TestArrayContinuedFraction:
+    def test_array_equals_the_scalar_bit_for_bit(self):
+        # s at both ends, at the symmetry switch and one ulp either side of
+        # it, and random
+        rng = np.random.default_rng(3)
+        for d in ORACLE_DIMS:
+            a, b = 0.5 * (d + 1.0), 0.5
+            switch = (a + 1.0) / (a + b + 2.0)
+            s = np.r_[0.0, 1.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0),
+                      rng.uniform(0.0, 1.0, 3000)]
+            expected = [scalar_reg_inc_beta(v, a, b) for v in s.tolist()]
+            assert np.array_equal(bits(reg_inc_beta(s, a, b)), bits(expected))
+
+    def test_s_outside_the_unit_interval(self):
+        for s in (-0.01, 1.01, float("nan"), np.array([0.5, 1.5]), np.array([float("nan")])):
+            with pytest.raises(ValueError, match="outside"):
+                reg_inc_beta(s, 1.0, 1.0)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="failed to converge"):
+            reg_inc_beta(np.array([0.2, 0.4]), 3.0, 0.5)
+        with pytest.raises(ValueError, match="failed to converge"):
+            overlap_fraction(0.5, 1.0, 3)

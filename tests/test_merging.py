@@ -5,13 +5,14 @@ import pytest
 
 from sortclust import kernel, merging
 from sortclust.aggregation import aggregate
-from sortclust.merging import (connected_components, density_merge, density_pair_test,
-                               distance_merge, relabel_by_size)
+from sortclust.merging import (connected_components, density_merge, distance_merge,
+                               relabel_by_size)
 from sortclust.postprocess import fit
 from sortclust.prep import prepare
 
 from _oracles import (brute_force_components, brute_force_density_edges,
-                      brute_force_distance_edges, direct_density_pairs, direct_sq_matrix)
+                      brute_force_distance_edges, density_pair_test, direct_density_pairs,
+                      direct_sq_matrix)
 
 from test_aggregation import BAD_RADII, prepared_1d, prepared_raw, value_error
 
@@ -29,28 +30,31 @@ def pairwise_density_edges(points, starting_points, r, d):
 def check_density(p, starts, r, brute_force=True):
     """density_merge's edges, checked to be sorted and to equal both oracles.
 
-    Its pair tests must also be the direct pairs' in order, with their
-    shared-row counts and distances, after a single window search."""
-    tests, searches, search = [], [], merging._window_hits
+    After a single window search, its one overlap_fraction call must take
+    the direct pairs' distances in order, and each pair it keeps or drops
+    must be the scalar pair test's decision on the direct counts."""
+    calls, searches = [], []
+    fraction, search = merging.overlap_fraction, merging._window_hits
 
-    def pair_test(union, inter, dist, *rest):
-        tests.append((union, inter, dist))
-        return density_pair_test(union, inter, dist, *rest)
+    def overlap(*args):
+        calls.append(args)
+        return fraction(*args)
 
     def window_hits(*args):
         searches.append(args)
         return search(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(merging, "density_pair_test", pair_test)
+        mp.setattr(merging, "overlap_fraction", overlap)
         mp.setattr(merging, "_window_hits", window_hits)
         edges = density_merge(starts, p, r)
-    assert len(searches) == 1
+    assert len(searches) == 1 and len(calls) == 1
     assert edges.dtype == np.int64 and edges.shape[1] == 2
     assert np.array_equal(edges, np.unique(edges, axis=0))
     pts, found = p.centered[starts], set(map(tuple, edges.tolist()))
-    assert tests == [(union, inter, math.sqrt(dsq))
-                     for _, _, union, inter, dsq in direct_density_pairs(p.centered, pts, r)]
+    dist, radius, d = calls[0]
+    assert (radius, d) == (r, p.d)
+    assert dist.tolist() == [math.sqrt(dsq) for *_, dsq in direct_density_pairs(p.centered, pts, r)]
     assert found == pairwise_density_edges(p.centered, pts, r, p.d)
     if brute_force:
         assert found == brute_force_density_edges(p.centered, pts, r, p.d)
@@ -160,17 +164,29 @@ class TestDensityMerge:
         assert edge_set(edges) == brute_force_density_edges(
             p.centered, p.centered[starts], r, 2) == {(0, 1)}
 
-    def test_pair_test_zero_intersection_count(self):
-        assert density_pair_test(5, 0, 1.5, 1.0, 2) is False
-        assert density_pair_test(2, 2, 0.5, 1.0, 2) is True
-
-    def test_pair_test_survives_extreme_dimension(self):
-        # raw ball volumes underflow far below d=10000; the cancelled form
-        # still decides: a populated lens at tiny overlap fraction wins, an
-        # empty one never does
-        assert density_pair_test(10, 5, 1.9, 1.0, 10_000) is True
-        assert density_pair_test(10, 0, 1.9, 1.0, 10_000) is False
-        assert density_pair_test(2, 2, 0.1, 1.0, 10_000) is True
+    @pytest.mark.parametrize("d, rows, starts, tested, untested", [
+        (2, [-0.5, 0.0, 1.5, 2.0, 2.3, 10.0, 10.5], [1, 2, 5, 6], [(2, 3, 2, 2)], (5, 1.5)),
+        (10_000, [-0.6, -0.3, 0.0, *[0.95] * 5, 1.9, 2.5, 10.0, 10.1,
+                  19.6, 19.7, 19.8, 19.9, 20.0, 21.9, 22.0, 22.1, 22.2, 22.3],
+         [2, 8, 10, 11, 16, 17], [(0, 1, 10, 5), (2, 3, 2, 2)], (10, 1.9)),
+    ])
+    def test_pair_counts_decided_as_the_scalar_test(self, d, rows, starts, tested, untested):
+        # rows on the first axis, r = 1, and (i, j, union, inter) of each
+        # tested pair: at d = 10,000 the raw ball volumes underflow, and the
+        # cancelled form still decides; its pair (0, 1) holds a populated
+        # lens of overlap fraction 0.0, which merges. One pair of each
+        # layout, (0, 1) at d = 2 and (4, 5) at d = 10,000, shares no row, so
+        # it is never tested; `untested` holds its union count and distance,
+        # on which the scalar test rejects it
+        pts = np.zeros((len(rows), d))
+        pts[:, 0] = rows
+        p, r = prepared_raw(pts, np.eye(1, d)[0]), 1.0
+        starts = np.array(starts)
+        assert [pair[:4] for pair in direct_density_pairs(p.centered, p.centered[starts], r)] \
+            == tested
+        assert density_pair_test(untested[0], 0, untested[1], r, d) is False
+        edges = check_density(p, starts, r, brute_force=d == 2)
+        assert edges.tolist() == [list(pair[:2]) for pair in tested]
 
     def test_pruned_equals_brute_force(self):
         rng = np.random.default_rng(9)
