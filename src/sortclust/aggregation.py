@@ -51,10 +51,10 @@ the block claimed any; the rows claimed in it before k's turn are then
 subtracted. The count is the same in either layout, since every window
 holds the same free rows and claimed rows are never counted.
 
-A test whose value lies within the rounding band of R^2 (float32's, or
-float64's beyond float32's range) is decided again by the direct formula
-``diff = y - x; einsum(diff, diff)``, so the groups are exactly those of
-the direct formula, whatever the blocks.
+A test whose value lies within float32's rounding band of R^2, and every
+test of a block beyond the screen's range, is decided again by the direct
+formula ``diff = y - x; einsum(diff, diff)``, so the groups are exactly
+those of the direct formula, whatever the blocks.
 ``aggregate_reference`` in ``tests/_oracles.py`` is the same procedure on the
 direct formula, one start at a time and without the early exit.
 
@@ -69,7 +69,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, _SPAN, block_rows, screen, window_pad, within
+from .kernel import _BLOCK, _SPAN, block_rows, largest, screen, window_pad, within
 from .prep import PreparedData
 
 
@@ -107,9 +107,11 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     """
     r = _radius(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
-    r_sq, reach = r * r, r + window_pad(X, r)
+    top = largest(X)
+    r_sq, reach = r * r, r + window_pad(X, r, top)
     ids = np.arange(n)
-    layout = (ids, screen(X))    # slot j holds row ids[j] and its float32 column
+    X32, frame = screen(X, top)
+    layout = (ids, X32)    # slot j holds row ids[j] and its float32 column
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
     starts: list[np.ndarray] = []
@@ -131,7 +133,8 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
             e = np.searchsorted(scores, scores[ids[cand]] + reach, side="right")
             cand = cand[:block_rows(e - (row + 1))]
             e = e[:cand.size]
-        g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left)
+        g, count, taken = _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g,
+                                       cand, e, left)
         dist_count += count
         left -= taken
         # the next start is the first free row after the last candidate, or its window end
@@ -163,10 +166,10 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     return top
 
 
-def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left):
+def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, left):
     """Run the sweep over the candidate slots `cand` (the first `cand.size`
     of the `left` free slots, each with window end `e`) from one product
-    against their joint window.
+    against their joint window, on the screen of frame exponent `frame`.
 
     A candidate starts a group (g, g + 1, ... in slot order) unless an
     earlier start of the block hits it; each free row that a start hits
@@ -178,7 +181,7 @@ def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left):
     """
     ids, X32 = layout
     lo, top = int(cand[0]) + 1, int(e[-1])
-    mask = within(np.take(X, ids[cand], axis=0), X, r_sq, X32[:, lo:top], ids[lo:top])
+    mask = within(np.take(X, ids[cand], axis=0), X, r_sq, X32[:, lo:top], ids[lo:top], frame)
     mask &= free[lo:top]
     # a candidate is hit only by earlier ones, and a start claims only the
     # rows after it; past the last candidate, every column lies after every

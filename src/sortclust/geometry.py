@@ -174,7 +174,8 @@ def overlap_fraction(dist, radius: float, d: int):
     if (t < 0.0).any():
         raise ValueError("dist must be nonnegative")
     s, near = np.zeros_like(t), ~(t >= 2.0 * radius)   # a nan is near: reg_inc_beta rejects it
-    s[near] = np.clip(1.0 - (t[near] * t[near]) / (4.0 * radius * radius), 0.0, 1.0)
+    unit, k = math.frexp(radius)    # scaled by 2^-k, 4 radius^2 cannot under- or overflow
+    s[near] = np.clip(1.0 - np.ldexp(t[near], -k) ** 2 / (4.0 * unit * unit), 0.0, 1.0)
     return reg_inc_beta(s, 0.5 * (d + 1.0), 0.5)
 
 

@@ -14,31 +14,36 @@ Güttel, "Fast and exact fixed-radius neighbor search based on sorting"
 
 The expanded form rounds differently from the direct formula
 ``diff = y - x; einsum("ij,ij->i", diff, diff)``, which decides every test.
-Wherever the expanded form lies within the rounding band (`_band`) of the
-decision (the threshold, or the nearest candidate), the value is computed
-again by the direct formula. So is every value of a block whose squared
-norms come near the overflow limit or are not finite. Outside the band, the
-two formulas cannot disagree.
+Wherever the expanded form lies within the rounding band (`_band32`, or
+`_band` in float64) of the decision (the threshold, or the nearest
+candidate), the value is computed again by the direct formula. So is every
+value of a block the product cannot decide. Outside the band, the two
+formulas cannot disagree.
 
-``within`` screens in float32, half the bytes of float64, on a (d + 1, n)
-column-major copy made once by each caller (``screen``): column j is row j,
-then its half squared norm. Each row of A gets -1 in its last place, so one
-product gives x.y - |y|^2/2; every entry within the float32 band (`_band32`)
-goes to the direct formula. A block whose bound s (|x|^2/2 + max |y|^2/2 +
-t/2, read from the copy) leaves [2^-100, 2^100) keeps the float64 form on
-its gathered rows: above, a cast could near float32's overflow; below,
-float32 underflow would swamp the band. So every decision, at every
-magnitude, is the direct formula's.
+``within`` screens in float32, half the bytes of float64, in the frame of
+B: ``screen`` makes a (d + 1, n) column-major float32 copy, once per
+caller, whose column j is 2^-e times row j, then that row's half squared
+norm, e being the ``frexp`` exponent of B's largest magnitude. Scaling by a
+power of two is exact away from underflow and overflow (Higham, *Accuracy
+and Stability of Numerical Algorithms*, section 3.1). ``within`` and
+``nearest`` scale the rows of A by 2^-e and t by 2^-2e, with -1 last in
+each row of A, so one product gives x.y - |y|^2/2. A block whose bound s
+(|x|^2/2 + max |y|^2/2 + t/2 in the frame), or s plus its band, leaves
+[2^-100, 2^100) goes to the direct formula: above, a cast could near
+float32's overflow; below, float32 underflow would swamp the band. The
+band also covers the direct formula's underflow in data units, so every
+decision, at every magnitude, is the direct formula's.
 
 The nearest search (``nearest``, ``nearest_by_score``) screens the same
 way, on a ``screen`` copy of B made once per search (or once per model, by
 ``predict``): the largest of x.y - |y|^2/2 over a row's block leads, and
 the row is decided by the product unless a runner-up lies within twice the
-float32 band of it (s = max |x|^2/2 + max |y|^2/2, read from the copy).
-Only blocks of at least ``_SCREEN_ENTRIES`` (2^15) product entries are
-screened, with s in [2^-100, 2^100). Smaller blocks gain nothing measurable
-from it (16 rows against 395, in process) and keep the float64 form, as do
-blocks out of that range.
+band of it (s = max |x|^2/2 + max |y|^2/2). A block whose direct distances
+may overflow goes to the direct formula, as they tie at inf. Blocks of
+fewer than ``_SCREEN_ENTRIES`` (2^15) product entries keep the float64
+expanded form (`_band`): in float32, 7% of the benchmark's 16-row
+`few-groups` predicts met a near-tie within the band, whose re-check raised
+their 90th percentile time by 13-45%.
 
 The nearest search in score order (``nearest_by_score``) bounds each row's
 nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
@@ -77,8 +82,8 @@ _TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 _SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # s screened in float32
 # Product entries of a nearest-search block below which it stays in float64.
 _SCREEN_ENTRIES = 1 << 15
-# Blocks whose half squared norms sum to this or more (or to inf or nan) are
-# decided by the direct formula; below it no inner product can overflow.
+# Small blocks whose half squared norms sum to this or more (or to inf or nan)
+# are decided by the direct formula; below it no inner product can overflow.
 _NORM_LIMIT = 2.0 ** 1020
 # Rows of B nearest in score whose distances bound a score-windowed search.
 _SCORE_NEIGHBOURS = 32
@@ -93,6 +98,20 @@ _SPAN = math.isqrt(_BLOCK) + 2
 def half_sq_norms(points: np.ndarray) -> np.ndarray:
     """|x|^2 / 2 of each row."""
     return 0.5 * np.einsum("ij,ij->i", points, points)
+
+
+def largest(points: np.ndarray) -> float:
+    """The largest magnitude of an entry of `points`, 0 if it has none."""
+    return max(float(points.max()), -float(points.min())) if points.size else 0.0
+
+
+def _framed(values, e: int):
+    """2^-e `values`, inf where that overflows: far beyond the frame, where
+    every block goes to the direct formula. Scaling down cannot overflow."""
+    if e >= 0:
+        return np.ldexp(values, -e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, -e)
 
 
 def _band(d: int, s):
@@ -110,53 +129,62 @@ def _band(d: int, s):
     return 4.0 * (d + 2) * (_EPS * s + _TINY)
 
 
-def _band32(d: int, s):
-    """Rounding band of the float32 screen, in half squared distance.
+def _band32(d: int, s, e: int):
+    """Rounding band of the float32 screen, in half squared distance in the
+    frame 2^-e of B.
 
-    `s` is as for `_band`; |x||y| <= s and |y|^2/2 <= s. With u = eps32/2,
-    the screen errs by at most 2u s for casting the rows, u s for casting
-    the half norm, 2 (d + 1) u s for the product of d + 1 terms (the last
-    -1 times the half norm) in any order, fused or not (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 3.1), and 2u s for the
-    float32 threshold and band ends: (2 d + 7) u s (1 + 2u), as s reads
-    max |y|^2/2 rounded to float32, against a band of 8 (d + 4) u s. The
-    float64 parts err by under 2^-26 of that. At most 3 d + 3 roundings
+    `s` is as for `_band`, in the frame; |x||y| <= s and |y|^2/2 <= s. With
+    u = eps32/2, the screen errs by at most 2u s for casting the rows, u s
+    for casting the half norm, 2 (d + 1) u s for the product of d + 1 terms
+    (the last -1 times the half norm) in any order, fused or not (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1), and 2u s
+    for the float32 threshold and band ends: (2 d + 7) u s (1 + 2u), as s
+    reads max |y|^2/2 rounded to float32, against a band of 8 (d + 4) u s.
+    The float64 parts err by under 2^-26 of that. At most 3 d + 3 roundings
     underflow, each by half the smallest float32 subnormal (times
     |y_k| <= sqrt(2 s) for a cast entry): the absolute term covers them for
     s <= 1/2, the relative one above.
 
+    The direct formula runs in data units, where each of its d squares may
+    underflow by half the smallest float64 subnormal: by d 2^-2e tiny / 4 at
+    most in the frame's half squared distance. The last term, 4 (d + 2)
+    2^-2e tiny, covers two such errors; it passes the relative term for data
+    below about 1e-158, and overflows to inf below about 2^-1050.
+
     The nearest search compares the screened entries of a row with its
     largest, the lead h1, for s = max |x|^2/2 + max |y|^2/2: each entry errs
     by at most (2 d + 5) u s (1 + 2u), as there is no threshold, and the
-    direct formula by under 2^-26 of that. The bar h1 - 2 band is computed
-    in float64, erring by under 2^-51 s, and each float32 entry h2 is
-    compared with it exactly. An h2 below the bar puts the exact values
-    more than 2 (6 d + 26) u s apart, far more than the direct formula's
-    error: the lead is strictly nearer by the direct formula, and the row
-    of h2 is neither the nearest nor tied with it.
+    direct formula by under 2^-26 of that, plus its underflow. The bar h1 -
+    2 band is computed in float64, erring by under 2^-51 s, and each float32
+    entry h2 is compared with it exactly. An h2 below the bar puts the exact
+    values more than 2 (6 d + 26) u s apart, far more than the direct
+    formula's error: the lead is strictly nearer by the direct formula, and
+    the row of h2 is neither the nearest nor tied with it.
     """
-    return 4.0 * (d + 4) * (_EPS32 * s + _TINY32)
+    return (4.0 * (d + 4) * (_EPS32 * s + _TINY32)
+            + 4.0 * (d + 2) * (math.ldexp(_TINY, -2 * e) if e > -1049 else math.inf))
 
 
-def screen(points: np.ndarray) -> np.ndarray:
-    """The (d + 1, n) float32 layout of :func:`within`'s screen: column j
-    is row j of `points`, then its half squared norm. Entries beyond 2^100
-    are clipped, not cast to inf: no screened block reads them, as a clipped
-    half norm puts s at or above 2^100. The rows go a budget's worth at a
-    time: one strided cast of them all is several times slower.
+def screen(points: np.ndarray, top=None) -> tuple[np.ndarray, int]:
+    """The (d + 1, n) float32 screen of `points` and its frame exponent e,
+    the ``frexp`` exponent of `top` (``largest(points)`` if not given):
+    column j is 2^-e times row j, then that row's half squared norm. The
+    rows go a budget's worth at a time: one strided cast of them all is
+    several times slower.
     """
+    e = math.frexp(largest(points) if top is None else top)[1]
     out = np.empty((points.shape[1] + 1, points.shape[0]), np.float32)
     step = max(1, _BLOCK // out.shape[0])
     for c in range(0, out.shape[1], step):
-        rows = points[c:c + step]
-        np.clip(rows.T, -_SINGLE_HIGH, _SINGLE_HIGH, out=out[:-1, c:c + step])
-        np.clip(half_sq_norms(rows), -_SINGLE_HIGH, _SINGLE_HIGH, out=out[-1, c:c + step])
-    return out
+        rows = np.ldexp(points[c:c + step], -e)
+        out[:-1, c:c + step] = rows.T
+        out[-1, c:c + step] = half_sq_norms(rows)
+    return out, e
 
 
-def window_pad(points: np.ndarray, r: float) -> float:
+def window_pad(points: np.ndarray, r: float, top=None) -> float:
     """Slack to add to a score window of half-width `r` over `points`; `r`
-    may be an array of half-widths.
+    may be an array of half-widths, and `top` is ``largest(points)``.
 
     A row within r by the direct formula has a score gap of at most r, up
     to rounding: the scores err by at most d u |x| each (u = eps/2), the
@@ -170,8 +198,8 @@ def window_pad(points: np.ndarray, r: float) -> float:
     if points.size == 0:
         return 0.0
     d = points.shape[1]
-    largest = max(float(points.max()), -float(points.min()))
-    return (4.0 * (d + 2) * _EPS * (math.sqrt(d) * largest + r)
+    top = largest(points) if top is None else top
+    return (4.0 * (d + 2) * _EPS * (math.sqrt(d) * top + r)
             + 2.0 * math.sqrt((d + 2) * _TINY))
 
 
@@ -185,52 +213,39 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows) -> np.ndarray:
+def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: int) -> np.ndarray:
     """(m, k) mask: whether |B[b_rows[j]] - A[i]|^2 <= t, as the direct formula decides.
 
     `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
-    :func:`screen` layout; k may be 0. The rows of A are cast here, with -1
-    last. The float64 rows and half norms of B are gathered only for a block
-    outside the screen. The columns go ``_BLOCK // m`` at a time, so every
+    :func:`screen` layout of frame exponent `e`; k may be 0. The rows of A
+    are scaled and cast here, with -1 last; the rows of B are gathered only
+    for direct re-checks. The columns go ``_BLOCK // m`` at a time, so every
     product holds the budget however wide the window.
     """
     hit = np.zeros((A.shape[0], b32.shape[1]), dtype=bool)
-    half_a = half_sq_norms(A)[:, None]
+    scaled, t_e = _framed(A, e), float(_framed(t, 2 * e))
+    half_a = half_sq_norms(scaled)[:, None]
     a32 = np.full((A.shape[0], A.shape[1] + 1), -1.0, np.float32)
-    np.clip(A, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
+    np.clip(scaled, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
     step = max(1, _BLOCK // A.shape[0])
     for c in range(0, hit.shape[1], step):
         cols = slice(c, c + step)
-        _within_chunk(hit[:, cols], A, half_a, B, t, a32, b32[:, cols], b_rows[cols])
+        _within_chunk(hit[:, cols], A, half_a, B, t, t_e, a32, b32[:, cols], b_rows[cols], e)
     return hit
 
 
-def _within_chunk(out, A, half_a, B, t, a32, b32, b_rows) -> None:
-    """:func:`within` on one product's worth of columns, into `out` (all false)."""
+def _within_chunk(out, A, half_a, B, t, t_e, a32, b32, b_rows, e) -> None:
+    """:func:`within` on one product's worth of columns, into `out` (all
+    false); `t_e` is `t` in the frame."""
     # the largest half norm of the columns, as the screen holds it
-    s = half_a + (float(b32[-1].max()) + 0.5 * t)
-    thr = half_a - 0.5 * t
-    if _SINGLE_LOW <= np.min(s) and np.max(s) < _SINGLE_HIGH:
+    s = half_a + (float(b32[-1].max()) + 0.5 * t_e)
+    width = _band32(A.shape[1], s, e)
+    if _SINGLE_LOW <= np.min(s) and np.max(s + width) < _SINGLE_HIGH:
         h = np.matmul(a32, b32)
-        width = _band32(A.shape[1], s)
+        thr = half_a - 0.5 * t_e
         lower, upper = np.float32(thr - width), np.float32(thr + width)
-    else:
-        # the gathered rows and their float64 half norms, a budget's worth at a time
-        h, half_b = np.empty(out.shape), np.empty(out.shape[1])
-        step = max(1, _BLOCK // B.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):    # read only below the limit
-            for c in range(0, out.shape[1], step):
-                rows = B[b_rows[c:c + step]]
-                h[:, c:c + step] = np.matmul(A, rows.T)
-                half_b[c:c + step] = half_sq_norms(rows)
-            h -= half_b
-        s = half_a + (half_b.max() + 0.5 * t)
-        if np.max(s) < _NORM_LIMIT:
-            width = _band(A.shape[1], s)
-            lower, upper = thr - width, thr + width
-        else:
-            # near overflow, or not finite: the direct formula decides every entry
-            h, lower, upper = np.zeros(out.shape), -np.inf, np.inf
+    else:    # the direct formula decides every entry
+        h, lower, upper = np.zeros(out.shape, np.float32), -np.inf, np.inf
     unsure = h > lower
     if not unsure.any():
         return
@@ -274,7 +289,7 @@ def window_blocks(los: np.ndarray, his: np.ndarray):
 
 
 def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=None,
-            pad_b=None, b32=None) -> np.ndarray:
+            pad_b=None, screened=None) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
 
@@ -282,11 +297,12 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=Non
     twice the band (one band per block, from its largest norms) is decided
     by the product; otherwise every row of B within twice the band of the
     lead is a candidate, compared by the direct formula. So are the winners
-    of several column chunks. A block of at least ``_SCREEN_ENTRIES``
-    entries whose s lies in [2^-100, 2^100) is multiplied in float32, on
-    `b32`, and takes the float32 band (`_band32`); others multiply in
-    float64. B must have a row (a ValueError otherwise); `half_b` and `b32`
-    (``screen(B)``) may be given.
+    of several column chunks, and every row of a block the product cannot
+    decide. A block of at least ``_SCREEN_ENTRIES`` entries is screened in
+    float32 (`_band32`); a smaller one multiplies in float64 (`_band`), on
+    the rows of B and their half squared norms. B must have a row (a
+    ValueError otherwise); `half_b` and `screened` (``screen(B)``) may be
+    given.
 
     Given `score_a` and `score_b`, the rows' scores along one unit direction
     (nondecreasing for B), it may search score windows instead
@@ -311,13 +327,14 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None, half_b=Non
     """
     _check_rows(B)
     half_b = half_sq_norms(B) if half_b is None else half_b
-    b32 = screen(B) if b32 is None else b32
+    screened = screen(B) if screened is None else screened
     if score_a is None or not _by_score(A.shape[0], B.shape[0]):
-        return _nearest(A, half_sq_norms(A), B, half_b, b32)
+        return _nearest(A, half_sq_norms(A), B, half_b, *screened)
     if callable(score_a):
         score_a = score_a(A)
     order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
-    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b, b32)
+    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, half_b, pad_b,
+                                   screened)
     return near
 
 
@@ -333,9 +350,9 @@ def _by_score(rows_a: int, rows_b: int) -> bool:
             and rows_a * rows_b >= 4 * _BLOCK)
 
 
-def _nearest(A, half_a, B, half_b, b32) -> np.ndarray:
+def _nearest(A, half_a, B, half_b, b32, e) -> np.ndarray:
     """:func:`nearest`, given the half squared norms of the rows of A and B
-    and the :func:`screen` of B."""
+    and the :func:`screen` of B with its frame exponent."""
     m, k, d = A.shape[0], B.shape[0], A.shape[1]
     cols = min(k, _BLOCK)
     rows = max(1, _BLOCK // cols)
@@ -351,22 +368,27 @@ def _nearest(A, half_a, B, half_b, b32) -> np.ndarray:
                  else np.inf)
         for r0 in range(0, m, rows):
             at = slice(r0, min(r0 + rows, m))
-            nr = at.stop - r0
+            nr, width = at.stop - r0, None
             top_a = float(np.maximum.reduce(half_a[at]))
-            s, s32 = top_a + top, top_a + top32
-            if nr * nc >= _SCREEN_ENTRIES and _SINGLE_LOW <= s32 < _SINGLE_HIGH:
-                if a32 is None:
-                    a32 = np.full((min(m, rows), d + 1), -1.0, np.float32)
-                a32[:nr, :-1] = A[at]    # within range: |x|^2/2 < s32 < 2^100
-                h = np.matmul(a32[:nr], b32c,
-                              out=buf.view(np.float32)[:nr * nc].reshape(nr, nc))
-                width = _band32(d, s32)
-            elif s < _NORM_LIMIT:
+            if nr * nc >= _SCREEN_ENTRIES:
+                # the rows' largest half norm in the frame, with room for the
+                # squares that underflow in data units (d tiny at most)
+                s = float(_framed(top_a + d * _TINY, 2 * e)) + top32
+                band = _band32(d, s, e)
+                # in range, and |y - x|^2 <= 4 s stays below 2^1022 in data units
+                if (_SINGLE_LOW <= s and s + band < _SINGLE_HIGH
+                        and math.frexp(s)[1] + 2 * e <= 1021):
+                    if a32 is None:
+                        a32 = np.full((min(m, rows), d + 1), -1.0, np.float32)
+                    # the rows in the frame, cast: |x|^2/2 < s < 2^100
+                    np.ldexp(A[at], -e, out=a32[:nr, :-1])
+                    h = np.matmul(a32[:nr], b32c,
+                                  out=buf.view(np.float32)[:nr * nc].reshape(nr, nc))
+                    width = band
+            elif top_a + top < _NORM_LIMIT:    # a small block gains nothing from the screen
                 h = np.matmul(A[at], Bc.T, out=buf[:nr * nc].reshape(nr, nc))
                 h -= hb
-                width = _band(d, s)
-            else:
-                width = None
+                width = _band(d, top_a + top)
             if width is not None:
                 flat, off = h.reshape(-1), np.arange(0, nr * nc, nc)
                 win = h.argmax(axis=1)
@@ -395,7 +417,7 @@ def _nearest(A, half_a, B, half_b, b32) -> np.ndarray:
 
 
 def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
-                     score_b: np.ndarray, half_b=None, pad_b=None, b32=None) -> np.ndarray:
+                     score_b: np.ndarray, half_b=None, pad_b=None, screened=None) -> np.ndarray:
     """:func:`nearest` for rows in score order, searched in score windows.
 
     `score_a` and `score_b` are the scores of the rows of A and B along one
@@ -410,7 +432,7 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     B, ties going to the smallest index. Consecutive rows of A whose joint
     window fits the block budget (``window_blocks``) share one call of
     ``nearest`` on that contiguous slice of B and of its screen. B must have
-    a row; `half_b`, `pad_b` (``window_pad(B, 0.0)``) and `b32`
+    a row; `half_b`, `pad_b` (``window_pad(B, 0.0)``) and `screened`
     (``screen(B)``) may be given.
     """
     _check_rows(B)
@@ -430,9 +452,9 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     los = np.searchsorted(score_b, score_a - reach, side="left")
     his = np.searchsorted(score_b, score_a + reach, side="right")
     half_a, half_b = half_sq_norms(A), half_sq_norms(B) if half_b is None else half_b
-    b32 = screen(B) if b32 is None else b32
+    b32, e = screen(B) if screened is None else screened
     best = np.empty(m, dtype=np.int64)
     for rows, lo, hi in window_blocks(los, his):
         best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], half_b[lo:hi],
-                                   b32[:, lo:hi])
+                                   b32[:, lo:hi], e)
     return best

@@ -78,9 +78,9 @@ class ClusterModel:
 
     @functools.cached_property
     def _eligible(self) -> tuple:
-        """predict's eligible groups, their points, half norms, float32
-        screen (``kernel.screen``) and window_pad(points, 0), |v1| and their
-        scores along v1 / |v1|."""
+        """predict's eligible groups, their points, half norms, screen and
+        frame exponent (``kernel.screen``), window_pad(points, 0), |v1|, and
+        their scores along v1 / |v1|."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
@@ -253,11 +253,11 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible, pts, half, b32, pad, norm, scores = model._eligible
+    eligible, pts, half, screened, pad, norm, scores = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     q = q - model.mean
-    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, half, pad, b32)
+    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, half, pad, screened)
     return model.group_cluster[eligible[near]]
 
 

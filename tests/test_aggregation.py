@@ -256,6 +256,20 @@ def recorded_columns(monkeypatch) -> list[tuple[int, int]]:
     return shapes
 
 
+def multiplied_dtypes(monkeypatch, call) -> set:
+    """The dtypes of every np.matmul the kernel makes in `call`."""
+    dtypes, real = set(), np.matmul
+
+    def matmul(a, b, out=None):
+        dtypes.update((a.dtype, b.dtype))
+        return real(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel.np, "matmul", matmul)
+        call()
+    return dtypes
+
+
 def wide_groups(seed, n, d, k):
     """n points in k unit blobs: a start claims much of its window, and the
     rows it leaves start groups inside the windows of earlier starts."""
@@ -365,11 +379,10 @@ class TestCompactedSweep:
         assert moves_fewer_than_it_drops(zones)
 
     @pytest.mark.parametrize("scale", [1e-30, 1e40, 1e154])
-    def test_scales_beyond_the_float32_screen(self, scale, monkeypatch):
-        # s below 2^-100 (1e-30) or above 2^100 (1e40): every block takes the
-        # float64 expanded form, its gathered rows in chunks of the budget;
-        # at 1e154, r^2 / 2 exceeds the norm limit and the direct formula
-        # decides every entry
+    def test_scales_beyond_the_float32_range_are_screened(self, scale, monkeypatch):
+        # s in data units would lie below 2^-100 (1e-30) or above 2^100
+        # (1e40), and at 1e154 |x|^2 overflows: in the screen's frame every
+        # block is screened in float32, in chunks of the budget
         monkeypatch.setattr(kernel, "_BLOCK", 7)
         for block in (7, 60):
             monkeypatch.setattr(aggregation, "_BLOCK", block)
@@ -377,12 +390,12 @@ class TestCompactedSweep:
             for seed in range(2):
                 p = strip(seed, scale=scale)
                 s = kernel.half_sq_norms(p.centered) + 0.5 * scale * scale
-                limit = kernel._NORM_LIMIT if scale > 1e100 else kernel._SINGLE_HIGH
-                assert s.max() < kernel._SINGLE_LOW or s.min() >= limit
+                assert s.max() < kernel._SINGLE_LOW or s.min() >= kernel._SINGLE_HIGH
                 # at 1e154 the window count's squares overflow to inf, as the
                 # direct formula's do
                 with np.errstate(over="ignore"):
-                    check_sweep(p, scale)
+                    dtypes = multiplied_dtypes(monkeypatch, lambda: check_sweep(p, scale))
+                assert dtypes == {np.dtype(np.float32)}
             assert zones and moves_fewer_than_it_drops(zones)
 
 

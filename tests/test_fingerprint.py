@@ -44,3 +44,25 @@ def test_density_fingerprint_is_complete_and_repeatable():
                for h in first["sha256"].values())
     assert set(first["counters"]) == COUNTERS
     assert first["counters"]["density_tests"] >= first["counters"]["edges"] > 0
+
+
+def test_scaled_fingerprint_repeats_itself():
+    # --scale multiplies the training and query rows: a run at 1e-150
+    # repeats itself and fits the same number of groups as at scale 1
+    tool = load_tool()
+    first = tool.fingerprint(harness.WORKLOADS["density"], 3, 1e-150)
+    assert first == tool.fingerprint(harness.WORKLOADS["density"], 3, 1e-150)
+    assert set(first["sha256"]) == DIGESTS and set(first["counters"]) == COUNTERS
+    plain = tool.fingerprint(harness.WORKLOADS["density"], 3)
+    assert first["counters"]["groups"] == plain["counters"]["groups"]
+    assert first["sha256"]["to_json"] != plain["sha256"]["to_json"]
+
+
+def test_scale_option_reaches_the_rows(capsys):
+    # main passes --scale on; the default of 1 leaves the lines as they were
+    tool = load_tool()
+    with mock.patch.object(tool, "fingerprint", lambda w, seed, scale: {"scale": scale}), \
+            mock.patch.object(sys, "path", list(sys.path)):
+        tool.main(["--workload", "density", "--seed", "3", "--scale", "1e60"])
+        tool.main(["--workload", "density", "--seed", "3"])
+    assert capsys.readouterr().out.splitlines() == ['{"scale": 1e+60}', '{"scale": 1.0}']

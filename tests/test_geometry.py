@@ -192,6 +192,28 @@ class TestOverlapFraction:
                 expected = [scalar_overlap_fraction(t, radius, d) for t in dist.tolist()]
                 assert np.array_equal(bits(overlap_fraction(dist, radius, d)), bits(expected))
 
+    @pytest.mark.parametrize("power", [-560, 560])
+    def test_fractions_at_radii_beyond_the_square_range(self, power):
+        # at radius 2^+-560, 4 r^2 over- or underflows; the fraction depends
+        # on dist / radius only, so dist q 2^+-560 gives radius 1's fraction
+        # for q, bit for bit
+        rng = np.random.default_rng(6)
+        q = np.r_[0.0, 0.5, 1.0, 1.9, np.nextafter(2.0, 0.0), 2.0, 3.0, rng.uniform(0.0, 2.0, 500)]
+        scale = 2.0 ** power
+        for d in (1, 2, 10):
+            assert np.array_equal(bits(overlap_fraction(q * scale, scale, d)),
+                                  bits(overlap_fraction(q, 1.0, d)))
+            assert np.array_equal(bits(overlap_fraction(q, 1.0, d)),
+                                  bits([scalar_overlap_fraction(x, 1.0, d) for x in q.tolist()]))
+
+    def test_radii_whose_square_underflows_or_overflows(self):
+        # 4 r^2 underflows to 0 at 1e-163 and overflows at 1e160: the
+        # fraction stays that of the ratio, with no warning
+        for dist, radius in ((5e-164, 1e-163), (1e-170, 1e-163), (1e160, 1e160),
+                             (1.5e300, 1e300)):
+            f = overlap_fraction(dist, radius, 2)
+            assert f == pytest.approx(overlap_fraction(dist / radius, 1.0, 2), rel=1e-14)
+
     def test_scalar_in_scalar_out(self):
         for f in (reg_inc_beta, overlap_fraction, intersection_volume):
             args = (0.3, 1.0, 0.5) if f is reg_inc_beta else (0.3, 1.0, 3)

@@ -23,7 +23,23 @@ AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 
 
 def within_all(A, B, t):
-    return within(A, B, t, kernel.screen(B), np.arange(B.shape[0]))
+    b32, e = kernel.screen(B)
+    return within(A, B, t, b32, np.arange(B.shape[0]), e)
+
+
+def framed_bound(A, B, t=0.0):
+    """The bound s of one block of A against every row of B, in B's frame,
+    with max |y|^2/2 as the screen holds it, and the frame exponent e."""
+    b32, e = kernel.screen(B)
+    half_a = half_sq_norms(np.ldexp(A, -e))
+    return half_a.max() + float(b32[-1].max()) + 0.5 * np.ldexp(t, -2 * e), e
+
+
+def data_band(d, A, B, t=0.0):
+    """The float32 band of a block of A against B, in half squared distance
+    of data units."""
+    s, e = framed_bound(A, B, t)
+    return float(np.ldexp(kernel._band32(d, s, e), 2 * e))
 
 
 def by_hand(points, v1):
@@ -116,6 +132,86 @@ class TestFloatRange:
         assert np.array_equal(nearest(A, B), direct_nearest(A, B))
 
 
+class TestFrame:
+    """B's frame brings data of any magnitude into the float32 screen's
+    range; data below about 1e-158 goes to the direct formula, whose squares
+    underflow in data units."""
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1e30, 1e60])
+    def test_scaled_data_is_screened_in_float32(self, scale, monkeypatch):
+        # the nearest search screens 8 rows against 4,096
+        rng = np.random.default_rng(21)
+        A, B = scale * rng.normal(size=(20, 4)), scale * rng.normal(size=(60, 4))
+        exact = direct_sq_matrix(A, B)
+        t = float(np.median(exact))
+        got, types, rechecked = recounted(monkeypatch, lambda: within_all(A, B, t))
+        assert np.array_equal(got, exact <= t)
+        assert types == {np.dtype(np.float32)} and rechecked <= 0.01 * exact.size
+        B = scale * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 4))
+        near, types, rechecked = recounted(monkeypatch, lambda: nearest(A[:8], B))
+        assert np.array_equal(near, direct_nearest(A[:8], B))
+        assert types == {np.dtype(np.float32)} and rechecked <= 0.01 * B.shape[0]
+
+    @pytest.mark.parametrize("scale", [1e-165, 1e-200])
+    def test_data_below_1e_minus_158_goes_to_the_direct_formula(self, scale, monkeypatch):
+        # the band's underflow term spans every value (1e-165), or passes
+        # 2^100 and leaves no product (1e-200)
+        rng = np.random.default_rng(22)
+        A, B = scale * rng.normal(size=(20, 4)), scale * rng.normal(size=(60, 4))
+        exact = direct_sq_matrix(A, B)
+        none = set() if scale < 1e-170 else {np.dtype(np.float32)}
+        for t in (0.0, float(np.median(exact))):
+            got, types, rechecked = recounted(monkeypatch, lambda: within_all(A, B, t))
+            assert np.array_equal(got, exact <= t)
+            assert types == none and rechecked == exact.size
+        # 8 rows against 4,096: a block large enough to screen
+        B = scale * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 4))
+        near, types, rechecked = recounted(monkeypatch, lambda: nearest(A[:8], B))
+        assert np.array_equal(near, direct_nearest(A[:8], B))
+        assert types == none and rechecked == 8 * B.shape[0]
+
+    def test_zero_and_subnormal_rows(self):
+        # frame 0, or one scaled up by 2^1063: the threshold and the band
+        # overflow without a warning, and every entry goes direct
+        rng = np.random.default_rng(23)
+        for B in (np.zeros((30, 3)), np.ldexp(rng.integers(-8, 9, size=(30, 3)), -1074)):
+            A = np.vstack([B[:5], np.zeros((1, 3))])
+            exact = direct_sq_matrix(A, B)
+            for t in (0.0, 5e-324, float(np.median(exact)), 1.0):
+                assert np.array_equal(within_all(A, B, t), exact <= t)
+            assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+    def test_nearest_distances_that_overflow_tie_at_inf(self, monkeypatch):
+        # rows of B about -1.3e154 e_1 and queries at +1.3e154 e_1: every
+        # half norm is finite and in the frame's range, but the queries'
+        # direct distances overflow to inf and tie, so the smallest index is
+        # the nearest. 8 rows against 4,096 make a block large enough to screen
+        rng = np.random.default_rng(25)
+        B = [-1.3e154, 0.0, 0.0] + 1e150 * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 3))
+        A = np.vstack([B[:6] + 1e150 * rng.normal(size=(6, 3)),
+                       [[1.3e154, 0.0, 0.0], [1.3e154, 1e152, 0.0]]])
+        assert np.isfinite(half_sq_norms(A)).all() and np.isfinite(half_sq_norms(B)).all()
+        assert np.isinf(direct_sq_matrix(A[6:], B)).all()
+        near, types, _ = recounted(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B)) and near[6:].tolist() == [0, 0]
+        assert types == set()
+
+    @pytest.mark.parametrize("size", [1.0, 1e-300])
+    def test_queries_far_outside_the_frame(self, size):
+        # rows of A 1e60 and 1e200 times as large as the rows of B, and at
+        # 1e300, beside rows near B: only the far rows' blocks go direct.
+        # Scaled into the frame of B at 1e-300, rows at 1e300 overflow to
+        # inf, with no warning
+        rng = np.random.default_rng(24)
+        B = size * rng.normal(size=(50, 3))
+        for far in (size * 1e60, size * 1e200, 1e300):
+            A = np.vstack([size * rng.normal(size=(4, 3)), far * rng.normal(size=(2, 3))])
+            exact = direct_sq_matrix(A, B)
+            for t in (1.0, far * far):
+                assert np.array_equal(within_all(A, B, t), exact <= t)
+            assert np.array_equal(nearest(A, B), direct_nearest(A, B))
+
+
 class TestSingleBand:
     @pytest.mark.parametrize("d", [2, 10, 64])
     def test_pairs_at_the_threshold_far_from_the_origin(self, d):
@@ -142,7 +238,8 @@ class TestSingleBand:
         assert np.all(np.abs(own / t - 1.0) <= 7 * eps32)
         assert (own <= t).any() and (own > t).any()
         # the block is one the float32 screen covers
-        assert kernel._SINGLE_LOW <= 0.5 * t and half_sq_norms(A).max() < kernel._SINGLE_HIGH
+        s, e = framed_bound(A, B, t)
+        assert kernel._SINGLE_LOW <= s < kernel._SINGLE_HIGH
         assert np.array_equal(within_all(A, B, t), exact <= t)
 
     @pytest.mark.parametrize("d", [2, 10, 64])
@@ -166,151 +263,202 @@ class TestSingleBand:
         assert last == [-1.0] * 6
 
 
-def single(values):
-    """The float32 cast of the screen, one array at a time: clipped at
-    +-2^100, then rounded to the nearest float32."""
-    return np.clip(values, -2.0 ** 100, 2.0 ** 100).astype(np.float32)
+def framed(points):
+    """The screen of `points` and its frame exponent, one array at a time:
+    e from the largest magnitude, then the rows scaled by 2^-e and their
+    half norms, rounded to float32."""
+    e = int(np.frexp(np.abs(points).max() if points.size else 0.0)[1])
+    scaled = np.ldexp(points, -e)
+    return np.vstack([scaled.T, half_sq_norms(scaled)]).astype(np.float32), e
 
 
 class TestScreen:
-    """``kernel.screen`` against the cast of the rows and half norms, whole."""
+    """``kernel.screen`` against the scaled rows and half norms, cast whole."""
 
     def check(self, points):
-        half = half_sq_norms(points)
-        got = kernel.screen(points)
+        got, e = kernel.screen(points)
+        want, want_e = framed(points)
         assert got.dtype == np.float32 and got.shape == (points.shape[1] + 1, points.shape[0])
         assert got.flags.c_contiguous
-        assert got.tobytes() == np.vstack([single(points).T, single(half)]).tobytes()
+        assert e == want_e and got.tobytes() == want.tobytes()
+        return got, e
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("block", [60, kernel._BLOCK])
     def test_columns_across_block_boundaries(self, d, block, monkeypatch):
+        # rows of magnitudes 1e-20 to 1e20: the smallest underflow in the frame
         monkeypatch.setattr(kernel, "_BLOCK", block)
         step = block // (d + 1)
         rng = np.random.default_rng(d)
         for n in (1, step - 1, step, step + 1, 3 * step + 2):
             self.check(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-20, 20, size=(n, 1)))
 
-    def test_clipped_beyond_two_to_the_hundred(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1e-300, 1e-60, 1.0, 1e60, 1e300])
+    def test_rows_scaled_into_the_frame(self, scale, monkeypatch):
+        # at any magnitude the largest entry lands in [1/2, 1) and no cast
+        # overflows, so no entry is clipped
         monkeypatch.setattr(kernel, "_BLOCK", 12)
-        edge = 2.0 ** 100
-        points = np.array([[1e40, -1e40], [edge, -edge], [np.nextafter(edge, 0.0), 1.0],
-                           [1e15, -1e15], [3.0, -4.0], [1e300, 0.0], [-1e300, 0.5]])
-        with np.errstate(over="ignore"):
-            self.check(points)
-            half = half_sq_norms(points)
-        got = kernel.screen(points)
-        assert np.all(np.abs(got) <= np.float32(edge))
-        # column j is row j, then its half norm: 1e80, and inf for 1e300
-        assert got[:, 0].tolist() == got[:, 1].tolist() == [edge, -edge, edge]
-        assert np.isinf(half[5]) and got[:, 5].tolist() == [edge, 0.0, edge]
+        points = scale * np.array([[3.0, -4.0], [1.0, 0.5], [-7.5, 2.0], [0.0, 0.0],
+                                   [1e-9, 0.0]])
+        got, e = self.check(points)
+        assert e == np.frexp(7.5 * scale)[1]
+        assert float(np.abs(got[:-1]).max()) == np.float32(np.ldexp(7.5 * scale, -e))
+        assert 0.5 <= np.abs(got[:-1]).max() < 1.0
+
+    def test_zero_subnormal_and_empty_rows(self):
+        # frame 0 for no nonzero entry; an all-subnormal B scales up exactly
+        for points in (np.zeros((3, 2)), np.array([[5e-324, -1e-320], [0.0, 3e-322]]),
+                       np.empty((0, 4))):
+            got, e = self.check(points)
+            assert e == (0 if not points.any() else -1063)
+        assert not kernel.screen(np.zeros((3, 2)))[0].any()
 
 
-class TestBoundFromTheScreen:
-    """The bound s = |x|^2/2 + max |y|^2/2 + t/2 that picks a block's form
-    reads max |y|^2/2 from the screen, as float32 holds it: rounded, or
-    clipped to 2^100. Blocks whose s lies on one side of an end of
-    [2^-100, 2^100) in float64 and on the other as the screen reads it take
-    the form that reading picks, and decide as the direct formula does."""
+def recounted(monkeypatch, call):
+    """The result of `call`, the dtypes of its products, and the number of
+    pairs it decides by the direct formula."""
+    rechecked, direct_sq = [], kernel._direct_sq
 
-    def forms(self, A, B, t, monkeypatch):
-        """The dtypes that `within` multiplies in; checks its decisions."""
-        dtypes, real = set(), np.matmul
+    def counting(A, ia, B, ib):
+        rechecked.append(ia.size)
+        return direct_sq(A, ia, B, ib)
 
-        def matmul(a, b, out=None):
-            dtypes.update((a.dtype, b.dtype))
-            return real(a, b, out=out)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_direct_sq", counting)
+        got, products = multiplied(monkeypatch, call)
+    return got, dtypes(products), sum(rechecked)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(kernel.np, "matmul", matmul)
-            got = within_all(A, B, t)
-        exact = direct_sq_matrix(A, B) <= t
-        assert np.array_equal(got, exact)
-        assert exact.any() and not exact.all()
-        return dtypes
 
-    def bounds(self, A, B, t):
-        """s in float64, and s as read from the screen."""
-        half_a, top = half_sq_norms(A)[:, None], half_sq_norms(B).max()
-        read = float(np.float32(min(top, 2.0 ** 100)))
-        return half_a + (top + 0.5 * t), half_a + (read + 0.5 * t)
+class TestFrameRange:
+    """A block is screened when its bound s, in B's frame, lies in [2^-100,
+    2^100), and s plus its band too; any other block goes to the direct
+    formula, with no product. In the frame, the upper end takes rows of A
+    or a threshold far outside B's range, and the lower end columns far
+    smaller than B's largest row. Blocks either side of each end decide as
+    the direct formula does."""
 
-    def around(self, A, t, extra, rng):
-        """Columns near each row of A, some just within sqrt(t) and some
-        just beyond, then the columns `extra`."""
-        d = A.shape[1]
-        dirs = rng.normal(size=(A.shape[0], 12, d))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        reach = np.sqrt(t) * np.linspace(0.95, 1.05, 12)[:, None]
-        return np.vstack([(A[:, None] + dirs * reach).reshape(-1, d), extra])
+    def far_rows(self, rng, m, d, n=40):
+        """B, n rows of norm about 1, and m rows within 1e-3 of a unit vector."""
+        B = rng.normal(size=(n, d))
+        u = rng.normal(size=d)
+        return B, u / np.linalg.norm(u) + 1e-3 * rng.normal(size=(m, d))
 
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_a_column_rounded_up_to_two_to_the_hundred(self, d, monkeypatch):
-        # |y|^2/2 = 2^100 (1 - 2^-27) rounds to 2^100 in float32: s is below
-        # 2^100 in float64 and not below it as the screen reads it
-        rng = np.random.default_rng(d)
-        A, t = rng.normal(size=(4, d)), 1.7
-        far = np.zeros((1, d))
-        far[0, 0] = 2.0 ** 50 * np.sqrt(2.0 - 2.0 ** -26)
-        B = self.around(A, t, far, rng)
-        s64, s32 = self.bounds(A, B, t)
-        assert s64.max() < kernel._SINGLE_HIGH <= s32.min()
-        assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_a_column_clipped_to_two_to_the_hundred(self, d, monkeypatch):
-        # |y|^2/2 just above 2^100 is clipped to 2^100; the float64 form reads
-        # the gathered half norms, and past the norm limit the direct formula
-        # decides every entry
-        rng = np.random.default_rng(d)
-        A, t = rng.normal(size=(4, d)), 1.7
-        far = np.zeros((2, d))
-        far[:, 0] = 2.0 ** 50 * np.sqrt(2.0 + 2.0 ** -19), -(2.0 ** 50)
-        B = self.around(A, t, far, rng)
-        assert kernel._SINGLE_HIGH < self.bounds(A, B, t)[0].min()
-        assert kernel.screen(B)[-1].max() == kernel._SINGLE_HIGH
-        assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
-        far[1, 0] = 2.0 ** 511
-        B = self.around(A, t, far, rng)
-        rechecked, direct_sq = [], kernel._direct_sq
-        monkeypatch.setattr(kernel, "_direct_sq",
-                            lambda *args: rechecked.append(args[1].size) or direct_sq(*args))
-        self.forms(A, B, t, monkeypatch)
-        assert rechecked == [A.shape[0] * B.shape[0]]
+    def scaled_to(self, target, side, bound):
+        """The factor c for which bound(c) lies 2^-10 of itself below
+        (side -1) or above (side 1) `target`, where bound(c) grows as c^2."""
+        c = np.sqrt(target / bound(1.0))
+        c *= np.sqrt(target * (1.0 + side * 2.0 ** -10) / bound(c))
+        assert (bound(c) >= target) == (side == 1)
+        return c
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_blocks_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
-        # one row of norm 2^-50 / 5 and a column whose |y|^2/2 lies 2^-26 of
-        # itself off a float32 value M, on the side `side`; t puts s just
-        # across 2^-100 from the screen's reading of it: side 1 is in range
-        # in float64 only (the float64 form), side -1 as read only (float32)
+    def test_within_either_side_of_two_to_the_hundred(self, d, side, monkeypatch):
         rng = np.random.default_rng(d)
-        unit = 2.0 ** -50
-        A = rng.normal(size=(1, d))
-        A *= 0.2 * unit / np.linalg.norm(A)
-        M = float(np.float32(0.88 * unit * unit))
-        far = np.zeros((1, d))
-        far[0, 0] = np.sqrt(2.0 * M * (1.0 + side * 2.0 ** -26))
-        top = float(half_sq_norms(far)[0])
-        assert float(np.float32(top)) == M
-        t = 2.0 * (kernel._SINGLE_LOW - float(half_sq_norms(A)[0]) - 0.5 * (M + top))
-        B = self.around(A, t, far, rng)
-        s64, s32 = self.bounds(A, B, t)
-        if side == 1:
-            assert s32.max() < kernel._SINGLE_LOW <= s64.min()
-            assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float64)}
+        B, A0 = self.far_rows(rng, 6, d)
+
+        def median(c):
+            return float(np.median(direct_sq_matrix(c * A0, B)))
+
+        def bound(c):
+            s, e = framed_bound(c * A0, B, median(c))
+            return s + kernel._band32(d, s, e)
+
+        c = self.scaled_to(kernel._SINGLE_HIGH, side, bound)
+        A, t = c * A0, median(c)
+        exact = direct_sq_matrix(A, B) <= t
+        assert exact.any() and not exact.all()
+        got, types, rechecked = recounted(monkeypatch, lambda: within_all(A, B, t))
+        assert np.array_equal(got, exact)
+        if side == -1:
+            assert types == {np.dtype(np.float32)}
         else:
-            assert s64.max() < kernel._SINGLE_LOW <= s32.min()
-            assert self.forms(A, B, t, monkeypatch) == {np.dtype(np.float32)}
+            assert types == set() and rechecked == exact.size
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_nearest_either_side_of_two_to_the_hundred(self, d, side, monkeypatch):
+        # 8 rows against 4,096 columns: a block large enough to screen
+        rng = np.random.default_rng(d)
+        B, A0 = self.far_rows(rng, 8, d, kernel._SCREEN_ENTRIES // 8)
+
+        def bound(c):
+            s, e = framed_bound(c * A0, B)
+            return s + kernel._band32(d, s, e)
+
+        A = self.scaled_to(kernel._SINGLE_HIGH, side, bound) * A0
+        near, types, rechecked = recounted(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert types == ({np.dtype(np.float32)} if side == -1 else set())
+        assert rechecked == A.shape[0] * B.shape[0]
+
+    def small_columns(self, rng, d):
+        """A pool whose row 0 (norm 1) sets the frame, then 4,096 rows of
+        norm about 1 (8 rows against them make a block large enough to
+        screen), and 8 rows of A among them."""
+        pool = np.vstack([np.eye(d)[:1], rng.normal(size=(kernel._SCREEN_ENTRIES // 8, d))])
+        return pool, pool[1:9] + 0.3 * rng.normal(size=(8, d))
+
+    def shrunk(self, pool, A0, c, t0, reduce):
+        """The pool with all rows but row 0 scaled by c, and the bound s of
+        c A0 against those rows at threshold c^2 t0, in the pool's frame:
+        `reduce` picks the row of A that sets it."""
+        pool = np.vstack([pool[:1], c * pool[1:]])
+        b32, e = kernel.screen(pool)
+        half_a = half_sq_norms(np.ldexp(c * A0, -e))
+        return pool, reduce(half_a) + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(c * c * t0, -2 * e)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_within_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
+        rng = np.random.default_rng(d)
+        pool, A0 = self.small_columns(rng, d)
+        t0 = float(np.median(direct_sq_matrix(A0, pool[1:])))
+
+        # within screens when the least s of a row of A reaches 2^-100
+        c = self.scaled_to(kernel._SINGLE_LOW, side,
+                           lambda c: self.shrunk(pool, A0, c, t0, np.min)[1])
+        pool, A, t = self.shrunk(pool, A0, c, t0, np.min)[0], c * A0, c * c * t0
+        b32, e = kernel.screen(pool)
+        assert e == 1
+        rows = np.arange(1, pool.shape[0])
+        exact = direct_sq_matrix(A, pool[1:]) <= t
+        assert exact.any() and not exact.all()
+        got, types, rechecked = recounted(monkeypatch,
+                                          lambda: within(A, pool, t, b32[:, 1:], rows, e))
+        assert np.array_equal(got, exact)
+        if side == 1:
+            assert types == {np.dtype(np.float32)} and rechecked < 0.1 * exact.size
+        else:
+            assert types == set() and rechecked == exact.size
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_nearest_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
+        rng = np.random.default_rng(d)
+        pool, A0 = self.small_columns(rng, d)
+
+        c = self.scaled_to(kernel._SINGLE_LOW, side,
+                           lambda c: self.shrunk(pool, A0, c, 0.0, np.max)[1])
+        pool, A = self.shrunk(pool, A0, c, 0.0, np.max)[0], c * A0
+        b32, e = kernel.screen(pool)
+        B = pool[1:]
+        near, types, rechecked = recounted(monkeypatch, lambda: kernel._nearest(
+            A, half_sq_norms(A), B, half_sq_norms(B), b32[:, 1:], e))
+        assert np.array_equal(near, direct_nearest(A, B))
+        if side == 1:
+            assert types == {np.dtype(np.float32)} and rechecked < A.shape[0] * B.shape[0]
+        else:
+            assert types == set() and rechecked == A.shape[0] * B.shape[0]
 
 
 class TestRangeGuard:
     @pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e-16, 3e-16, 1e14, 3e14, 1e20, 1e40])
     def test_stages_beyond_and_at_the_edges_of_the_float32_range(self, scale):
-        # c09's samples, scaled past the float32 screen's range [2^-100,
-        # 2^100) of s (1e-30, 1e-20, 1e20, 1e40) and to either side of its
-        # ends (1e-16 and 3e14 outside, 3e-16 and 1e14 inside)
+        # c09's samples, scaled to where s in data units would lie past the
+        # float32 screen's range [2^-100, 2^100) (1e-30, 1e-20, 1e20, 1e40)
+        # and to either side of its ends (1e-16 and 3e14 outside, 3e-16 and
+        # 1e14 inside): the frame screens them all
         rng = np.random.default_rng(109)
         for _ in range(5):
             n, d = int(rng.integers(20, 200)), int(rng.integers(1, 6))
@@ -323,10 +471,10 @@ class TestRangeGuard:
 
     @pytest.mark.parametrize("scale", [1e-30, 1e-22, 1.0, 1e20])
     def test_few_entries_go_to_the_direct_formula(self, scale, monkeypatch):
-        # outside the float32 range the float64 band is as sharp as the
-        # float32 one inside it; screening in float32 below the range, where
-        # the band's absolute term swamps its relative one, sends every entry
-        # to the direct formula
+        # in the frame, data at any of these scales is screened with the
+        # band of data near 1: screening data below the range in data units,
+        # where the band's absolute term swamps its relative one, would send
+        # every entry to the direct formula
         rechecked, direct_sq = [], kernel._direct_sq
 
         def counting(A, ia, B, ib):
@@ -342,8 +490,9 @@ class TestRangeGuard:
         assert sum(rechecked) <= 0.001 * exact.size
 
     def test_rows_beyond_the_range_beside_rows_within_it(self):
-        # one row far beyond float32's range: the float32 copy clips it, its
-        # blocks keep float64, and every other block is screened in float32
+        # one row 3e25 from the others sets the frame: blocks without it fall
+        # below the screen's range, and in blocks with it the other rows'
+        # pairs lie within its band, so the direct formula decides those
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(300, 3))
         pts[17] = [3e25, -1e25, 2e25]
@@ -429,12 +578,6 @@ def dtypes(products) -> set:
     return {t for a, b, *_ in products for t in (a, b)}
 
 
-def screen_bound(A, B) -> float:
-    """s of the nearest search's float32 screen for one block of A against B:
-    the largest |x|^2/2, plus the largest |y|^2/2 as the screen holds it."""
-    return float(half_sq_norms(A).max()) + float(kernel.screen(B)[-1].max())
-
-
 def fillers(A, count, spread, gap, rng):
     """`count` rows about the mean of A, each farther than `gap` from every row of A."""
     out = np.empty((0, A.shape[1]))
@@ -446,9 +589,10 @@ def fillers(A, count, spread, gap, rng):
 
 class TestNearestScreen:
     """Blocks of the nearest search with at least ``_SCREEN_ENTRIES`` product
-    entries, whose s lies in [2^-100, 2^100), are screened by one float32
-    product; every row whose runner-up lies within twice the float32 band
-    of its lead goes to the direct formula. The rest stay in float64."""
+    entries, whose s lies in [2^-100, 2^100) in the frame, are screened by
+    one float32 product; every row whose runner-up lies within twice the
+    float32 band of its lead goes to the direct formula. Smaller blocks
+    stay in float64."""
 
     COLS = kernel._SCREEN_ENTRIES // 8    # 8 rows of A fill one screened block
 
@@ -476,7 +620,7 @@ class TestNearestScreen:
         exact = np.sort(direct_sq_matrix(A, B), axis=1)
         gap = 0.5 * (exact[:, 1] - exact[:, 0])
         assert np.all(exact[:, 1] < 1.8) and np.all(exact[:, 2] > 9.0)
-        assert np.all(gap < kernel._band32(d, screen_bound(A, B)))
+        assert np.all(gap < data_band(d, A, B))
         near, products = multiplied(monkeypatch, lambda: nearest(A, B))
         assert np.array_equal(near, direct_nearest(A, B))
         # one fused product of the rows, each with -1 last, and the screen
@@ -500,7 +644,7 @@ class TestNearestScreen:
         centre = rng.normal(size=d)
         A = 1e3 * centre / np.linalg.norm(centre) + 50.0 * rng.normal(size=(8, d))
         far = fillers(A, self.COLS - 16, 100.0, 20.0, rng)
-        band = kernel._band32(d, screen_bound(A, far))
+        band = data_band(d, A, far)
         assert 1.0 + 8.0 * band < 20.0 ** 2
         dirs = rng.normal(size=(8, 2, d))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
@@ -509,7 +653,7 @@ class TestNearestScreen:
         B = np.vstack([(A[:, None] + dirs * reach[..., None]).reshape(-1, d), far])
         order = rng.permutation(B.shape[0])
         B = B[order]
-        assert kernel._band32(d, screen_bound(A, B)) == band
+        assert data_band(d, A, B) == band
         rechecked, direct_sq = [], kernel._direct_sq
 
         def recording(A, ia, B, ib):
@@ -535,38 +679,6 @@ class TestNearestScreen:
         assert [a_shape[0] for a_type, _, a_shape, *_ in products
                 if a_type == np.float32] == screened
         assert len(products) == -(-rows // (kernel._BLOCK // cols))
-
-    @pytest.mark.parametrize("d", [2, 5])
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_bounds_either_side_of_two_to_the_hundred(self, d, side, monkeypatch):
-        # a row of B whose |y|^2/2 the screen reads as 2^100 (side 1: s not
-        # below 2^100, the float64 form) or as just below it (side -1: float32)
-        rng = np.random.default_rng(d)
-        A = rng.normal(size=(8, d))
-        big = np.zeros((1, d))
-        big[0, 0] = 2.0 ** 50 * np.sqrt(2.0 - (2.0 ** -26 if side == 1 else 2.0 ** -20))
-        B = np.vstack([1.5 * rng.normal(size=(self.COLS - 1, d)), big])
-        s = screen_bound(A, B)
-        assert (s >= kernel._SINGLE_HIGH) == (side == 1)
-        assert float(half_sq_norms(A).max() + half_sq_norms(big)[0]) < kernel._SINGLE_HIGH
-        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
-        assert np.array_equal(near, direct_nearest(A, B))
-        assert dtypes(products) == {np.dtype(np.float64 if side == 1 else np.float32)}
-
-    @pytest.mark.parametrize("d", [2, 5])
-    @pytest.mark.parametrize("side", [-1, 1])
-    def test_bounds_either_side_of_two_to_the_minus_hundred(self, d, side, monkeypatch):
-        # rows scaled so that s lies 2^-8 of itself below 2^-100 (side -1:
-        # float64) or above it (side 1: float32)
-        rng = np.random.default_rng(d)
-        A, B = rng.normal(size=(8, d)), 1.5 * rng.normal(size=(self.COLS, d))
-        scale = np.sqrt(kernel._SINGLE_LOW * (1.0 + side * 2.0 ** -8) / screen_bound(A, B))
-        A, B = scale * A, scale * B
-        s = screen_bound(A, B)
-        assert (s >= kernel._SINGLE_LOW) == (side == 1)
-        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
-        assert np.array_equal(near, direct_nearest(A, B))
-        assert dtypes(products) == {np.dtype(np.float32 if side == 1 else np.float64)}
 
 
 def scored(points, v1):
@@ -701,8 +813,7 @@ class TestColumnChunks:
     @pytest.mark.parametrize("scale", [1.0, 1e40])
     def test_windows_wider_than_the_budget(self, m, scale, monkeypatch):
         # 40 columns against a budget of 7 entries: chunks of 7 columns for
-        # one row, of 2 for three; at 1e40, s exceeds the float32 range and
-        # the gathered rows take the float64 form
+        # one row, of 2 for three; at 1e40, the screen's frame scales them
         monkeypatch.setattr(kernel, "_BLOCK", 7)
         shapes = []
         real = kernel._within_chunk
@@ -719,7 +830,8 @@ class TestColumnChunks:
         exact = direct_sq_matrix(A, B)
         t = float(np.median(exact))
         assert np.array_equal(within_all(A, B, t), exact <= t)
-        gathered = within(A, pool, t, kernel.screen(pool)[:, rows], rows)
+        b32, e = kernel.screen(pool)
+        gathered = within(A, pool, t, b32[:, rows], rows, e)
         assert np.array_equal(gathered, exact <= t)
         assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
         assert sum(k for _, k in shapes) == 2 * B.shape[0]

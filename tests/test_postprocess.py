@@ -231,11 +231,12 @@ class TestApplyMinpts:
         assert np.array_equal(results[0].sizes, results[1].sizes)
 
     @pytest.mark.parametrize("path", ["dense", "windows"], indirect=True)
-    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1.0, 1e30, 1e60])
     def test_reassigns_to_the_nearest_eligible_start_at_any_scale(self, path, scale,
                                                                  monkeypatch):
         # the searches against the direct formula's nearest eligible start;
-        # both screen in float32 at scale 1 only
+        # in the frame of the eligible starts, both screen in float32 at
+        # every scale
         _, (cmap, sizes, pts, scores, minpts) = self.small_clusters()
         args = (cmap, sizes, scale * pts, scale * scores, minpts)
         got, dtypes = multiplied_in(monkeypatch, lambda: apply_minpts(*args))
@@ -244,7 +245,7 @@ class TestApplyMinpts:
             expected = apply_minpts(*args)
         assert np.array_equal(got.cluster_of_group, expected.cluster_of_group)
         assert np.array_equal(got.sizes, expected.sizes)
-        assert (np.dtype(np.float32) in dtypes) == (scale == 1.0)
+        assert dtypes == {np.dtype(np.float32)}
 
     def test_fewer_than_2048_eligible_starts_are_searched_densely(self, monkeypatch):
         # one product search of the moved groups against every eligible
@@ -255,9 +256,9 @@ class TestApplyMinpts:
         calls = []
         real = kernel._nearest
 
-        def recording(A, half_a, B, half_b, b32):
+        def recording(A, half_a, B, half_b, b32, e):
             calls.append((A.shape[0], B.shape[0]))
-            return real(A, half_a, B, half_b, b32)
+            return real(A, half_a, B, half_b, b32, e)
 
         def windows(*args, **kwargs):
             raise AssertionError("score windows searched")
@@ -501,11 +502,11 @@ class TestPredictPaths:
         for key in ("v1", "starting_scores"):
             doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
         m = from_json(json.dumps(format2_doc(doc)))
-        eligible, pts, half, b32, pad, norm, scores = m._eligible
+        eligible, pts, half, screened, pad, norm, scores = m._eligible
         assert norm != 1.0
         queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
         q = queries - m.mean
-        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad, b32)
+        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad, screened)
         assert np.array_equal(predict(m, queries), m.group_cluster[eligible[near]])
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
@@ -521,24 +522,24 @@ class TestPredictPaths:
             assert np.array_equal(predict(m, queries), TestPredict.nearest_clusters(m, queries))
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
-    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
-    def test_float32_screen_within_its_range_only(self, path, scale, monkeypatch):
-        # 2,440 starts against 400 queries: the blocks of either search hold
-        # enough entries for the screen, which multiplies in float32 at scale
-        # 1 and leaves s outside [2^-100, 2^100) at 1e-30 and 1e30
+    @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1.0, 1e30, 1e60])
+    def test_float32_screen_at_every_scale(self, path, scale, monkeypatch):
+        # 2,440 starts against 400 queries: in the frame of the starts, the
+        # screen multiplies in float32 at every scale, where s in data units
+        # would lie outside [2^-100, 2^100) at 1e-30 and beyond
         data, _ = make_blobs(3400, 3, 4, 1.0, 9)
         m = fit(scale * data[:3000], radius=0.02)
         assert m.num_groups == 2440
         queries = scale * np.vstack([data[3000:], data[:3000:300] + 0.01])
         labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
         assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
-        assert (np.dtype(np.float32) in dtypes) == (scale == 1.0)
+        assert dtypes == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("far", [1e60, 1e200])
     def test_a_query_far_outside_an_in_range_model(self, far, monkeypatch):
         # 16 queries against 2,440 starts make one screened block; a query
-        # far beyond float32's range sends its block to the float64 product
-        # (1e60) or to the direct formula (1e200)
+        # far outside the starts' frame (1e60 or 1e200) sends its block to
+        # the direct formula, with no product
         data, _ = make_blobs(3400, 3, 4, 1.0, 9)
         m = fit(data[:3000], radius=0.02)
         queries = data[3000:3016].copy()
@@ -548,7 +549,7 @@ class TestPredictPaths:
         queries[5] = far * np.array([0.6, -0.8, 0.0])
         labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
         assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
-        assert dtypes == ({np.dtype(np.float64)} if far == 1e60 else set())
+        assert dtypes == set()
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_queries_far_outside_the_data(self, path):

@@ -1,9 +1,11 @@
 """Exact fingerprints of the benchmark's fits, for comparing two source trees.
 
     python3 tools/fingerprint.py [--root DIR] [--workload NAME ...] [--seed N ...]
+                                 [--scale S]
 
 For each workload and seed, fits the training rows of `bench/harness.py`'s
-workload with its parameters and predicts its query rows. It then prints one
+workload with its parameters and predicts its query rows, both multiplied
+by S (1 by default, which leaves them as they are). It then prints one
 JSON line. The line holds the fit's counters and the sha256 digests of
 `starts`, `group_of` (as `aggregate` returned them inside `fit`), the merge
 edges, the labels, the predicted query labels (of one call on every query
@@ -46,12 +48,13 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint(workload, seed: int) -> dict:
+def fingerprint(workload, seed: int, scale: float = 1.0) -> dict:
     import harness
     import tracing
     from sortclust import explain_pair, explain_summary, predict, to_json
 
     inputs = harness.make_inputs(workload, seed)
+    inputs.train, inputs.query = inputs.train * scale, inputs.query * scale
     tracer = tracing.Tracer()
     with tracer.instrument():
         model = harness.fit_workload(workload, inputs.train)
@@ -96,6 +99,8 @@ def main(argv=None) -> int:
                    help="checkout whose src/ and bench/ are used (default: this one)")
     p.add_argument("--workload", nargs="+", default=["few-groups", "many-groups", "density"])
     p.add_argument("--seed", type=int, nargs="+", default=[3, 7, 11])
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="factor on the training and query rows (default: 1)")
     args = p.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -105,8 +110,8 @@ def main(argv=None) -> int:
         p.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(harness.WORKLOADS)}")
     for name in args.workload:
         for seed in args.seed:
-            print(json.dumps(fingerprint(harness.WORKLOADS[name], seed), sort_keys=True),
-                  flush=True)
+            print(json.dumps(fingerprint(harness.WORKLOADS[name], seed, args.scale),
+                             sort_keys=True), flush=True)
     return 0
 
 
