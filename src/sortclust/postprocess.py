@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import _finite_real, _radius, _scale, aggregate
-from .kernel import half_sq_norms, nearest, screen, window_pad
+from .kernel import nearest, screens, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import prepare, real_array
@@ -78,15 +78,14 @@ class ClusterModel:
 
     @functools.cached_property
     def _eligible(self) -> tuple:
-        """predict's eligible groups, their points, half norms, screen and
-        frame exponent (``kernel.screen``), window_pad(points, 0), |v1|, and
-        their scores along v1 / |v1|."""
+        """predict's eligible groups, their points, ``kernel.screens`` of
+        them (their float32 and float64 screens, frame exponent and window
+        pad), |v1|, and their scores along v1 / |v1|."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
         norm = float(np.linalg.norm(self.v1))    # from_json admits v1 within 1e-6 of unit
-        return (eligible, pts, half_sq_norms(pts), screen(pts), window_pad(pts, 0.0), norm,
-                self.starting_scores[eligible] / norm)
+        return eligible, pts, screens(pts), norm, self.starting_scores[eligible] / norm
 
     @property
     def r(self) -> float:    # effective aggregation radius
@@ -253,11 +252,11 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible, pts, half, screened, pad, norm, scores = model._eligible
+    eligible, pts, screened, norm, scores = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     q = q - model.mean
-    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, half, pad, screened)
+    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, screened)
     return model.group_cluster[eligible[near]]
 
 

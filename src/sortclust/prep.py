@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _BLOCK
+from .kernel import _BLOCK, largest
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +67,14 @@ def real_array(values, name: str) -> np.ndarray:
     raise ValueError(f"{name} contains complex values")
 
 
+def _finite(values, points):
+    """`values`, computed from `points`; a ValueError if they overflowed."""
+    if np.isfinite(values).all():
+        return values
+    raise ValueError(f"input magnitudes reach {largest(points):.3g}; above about 1e153 "
+                     "their squares overflow float64")
+
+
 def center(raw) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the per-column mean. Returns (centered matrix, mean vector)."""
     pts = real_array(raw, "input")
@@ -76,8 +84,9 @@ def center(raw) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("input must have at least one row and one column")
     if not np.all(np.isfinite(pts)):
         raise ValueError("input contains non-finite values")
-    mean = pts.mean(axis=0)
-    return pts - mean, mean
+    with np.errstate(over="ignore"):
+        mean = _finite(pts.mean(axis=0), pts)
+        return pts - mean, mean
 
 
 def _principal_axes(centered) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +95,8 @@ def _principal_axes(centered) -> tuple[np.ndarray, np.ndarray]:
     eigensolver. All-zero data has every direction principal; the axes are
     then the coordinate axes, so the first axis comes first."""
     X = np.asarray(centered, dtype=np.float64)
-    lam, vecs = np.linalg.eigh(X.T @ X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, vecs = np.linalg.eigh(_finite(X.T @ X, X))
     if lam[-1] <= 0.0:
         return np.zeros(lam.size), np.eye(lam.size)
     return np.maximum(lam[::-1], 0.0), vecs.T[::-1].copy()
@@ -177,13 +187,16 @@ def prepare(raw) -> PreparedData:
     The row norms behind `mext` are taken in blocks of about ``_BLOCK``
     entries, so no n x d temporary is made for them; each row reduces as it
     would in one call, so the norms are the same bit for bit.
+    Column means, a Gram matrix or a `mext` that overflow (from magnitudes
+    of about 1e153) raise ValueError, with no warning.
     """
     centered, mean = center(raw)
     v1, sigma1, sigma2 = first_principal_component(centered)
     ordered, scores, perm = score_and_sort(centered, v1)
     del centered    # n * d floats fewer at the peak, under the norms' temporaries
     step = max(1, _BLOCK // ordered.shape[1])
-    norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
-                            for i in range(0, ordered.shape[0], step)])
+    with np.errstate(over="ignore"):
+        norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
+                                for i in range(0, ordered.shape[0], step)])
     return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
-                        sigma1=sigma1, sigma2=sigma2, mext=_median(norms))
+                        sigma1=sigma1, sigma2=sigma2, mext=_finite(_median(norms), ordered))

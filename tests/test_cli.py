@@ -122,6 +122,16 @@ class TestFit:
         # no labels, no plot data, no temporary files left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_magnitudes_beyond_the_limit_write_nothing(self, tmp_path, capsys):
+        # x1e154: the Gram matrix overflows, and the fit's ValueError exits 2
+        rows = 1e154 * np.random.default_rng(0).normal(size=(50, 3))
+        data = write(tmp_path / "data.csv", "".join(",".join(map(repr, row)) + "\n"
+                                                   for row in rows.tolist()))
+        assert main(["fit", "--input", data, "--radius", "0.3", "--output",
+                     str(tmp_path / "labels.txt"), "--model", str(tmp_path / "m.json")]) == 2
+        assert "above about 1e153 their squares overflow" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     @pytest.mark.parametrize("flags", [
         ["--output", "out.txt", "--model", "out.txt"],
         ["--output", "./p.csv", "--plot-data", "p.csv"],

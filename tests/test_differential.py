@@ -6,9 +6,10 @@ beside blobs at 1.
 For each input the grouping (`starts`, `group_of`), the edges of both
 merges, the minPts reassignment and the predictions of both searches are
 compared with the direct-formula oracles; the nearest searches run once as
-they are, with their small blocks in float64, and once with every block
-screened in float32. Above about 1e154, `prepare`'s Gram matrix
-overflows, so the magnitudes stop at 1e150.
+they are, with their small blocks screened in float64, once with every
+block screened in float32, and once with every block screened in float64.
+From about 1e154, `prepare` raises a ValueError (its Gram matrix
+overflows), so the magnitudes stop at 1e150.
 """
 
 import math
@@ -120,7 +121,8 @@ def test_fast_paths_equal_the_oracles(case, seed, monkeypatch):
     queries = np.vstack([data[::3], data[::5] + 0.01 * spread * rng.normal(size=data[::5].shape),
                          1e3 * spread * rng.normal(size=(5, data.shape[1]))])
     want = nearest_clusters(expected, queries)
-    for entries in (kernel._SCREEN_ENTRIES, 1):
+    # as they are, every block in float32, and every block in float64
+    for entries in (kernel._SCREEN_ENTRIES, 1, kernel._BLOCK + 1):
         monkeypatch.setattr(kernel, "_SCREEN_ENTRIES", entries)
         model = fit(data, radius=RADIUS, minpts=4)
         assert np.array_equal(model.group_cluster, expected.group_cluster)

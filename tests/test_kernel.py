@@ -39,7 +39,7 @@ def data_band(d, A, B, t=0.0):
     """The float32 band of a block of A against B, in half squared distance
     of data units."""
     s, e = framed_bound(A, B, t)
-    return float(np.ldexp(kernel._band32(d, s, e), 2 * e))
+    return float(np.ldexp(kernel._band(d, s, e, np.float32), 2 * e))
 
 
 def by_hand(points, v1):
@@ -313,6 +313,28 @@ class TestScreen:
             assert e == (0 if not points.any() else -1063)
         assert not kernel.screen(np.zeros((3, 2)))[0].any()
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-60, 1.0, 1e60, 1e150, 1e300])
+    def test_screens_at_any_scale(self, scale):
+        # the nearest search's screens: b32 is screen(B) bit for bit, b64 the
+        # same framed rows and half norms unrounded, and pad window_pad(B, 0)
+        rng = np.random.default_rng(7)
+        self.check_screens(scale * rng.normal(size=(50, 3)))
+
+    def test_screens_of_zero_subnormal_and_empty_rows(self):
+        for points in (np.zeros((3, 2)), np.array([[5e-324, -1e-320], [0.0, 3e-322]]),
+                       np.empty((0, 4))):
+            self.check_screens(points)
+
+    def check_screens(self, points):
+        b32, b64, e, pad = kernel.screens(points)
+        want, want_e = kernel.screen(points)
+        assert b32.dtype == np.float32 and b32.flags.c_contiguous
+        assert e == want_e and b32.tobytes() == want.tobytes()
+        scaled = np.ldexp(points, -e)
+        assert b64.dtype == np.float64 and b64.flags.c_contiguous
+        assert b64.tobytes() == np.vstack([scaled.T, half_sq_norms(scaled)]).tobytes()
+        assert pad == kernel.window_pad(points, 0.0)
+
 
 def recounted(monkeypatch, call):
     """The result of `call`, the dtypes of its products, and the number of
@@ -362,7 +384,7 @@ class TestFrameRange:
 
         def bound(c):
             s, e = framed_bound(c * A0, B, median(c))
-            return s + kernel._band32(d, s, e)
+            return s + kernel._band(d, s, e, np.float32)
 
         c = self.scaled_to(kernel._SINGLE_HIGH, side, bound)
         A, t = c * A0, median(c)
@@ -384,7 +406,7 @@ class TestFrameRange:
 
         def bound(c):
             s, e = framed_bound(c * A0, B)
-            return s + kernel._band32(d, s, e)
+            return s + kernel._band(d, s, e, np.float32)
 
         A = self.scaled_to(kernel._SINGLE_HIGH, side, bound) * A0
         near, types, rechecked = recounted(monkeypatch, lambda: nearest(A, B))
@@ -441,10 +463,10 @@ class TestFrameRange:
         c = self.scaled_to(kernel._SINGLE_LOW, side,
                            lambda c: self.shrunk(pool, A0, c, 0.0, np.max)[1])
         pool, A = self.shrunk(pool, A0, c, 0.0, np.max)[0], c * A0
-        b32, e = kernel.screen(pool)
+        b32, b64, e, _ = kernel.screens(pool)
         B = pool[1:]
         near, types, rechecked = recounted(monkeypatch, lambda: kernel._nearest(
-            A, half_sq_norms(A), B, half_sq_norms(B), b32[:, 1:], e))
+            A, half_sq_norms(A), B, b32[:, 1:], b64[:, 1:], e))
         assert np.array_equal(near, direct_nearest(A, B))
         if side == 1:
             assert types == {np.dtype(np.float32)} and rechecked < A.shape[0] * B.shape[0]
@@ -591,8 +613,8 @@ class TestNearestScreen:
     """Blocks of the nearest search with at least ``_SCREEN_ENTRIES`` product
     entries, whose s lies in [2^-100, 2^100) in the frame, are screened by
     one float32 product; every row whose runner-up lies within twice the
-    float32 band of its lead goes to the direct formula. Smaller blocks
-    stay in float64."""
+    float32 band of its lead goes to the direct formula. Smaller blocks are
+    screened in float64 in the same frame."""
 
     COLS = kernel._SCREEN_ENTRIES // 8    # 8 rows of A fill one screened block
 
@@ -628,6 +650,44 @@ class TestNearestScreen:
         a_type, b_type, a_shape, b_shape, last = products[0]
         assert a_type == b_type == np.float32
         assert a_shape == (8, d + 1) and b_shape == (d + 1, self.COLS)
+        assert last == [-1.0] * 8
+
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_near_ties_in_a_small_block_are_screened_in_float64(self, d, monkeypatch):
+        """The construction above against 512 rows of B, a block under
+        ``_SCREEN_ENTRIES``: the two candidates of each row lie 4 to 12
+        float32 ulps apart, inside the float32 band but more than twice the
+        float64 band apart. One float64 product decides every row, with no
+        re-check.
+
+        Catches float32's eps in a float64 block's band, and 0 for the -1 in
+        the last column of the float64 rows.
+        """
+        rng = np.random.default_rng(d)
+        eps32 = float(np.finfo(np.float32).eps)
+        centre = rng.normal(size=d)
+        A = 1e3 * centre / np.linalg.norm(centre) + 25.0 * rng.normal(size=(8, d))
+        dirs = rng.normal(size=(8, 2, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        ulps = np.stack([rng.integers(-6, -1, 8), rng.integers(2, 7, 8)], axis=1)
+        pairs = (A[:, None] + dirs * np.sqrt(1.7 * (1.0 + ulps * eps32))[..., None]).reshape(-1, d)
+        cols = self.COLS // 8
+        B = np.vstack([pairs, fillers(A, cols - pairs.shape[0], 60.0, 10.0, rng)])
+        B = B[rng.permutation(B.shape[0])]
+        exact = np.sort(direct_sq_matrix(A, B), axis=1)
+        gap = 0.5 * (exact[:, 1] - exact[:, 0])
+        assert np.all(exact[:, 1] < 1.8) and np.all(exact[:, 2] > 9.0)
+        s, e = framed_bound(A, B)
+        assert np.all(gap < data_band(d, A, B))
+        assert np.all(gap > 2.0 * np.ldexp(kernel._band(d, s, e, np.float64), 2 * e))
+        near, types, rechecked = recounted(monkeypatch, lambda: nearest(A, B))
+        assert np.array_equal(near, direct_nearest(A, B))
+        assert types == {np.dtype(np.float64)} and rechecked == 0
+        # one product of the rows in the frame, each with -1 last, and the screen
+        near, products = multiplied(monkeypatch, lambda: nearest(A, B))
+        assert len(products) == 1
+        a_type, b_type, a_shape, b_shape, last = products[0]
+        assert a_shape == (8, d + 1) and b_shape == (d + 1, cols)
         assert last == [-1.0] * 8
 
     @pytest.mark.parametrize("d", [2, 10])

@@ -256,9 +256,9 @@ class TestApplyMinpts:
         calls = []
         real = kernel._nearest
 
-        def recording(A, half_a, B, half_b, b32, e):
+        def recording(A, half_a, B, b32, b64, e):
             calls.append((A.shape[0], B.shape[0]))
-            return real(A, half_a, B, half_b, b32, e)
+            return real(A, half_a, B, b32, b64, e)
 
         def windows(*args, **kwargs):
             raise AssertionError("score windows searched")
@@ -452,9 +452,9 @@ class TestPredictPaths:
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_starts_are_prepared_once_per_model(self, path, monkeypatch):
-        # the eligible starts' half norms, screen and window pad come with the
-        # model (from fit or from_json, made once); a call computes those of
-        # its queries only
+        # the eligible starts' screens and window pad come with the model
+        # (from fit or from_json, made once); a call computes those of its
+        # queries only
         data, _ = make_blobs(400, 3, 4, 1.0, 2)
         fitted = fit(data, radius=0.1, minpts=4, merge_mode="density", outlier_mode="separate")
         models, queries, rows = (fitted, from_json(to_json(fitted))), data[:16] + 0.01, []
@@ -502,11 +502,11 @@ class TestPredictPaths:
         for key in ("v1", "starting_scores"):
             doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
         m = from_json(json.dumps(format2_doc(doc)))
-        eligible, pts, half, screened, pad, norm, scores = m._eligible
+        eligible, pts, screened, norm, scores = m._eligible
         assert norm != 1.0
         queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
         q = queries - m.mean
-        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, half, pad, screened)
+        near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, screened)
         assert np.array_equal(predict(m, queries), m.group_cluster[eligible[near]])
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)

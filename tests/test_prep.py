@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,42 @@ class TestPrepare:
     def test_n_equals_one(self):
         p = prepare([[7.0, -2.0]])
         assert p.n == 1 and p.scores.tolist() == [0.0] and p.mext == 0.0
+
+
+def normal_sample():
+    return np.random.default_rng(0).normal(size=(50, 3))
+
+
+# inputs whose squares or column sums overflow: the Gram matrix (the sample
+# x1e154, and its column 0 x1e155), the column sums (two rows near
+# 1.5e308), and only the row norms behind mext (3 rows of 8 columns at
+# 6e153, whose column sums of squares stay finite)
+TOO_LARGE = {
+    "scaled-1e154": (lambda: 1e154 * normal_sample(), r"[\d.]+e\+154"),
+    "column-1e155": (lambda: normal_sample() * [1e155, 1.0, 1.0], r"[\d.]+e\+155"),
+    "rows-near-1.5e308": (lambda: np.vstack([normal_sample(), [[1.5e308, 0.0, 0.0],
+                                                               [1.4e308, 0.0, 0.0]]]),
+                          r"1\.5e\+308"),
+    "row-norms-6e153": (lambda: 6e153 * np.array([[1.0] * 8, [-1.0] * 8, [0.0] * 8]),
+                        r"6e\+153"),
+}
+
+
+class TestMagnitudeLimit:
+    @pytest.mark.parametrize("case", list(TOO_LARGE))
+    def test_overflow_raises_one_value_error_with_no_warning(self, case):
+        make, magnitude = TOO_LARGE[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"input magnitudes reach {magnitude}; "
+                                                 "above about 1e153"):
+                fit(make(), radius=0.3)
+
+    def test_scaled_by_1e153_gives_the_labels_at_scale_one(self):
+        x = normal_sample()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(fit(1e153 * x, radius=0.3).labels, fit(x, radius=0.3).labels)
 
 
 class TestMedian:

@@ -1,0 +1,120 @@
+"""Interleaved predict timings of two source trees in one process.
+
+    python3 tools/pair_predict.py --root DIR [--workload NAME ...] [--seed N]
+                                  [--rounds N]
+
+Loads the `sortclust` of DIR and of this checkout into one process, as two
+module sets, fits the training rows of `bench/harness.py`'s workload once,
+and loads the model into both trees through `to_json`/`from_json`. Each
+round times the benchmark's streaming predict calls on 16 rows each (sliced
+as `harness.Session.round` slices them), then one call on every query row.
+Every call runs in both trees back to back, the tree that goes first
+alternating from round to round, and both must return the same labels.
+
+Prints one JSON line per workload: for the 16-row calls (`predict_small_ms`)
+and the full-query calls (`predict_ms`), each tree's p50 and p90 in ms and
+the share of pairs of calls in which this checkout was faster (`wins`).
+Timing both trees in one process, call by call, resolves changes of a few
+percent that separate benchmark runs cannot: their calls meet different
+heap and cache states. BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+# BLAS reads its thread count once, when numpy is imported.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tree(src: Path, name: str):
+    """The `sortclust` package under `src`, imported as `name`: its modules
+    import each other relatively, so each tree keeps its own set."""
+    package = src / "sortclust"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def summary(base: list, work: list) -> dict:
+    """p50 and p90 of each tree's times (s) in ms, and the share of pairs
+    that the working tree won."""
+    base, work = np.asarray(base), np.asarray(work)
+
+    def quantiles(times):
+        p50, p90 = np.percentile(times * 1e3, [50, 90])
+        return {"p50": round(float(p50), 4), "p90": round(float(p90), 4)}
+
+    return {"base": quantiles(base), "work": quantiles(work),
+            "wins": round(float(np.mean(work < base)), 4)}
+
+
+def pair(workload, seed: int, rounds: int, base, work) -> dict:
+    """Time both trees' predicts on the workload, interleaved call by call."""
+    import harness
+    from sortclust import to_json
+
+    inputs = harness.make_inputs(workload, seed)
+    text = to_json(harness.fit_workload(workload, inputs.train))
+    models = {tree: tree.from_json(text) for tree in (base, work)}
+    wrap = inputs.query.shape[0] - harness.SMALL_BATCH
+    batches = [inputs.query[lo:lo + harness.SMALL_BATCH]
+               for lo in (i * harness.SMALL_BATCH % wrap for i in range(harness.SMALL_CALLS))]
+    times = {(kind, tree): [] for kind in ("small", "full") for tree in (base, work)}
+    for r in range(rounds):
+        gc.collect()
+        order = (base, work) if r % 2 == 0 else (work, base)
+        for kind, calls in (("small", batches), ("full", [inputs.query])):
+            for rows in calls:
+                labels = []
+                for tree in order:
+                    start = time.perf_counter()
+                    labels.append(tree.predict(models[tree], rows))
+                    times[kind, tree].append(time.perf_counter() - start)
+                if not np.array_equal(*labels):
+                    raise AssertionError(f"the trees' labels differ on {workload.name}")
+    return {"workload": workload.name, "seed": seed, "rounds": rounds,
+            "predict_small_ms": summary(times["small", base], times["small", work]),
+            "predict_ms": summary(times["full", base], times["full", work])}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--root", type=Path, required=True,
+                   help="checkout whose src/ is the base to compare with")
+    p.add_argument("--workload", nargs="+", default=["few-groups", "many-groups"])
+    p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--rounds", type=int, default=100)
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import harness
+    unknown = [name for name in args.workload if name not in harness.WORKLOADS]
+    if unknown:
+        p.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(harness.WORKLOADS)}")
+    base = load_tree(args.root.resolve() / "src", "_base_sortclust")
+    work = load_tree(ROOT / "src", "_work_sortclust")
+    for name in args.workload:
+        print(json.dumps(pair(harness.WORKLOADS[name], args.seed, args.rounds, base, work),
+                         sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
