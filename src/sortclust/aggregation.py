@@ -18,10 +18,14 @@ against that window in one float32 matrix product, compared with R^2 through
 half squared norms (``kernel.within``, which splits a window too wide for
 one product into column chunks). A start whose window alone exceeds half the
 budget (wide windows, few groups) is a block of its own. The block is then
-resolved by array steps on its mask of free rows within R: a candidate
-starts a group unless an earlier start of the block hits it (decided in
-order, only for those an earlier candidate hits), and each hit row goes to
-the first start that hits it. Whether a start goes alone, and how many
+resolved from the pairs (candidate, free row within R) that ``within``
+returns, the free flags its column mask: a candidate starts a group unless
+an earlier start of the block hits it (decided in order, only for those an
+earlier candidate hits), and each hit row goes to the least start rank of
+its pairs. Where starts claimed over a quarter of the last block's
+candidates, a block decides its starts first, on their own columns, and
+multiplies only the starts' rows; otherwise from its one product, as few are
+claimed (`many-groups`: 5%). Whether a start goes alone, and how many
 candidates share its block, is decided on the windows in rows, so that
 dropping claimed rows (below) does not turn the wide windows of starts that
 claim most of them into blocks whose later candidates are claimed already.
@@ -117,6 +121,7 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     starts: list[np.ndarray] = []
     g = dist_count = 0
     i = zone = 0    # the slot of the next start; the latest window end
+    first = True    # whether the next block decides its starts first
     left = n        # rows neither started nor claimed: the free slots from i on
     while i < n:
         # window ends never decrease, so no row at or past the window end of
@@ -133,8 +138,10 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
             e = np.searchsorted(scores, scores[ids[cand]] + reach, side="right")
             cand = cand[:block_rows(e - (row + 1))]
             e = e[:cand.size]
+        g0 = g
         g, count, taken = _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g,
-                                       cand, e, left)
+                                       cand, e, left, first)
+        first = 4 * (g - g0) < 3 * cand.size
         dist_count += count
         left -= taken
         # the next start is the first free row after the last candidate, or its window end
@@ -166,7 +173,7 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     return top
 
 
-def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, left):
+def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, left, first):
     """Run the sweep over the candidate slots `cand` (the first `cand.size`
     of the `left` free slots, each with window end `e`) from one product
     against their joint window, on the screen of frame exponent `frame`.
@@ -175,43 +182,57 @@ def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, lef
     earlier start of the block hits it; each free row that a start hits
     after it goes to the first such start, and lies before that start's
     window end (``kernel.window_pad`` pads it past the scores' rounding).
-    Appends the new starts, updates `free` and `group_of`, and returns the
-    next group id, the block's distance evaluations and the number of rows
-    it started or claimed.
+    With `first`, the starts are decided first, on the candidates' own
+    columns, and only their rows meet the window. Appends the new starts,
+    updates `free` and `group_of`, and returns the next group id, the
+    block's distance evaluations and the number of rows it started or
+    claimed.
     """
     ids, X32 = layout
-    lo, top = int(cand[0]) + 1, int(e[-1])
-    mask = within(np.take(X, ids[cand], axis=0), X, r_sq, X32[:, lo:top], ids[lo:top], frame)
-    mask &= free[lo:top]
-    # a candidate is hit only by earlier ones, and a start claims only the
-    # rows after it; past the last candidate, every column lies after every
-    # candidate
-    head = int(cand[-1]) + 1
-    mask[:, :head - lo] &= np.arange(lo, head) > cand[:, None]
+    lo, top, m = int(cand[0]) + 1, int(e[-1]), cand.size
+    A = np.take(X, ids[cand], axis=0)
+    early = np.zeros((m, m), dtype=bool)    # early[a, k]: candidate a hits candidate k
+    is_start = np.ones(m, dtype=bool)
+
+    def decide(a, k):
+        early[a, k] = k > a    # a candidate is hit only by earlier ones
+        hit = early.any(axis=0)
+        claimed = early[~hit].any(axis=0)    # by the candidates no one hits, all starts
+        for c in np.flatnonzero(hit).tolist():    # in order: claimed by an earlier start?
+            if claimed[c]:
+                is_start[c] = False
+            else:
+                claimed |= early[c]
+
+    if m > 1 and first:
+        decide(*within(A, X, r_sq, X32[:, cand], ids[cand], frame))
+        A = A[is_start]
+    i, j = within(A, X, r_sq, X32[:, lo:top], ids[lo:top], frame, free[lo:top])
+    if m > 1 and not first:
+        # the free columns up to the last candidate are the later candidates
+        head = j < cand[-1] + 1 - lo
+        decide(i[head], np.searchsorted(cand, j[head] + lo))
+        i = np.where(is_start, np.cumsum(is_start) - 1, m)[i]
     # free rows of each candidate's window before the block claims any (see
     # the module docstring)
-    counts = left - (free.size - e) - np.arange(1, cand.size + 1)
-    is_start = np.ones(cand.size, dtype=bool)
-    # candidate k + 1 against candidates 0..k: only those hit need a decision
-    early = mask[:-1, cand[1:] - lo]
-    for k in early.any(axis=0).nonzero()[0].tolist():
-        is_start[k + 1] = not early[:k + 1, k][is_start[:k + 1]].any()
+    counts = left - (free.size - e) - np.arange(1, m + 1)
     block_starts = cand[is_start]
     l = block_starts.size
     evaluations = int(counts[is_start].sum())
     if l > 1:
-        # each hit row goes to the first start whose row hits it, the one of
-        # largest weight down its column when start j weighs l - j
-        first = (mask[is_start] * np.arange(l, 0, -1, dtype=np.int16)[:, None]).max(axis=0)
-        rows = np.flatnonzero(first)
-        owners = l - first[rows].astype(np.int64)
-        rows += lo
+        # each hit row goes to the least rank among its pairs (start k ranks k,
+        # other candidates m); of the starts' columns a start hits only its own
+        owner = np.full(top - lo, m)
+        np.minimum.at(owner, j, i)
+        owner[block_starts[1:] - lo] = m
+        rows = np.flatnonzero(owner < m)
+        rows, owners = rows + lo, owner[rows]
         # a start's window loses the rows claimed before its turn: a row j
         # claimed by start k is counted by every later start below j
         evaluations -= int((np.searchsorted(block_starts, rows) - owners).sum()) - rows.size
     else:
         # candidate 0 is the one start: it owns all its hits
-        rows, owners = np.flatnonzero(mask[0]) + lo, 0
+        rows, owners = j[:np.searchsorted(i, 1)] + lo, 0
     free[rows] = False
     group_of[ids[block_starts]] = np.arange(g, g + l)
     group_of[ids[rows]] = g + owners

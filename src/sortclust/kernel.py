@@ -33,7 +33,10 @@ overflow; below, float32 underflow would swamp the band. The band also
 covers the direct formula's underflow in data units, so every decision, at
 every magnitude, is the direct formula's.
 
-``within`` screens in float32, half the bytes of float64. The nearest
+``within`` screens in float32, half the bytes of float64, and returns its
+hits as index pairs in row-major order: two passes follow each product, one
+flagging the entries above the band (and in a column mask), one taking them
+out, and only those meet the band's upper end. The nearest
 search (``nearest``, ``nearest_by_score``) screens the same way, on the
 ``screens`` of B made once per search (or once per model, by ``predict``):
 the largest of x.y - |y|^2/2 over a row's block leads, and the row is
@@ -213,48 +216,61 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: int) -> np.ndarray:
-    """(m, k) mask: whether |B[b_rows[j]] - A[i]|^2 <= t, as the direct formula decides.
+def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: int,
+           cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), in row-major order, with |B[b_rows[j]] - A[i]|^2 <= t
+    as the direct formula decides, and `cols[j]` if a column mask is given.
 
     `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
     :func:`screen` layout of frame exponent `e`; k may be 0. The rows of A
     are scaled and cast here, with -1 last; the rows of B are gathered only
     for direct re-checks. The columns go ``_BLOCK // m`` at a time, so every
-    product holds the budget however wide the window.
+    product holds the budget however wide the window; a stable sort on i
+    puts the pairs of several chunks back in row-major order.
     """
-    hit = np.zeros((A.shape[0], b32.shape[1]), dtype=bool)
+    m, k = A.shape[0], b32.shape[1]
     scaled, t_e = _framed(A, e), float(_framed(t, 2 * e))
     half_a = half_sq_norms(scaled)[:, None]
-    a32 = np.full((A.shape[0], A.shape[1] + 1), -1.0, np.float32)
+    a32 = np.full((m, A.shape[1] + 1), -1.0, np.float32)
     np.clip(scaled, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
-    step = max(1, _BLOCK // A.shape[0])
-    for c in range(0, hit.shape[1], step):
-        cols = slice(c, c + step)
-        _within_chunk(hit[:, cols], A, half_a, B, t, t_e, a32, b32[:, cols], b_rows[cols], e)
-    return hit
+    step = max(1, _BLOCK // m)
+    pairs = [(np.empty(0, np.int64),) * 2]
+    for c in range(0, k, step):
+        at = slice(c, c + step)
+        i, j = _within_chunk(np.empty((m, b32[:, at].shape[1]), bool), A, half_a, B, t, t_e,
+                             a32, b32[:, at], b_rows[at], e, None if cols is None else cols[at])
+        pairs.append((i, j + c))
+    if len(pairs) <= 2:
+        return pairs[-1]
+    i, j = map(np.concatenate, zip(*pairs))
+    order = np.argsort(i, kind="stable")
+    return i[order], j[order]
 
 
-def _within_chunk(out, A, half_a, B, t, t_e, a32, b32, b_rows, e) -> None:
-    """:func:`within` on one product's worth of columns, into `out` (all
-    false); `t_e` is `t` in the frame."""
+def _within_chunk(unsure, A, half_a, B, t, t_e, a32, b32, b_rows, e, cols):
+    """:func:`within` on one product's worth of columns, with `unsure` as its
+    (m, kc) work mask; `t_e` is `t` in the frame."""
     # the largest half norm of the columns, as the screen holds it
     s = half_a + (float(b32[-1].max()) + 0.5 * t_e)
     width = _band(A.shape[1], s, e, np.float32)
     if _SINGLE_LOW <= np.min(s) and np.max(s + width) < _SINGLE_HIGH:
         h = np.matmul(a32, b32)
         thr = half_a - 0.5 * t_e
-        lower, upper = np.float32(thr - width), np.float32(thr + width)
+        lower, upper = np.float32(thr - width), np.float32(thr + width)[:, 0]
     else:    # the direct formula decides every entry
-        h, lower, upper = np.zeros(out.shape, np.float32), -np.inf, np.inf
-    unsure = h > lower
-    if not unsure.any():
-        return
-    np.greater_equal(h, upper, out=out)
-    unsure ^= out
+        h, lower, upper = np.zeros(unsure.shape, np.float32), -np.inf, np.full(s.size, np.inf)
+    np.greater(h, lower, out=unsure)
+    if cols is not None:
+        unsure &= cols
     at = np.flatnonzero(unsure)
-    if at.size:
-        ia, ib = np.divmod(at, out.shape[1])
-        out[ia, ib] = _direct_sq(A, ia, B, b_rows[ib]) <= t
+    i = at // unsure.shape[1]    # np.divmod takes several times longer
+    j = at - i * unsure.shape[1]
+    check = np.flatnonzero(h.reshape(-1)[at] < upper[i])
+    if check.size:
+        hit = np.ones(at.size, dtype=bool)
+        hit[check] = _direct_sq(A, i[check], B, b_rows[j[check]]) <= t
+        i, j = i[hit], j[hit]
+    return i, j
 
 
 def block_rows(widths: np.ndarray) -> int:

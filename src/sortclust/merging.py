@@ -12,7 +12,8 @@ The distance criterion only pairs starting points within a score window of
 (``kernel.window_pad``). Each block of consecutive starting points is
 tested against the rows its windows span by one float32 product with a
 copy made once per search, whose last row holds the only half squared norms
-kept (``kernel.screen``), so that it gives x.y - |y|^2/2 (``kernel.within``).
+kept (``kernel.screen``), so that it gives x.y - |y|^2/2 (``kernel.within``,
+whose hits come back as index pairs, row after row, the edges' own order).
 A pair whose value lies within the rounding band of the threshold is
 decided again by the direct formula ``diff = y - x; einsum(diff, diff)``,
 so the edges are exactly those of the direct formula.
@@ -141,8 +142,7 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
-        hits = within(A[rows], B, t, b32[:, lo:hi], np.arange(lo, hi), e)
-        i, j = np.divmod(np.flatnonzero(hits), hits.shape[1])
+        i, j = within(A[rows], B, t, b32[:, lo:hi], np.arange(lo, hi), e)
         j += lo
         keep = (j >= los[rows][i]) & (j < his[rows][i])
         counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)

@@ -8,6 +8,7 @@ user-facing radius parameter unit-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,10 @@ def _finite(values, points):
     """`values`, computed from `points`; a ValueError if they overflowed."""
     if np.isfinite(values).all():
         return values
-    raise ValueError(f"input magnitudes reach {largest(points):.3g}; above about 1e153 "
-                     "their squares overflow float64")
+    top = largest(points)    # inf where centering itself overflowed
+    raise ValueError(f"input magnitudes reach {top:.3g}; above about 1e153 their squares "
+                     "overflow float64" if math.isfinite(top) else "centering the input "
+                     "overflowed float64; magnitudes above about 1e153 are not supported")
 
 
 def center(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +115,13 @@ def first_principal_component(centered) -> tuple[np.ndarray, float, float]:
 
     Works on the d x d Gram matrix, so the cost is O(n d^2) to form it plus
     an n-independent eigensolve. Sign convention: the entry of v1 with the
-    largest magnitude is positive.
+    largest magnitude is positive. Where λ1 overflows, σ1 and σ2 are 2^e those of
+    2^-e `centered`, e the ``frexp`` exponent of its largest magnitude.
     """
     lam, axes = _principal_axes(centered)
-    sigma2 = float(np.sqrt(lam[1])) if lam.size > 1 else 0.0
-    return _fix_sign(axes[0]), float(np.sqrt(lam[0])), sigma2
+    e = math.frexp(largest(centered))[1] if math.isinf(lam[0]) else 0
+    sigma = np.ldexp(np.sqrt(_principal_axes(np.ldexp(centered, -e))[0] if e else lam), e)
+    return _fix_sign(axes[0]), float(sigma[0]), float(sigma[1]) if lam.size > 1 else 0.0
 
 
 def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:

@@ -399,6 +399,24 @@ class TestCompactedSweep:
             assert zones and moves_fewer_than_it_drops(zones)
 
 
+class TestStartDecisions:
+    """A block decides its starts on the candidates' own columns before its
+    product, or from the pairs of its one product, as the last block
+    predicts; either way the groups are the reference's."""
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_either_path_matches_the_reference(self, first, monkeypatch):
+        real = aggregation._sweep_block
+        monkeypatch.setattr(aggregation, "_sweep_block", lambda *args: real(*args[:-1], first))
+        for d in (1, 2, 5):
+            p = prepare(wide_groups(40 + d, 600, d, 3))
+            for radius in (0.05, 0.2, 0.6):
+                check_sweep(p, radius * p.mext)
+        p = prepared_1d([0.0, 0.5, 0.9, 1.2, 1.6, 2.0])
+        assert check_sweep(p, 0.6)[0].tolist() == [0, 2, 4]
+        check_sweep(strip(4), 1.0)
+
+
 def test_products_stay_near_the_evaluations_on_few_groups(monkeypatch):
     # the benchmark's few-groups training rows: with the claimed rows
     # dropped, the sweep multiplies at most 1.5 entries per evaluation

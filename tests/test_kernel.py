@@ -22,9 +22,20 @@ AT_R = [(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0)]
 AT_SCALE_R = [(4.5, 6.0), (-6.0, 4.5), (7.5, 0.0), (-4.5, -6.0)]
 
 
+def pair_mask(pairs, shape):
+    """The (m, k) mask of ``within``'s pairs, which must come in row-major
+    order, each once."""
+    i, j = pairs
+    assert i.dtype == j.dtype == np.int64
+    assert np.all(np.diff(i * shape[1] + j) > 0)
+    mask = np.zeros(shape, dtype=bool)
+    mask[i, j] = True
+    return mask
+
+
 def within_all(A, B, t):
     b32, e = kernel.screen(B)
-    return within(A, B, t, b32, np.arange(B.shape[0]), e)
+    return pair_mask(within(A, B, t, b32, np.arange(B.shape[0]), e), (A.shape[0], B.shape[0]))
 
 
 def framed_bound(A, B, t=0.0):
@@ -446,8 +457,8 @@ class TestFrameRange:
         rows = np.arange(1, pool.shape[0])
         exact = direct_sq_matrix(A, pool[1:]) <= t
         assert exact.any() and not exact.all()
-        got, types, rechecked = recounted(monkeypatch,
-                                          lambda: within(A, pool, t, b32[:, 1:], rows, e))
+        got, types, rechecked = recounted(
+            monkeypatch, lambda: pair_mask(within(A, pool, t, b32[:, 1:], rows, e), exact.shape))
         assert np.array_equal(got, exact)
         if side == 1:
             assert types == {np.dtype(np.float32)} and rechecked < 0.1 * exact.size
@@ -864,6 +875,78 @@ class TestSmallBlocks:
         assert np.array_equal(near, direct_nearest(A, B))
 
 
+def direct_pairs(A, B, t, cols=None):
+    """np.nonzero of the direct formula's mask of |B[j] - A[i]|^2 <= t, and
+    cols[j] if given: the pairs in row-major order."""
+    mask = direct_sq_matrix(A, B) <= t
+    return np.nonzero(mask if cols is None else mask & cols)
+
+
+class TestPairs:
+    """``within`` returns its hits as index pairs, np.nonzero of the
+    direct formula's mask, in row-major order, masked by its columns."""
+
+    def call(self, A, B, t, cols=None):
+        b32, e = kernel.screen(B)
+        return within(A, B, t, b32, np.arange(B.shape[0]), e, cols)
+
+    def check(self, got, want):
+        assert all(side.dtype == np.int64 for side in got)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def data(self, seed, m, k=40, d=3, scale=1.0):
+        rng = np.random.default_rng(seed)
+        A, B = scale * rng.normal(size=(m, d)), scale * rng.normal(size=(k, d))
+        return A, B, float(np.median(direct_sq_matrix(A, B))), rng.random(k) < 0.6
+
+    def test_no_columns(self):
+        self.check(self.call(np.ones((3, 2)), np.empty((0, 2)), 1.0),
+                   (np.empty(0, np.int64), np.empty(0, np.int64)))
+
+    def test_one_row(self):
+        A, B, t, cols = self.data(1, 1)
+        self.check(self.call(A, B, t), direct_pairs(A, B, t))
+        self.check(self.call(A, B, t, cols), direct_pairs(A, B, t, cols))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_column_chunks_come_back_in_row_major_order(self, m, monkeypatch):
+        # a budget of 7 entries: chunks of 3, 2 and 1 columns
+        monkeypatch.setattr(kernel, "_BLOCK", 7)
+        shapes = recorded_chunks(monkeypatch)
+        A, B, t, cols = self.data(m, m)
+        self.check(self.call(A, B, t), direct_pairs(A, B, t))
+        self.check(self.call(A, B, t, cols), direct_pairs(A, B, t, cols))
+        assert len(shapes) == 2 * -(-B.shape[0] // (7 // m))
+
+    def test_column_mask(self):
+        A, B, t, cols = self.data(4, 30, k=200, d=5)
+        self.check(self.call(A, B, t, cols), direct_pairs(A, B, t, cols))
+        self.check(self.call(A, B, t, np.zeros(200, bool)), direct_pairs(A, B, -1.0))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-165])
+    def test_out_of_frame_blocks_recheck_only_the_masked_columns(self, scale, monkeypatch):
+        # the direct formula decides every entry, of the columns the mask keeps
+        A, B, t, cols = self.data(5, 6, scale=scale)
+        got, _, rechecked = recounted(monkeypatch, lambda: self.call(A, B, t))
+        self.check(got, direct_pairs(A, B, t))
+        assert rechecked == A.shape[0] * B.shape[0]
+        got, _, rechecked = recounted(monkeypatch, lambda: self.call(A, B, t, cols))
+        self.check(got, direct_pairs(A, B, t, cols))
+        assert rechecked == A.shape[0] * int(cols.sum())
+
+
+def recorded_chunks(monkeypatch) -> list:
+    """The (rows, columns) of each of ``within``'s column chunks."""
+    shapes, real = [], kernel._within_chunk
+
+    def recording(out, *rest):
+        shapes.append(out.shape)
+        return real(out, *rest)
+
+    monkeypatch.setattr(kernel, "_within_chunk", recording)
+    return shapes
+
+
 class TestColumnChunks:
     def test_empty_window(self):
         out = within_all(np.ones((3, 2)), np.empty((0, 2)), 1.0)
@@ -891,7 +974,7 @@ class TestColumnChunks:
         t = float(np.median(exact))
         assert np.array_equal(within_all(A, B, t), exact <= t)
         b32, e = kernel.screen(pool)
-        gathered = within(A, pool, t, b32[:, rows], rows, e)
+        gathered = pair_mask(within(A, pool, t, b32[:, rows], rows, e), exact.shape)
         assert np.array_equal(gathered, exact <= t)
         assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
         assert sum(k for _, k in shapes) == 2 * B.shape[0]

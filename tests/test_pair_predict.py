@@ -1,7 +1,9 @@
-"""`tools/pair_predict.py` times two source trees' predicts in one process.
+"""`tools/pair_predict.py` times two source trees' predicts or fits in one
+process.
 
-The test runs it as a module, loaded from its file, with this checkout as
-both trees: the two module sets must give equal labels on every call.
+The tests run it as a module, loaded from its file, with this checkout as
+both trees: the two module sets must give equal labels on every call, and
+equal model text on every fit.
 """
 
 import importlib.util
@@ -25,18 +27,24 @@ def load_tool():
     return tool
 
 
-def test_two_rounds_of_this_checkout_against_itself(capsys):
+def run_tool(*extra) -> list:
+    """Run two rounds on `many-groups`; each tree's kernel module."""
     tool = load_tool()
     trees = ("_base_sortclust", "_work_sortclust")
     try:
         with mock.patch.object(sys, "path", list(sys.path)):
             assert tool.main(["--root", str(ROOT), "--workload", "many-groups",
-                              "--rounds", "2"]) == 0
-        # two module sets, each predicting through its own kernel
+                              "--rounds", "2", *extra]) == 0
         kernels = [sys.modules.get(f"{tree}.kernel") for tree in trees]
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] in trees]:
             del sys.modules[name]
+    return kernels
+
+
+def test_two_rounds_of_this_checkout_against_itself(capsys):
+    kernels = run_tool()
+    # two module sets, each predicting through its own kernel
     assert None not in kernels and kernels[0] is not kernels[1]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
@@ -47,3 +55,18 @@ def test_two_rounds_of_this_checkout_against_itself(capsys):
         assert 0.0 <= line[kind]["wins"] <= 1.0
         for tree in ("base", "work"):
             assert 0.0 < line[kind][tree]["p50"] <= line[kind][tree]["p90"]
+
+
+def test_two_fit_rounds_of_this_checkout_against_itself(capsys):
+    kernels = run_tool("--fit")
+    # two module sets, each fitting through its own kernel
+    assert None not in kernels and kernels[0] is not kernels[1]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert (line["workload"], line["seed"], line["rounds"]) == ("many-groups", 3, 2)
+    assert set(line) == {"workload", "seed", "rounds", "fit_ms"}
+    assert set(line["fit_ms"]) == {"base", "work", "wins"}
+    assert line["fit_ms"]["wins"] in (0.0, 0.5, 1.0)
+    for tree in ("base", "work"):
+        assert 0.0 < line["fit_ms"][tree]["p50"] <= line["fit_ms"][tree]["p90"]

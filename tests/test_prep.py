@@ -310,6 +310,31 @@ class TestMagnitudeLimit:
                                                  "above about 1e153"):
                 fit(make(), radius=0.3)
 
+    def test_centering_overflow_names_no_inf(self):
+        # the mean is finite, the centered rows reach 2.27e308 and overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="centering the input overflowed") as raised:
+                fit([[1.7e308], [-1.7e308], [-1.7e308]], radius=0.3)
+        assert "inf" not in str(raised.value) and "1e153" in str(raised.value)
+
+    def test_singular_values_where_the_largest_eigenvalue_overflows(self):
+        # the Gram entries stay finite (near 9e307) but its largest
+        # eigenvalue passes the float64 limit: one random sign per row,
+        # shared by every column
+        rng = np.random.default_rng(0)
+        sign = rng.choice([-1.0, 1.0], size=(1000, 1))
+        x = 3e152 * sign * (1.0 + 0.01 * rng.uniform(size=(1000, 10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = prep.prepare(x)
+            reference = np.ldexp(np.linalg.svd(np.ldexp(p.centered, -160), compute_uv=False), 160)
+        assert math.isfinite(p.sigma1) and p.sigma1 > 1e154
+        assert p.sigma1 == pytest.approx(reference[0], rel=1e-12)
+        # sigma2 carries the Gram matrix's rounding relative to sigma1, at any
+        # scale (sigma2 / sigma1 is about 1e-3 here)
+        assert p.sigma2 == pytest.approx(reference[1], rel=1e-9)
+
     def test_scaled_by_1e153_gives_the_labels_at_scale_one(self):
         x = normal_sample()
         with warnings.catch_warnings():

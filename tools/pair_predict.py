@@ -1,7 +1,7 @@
-"""Interleaved predict timings of two source trees in one process.
+"""Interleaved predict or fit timings of two source trees in one process.
 
     python3 tools/pair_predict.py --root DIR [--workload NAME ...] [--seed N]
-                                  [--rounds N]
+                                  [--rounds N] [--fit]
 
 Loads the `sortclust` of DIR and of this checkout into one process, as two
 module sets, fits the training rows of `bench/harness.py`'s workload once,
@@ -14,6 +14,11 @@ alternating from round to round, and both must return the same labels.
 Prints one JSON line per workload: for the 16-row calls (`predict_small_ms`)
 and the full-query calls (`predict_ms`), each tree's p50 and p90 in ms and
 the share of pairs of calls in which this checkout was faster (`wins`).
+
+With `--fit`, each round instead fits the workload's training rows once in
+each tree (with the benchmark's parameters), the tree that goes first
+alternating, and both models must give the same `to_json` text; the line
+then holds `fit_ms` in the same form.
 Timing both trees in one process, call by call, resolves changes of a few
 percent that separate benchmark runs cannot: their calls meet different
 heap and cache states. BLAS runs on one thread, as in the benchmark.
@@ -93,6 +98,28 @@ def pair(workload, seed: int, rounds: int, base, work) -> dict:
             "predict_ms": summary(times["full", base], times["full", work])}
 
 
+def pair_fit(workload, seed: int, rounds: int, base, work) -> dict:
+    """Time both trees' fits of the workload's training rows, interleaved
+    round by round."""
+    import harness
+
+    train = harness.make_inputs(workload, seed).train
+    times = {base: [], work: []}
+    for r in range(rounds):
+        texts = []
+        for tree in (base, work) if r % 2 == 0 else (work, base):
+            gc.collect()
+            start = time.perf_counter()
+            model = tree.fit(train, radius=workload.radius, minpts=harness.MINPTS,
+                             merge_mode=workload.merge_mode, outlier_mode=harness.OUTLIER_MODE)
+            times[tree].append(time.perf_counter() - start)
+            texts.append(tree.to_json(model))
+        if texts[0] != texts[1]:
+            raise AssertionError(f"the trees' models differ on {workload.name}")
+    return {"workload": workload.name, "seed": seed, "rounds": rounds,
+            "fit_ms": summary(times[base], times[work])}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", type=Path, required=True,
@@ -100,6 +127,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", nargs="+", default=["few-groups", "many-groups"])
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--rounds", type=int, default=100)
+    p.add_argument("--fit", action="store_true", help="time fit instead of predict")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
@@ -111,7 +139,8 @@ def main(argv=None) -> int:
     base = load_tree(args.root.resolve() / "src", "_base_sortclust")
     work = load_tree(ROOT / "src", "_work_sortclust")
     for name in args.workload:
-        print(json.dumps(pair(harness.WORKLOADS[name], args.seed, args.rounds, base, work),
+        timed = pair_fit if args.fit else pair
+        print(json.dumps(timed(harness.WORKLOADS[name], args.seed, args.rounds, base, work),
                          sort_keys=True), flush=True)
     return 0
 
