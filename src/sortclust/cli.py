@@ -56,7 +56,10 @@ def _read_matrix(path: str, header: bool, drop_bad_rows: bool) -> np.ndarray:
     and drops rows.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     data = lines[int(header):]
     # loadtxt warns when it reads no rows, which happens only when every data
     # line is empty; an empty first data line is the row reader's case anyway.

@@ -9,6 +9,7 @@ metrics are invariant under relabeling down to the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,10 +146,9 @@ def make_blobs(n: int, d: int, k: int, std: float, seed: int) -> tuple[np.ndarra
     n mod k blobs get one extra point). Fully reproducible for a fixed seed.
     Returns (points, ground-truth labels).
     """
-    if not (n >= k >= 1):
-        raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    for name, count, least in (("k", k, 1), ("d", d, 1), ("n", n, k)):
+        if not (isinstance(count, numbers.Integral) and count >= least):
+            raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
     if not (math.isfinite(std) and std >= 0.0):
         raise ValueError(f"std must be finite and nonnegative, got {std!r}")
     rng = np.random.default_rng(seed)

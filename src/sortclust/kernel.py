@@ -26,47 +26,41 @@ largest magnitude. Scaling by a power of two is exact away from underflow
 and overflow (Higham, *Accuracy and Stability of Numerical Algorithms*,
 section 3.1). ``within`` and ``nearest`` scale the rows of A by 2^-e and t
 by 2^-2e, with -1 last in each row of A, so one product gives
-x.y - |y|^2/2. A block whose bound s (|x|^2/2 + max |y|^2/2 + t/2 in the
-frame), or s plus its band, leaves [2^-100, 2^100) goes to the direct
-formula, its band made infinite: above, a float32 cast could near
+x.y - |y|^2/2. Both take one bound per block, s = max |x|^2/2 +
+max |y|^2/2 (+ t/2 in ``within``) in the frame, and one band from it. A
+block whose s, or s plus its band, leaves [2^-100, 2^100) goes to the
+direct formula, its band made infinite: above, a float32 cast could near
 overflow; below, float32 underflow would swamp the band. The band also
 covers the direct formula's underflow in data units, so every decision, at
 every magnitude, is the direct formula's.
 
-``within`` screens in float32, half the bytes of float64, and returns its
-hits as index pairs in row-major order: two passes follow each product, one
-flagging the entries above the band (and in a column mask), one taking them
-out, and only those meet the band's upper end. The nearest
-search (``nearest``, ``nearest_by_score``) screens the same way, on the
-``screens`` of B made once per search (or once per model, by ``predict``):
-the largest of x.y - |y|^2/2 over a row's block leads, and the row is
-decided by the product unless a runner-up lies within twice the band of it
-(s = max |x|^2/2 + max |y|^2/2). A block whose direct distances may
-overflow goes to the direct formula, as they tie at inf. Blocks of at
-least ``_SCREEN_ENTRIES`` (2^15) product entries use the float32 screen,
-smaller ones the float64 screen, whose band is 2^-29 as wide: in float32,
-7% of the benchmark's 16-row `few-groups` predicts met a near-tie within
-the band, whose re-check raised their 90th percentile time by 13-45%.
+``within`` screens in float32 and returns its hits as index pairs in
+row-major order: after each product one pass flags the entries above the
+band (and in a column mask), one takes them out, and only those meet the
+band's upper end. The nearest search screens on the ``screens`` of B, made
+once per search (or once per model, by ``predict``), and the product
+decides a row unless a runner-up lies within twice the band of its lead.
+Blocks of at least ``_SCREEN_ENTRIES`` (2^15) product entries use the
+float32 screen, smaller ones the float64 screen, whose band is 2^-29 as
+wide: in float32, 7% of the benchmark's 16-row `few-groups` predicts met a
+near-tie within the band, whose re-check raised their 90th percentile time
+by 13-45%.
 
-The nearest search in score order (``nearest_by_score``) bounds each row's
-nearest distance by its ``_SCORE_NEIGHBOURS`` neighbours in score and
-searches only the rows whose score lies within that bound (padded by
-``window_pad``), by the projection bound of Friedman, Baskett and Shustek
-(IEEE Trans. Computers, 1975): a score gap never exceeds the distance.
-``nearest``, which the minPts rule and ``predict`` call, takes it when given
-scores for a search of at least four blocks against at least 4,096 rows
-(the cost rule is in its docstring).
-
-``window_blocks`` cuts consecutive rows into blocks whose joint window
-fills the budget, however much or little the windows move from row to row.
+``nearest_by_score`` bounds each row's nearest distance by its
+``_SCORE_NEIGHBOURS`` neighbours in score and searches only the rows whose
+score lies within that bound (padded by ``window_pad``), by the projection
+bound of Friedman, Baskett and Shustek (IEEE Trans. Computers, 1975): a
+score gap never exceeds the distance. ``nearest``, which the minPts rule and
+``predict`` call, takes it by the cost rule in its docstring.
+``window_blocks`` cuts consecutive rows into blocks whose joint window fills
+the budget, however much or little the windows move from row to row.
 
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
 memory stays bounded whatever the width of a window or the number of groups:
 ``within`` and ``nearest`` split the columns of a wide window themselves.
-``nearest`` reuses one product buffer, for float64 or float32 entries, and
-one buffer of framed rows per precision: fresh 1 MB temporaries were paged
-in afresh on some heap states after a fit, and predict's time varied with
-them.
+``nearest`` reuses one product buffer, and one buffer of framed rows per
+precision: fresh 1 MB temporaries were paged in afresh on some heap states
+after a fit, and predict's time varied with them.
 """
 
 from __future__ import annotations
@@ -120,16 +114,19 @@ def _band(d: int, s, e: int, dtype):
     squared distance in the frame 2^-e of B: 8 (d + 4) u s, u = eps/2.
 
     `s` bounds |x|^2/2 + |y|^2/2 + t/2 for the pairs at hand, in the frame,
-    so |x||y| <= s and |y|^2/2 <= s. The product of d + 1 terms (the last
-    -1 times the half norm) errs by at most 2 (d + 1) u s in any order,
-    fused or not (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    section 3.1). In float32, casting the rows adds 2u s, casting the half
-    norm u s, and the float32 threshold and band ends 2u s: (2 d + 7) u s
-    (1 + 2u), as s reads max |y|^2/2 rounded to float32; the float64 parts
-    err by under 2^-26 of that. In float64 no cast rounds the framed rows,
-    but the other errors are of the product's order: each half norm, of a
-    row of B or of A, d u s (d squares summed); the threshold's subtraction
-    u s; and the direct formula, whose differences, squares and sum err by
+    so |x||y| <= s and |y|^2/2 <= s. Both searches take one s per block,
+    from its largest norms: above a pair's own bound, s only widens the
+    band, which sends more entries to the direct formula and changes no
+    decision. The product of d + 1 terms (the last -1 times the half norm)
+    errs by at most 2 (d + 1) u s in any order, fused or not (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1). In
+    float32, casting the rows adds 2u s, casting the half norm u s, and the
+    float32 threshold and band ends 2u s: (2 d + 7) u s (1 + 2u), as s
+    reads max |y|^2/2 rounded to float32; the float64 parts err by under
+    2^-26 of that. In float64 no cast rounds the framed rows, but the other
+    errors are of the product's order: each half norm, of a row of B or of
+    A, d u s (d squares summed); the threshold's subtraction u s; and the
+    direct formula, whose differences, squares and sum err by
     (d + 2) u |y - x|^2, 2 (d + 2) u s in half squared distance. That is
     (6 d + 7) u s in all, again under the band.
 
@@ -219,27 +216,39 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
 def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: int,
            cols=None) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j), in row-major order, with |B[b_rows[j]] - A[i]|^2 <= t
-    as the direct formula decides, and `cols[j]` if a column mask is given.
+    (t >= 0) as the direct formula decides, and `cols[j]` if a column mask
+    is given.
 
     `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
-    :func:`screen` layout of frame exponent `e`; k may be 0. The rows of A
-    are scaled and cast here, with -1 last; the rows of B are gathered only
-    for direct re-checks. The columns go ``_BLOCK // m`` at a time, so every
-    product holds the budget however wide the window; a stable sort on i
-    puts the pairs of several chunks back in row-major order.
+    :func:`screen` layout of frame exponent `e`; k may be 0. The columns go
+    ``_BLOCK // m`` at a time, so every product holds the budget however
+    wide the window; each chunk takes one bound and one band, and the rows
+    of A are cast once a chunk is screened. The rows of B are gathered only
+    for direct re-checks. A stable sort on i puts the pairs of several
+    chunks back in row-major order.
     """
-    m, k = A.shape[0], b32.shape[1]
-    scaled, t_e = _framed(A, e), float(_framed(t, 2 * e))
-    half_a = half_sq_norms(scaled)[:, None]
-    a32 = np.full((m, A.shape[1] + 1), -1.0, np.float32)
-    np.clip(scaled, -_SINGLE_HIGH, _SINGLE_HIGH, out=a32[:, :-1])
+    m, d, k = A.shape[0], A.shape[1], b32.shape[1]
+    scaled = _framed(A, e)
+    t_e = math.ldexp(t, -2 * e) if e >= 0 else float(_framed(t, 2 * e))    # math.ldexp is fast
+    half_a = half_sq_norms(scaled)
+    top, a32 = float(np.maximum.reduce(half_a)) + 0.5 * t_e, None
     step = max(1, _BLOCK // m)
     pairs = [(np.empty(0, np.int64),) * 2]
     for c in range(0, k, step):
-        at = slice(c, c + step)
-        i, j = _within_chunk(np.empty((m, b32[:, at].shape[1]), bool), A, half_a, B, t, t_e,
-                             a32, b32[:, at], b_rows[at], e, None if cols is None else cols[at])
-        pairs.append((i, j + c))
+        bc = b32[:, c:c + step]
+        s = top + float(np.maximum.reduce(bc[-1]))    # the columns' largest, in float32
+        width = _band(d, s, e, np.float32)
+        if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH:
+            if a32 is None:    # |x|^2/2 <= s < 2^100: no entry overflows
+                a32, thr = np.empty((m, d + 1), np.float32), half_a - 0.5 * t_e
+                a32[:, :-1], a32[:, -1] = scaled, -1.0    # np.full takes longer
+            h = np.matmul(a32, bc)
+            lower, upper = np.float32(thr - width)[:, None], np.float32(thr + width)
+        else:    # the direct formula decides every entry
+            h, lower, upper = np.zeros((m, bc.shape[1]), np.float32), -np.inf, np.full(m, np.inf)
+        i, j = _within_chunk(h, lower, upper, A, B, t, b_rows[c:c + step],
+                             None if cols is None else cols[c:c + step])
+        pairs.append((i, j + c if c else j))
     if len(pairs) <= 2:
         return pairs[-1]
     i, j = map(np.concatenate, zip(*pairs))
@@ -247,25 +256,17 @@ def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: i
     return i[order], j[order]
 
 
-def _within_chunk(unsure, A, half_a, B, t, t_e, a32, b32, b_rows, e, cols):
-    """:func:`within` on one product's worth of columns, with `unsure` as its
-    (m, kc) work mask; `t_e` is `t` in the frame."""
-    # the largest half norm of the columns, as the screen holds it
-    s = half_a + (float(b32[-1].max()) + 0.5 * t_e)
-    width = _band(A.shape[1], s, e, np.float32)
-    if _SINGLE_LOW <= np.min(s) and np.max(s + width) < _SINGLE_HIGH:
-        h = np.matmul(a32, b32)
-        thr = half_a - 0.5 * t_e
-        lower, upper = np.float32(thr - width), np.float32(thr + width)[:, 0]
-    else:    # the direct formula decides every entry
-        h, lower, upper = np.zeros(unsure.shape, np.float32), -np.inf, np.full(s.size, np.inf)
-    np.greater(h, lower, out=unsure)
+def _within_chunk(h, lower, upper, A, B, t, b_rows, cols):
+    """:func:`within` on one column chunk, from its (m, kc) product `h`: the
+    entries above their row's `lower` (and in `cols`) are hits where they
+    reach its `upper` too, and go to the direct formula below it."""
+    unsure = h > lower
     if cols is not None:
         unsure &= cols
-    at = np.flatnonzero(unsure)
-    i = at // unsure.shape[1]    # np.divmod takes several times longer
-    j = at - i * unsure.shape[1]
-    check = np.flatnonzero(h.reshape(-1)[at] < upper[i])
+    at = unsure.ravel().nonzero()[0]    # np.flatnonzero takes longer on small blocks
+    i = at // h.shape[1]    # np.divmod takes several times longer
+    j = at - i * h.shape[1]
+    check = (h.ravel()[at] < upper[i]).nonzero()[0]
     if check.size:
         hit = np.ones(at.size, dtype=bool)
         hit[check] = _direct_sq(A, i[check], B, b_rows[j[check]]) <= t

@@ -490,7 +490,10 @@ def from_json(text: str) -> ClusterModel:
     `starting_scores`, and each within a quarter of ``kernel.window_pad``
     of ``starting_points @ v1``. A malformed document raises ValueError.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed model: {exc}") from None
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in _FORMATS:
         raise ValueError(f"unsupported model version {version!r}")

@@ -74,6 +74,15 @@ class TestFit:
         assert main(["fit", "--input", bad]) == 2
         assert "malformed row 2: non-numeric field '\\ufeff2.0'" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,2.0\n\xff3.0,4.0\n")
+        out = tmp_path / "labels.txt"
+        assert main(["fit", "--input", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
     def test_drop_bad_rows(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "1.0\nnope\n2.0\n\n3.0\n")
         out = tmp_path / "labels.txt"
@@ -265,6 +274,15 @@ class TestPredict:
         model.write_text(json.dumps(doc if version == 1 else format2_doc(doc)))
         assert main(["explain", "--model", str(model)]) == 2
         assert "malformed model: group_members must partition" in capsys.readouterr().err
+
+    def test_model_file_that_is_not_json(self, tmp_path, capsys):
+        model = write(tmp_path / "model.json", "model\n")
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--input", fixture_csv(tmp_path), "--model", model,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: malformed model: Expecting value: line 1 column 1 (char 0)")
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         data = fixture_csv(tmp_path)

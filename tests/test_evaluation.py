@@ -143,6 +143,18 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(5, 2, 2, -1.0, 0)
 
+    @pytest.mark.parametrize("counts, name", [
+        ((10.5, 2, 2), "n"), ((10, 2.5, 2), "d"), ((10, 2, 2.0), "k"),
+        ((10, "2", 2), "d"), ((2, 2, 3), "n"), ((5, 0, 2), "d"), ((5, 2, 0), "k")])
+    def test_counts_must_be_integers_and_name_themselves(self, counts, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+            make_blobs(*counts, 1.0, 0)
+
+    def test_numpy_integer_counts(self):
+        a = make_blobs(np.int64(50), np.int32(3), np.uint8(4), 1.0, 7)
+        b = make_blobs(50, 3, 4, 1.0, 7)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
     @pytest.mark.parametrize("std", [float("nan"), float("inf")])
     def test_non_finite_std(self, std):
         with pytest.raises(ValueError, match="std must be finite"):

@@ -432,14 +432,14 @@ class TestFrameRange:
         pool = np.vstack([np.eye(d)[:1], rng.normal(size=(kernel._SCREEN_ENTRIES // 8, d))])
         return pool, pool[1:9] + 0.3 * rng.normal(size=(8, d))
 
-    def shrunk(self, pool, A0, c, t0, reduce):
+    def shrunk(self, pool, A0, c, t0):
         """The pool with all rows but row 0 scaled by c, and the bound s of
-        c A0 against those rows at threshold c^2 t0, in the pool's frame:
-        `reduce` picks the row of A that sets it."""
+        c A0 against those rows at threshold c^2 t0, in the pool's frame,
+        which the largest row of A sets."""
         pool = np.vstack([pool[:1], c * pool[1:]])
         b32, e = kernel.screen(pool)
         half_a = half_sq_norms(np.ldexp(c * A0, -e))
-        return pool, reduce(half_a) + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(c * c * t0, -2 * e)
+        return pool, half_a.max() + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(c * c * t0, -2 * e)
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -448,10 +448,10 @@ class TestFrameRange:
         pool, A0 = self.small_columns(rng, d)
         t0 = float(np.median(direct_sq_matrix(A0, pool[1:])))
 
-        # within screens when the least s of a row of A reaches 2^-100
+        # within screens when the bound of its largest row of A reaches 2^-100
         c = self.scaled_to(kernel._SINGLE_LOW, side,
-                           lambda c: self.shrunk(pool, A0, c, t0, np.min)[1])
-        pool, A, t = self.shrunk(pool, A0, c, t0, np.min)[0], c * A0, c * c * t0
+                           lambda c: self.shrunk(pool, A0, c, t0)[1])
+        pool, A, t = self.shrunk(pool, A0, c, t0)[0], c * A0, c * c * t0
         b32, e = kernel.screen(pool)
         assert e == 1
         rows = np.arange(1, pool.shape[0])
@@ -472,8 +472,8 @@ class TestFrameRange:
         pool, A0 = self.small_columns(rng, d)
 
         c = self.scaled_to(kernel._SINGLE_LOW, side,
-                           lambda c: self.shrunk(pool, A0, c, 0.0, np.max)[1])
-        pool, A = self.shrunk(pool, A0, c, 0.0, np.max)[0], c * A0
+                           lambda c: self.shrunk(pool, A0, c, 0.0)[1])
+        pool, A = self.shrunk(pool, A0, c, 0.0)[0], c * A0
         b32, b64, e, _ = kernel.screens(pool)
         B = pool[1:]
         near, types, rechecked = recounted(monkeypatch, lambda: kernel._nearest(
@@ -483,6 +483,70 @@ class TestFrameRange:
             assert types == {np.dtype(np.float32)} and rechecked < A.shape[0] * B.shape[0]
         else:
             assert types == set() and rechecked == A.shape[0] * B.shape[0]
+
+
+class TestBlockBound:
+    """``within`` takes one bound per column chunk, from its largest row of
+    A: rows whose own bounds lie far below it are screened with its band,
+    or not at all, which only sends more of their entries to the direct
+    formula. Each block holds 5 rows near the 40 columns and one row whose
+    bound sets the block's; the direct formula decides every pair."""
+
+    scaled_to = TestFrameRange.scaled_to
+
+    def check(self, monkeypatch, A, pool, first, t, types, rechecked):
+        """within of A against the rows of `pool` from `first` on, in the
+        pool's frame, against the direct oracle, with the dtypes of its
+        products and the number of pairs it re-checks."""
+        b32, e = kernel.screen(pool)
+        exact = direct_sq_matrix(A, pool[first:]) <= t
+        assert exact.any() and not exact.all()
+        got, got_types, got_rechecked = recounted(monkeypatch, lambda: pair_mask(
+            within(A, pool, t, b32[:, first:], np.arange(first, pool.shape[0]), e), exact.shape))
+        assert np.array_equal(got, exact)
+        assert (got_types, got_rechecked) == (types, rechecked)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_small_rows_beside_one_row_at_two_to_the_hundred(self, d, side, monkeypatch):
+        # under 2^100 the block's band, about 2^80 in the frame, sends every
+        # entry of the small rows to the direct formula and none of the
+        # large row's; over it the direct formula decides the whole block
+        rng = np.random.default_rng(d)
+        B = rng.normal(size=(40, d))
+        small = B[:5] + 0.3 * rng.normal(size=(5, d))
+        t = float(np.median(direct_sq_matrix(small, B)))
+        u = rng.normal(size=d)
+
+        def rows(c):
+            return np.vstack([small, c * u / np.linalg.norm(u)])
+
+        def bound(c):
+            s, e = framed_bound(rows(c), B, t)
+            return s + kernel._band(d, s, e, np.float32)
+
+        A = rows(self.scaled_to(kernel._SINGLE_HIGH, side, bound))
+        if side == -1:
+            self.check(monkeypatch, A, B, 0, t, {np.dtype(np.float32)}, 5 * 40)
+        else:
+            self.check(monkeypatch, A, B, 0, t, set(), 6 * 40)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_rows_under_two_to_the_minus_hundred_beside_one_in_range(self, d, monkeypatch):
+        # the pool's row 0 (norm 1) sets the frame; the columns and 5 rows
+        # of A of norm about 2^-60 bound themselves near 2^-120, and a row of
+        # norm 1 brings the block's bound into range: the block is screened,
+        # and its band sends every entry of the tiny rows to the direct
+        # formula and none of the row in range
+        rng = np.random.default_rng(d)
+        pool = np.vstack([np.eye(d)[:1], 2.0 ** -60 * rng.normal(size=(40, d))])
+        tiny = pool[1:6] + 2.0 ** -60 * 0.3 * rng.normal(size=(5, d))
+        t = float(np.median(direct_sq_matrix(tiny, pool[1:])))
+        A = np.vstack([tiny, np.ones(d) / np.sqrt(d)])
+        b32, e = kernel.screen(pool)
+        own = half_sq_norms(np.ldexp(A, -e)) + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(t, -2 * e)
+        assert np.all(own[:5] < kernel._SINGLE_LOW) and own[5] > 2.0 ** -10
+        self.check(monkeypatch, A, pool, 1, t, {np.dtype(np.float32)}, 5 * 40)
 
 
 class TestRangeGuard:

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -70,3 +72,24 @@ def test_two_fit_rounds_of_this_checkout_against_itself(capsys):
     assert line["fit_ms"]["wins"] in (0.0, 0.5, 1.0)
     for tree in ("base", "work"):
         assert 0.0 < line["fit_ms"][tree]["p50"] <= line["fit_ms"][tree]["p90"]
+
+
+def test_two_fit_rounds_of_the_first_5000_rows(capsys):
+    kernels = run_tool("--fit", "--rows", "5000")
+    assert None not in kernels and kernels[0] is not kernels[1]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert (line["workload"], line["seed"], line["rounds"], line["rows"]) == (
+        "many-groups", 3, 2, 5000)
+    assert set(line) == {"workload", "seed", "rounds", "rows", "fit_ms"}
+    for tree in ("base", "work"):
+        assert 0.0 < line["fit_ms"][tree]["p50"] <= line["fit_ms"][tree]["p90"]
+
+
+@pytest.mark.parametrize("extra", [["--rows", "5000"], ["--fit", "--rows", "0"]])
+def test_rows_need_fit_and_a_positive_count(extra, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        load_tool().main(["--root", str(ROOT), *extra])
+    assert exit_.value.code == 2
+    assert "--rows takes a count of at least 1, with --fit" in capsys.readouterr().err

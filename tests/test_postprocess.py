@@ -973,6 +973,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             from_json("[1]")
 
+    @pytest.mark.parametrize("text", ["", "not json", '{"version": 2,'])
+    def test_text_that_is_not_json(self, text):
+        with pytest.raises(ValueError, match="^malformed model: Expecting"):
+            from_json(text)
+
 
 class TestEndToEndInvariance:
     def test_affine_rescaling_keeps_labels(self):

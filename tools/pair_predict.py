@@ -1,7 +1,7 @@
 """Interleaved predict or fit timings of two source trees in one process.
 
     python3 tools/pair_predict.py --root DIR [--workload NAME ...] [--seed N]
-                                  [--rounds N] [--fit]
+                                  [--rounds N] [--fit [--rows N]]
 
 Loads the `sortclust` of DIR and of this checkout into one process, as two
 module sets, fits the training rows of `bench/harness.py`'s workload once,
@@ -18,7 +18,10 @@ the share of pairs of calls in which this checkout was faster (`wins`).
 With `--fit`, each round instead fits the workload's training rows once in
 each tree (with the benchmark's parameters), the tree that goes first
 alternating, and both models must give the same `to_json` text; the line
-then holds `fit_ms` in the same form.
+then holds `fit_ms` in the same form. `--rows N` fits only the first N
+training rows, as the benchmark's CLI commands do with 5,000 (the line
+then holds `rows`): a fit of that size takes milliseconds, which the CLI's
+process start-up hides.
 Timing both trees in one process, call by call, resolves changes of a few
 percent that separate benchmark runs cannot: their calls meet different
 heap and cache states. BLAS runs on one thread, as in the benchmark.
@@ -98,12 +101,12 @@ def pair(workload, seed: int, rounds: int, base, work) -> dict:
             "predict_ms": summary(times["full", base], times["full", work])}
 
 
-def pair_fit(workload, seed: int, rounds: int, base, work) -> dict:
-    """Time both trees' fits of the workload's training rows, interleaved
-    round by round."""
+def pair_fit(workload, seed: int, rounds: int, base, work, rows=None) -> dict:
+    """Time both trees' fits of the workload's training rows (the first
+    `rows` of them, if given), interleaved round by round."""
     import harness
 
-    train = harness.make_inputs(workload, seed).train
+    train = harness.make_inputs(workload, seed).train[:rows]
     times = {base: [], work: []}
     for r in range(rounds):
         texts = []
@@ -116,8 +119,9 @@ def pair_fit(workload, seed: int, rounds: int, base, work) -> dict:
             texts.append(tree.to_json(model))
         if texts[0] != texts[1]:
             raise AssertionError(f"the trees' models differ on {workload.name}")
-    return {"workload": workload.name, "seed": seed, "rounds": rounds,
+    line = {"workload": workload.name, "seed": seed, "rounds": rounds,
             "fit_ms": summary(times[base], times[work])}
+    return line if rows is None else {**line, "rows": train.shape[0]}
 
 
 def main(argv=None) -> int:
@@ -128,9 +132,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--fit", action="store_true", help="time fit instead of predict")
+    p.add_argument("--rows", type=int, help="with --fit, fit only the first N training rows")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
+    if args.rows is not None and (args.rows < 1 or not args.fit):
+        p.error("--rows takes a count of at least 1, with --fit")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import harness
     unknown = [name for name in args.workload if name not in harness.WORKLOADS]
@@ -139,9 +146,10 @@ def main(argv=None) -> int:
     base = load_tree(args.root.resolve() / "src", "_base_sortclust")
     work = load_tree(ROOT / "src", "_work_sortclust")
     for name in args.workload:
-        timed = pair_fit if args.fit else pair
-        print(json.dumps(timed(harness.WORKLOADS[name], args.seed, args.rounds, base, work),
-                         sort_keys=True), flush=True)
+        w = harness.WORKLOADS[name]
+        line = (pair_fit(w, args.seed, args.rounds, base, work, args.rows) if args.fit
+                else pair(w, args.seed, args.rounds, base, work))
+        print(json.dumps(line, sort_keys=True), flush=True)
     return 0
 
 
