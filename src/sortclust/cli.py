@@ -55,11 +55,8 @@ def _read_matrix(path: str, header: bool, drop_bad_rows: bool) -> np.ndarray:
     file the row reader runs instead, so it alone produces the diagnostics
     and drops rows.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    from .postprocess import read_lines
+    lines = read_lines(path)
     data = lines[int(header):]
     # loadtxt warns when it reads no rows, which happens only when every data
     # line is empty; an empty first data line is the row reader's case anyway.
@@ -114,16 +111,16 @@ def _parse_rows(path: str, lines: list[str], header: bool,
 
 
 def _read_labels(path: str) -> np.ndarray:
+    from .postprocess import read_lines
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: malformed label on row {lineno}: {line!r}")
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}: malformed label on row {lineno}: {line!r}")
     if not labels:
         raise ValueError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)

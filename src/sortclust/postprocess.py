@@ -24,7 +24,7 @@ from .aggregation import _finite_real, _radius, _scale, aggregate
 from .kernel import nearest, screens, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
-from .prep import prepare, real_array
+from .prep import framed, prepare, real_array
 
 MODEL_FORMAT_VERSION = 2
 
@@ -78,14 +78,16 @@ class ClusterModel:
 
     @functools.cached_property
     def _eligible(self) -> tuple:
-        """predict's eligible groups, their points, ``kernel.screens`` of
-        them (their float32 and float64 screens, frame exponent and window
-        pad), |v1|, and their scores along v1 / |v1|."""
+        """predict's eligible groups, their points in their frame 2^-e (``prep.framed``),
+        ``kernel.screens`` of them (float32 and float64 screens, frame exponent
+        and window pad), |v1|, their scores along v1 / |v1| in the frame, and e."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
+        pts, e = framed(pts)
         norm = float(np.linalg.norm(self.v1))    # from_json admits v1 within 1e-6 of unit
-        return eligible, pts, screens(pts), norm, self.starting_scores[eligible] / norm
+        scores = np.ldexp(self.starting_scores[eligible] / norm, -e)
+        return eligible, pts, screens(pts), norm, scores, e
 
     @property
     def r(self) -> float:    # effective aggregation radius
@@ -194,7 +196,8 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     """Cluster `data` (n x d matrix) and return the fitted model.
 
     `radius` is unit-free; the absolute grouping threshold is
-    radius * the median row norm of the centered data.
+    radius * the median row norm of the centered data. The model holds the
+    input's units, exactly but for centered coordinates subnormal in them.
     """
     config = FitConfig(radius=radius, minpts=minpts, scale=scale,
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
@@ -220,11 +223,11 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     point_group[prepared.perm] = group_of
     return ClusterModel(
         config=config,
-        mean=prepared.mean.copy(),
+        mean=np.ldexp(prepared.mean, prepared.e),
         v1=prepared.v1.copy(),
-        mext=prepared.mext,
-        starting_points=starting_points,
-        starting_scores=starting_scores,
+        mext=math.ldexp(prepared.mext, prepared.e),
+        starting_points=np.ldexp(starting_points, prepared.e),
+        starting_scores=np.ldexp(starting_scores, prepared.e),
         group_cluster=final_map.cluster_of_group,
         cluster_sizes=final_map.sizes,
         merge_edges=edges,
@@ -252,10 +255,12 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible, pts, screened, norm, scores = model._eligible
+    eligible, pts, screened, norm, scores, e = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
     q = q - model.mean
+    if e:    # a frame only far from normal magnitudes: no pass over q otherwise
+        np.ldexp(q, -e, out=q)
     near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, screened)
     return model.group_cluster[eligible[near]]
 
@@ -509,6 +514,14 @@ def save_model(model: ClusterModel, path) -> None:
         fh.write("\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of UTF-8 file `path`, less a byte order mark; ValueError naming it if not."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_model(path) -> ClusterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    return from_json("".join(read_lines(path)))

@@ -37,6 +37,9 @@ class PreparedData:
         First and second singular values of the centered matrix.
     mext : float
         Scale of the unit-free radius: the median norm of the centered rows.
+    e : int
+        Frame exponent (:func:`framed`): coordinates, statistics and the
+        stages' radii are 2^-e times the input's.
     """
 
     centered: np.ndarray
@@ -47,6 +50,7 @@ class PreparedData:
     sigma1: float
     sigma2: float
     mext: float
+    e: int = 0
 
     @property
     def n(self) -> int:
@@ -68,14 +72,16 @@ def real_array(values, name: str) -> np.ndarray:
     raise ValueError(f"{name} contains complex values")
 
 
-def _finite(values, points):
-    """`values`, computed from `points`; a ValueError if they overflowed."""
-    if np.isfinite(values).all():
-        return values
-    top = largest(points)    # inf where centering itself overflowed
-    raise ValueError(f"input magnitudes reach {top:.3g}; above about 1e153 their squares "
-                     "overflow float64" if math.isfinite(top) else "centering the input "
-                     "overflowed float64; magnitudes above about 1e153 are not supported")
+def framed(points) -> tuple[np.ndarray, int]:
+    """2^-e `points` and e, the ``frexp`` exponent of their largest magnitude, if
+    beyond +-64; within, where no square or Gram entry nears float64's limits,
+    `points` and 0. Exact away from underflow and overflow (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1). nan and inf raise ValueError."""
+    top = largest(points)
+    if not math.isfinite(top):
+        raise ValueError("input contains non-finite values")
+    e = math.frexp(top)[1]
+    return (np.ldexp(points, -e), e) if abs(e) > 64 else (points, 0)
 
 
 def center(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -85,24 +91,27 @@ def center(raw) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("input must be a 2-D matrix of points")
     if pts.shape[0] < 1 or pts.shape[1] < 1:
         raise ValueError("input must have at least one row and one column")
-    if not np.all(np.isfinite(pts)):
+    mean = pts.mean(axis=0)    # nan or inf where its column holds one
+    if not np.isfinite(mean).all():
         raise ValueError("input contains non-finite values")
-    with np.errstate(over="ignore"):
-        mean = _finite(pts.mean(axis=0), pts)
-        return pts - mean, mean
+    return pts - mean, mean
 
 
-def _principal_axes(centered) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the d x d Gram matrix (descending, clipped at zero) and
-    the matching unit eigenvectors as rows, by LAPACK's symmetric
-    eigensolver. All-zero data has every direction principal; the axes are
-    then the coordinate axes, so the first axis comes first."""
+class _Framed(np.ndarray):
+    """A view of rows :func:`prepare` has framed, which need no scan for it."""
+
+
+def _principal_axes(centered) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues of the d x d Gram matrix of 2^-e `centered` (descending,
+    clipped at zero), the matching unit eigenvectors as rows, by LAPACK's
+    symmetric eigensolver, and e (:func:`framed`; 0 for `_Framed` rows). For
+    all-zero data, where every direction is principal, the coordinate axes."""
     X = np.asarray(centered, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam, vecs = np.linalg.eigh(_finite(X.T @ X, X))
+    X, e = (X, 0) if isinstance(centered, _Framed) else framed(X)
+    lam, vecs = np.linalg.eigh(X.T @ X)
     if lam[-1] <= 0.0:
-        return np.zeros(lam.size), np.eye(lam.size)
-    return np.maximum(lam[::-1], 0.0), vecs.T[::-1].copy()
+        return np.zeros(lam.size), np.eye(lam.size), e
+    return np.maximum(lam[::-1], 0.0), vecs.T[::-1].copy(), e
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -115,12 +124,11 @@ def first_principal_component(centered) -> tuple[np.ndarray, float, float]:
 
     Works on the d x d Gram matrix, so the cost is O(n d^2) to form it plus
     an n-independent eigensolve. Sign convention: the entry of v1 with the
-    largest magnitude is positive. Where λ1 overflows, σ1 and σ2 are 2^e those of
-    2^-e `centered`, e the ``frexp`` exponent of its largest magnitude.
+    largest magnitude is positive. σ1 and σ2 are 2^e those of 2^-e
+    `centered` (:func:`framed`), so they overflow only beyond float64's range.
     """
-    lam, axes = _principal_axes(centered)
-    e = math.frexp(largest(centered))[1] if math.isinf(lam[0]) else 0
-    sigma = np.ldexp(np.sqrt(_principal_axes(np.ldexp(centered, -e))[0] if e else lam), e)
+    lam, axes, e = _principal_axes(centered)
+    sigma = np.ldexp(np.sqrt(lam), e)
     return _fix_sign(axes[0]), float(sigma[0]), float(sigma[1]) if lam.size > 1 else 0.0
 
 
@@ -129,7 +137,7 @@ def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:
 
     In one dimension the second direction is the zero vector.
     """
-    lam, axes = _principal_axes(centered)
+    lam, axes, _ = _principal_axes(centered)
     if lam.size < 2 or lam[1] == 0.0:
         return _fix_sign(axes[0]), np.zeros(lam.size)
     return _fix_sign(axes[0]), _fix_sign(axes[1])
@@ -189,19 +197,21 @@ def _median(values: np.ndarray) -> float:
 def prepare(raw) -> PreparedData:
     """Run the full preparation pipeline on raw points.
 
-    The row norms behind `mext` are taken in blocks of about ``_BLOCK``
-    entries, so no n x d temporary is made for them; each row reduces as it
-    would in one call, so the norms are the same bit for bit.
-    Column means, a Gram matrix or a `mext` that overflow (from magnitudes
-    of about 1e153) raise ValueError, with no warning.
+    The stages run on the input in its frame (:func:`framed`, one scan). The
+    row norms behind `mext` are taken in blocks of about ``_BLOCK`` entries, so
+    no n x d temporary is made for them; each row reduces as it would in one
+    call, so the norms are the same bit for bit. Norms beyond float64's range
+    in the input's units (``[[1.7e308], [-1.7e308], [-1.7e308]]``) raise ValueError.
     """
-    centered, mean = center(raw)
-    v1, sigma1, sigma2 = first_principal_component(centered)
+    pts, e = framed(real_array(raw, "input"))
+    centered, mean = center(pts)
+    v1, sigma1, sigma2 = first_principal_component(centered.view(_Framed))
     ordered, scores, perm = score_and_sort(centered, v1)
     del centered    # n * d floats fewer at the peak, under the norms' temporaries
     step = max(1, _BLOCK // ordered.shape[1])
-    with np.errstate(over="ignore"):
-        norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
-                                for i in range(0, ordered.shape[0], step)])
+    norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
+                            for i in range(0, ordered.shape[0], step)])
+    if math.frexp(float(norms.max()))[1] + e > 1024:
+        raise ValueError("centered row norms lie beyond float64's range, about 1.8e308")
     return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
-                        sigma1=sigma1, sigma2=sigma2, mext=_finite(_median(norms), ordered))
+                        sigma1=sigma1, sigma2=sigma2, mext=_median(norms), e=e)

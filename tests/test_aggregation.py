@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,15 @@ def prepared_raw(points, v1):
     return PreparedData(centered=pts, mean=np.zeros(pts.shape[1]),
                         v1=np.asarray(v1, dtype=np.float64), scores=scores,
                         perm=np.arange(len(pts)), sigma1=1.0, sigma2=1.0, mext=1.0)
+
+
+def in_input_units(p):
+    """`p` with its rows, scores and statistics scaled back from prepare's frame
+    to the input's units (exact where they stay normal), so that the stages
+    meet the input's magnitudes themselves."""
+    back = {name: np.ldexp(getattr(p, name), p.e)
+            for name in ("centered", "mean", "scores", "sigma1", "sigma2", "mext")}
+    return replace(p, **back, e=0)
 
 
 def members(group_of):

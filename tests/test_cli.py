@@ -131,14 +131,32 @@ class TestFit:
         # no labels, no plot data, no temporary files left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
-    def test_magnitudes_beyond_the_limit_write_nothing(self, tmp_path, capsys):
-        # x1e154: the Gram matrix overflows, and the fit's ValueError exits 2
-        rows = 1e154 * np.random.default_rng(0).normal(size=(50, 3))
-        data = write(tmp_path / "data.csv", "".join(",".join(map(repr, row)) + "\n"
-                                                   for row in rows.tolist()))
+    def test_magnitudes_across_the_range_fit_and_predict(self, tmp_path):
+        # x1e170, past the old limit of about 1e153: the labels, plot rows and
+        # predictions of the unscaled CSV
+        rows = np.random.default_rng(0).normal(size=(50, 3))
+        runs = []
+        for name, c in (("plain", 1.0), ("scaled", 1e170)):
+            data = write(tmp_path / f"{name}.csv", "".join(",".join(map(repr, row)) + "\n"
+                                                           for row in (c * rows).tolist()))
+            out = {kind: str(tmp_path / f"{name}-{kind}") for kind in ("labels", "model",
+                                                                       "plot", "pred")}
+            assert main(["fit", "--input", data, "--radius", "0.3", "--output", out["labels"],
+                         "--model", out["model"], "--plot-data", out["plot"]]) == 0
+            assert main(["predict", "--input", data, "--model", out["model"],
+                         "--output", out["pred"]]) == 0
+            plot = [line.split(",") for line in Path(out["plot"]).read_text().splitlines()[1:]]
+            assert all(np.isfinite([float(pc1), float(pc2)]).all() for pc1, pc2, _, _ in plot)
+            runs.append([Path(out["labels"]).read_text(), Path(out["pred"]).read_text(),
+                         [cols[2:] for cols in plot]])
+        assert runs[0] == runs[1]
+
+    def test_row_norms_beyond_float64_write_nothing(self, tmp_path, capsys):
+        # the centered rows reach 2.27e308: the one declared limit exits 2
+        data = write(tmp_path / "data.csv", "1.7e308\n-1.7e308\n-1.7e308\n")
         assert main(["fit", "--input", data, "--radius", "0.3", "--output",
                      str(tmp_path / "labels.txt"), "--model", str(tmp_path / "m.json")]) == 2
-        assert "above about 1e153 their squares overflow" in capsys.readouterr().err
+        assert "row norms lie beyond float64's range" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     @pytest.mark.parametrize("flags", [
@@ -219,6 +237,17 @@ class TestPredict:
               "--radius", "0.3", "--model", str(model)])
         wide = write(tmp_path / "wide.csv", "1.0,2.0\n")
         assert main(["predict", "--input", wide, "--model", str(model)]) == 2
+
+    def test_model_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        data = fixture_csv(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"version": 2, "mean": "\xff"}')
+        out = tmp_path / "pred.txt"
+        assert main(["predict", "--input", data, "--model", str(model),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {model}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
 
     def test_malformed_model_file(self, tmp_path, capsys):
         model = write(tmp_path / "model.json", '{"version": 1}')
@@ -398,6 +427,14 @@ class TestEval:
         truth = write(tmp_path / "t.txt", "0\n1\n")
         pred = write(tmp_path / "p.txt", "0\n1\n1\n")
         assert main(["eval", "--truth", truth, "--pred", pred]) == 2
+
+    def test_labels_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        truth = write(tmp_path / "t.txt", "0\n1\n")
+        bad = tmp_path / "p.txt"
+        bad.write_bytes(b"0\n\xff1\n")
+        assert main(["eval", "--truth", truth, "--pred", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestProbe:

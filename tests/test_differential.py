@@ -8,8 +8,9 @@ merges, the minPts reassignment and the predictions of both searches are
 compared with the direct-formula oracles; the nearest searches run once as
 they are, with their small blocks screened in float64, once with every
 block screened in float32, and once with every block screened in float64.
-From about 1e154, `prepare` raises a ValueError (its Gram matrix
-overflows), so the magnitudes stop at 1e150.
+The predictions' oracle scales the queries and the starts by one power of
+two first, which is exact: in the input's units, their squared distances
+underflow to 0 at 1e-200 and overflow to inf at 1e150 and beyond.
 """
 
 import math
@@ -77,7 +78,8 @@ CASES = {
     "wide-range": (wide_range, None),
     "wide-range-fine": (wide_range, 3e-41),
     **{f"scale-{c:g}": (lambda seed, c=c: c * blobs(seed), None)
-       for c in (1e-300, 1e-200, 1e-150, 1e-60, 1e-20, 1.0, 1e20, 1e60, 1e100, 1e150)},
+       for c in (1e-300, 1e-200, 1e-150, 1e-60, 1e-20, 1.0, 1e20, 1e60, 1e100, 1e150, 1e200,
+                 1e300)},
 }
 
 
@@ -88,9 +90,13 @@ def density_edges(X, centers, r, d) -> list:
 
 
 def nearest_clusters(m, queries):
-    """The cluster of each query's nearest eligible start, by the direct formula."""
+    """The cluster of each query's nearest eligible start, by the direct
+    formula, with queries and starts scaled by 2^-e for the binary exponent
+    e of the starts' largest magnitude."""
     eligible = np.nonzero(m.group_cluster >= 0)[0]
-    near = direct_nearest(np.asarray(queries) - m.mean, m.starting_points[eligible])
+    starts = m.starting_points[eligible]
+    e = math.frexp(float(np.abs(starts).max()))[1]
+    near = direct_nearest(np.ldexp(np.asarray(queries) - m.mean, -e), np.ldexp(starts, -e))
     return m.group_cluster[eligible[near]]
 
 

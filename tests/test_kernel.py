@@ -16,6 +16,7 @@ from sortclust.prep import PreparedData, prepare
 
 from _oracles import (aggregate_reference, brute_force_density_edges,
                       brute_force_distance_edges, direct_nearest, direct_sq_matrix)
+from test_aggregation import in_input_units
 
 # Pythagorean offsets of length exactly 5 and 7.5 (= 1.5 * 5) in the plane.
 AT_R = [(3.0, 4.0), (-4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0)]
@@ -118,7 +119,8 @@ class TestFloatRange:
     @pytest.mark.parametrize("scale", [1e-200, 1e-160])
     def test_subnormal_stages(self, scale):
         rng = np.random.default_rng(4)
-        p = prepare(rng.normal(size=(60, 3)) * scale)
+        # in the input's units: prepare would frame the rows away from them
+        p = in_input_units(prepare(rng.normal(size=(60, 3)) * scale))
         for radius in (0.3, 1.0):
             check_stages(p, radius * scale)
 
@@ -555,11 +557,12 @@ class TestRangeGuard:
         # c09's samples, scaled to where s in data units would lie past the
         # float32 screen's range [2^-100, 2^100) (1e-30, 1e-20, 1e20, 1e40)
         # and to either side of its ends (1e-16 and 3e14 outside, 3e-16 and
-        # 1e14 inside): the frame screens them all
+        # 1e14 inside): the frame screens them all. The stages take them in the
+        # input's units, where prepare would have framed those beyond 2^+-64
         rng = np.random.default_rng(109)
         for _ in range(5):
             n, d = int(rng.integers(20, 200)), int(rng.integers(1, 6))
-            p = prepare(scale * rng.normal(0.0, 2.0, size=(n, d)))
+            p = in_input_units(prepare(scale * rng.normal(0.0, 2.0, size=(n, d))))
             r = 0.35 * p.mext
             starts, _, _ = check_stages(p, r)
             edges = density_merge(starts, p, r)

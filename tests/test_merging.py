@@ -14,7 +14,7 @@ from _oracles import (brute_force_components, brute_force_density_edges,
                       brute_force_distance_edges, density_pair_test, direct_density_pairs,
                       direct_sq_matrix)
 
-from test_aggregation import BAD_RADII, prepared_1d, prepared_raw, value_error
+from test_aggregation import BAD_RADII, in_input_units, prepared_1d, prepared_raw, value_error
 
 
 def edge_set(edges):
@@ -252,7 +252,7 @@ class TestDensityMerge:
     def test_lattice_scaled_to_subnormal_squares(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            p = prepare(1e-160 * rng.integers(0, 12, size=(150, 2)))
+            p = in_input_units(prepare(1e-160 * rng.integers(0, 12, size=(150, 2))))
             r = float(rng.uniform(1.0, 3.0)) * 1e-160
             starts, _, _ = aggregate(p, r)
             check_density(p, starts, r, brute_force=False)

@@ -502,8 +502,8 @@ class TestPredictPaths:
         for key in ("v1", "starting_scores"):
             doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
         m = from_json(json.dumps(format2_doc(doc)))
-        eligible, pts, screened, norm, scores = m._eligible
-        assert norm != 1.0
+        eligible, pts, screened, norm, scores, e = m._eligible
+        assert norm != 1.0 and e == 0
         queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
         q = queries - m.mean
         near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, screened)

@@ -1,10 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from sortclust import fit, prep, to_json
+from sortclust import fit, from_json, predict, prep, to_json
 from sortclust.prep import (_median, _stable_argsort, center, first_principal_component,
                             prepare, principal_plane, score_and_sort)
 
@@ -281,42 +280,46 @@ class TestPrepare:
         assert p.n == 1 and p.scores.tolist() == [0.0] and p.mext == 0.0
 
 
-def normal_sample():
-    return np.random.default_rng(0).normal(size=(50, 3))
+def normal_sample(seed=0):
+    return np.random.default_rng(seed).normal(size=(50, 3))
 
 
-# inputs whose squares or column sums overflow: the Gram matrix (the sample
-# x1e154, and its column 0 x1e155), the column sums (two rows near
-# 1.5e308), and only the row norms behind mext (3 rows of 8 columns at
-# 6e153, whose column sums of squares stay finite)
-TOO_LARGE = {
-    "scaled-1e154": (lambda: 1e154 * normal_sample(), r"[\d.]+e\+154"),
-    "column-1e155": (lambda: normal_sample() * [1e155, 1.0, 1.0], r"[\d.]+e\+155"),
-    "rows-near-1.5e308": (lambda: np.vstack([normal_sample(), [[1.5e308, 0.0, 0.0],
-                                                               [1.4e308, 0.0, 0.0]]]),
-                          r"1\.5e\+308"),
-    "row-norms-6e153": (lambda: 6e153 * np.array([[1.0] * 8, [-1.0] * 8, [0.0] * 8]),
-                        r"6e\+153"),
+# inputs past the old limit of about 1e153, where squares or column sums
+# overflow in the input's units: the Gram matrix (the sample x1e154, and its
+# column 0 x1e155), the column sums (two rows near 1.5e308), and only the row
+# norms behind mext (3 rows of 8 columns at 6e153); all fit in their frame
+PAST_THE_OLD_LIMIT = {
+    "scaled-1e154": lambda: 1e154 * normal_sample(),
+    "column-1e155": lambda: normal_sample() * [1e155, 1.0, 1.0],
+    "rows-near-1.5e308": lambda: np.vstack([normal_sample(), [[1.5e308, 0.0, 0.0],
+                                                              [1.4e308, 0.0, 0.0]]]),
+    "row-norms-6e153": lambda: 6e153 * np.array([[1.0] * 8, [-1.0] * 8, [0.0] * 8]),
 }
 
+# row S: 50 x 3 normal samples (seeds 0-2, radius 0.3, minpts 3) times c,
+# from the subnormals to near float64's largest value
+ROW_S = (1e-320, 1e-310, 1e-300, 1e-250, 1e-200, 1e-162, 1e-161, 1e160, 1e200, 1e250,
+         1e300, 1e307)
 
-class TestMagnitudeLimit:
-    @pytest.mark.parametrize("case", list(TOO_LARGE))
-    def test_overflow_raises_one_value_error_with_no_warning(self, case):
-        make, magnitude = TOO_LARGE[case]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"input magnitudes reach {magnitude}; "
-                                                 "above about 1e153"):
-                fit(make(), radius=0.3)
 
-    def test_centering_overflow_names_no_inf(self):
-        # the mean is finite, the centered rows reach 2.27e308 and overflow
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="centering the input overflowed") as raised:
-                fit([[1.7e308], [-1.7e308], [-1.7e308]], radius=0.3)
-        assert "inf" not in str(raised.value) and "1e153" in str(raised.value)
+@pytest.mark.filterwarnings("error")
+class TestMagnitudeRange:
+    @pytest.mark.parametrize("case", list(PAST_THE_OLD_LIMIT))
+    def test_inputs_past_the_old_limit_fit_with_no_warning(self, case):
+        data = PAST_THE_OLD_LIMIT[case]()
+        model = fit(data, radius=0.3)
+        assert np.isfinite(model.starting_points).all() and 0.0 < model.mext < math.inf
+        starts = model.starting_points + model.mean
+        assert predict(model, starts).tolist() == model.group_cluster.tolist()
+        if case == "scaled-1e154":
+            assert model.labels.tolist() == fit(normal_sample(), radius=0.3).labels.tolist()
+
+    def test_centering_overflow_is_the_declared_limit(self):
+        # in the frame the rows fit; in the input's units the centered rows
+        # reach 2.27e308, past float64's largest value
+        with pytest.raises(ValueError, match="beyond float64's range") as raised:
+            fit([[1.7e308], [-1.7e308], [-1.7e308]], radius=0.3)
+        assert "inf" not in str(raised.value)
 
     def test_singular_values_where_the_largest_eigenvalue_overflows(self):
         # the Gram entries stay finite (near 9e307) but its largest
@@ -325,21 +328,60 @@ class TestMagnitudeLimit:
         rng = np.random.default_rng(0)
         sign = rng.choice([-1.0, 1.0], size=(1000, 1))
         x = 3e152 * sign * (1.0 + 0.01 * rng.uniform(size=(1000, 10)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            p = prep.prepare(x)
-            reference = np.ldexp(np.linalg.svd(np.ldexp(p.centered, -160), compute_uv=False), 160)
-        assert math.isfinite(p.sigma1) and p.sigma1 > 1e154
-        assert p.sigma1 == pytest.approx(reference[0], rel=1e-12)
-        # sigma2 carries the Gram matrix's rounding relative to sigma1, at any
-        # scale (sigma2 / sigma1 is about 1e-3 here)
-        assert p.sigma2 == pytest.approx(reference[1], rel=1e-9)
+        centered = x - x.mean(axis=0)
+        reference = np.ldexp(np.linalg.svd(np.ldexp(centered, -160), compute_uv=False), 160)
+        p = prep.prepare(x)
+        _, s1, s2 = first_principal_component(centered)
+        for sigma1, sigma2 in [(s1, s2), (math.ldexp(p.sigma1, p.e), math.ldexp(p.sigma2, p.e))]:
+            assert math.isfinite(sigma1) and sigma1 > 1e154
+            assert sigma1 == pytest.approx(reference[0], rel=1e-12)
+            # sigma2 carries the Gram matrix's rounding relative to sigma1, at
+            # any scale (sigma2 / sigma1 is about 1e-3 here)
+            assert sigma2 == pytest.approx(reference[1], rel=1e-9)
 
     def test_scaled_by_1e153_gives_the_labels_at_scale_one(self):
         x = normal_sample()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(fit(1e153 * x, radius=0.3).labels, fit(x, radius=0.3).labels)
+        assert np.array_equal(fit(1e153 * x, radius=0.3).labels, fit(x, radius=0.3).labels)
+
+    @pytest.mark.parametrize("k", [-1000, -500, -200, 200, 400, 1000])
+    def test_powers_of_two_prepare_the_scale_one_bits(self, k):
+        # scaling by 2^k is exact, and the frame takes it out again
+        x = np.random.default_rng(7).normal(size=(300, 4))
+        base, p = prepare(x), prepare(np.ldexp(x, k))
+        assert base.e == 0 and p.e != 0
+        assert np.array_equal(p.v1, base.v1) and np.array_equal(p.perm, base.perm)
+        assert np.array_equal(np.ldexp(p.centered, p.e), np.ldexp(base.centered, k))
+        assert np.array_equal(np.ldexp(p.scores, p.e), np.ldexp(base.scores, k))
+        assert [math.ldexp(v, p.e) for v in (p.mext, p.sigma1, p.sigma2)] == \
+            [math.ldexp(v, k) for v in (base.mext, base.sigma1, base.sigma2)]
+
+    @pytest.mark.parametrize("c", ROW_S)
+    def test_row_s_clusters_as_at_scale_one(self, c):
+        # labels, predictions (on the rows, near them and away from them) and
+        # a model reloaded from its JSON, against scale 1's
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = normal_sample(seed)
+            queries = np.vstack([x, x + 0.05 * rng.normal(size=x.shape),
+                                 3.0 * rng.normal(size=(20, 3))])
+            base = fit(x, radius=0.3, minpts=3)
+            want = predict(base, queries)
+            model = fit(c * x, radius=0.3, minpts=3)
+            for m in (model, from_json(to_json(model))):
+                assert m.labels.tolist() == base.labels.tolist(), (seed, c)
+                assert predict(m, c * queries).tolist() == want.tolist(), (seed, c)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.nan, np.inf]])
+    def test_non_finite_entries_raise_one_value_error(self, values):
+        # the frame's scan meets them: numpy's max and min propagate nan
+        data = normal_sample()
+        data[3:3 + len(values), 1] = values
+        for call in (prepare, lambda x: fit(x, radius=0.3), center,
+                     first_principal_component, principal_plane):
+            with pytest.raises(ValueError, match="non-finite values"):
+                call(data)
 
 
 class TestMedian:
