@@ -73,7 +73,7 @@ import numbers
 
 import numpy as np
 
-from .kernel import _BLOCK, _SPAN, block_rows, largest, screen, window_pad, within
+from .kernel import _BLOCK, _SPAN, block_rows, screen, window_pad, within
 from .prep import PreparedData
 
 
@@ -111,10 +111,9 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
     """
     r = _radius(r)
     X, scores, n = prepared.centered, prepared.scores, prepared.n
-    top = largest(X)
-    r_sq, reach = r * r, r + window_pad(X, r, top)
+    r_sq, reach = r * r, r + window_pad(X, r)
     ids = np.arange(n)
-    X32, frame = screen(X, top)
+    X32 = screen(X)
     layout = (ids, X32)    # slot j holds row ids[j] and its float32 column
     free = np.ones(n, dtype=bool)
     group_of = np.empty(n, dtype=np.int64)
@@ -139,8 +138,8 @@ def aggregate(prepared: PreparedData, r: float) -> tuple[np.ndarray, np.ndarray,
             cand = cand[:block_rows(e - (row + 1))]
             e = e[:cand.size]
         g0 = g
-        g, count, taken = _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g,
-                                       cand, e, left, first)
+        g, count, taken = _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e,
+                                       left, first)
         first = 4 * (g - g0) < 3 * cand.size
         dist_count += count
         left -= taken
@@ -173,10 +172,10 @@ def _compact(layout, free, lo: int, hi: int) -> int:
     return top
 
 
-def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, left, first):
+def _sweep_block(X, layout, r_sq, free, group_of, starts, g, cand, e, left, first):
     """Run the sweep over the candidate slots `cand` (the first `cand.size`
     of the `left` free slots, each with window end `e`) from one product
-    against their joint window, on the screen of frame exponent `frame`.
+    against their joint window.
 
     A candidate starts a group (g, g + 1, ... in slot order) unless an
     earlier start of the block hits it; each free row that a start hits
@@ -205,9 +204,9 @@ def _sweep_block(X, layout, frame, r_sq, free, group_of, starts, g, cand, e, lef
                 claimed |= early[c]
 
     if m > 1 and first:
-        decide(*within(A, X, r_sq, X32[:, cand], ids[cand], frame))
+        decide(*within(A, X, r_sq, X32[:, cand], ids[cand]))
         A = A[is_start]
-    i, j = within(A, X, r_sq, X32[:, lo:top], ids[lo:top], frame, free[lo:top])
+    i, j = within(A, X, r_sq, X32[:, lo:top], ids[lo:top], free[lo:top])
     if m > 1 and not first:
         # the free columns up to the last candidate are the later candidates
         head = j < cand[-1] + 1 - lo

@@ -19,20 +19,17 @@ decision (the threshold, or the nearest candidate), the value is computed
 again by the direct formula. So is every value of a block the product
 cannot decide. Outside the band, the two formulas cannot disagree.
 
-Every product runs in the frame of B: ``screen`` makes a (d + 1, n)
-column-major copy, once per caller, whose column j is 2^-e times row j,
-then that row's half squared norm, e being the ``frexp`` exponent of B's
-largest magnitude. Scaling by a power of two is exact away from underflow
-and overflow (Higham, *Accuracy and Stability of Numerical Algorithms*,
-section 3.1). ``within`` and ``nearest`` scale the rows of A by 2^-e and t
-by 2^-2e, with -1 last in each row of A, so one product gives
-x.y - |y|^2/2. Both take one bound per block, s = max |x|^2/2 +
-max |y|^2/2 (+ t/2 in ``within``) in the frame, and one band from it. A
-block whose s, or s plus its band, leaves [2^-100, 2^100) goes to the
-direct formula, its band made infinite: above, a float32 cast could near
-overflow; below, float32 underflow would swamp the band. The band also
-covers the direct formula's underflow in data units, so every decision, at
-every magnitude, is the direct formula's.
+Every product runs in the units it is given. ``screen`` makes a (d + 1, n)
+column-major copy of B, once per caller: row j, then its half squared norm.
+``within`` and ``nearest`` put -1 last in each row of A, so one product
+gives x.y - |y|^2/2, and take one bound per block, s = max |x|^2/2 +
+max |y|^2/2 (+ t/2 in ``within``), and one band from it. A block whose s,
+or s plus its band, leaves [2^-100, 2^100) goes to the direct formula:
+above, a float32 cast could overflow (to inf, with no numpy warning);
+below, float32 underflow would swamp the band. So every decision, at every
+magnitude, is the direct formula's. ``prepare`` frames a fit's rows by a
+power of two (``prep.framed``) to put s in that range; direct calls are
+screened where their own s lies in it.
 
 ``within`` screens in float32 and returns its hits as index pairs in
 row-major order: after each product one pass flags the entries above the
@@ -58,7 +55,7 @@ the budget, however much or little the windows move from row to row.
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
 memory stays bounded whatever the width of a window or the number of groups:
 ``within`` and ``nearest`` split the columns of a wide window themselves.
-``nearest`` reuses one product buffer, and one buffer of framed rows per
+``nearest`` reuses one product buffer, and one buffer of cast rows per
 precision: fresh 1 MB temporaries were paged in afresh on some heap states
 after a fit, and predict's time varied with them.
 """
@@ -77,7 +74,7 @@ _BLOCK = _BLOCK_BYTES // 8
 _ROUNDING = {t: (float(np.finfo(t).eps), float(np.finfo(t).smallest_subnormal))
              for t in (np.float32, np.float64)}
 _EPS, _TINY = _ROUNDING[np.float64]
-_SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # s screened, in the frame
+_SINGLE_LOW, _SINGLE_HIGH = 2.0 ** -100, 2.0 ** 100    # the s that are screened
 # Product entries of a nearest-search block from which it is screened in float32.
 _SCREEN_ENTRIES = 1 << 15
 # Rows of B nearest in score whose distances bound a score-windowed search.
@@ -100,44 +97,31 @@ def largest(points: np.ndarray) -> float:
     return max(float(points.max()), -float(points.min())) if points.size else 0.0
 
 
-def _framed(values, e: int):
-    """2^-e `values`, inf where that overflows: far beyond the frame, where
-    every block goes to the direct formula. Scaling down cannot overflow."""
-    if e >= 0:
-        return np.ldexp(values, -e)
-    with np.errstate(over="ignore"):
-        return np.ldexp(values, -e)
-
-
-def _band(d: int, s, e: int, dtype):
+def _band(d: int, s, dtype):
     """Rounding band of a screen of `dtype` (float32 or float64), in half
-    squared distance in the frame 2^-e of B: 8 (d + 4) u s, u = eps/2.
+    squared distance: 8 (d + 4) u s, u = eps/2.
 
-    `s` bounds |x|^2/2 + |y|^2/2 + t/2 for the pairs at hand, in the frame,
-    so |x||y| <= s and |y|^2/2 <= s. Both searches take one s per block,
-    from its largest norms: above a pair's own bound, s only widens the
-    band, which sends more entries to the direct formula and changes no
-    decision. The product of d + 1 terms (the last -1 times the half norm)
-    errs by at most 2 (d + 1) u s in any order, fused or not (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 3.1). In
-    float32, casting the rows adds 2u s, casting the half norm u s, and the
-    float32 threshold and band ends 2u s: (2 d + 7) u s (1 + 2u), as s
-    reads max |y|^2/2 rounded to float32; the float64 parts err by under
-    2^-26 of that. In float64 no cast rounds the framed rows, but the other
-    errors are of the product's order: each half norm, of a row of B or of
-    A, d u s (d squares summed); the threshold's subtraction u s; and the
-    direct formula, whose differences, squares and sum err by
-    (d + 2) u |y - x|^2, 2 (d + 2) u s in half squared distance. That is
-    (6 d + 7) u s in all, again under the band.
+    `s` bounds |x|^2/2 + |y|^2/2 + t/2 for the pairs at hand, so |x||y| <= s
+    and |y|^2/2 <= s. Both searches take one s per block, from its largest
+    norms: above a pair's own bound, s only widens the band, which sends
+    more entries to the direct formula and changes no decision. The product
+    of d + 1 terms (the last -1 times the half norm) errs by at most
+    2 (d + 1) u s in any order, fused or not (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1). In float32, casting
+    the rows adds 2u s, casting the half norm u s, and the float32 threshold
+    and band ends 2u s: (2 d + 7) u s (1 + 2u), as s reads max |y|^2/2
+    rounded to float32; the float64 parts err by under 2^-26 of that. In
+    float64 no cast rounds the rows, but the other errors are of the
+    product's order: each half norm, of a row of B or of A, d u s (d squares
+    summed); the threshold's subtraction u s; and the direct formula, whose
+    differences, squares and sum err by (d + 2) u |y - x|^2, 2 (d + 2) u s
+    in half squared distance. That is (6 d + 7) u s in all, again under the
+    band.
 
-    At most 3 d + 3 roundings underflow, each by half the smallest subnormal
-    of `dtype` (times |y_k| <= sqrt(2 s) for a framed entry): the absolute
-    term covers them for s <= 1/2, the relative one above. The direct
-    formula runs in data units, where each of its d squares may underflow
-    by half the smallest float64 subnormal: by d 2^-2e tiny / 4 at most in
-    the frame's half squared distance. The last term, 4 (d + 2) 2^-2e tiny,
-    covers two such errors; it passes the relative term for data below
-    about 1e-158, and overflows to inf below about 2^-1050.
+    At most 3 d + 3 roundings underflow, each by half the smallest subnormal of
+    `dtype` (times |y_k| <= sqrt(2 s) for an entry of a row), and each of the
+    direct formula's d squares by half of float64's, d tiny / 4 in half squared
+    distance: the absolute term covers them for s <= 1/2, the relative one above.
 
     The nearest search compares the screened entries of a row with its
     largest, the lead h1, for s = max |x|^2/2 + max |y|^2/2, with no
@@ -151,40 +135,34 @@ def _band(d: int, s, e: int, dtype):
     formula, and the row of h2 is neither the nearest nor tied with it.
     """
     eps, tiny = _ROUNDING[dtype]
-    return (4.0 * (d + 4) * (eps * s + tiny)
-            + 4.0 * (d + 2) * (math.ldexp(_TINY, -2 * e) if e > -1049 else math.inf))
+    return 4.0 * (d + 4) * (eps * s + tiny)
 
 
-def screen(points: np.ndarray, top=None, dtype=np.float32) -> tuple[np.ndarray, int]:
-    """The (d + 1, n) screen of `points` in `dtype` and its frame exponent
-    e, the ``frexp`` exponent of `top` (``largest(points)`` if not given):
-    column j is 2^-e times row j, then that row's half squared norm. The
-    rows go a budget's worth at a time: one strided cast of them all is
-    several times slower.
+def screen(points: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """The (d + 1, n) screen of `points` in `dtype`: column j is row j, then
+    that row's half squared norm; entries beyond float32's range cast to
+    inf. The rows go a budget's worth at a time: one strided cast of them
+    all is about twice as slow.
     """
-    e = math.frexp(largest(points) if top is None else top)[1]
     out = np.empty((points.shape[1] + 1, points.shape[0]), dtype)
     step = max(1, _BLOCK // out.shape[0])
-    for c in range(0, out.shape[1], step):
-        rows = np.ldexp(points[c:c + step], -e)
-        out[:-1, c:c + step] = rows.T
-        out[-1, c:c + step] = half_sq_norms(rows)
-    return out, e
+    with np.errstate(over="ignore"):
+        for c in range(0, out.shape[1], step):
+            rows = points[c:c + step]
+            out[:-1, c:c + step] = rows.T
+            out[-1, c:c + step] = half_sq_norms(rows)
+    return out
 
 
 def screens(points: np.ndarray) -> tuple:
-    """What a nearest search against the rows of `points` precomputes, from
-    one scan for the largest entry: ``(b32, b64, e, pad)``, their float32
-    and float64 screens of frame exponent e and ``window_pad(points, 0.0)``.
-    b32, b64 rounded once, is ``screen(points)`` bit for bit."""
-    top = largest(points)
-    b64, e = screen(points, top, np.float64)
-    return b64.astype(np.float32), b64, e, window_pad(points, 0.0, top)
+    """``(b32, b64, pad)``, what a nearest search against the rows of `points`
+    precomputes: their float32 and float64 screens and ``window_pad(points, 0.0)``."""
+    return screen(points), screen(points, np.float64), window_pad(points, 0.0)
 
 
-def window_pad(points: np.ndarray, r: float, top=None) -> float:
+def window_pad(points: np.ndarray, r: float) -> float:
     """Slack to add to a score window of half-width `r` over `points`; `r`
-    may be an array of half-widths, and `top` is ``largest(points)``.
+    may be an array of half-widths.
 
     A row within r by the direct formula has a score gap of at most r, up
     to rounding: the scores err by at most d u |x| each (u = eps/2), the
@@ -198,8 +176,7 @@ def window_pad(points: np.ndarray, r: float, top=None) -> float:
     if points.size == 0:
         return 0.0
     d = points.shape[1]
-    top = largest(points) if top is None else top
-    return (4.0 * (d + 2) * _EPS * (math.sqrt(d) * top + r)
+    return (4.0 * (d + 2) * _EPS * (math.sqrt(d) * largest(points) + r)
             + 2.0 * math.sqrt((d + 2) * _TINY))
 
 
@@ -213,35 +190,32 @@ def _direct_sq(A: np.ndarray, ia: np.ndarray, B: np.ndarray, ib: np.ndarray) -> 
     return out
 
 
-def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows, e: int,
+def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows,
            cols=None) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j), in row-major order, with |B[b_rows[j]] - A[i]|^2 <= t
     (t >= 0) as the direct formula decides, and `cols[j]` if a column mask
     is given.
 
     `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
-    :func:`screen` layout of frame exponent `e`; k may be 0. The columns go
-    ``_BLOCK // m`` at a time, so every product holds the budget however
-    wide the window; each chunk takes one bound and one band, and the rows
-    of A are cast once a chunk is screened. The rows of B are gathered only
-    for direct re-checks. A stable sort on i puts the pairs of several
-    chunks back in row-major order.
+    :func:`screen` layout; k may be 0. The columns go ``_BLOCK // m`` at a
+    time, so every product holds the budget however wide the window; each
+    chunk takes one bound and one band, and the rows of A are cast once a
+    chunk is screened. The rows of B are gathered only for direct re-checks.
+    A stable sort on i puts the pairs of several chunks back in row-major order.
     """
     m, d, k = A.shape[0], A.shape[1], b32.shape[1]
-    scaled = _framed(A, e)
-    t_e = math.ldexp(t, -2 * e) if e >= 0 else float(_framed(t, 2 * e))    # math.ldexp is fast
-    half_a = half_sq_norms(scaled)
-    top, a32 = float(np.maximum.reduce(half_a)) + 0.5 * t_e, None
+    half_a = half_sq_norms(A)
+    top, a32 = float(np.maximum.reduce(half_a)) + 0.5 * t, None
     step = max(1, _BLOCK // m)
     pairs = [(np.empty(0, np.int64),) * 2]
     for c in range(0, k, step):
         bc = b32[:, c:c + step]
         s = top + float(np.maximum.reduce(bc[-1]))    # the columns' largest, in float32
-        width = _band(d, s, e, np.float32)
+        width = _band(d, s, np.float32)
         if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH:
             if a32 is None:    # |x|^2/2 <= s < 2^100: no entry overflows
-                a32, thr = np.empty((m, d + 1), np.float32), half_a - 0.5 * t_e
-                a32[:, :-1], a32[:, -1] = scaled, -1.0    # np.full takes longer
+                a32, thr = np.empty((m, d + 1), np.float32), half_a - 0.5 * t
+                a32[:, :-1], a32[:, -1] = A, -1.0    # np.full takes longer
             h = np.matmul(a32, bc)
             lower, upper = np.float32(thr - width)[:, None], np.float32(thr + width)
         else:    # the direct formula decides every entry
@@ -315,10 +289,9 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None,
     by the product; otherwise every row of B within twice the band of the
     lead is a candidate, compared by the direct formula. So are the winners
     of several column chunks, and every row of a block the product cannot
-    decide, whose band is infinite. A block of at least
-    ``_SCREEN_ENTRIES`` entries is screened in float32, a smaller one in
-    float64, in the same frame. B must have a row (a ValueError otherwise);
-    `screened` (``screens(B)``) may be given.
+    decide, whose band is infinite. A block of at least ``_SCREEN_ENTRIES``
+    entries is screened in float32, a smaller one in float64. B must have a
+    row (a ValueError otherwise); `screened` (``screens(B)``) may be given.
 
     Given `score_a` and `score_b`, the rows' scores along one unit direction
     (nondecreasing for B), it may search score windows instead
@@ -344,7 +317,7 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None,
     _check_rows(B)
     screened = screens(B) if screened is None else screened
     if score_a is None or not _by_score(A.shape[0], B.shape[0]):
-        return _nearest(A, half_sq_norms(A), B, *screened[:3])
+        return _nearest(A, half_sq_norms(A), B, *screened[:2])
     if callable(score_a):
         score_a = score_a(A)
     order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
@@ -364,16 +337,16 @@ def _by_score(rows_a: int, rows_b: int) -> bool:
             and rows_a * rows_b >= 4 * _BLOCK)
 
 
-def _nearest(A, half_a, B, b32, b64, e) -> np.ndarray:
+def _nearest(A, half_a, B, b32, b64) -> np.ndarray:
     """:func:`nearest`, given the half squared norms of the rows of A and
-    the float32 and float64 screens of B with their frame exponent."""
+    the float32 and float64 screens of B."""
     m, k, d = A.shape[0], B.shape[0], A.shape[1]
     cols = min(k, _BLOCK)
     rows = max(1, _BLOCK // cols)
     best = np.zeros(m, dtype=np.int64)
     best_sq = np.full(m, np.inf) if k > cols else None
     buf = np.empty(min(m, rows) * cols)    # holds float64 or float32 entries
-    framed = {}    # the rows of A in the frame, -1 last, one buffer per dtype
+    cast = {}    # the rows of A, -1 last, one buffer per dtype
     for c0 in range(0, k, cols):
         Bc, nc = B[c0:c0 + cols], min(cols, k - c0)
         for r0 in range(0, m, rows):
@@ -381,21 +354,14 @@ def _nearest(A, half_a, B, b32, b64, e) -> np.ndarray:
             nr = at.stop - r0
             dtype = np.float32 if nr * nc >= _SCREEN_ENTRIES else np.float64
             bc = (b32 if dtype is np.float32 else b64)[:, c0:c0 + cols]
-            # the rows' largest half norm in the frame, with room for the squares
-            # that underflow in data units (d tiny at most); math.ldexp is fast
-            try:
-                s = math.ldexp(float(np.maximum.reduce(half_a[at])) + d * _TINY, -2 * e)
-            except OverflowError:
-                s = math.inf
-            s += float(np.maximum.reduce(bc[-1]))    # the columns', as the screen holds it
-            width = _band(d, s, e, dtype)
-            # in range, and |y - x|^2 <= 4 s stays below 2^1022 in data units
-            if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH and math.frexp(s)[1] + 2 * e <= 1021:
-                a = framed.get(dtype)
+            # the rows' largest half norm, then the columns', as the screen holds it
+            s = float(np.maximum.reduce(half_a[at])) + float(np.maximum.reduce(bc[-1]))
+            width = _band(d, s, dtype)
+            if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH:
+                a = cast.get(dtype)
                 if a is None:
-                    a = framed[dtype] = np.full((min(m, rows), d + 1), -1.0, dtype)
-                # |x|^2/2 < s < 2^100: no entry overflows
-                np.ldexp(A[at], -e, out=a[:nr, :-1])
+                    a = cast[dtype] = np.full((min(m, rows), d + 1), -1.0, dtype)
+                a[:nr, :-1] = A[at]    # |x|^2/2 < s < 2^100: no entry overflows
                 h = np.matmul(a[:nr], bc, out=buf.view(dtype)[:nr * nc].reshape(nr, nc))
             else:    # the direct formula decides every entry
                 h, width = np.zeros((nr, nc)), math.inf
@@ -442,7 +408,7 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     """
     _check_rows(B)
     m, k = A.shape[0], B.shape[0]
-    b32, b64, e, pad = screens(B) if screened is None else screened
+    b32, b64, pad = screens(B) if screened is None else screened
     near = min(_SCORE_NEIGHBOURS, k)
     first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
     # runs[j] is the view of rows j..j+near-1 of B: one gather per row of A
@@ -461,5 +427,5 @@ def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
     best = np.empty(m, dtype=np.int64)
     for rows, lo, hi in window_blocks(los, his):
         best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], b32[:, lo:hi],
-                                   b64[:, lo:hi], e)
+                                   b64[:, lo:hi])
     return best

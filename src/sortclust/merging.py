@@ -138,11 +138,11 @@ def _window_hits(A, B, los, his, t: float) -> tuple[np.ndarray, np.ndarray]:
     """For each row i of A, the j with los[i] <= j < his[i] and
     |B[j] - A[i]|^2 <= t: their number per row, and the j, ascending per
     row, row after row. One product per block of ``kernel.window_blocks``."""
-    b32, e = screen(B)
+    b32 = screen(B)
     counts = np.zeros(A.shape[0], dtype=np.int64)
     pieces = [np.empty(0, dtype=np.int64)]
     for rows, lo, hi in window_blocks(los, his):
-        i, j = within(A[rows], B, t, b32[:, lo:hi], np.arange(lo, hi), e)
+        i, j = within(A[rows], B, t, b32[:, lo:hi], np.arange(lo, hi))
         j += lo
         keep = (j >= los[rows][i]) & (j < his[rows][i])
         counts[rows] += np.bincount(i[keep], minlength=rows.stop - rows.start)

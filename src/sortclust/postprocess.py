@@ -79,8 +79,8 @@ class ClusterModel:
     @functools.cached_property
     def _eligible(self) -> tuple:
         """predict's eligible groups, their points in their frame 2^-e (``prep.framed``),
-        ``kernel.screens`` of them (float32 and float64 screens, frame exponent
-        and window pad), |v1|, their scores along v1 / |v1| in the frame, and e."""
+        ``kernel.screens`` of them (float32 and float64 screens and window pad),
+        |v1|, their scores along v1 / |v1| in the frame, and e."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
@@ -258,10 +258,12 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
     eligible, pts, screened, norm, scores, e = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
-    q = q - model.mean
+    q, score = q - model.mean, lambda a: (a @ model.v1) / norm
     if e:    # a frame only far from normal magnitudes: no pass over q otherwise
-        np.ldexp(q, -e, out=q)
-    near = nearest(q, pts, lambda a: (a @ model.v1) / norm, scores, screened)
+        with np.errstate(over="ignore"):    # inf past float64: it ties with every start
+            np.ldexp(q, -e, out=q)
+        score = score if np.isfinite(q).all() else None    # inf scores nan: search densely
+    near = nearest(q, pts, score, scores, screened)
     return model.group_cluster[eligible[near]]
 
 

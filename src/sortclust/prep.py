@@ -38,8 +38,8 @@ class PreparedData:
     mext : float
         Scale of the unit-free radius: the median norm of the centered rows.
     e : int
-        Frame exponent (:func:`framed`): coordinates, statistics and the
-        stages' radii are 2^-e times the input's.
+        Frame exponent, the input's and the centered rows' (:func:`prepare`):
+        coordinates, statistics and the stages' radii are 2^-e times the input's.
     """
 
     centered: np.ndarray
@@ -74,14 +74,16 @@ def real_array(values, name: str) -> np.ndarray:
 
 def framed(points) -> tuple[np.ndarray, int]:
     """2^-e `points` and e, the ``frexp`` exponent of their largest magnitude, if
-    beyond +-64; within, where no square or Gram entry nears float64's limits,
-    `points` and 0. Exact away from underflow and overflow (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 3.1). nan and inf raise ValueError."""
+    beyond +-32; within, `points` and 0. Exact away from underflow and overflow
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1). nan and inf
+    raise ValueError. Within, no square or Gram entry nears float64's limits, and
+    rows in [2^-33, 2^33) keep the kernel's bound s in [2^-67, 2^100) for any d
+    below 2^30, so their products are screened."""
     top = largest(points)
     if not math.isfinite(top):
         raise ValueError("input contains non-finite values")
     e = math.frexp(top)[1]
-    return (np.ldexp(points, -e), e) if abs(e) > 64 else (points, 0)
+    return (np.ldexp(points, -e), e) if abs(e) > 32 else (points, 0)
 
 
 def center(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -91,9 +93,11 @@ def center(raw) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("input must be a 2-D matrix of points")
     if pts.shape[0] < 1 or pts.shape[1] < 1:
         raise ValueError("input must have at least one row and one column")
-    mean = pts.mean(axis=0)    # nan or inf where its column holds one
+    with np.errstate(over="ignore", invalid="ignore"):    # silent: raised below
+        mean = pts.mean(axis=0)    # nan or inf where its column holds one or its sum overflows
     if not np.isfinite(mean).all():
-        raise ValueError("input contains non-finite values")
+        raise ValueError("the input's column sums overflow float64; scale it down"
+                         if math.isfinite(largest(pts)) else "input contains non-finite values")
     return pts - mean, mean
 
 
@@ -202,6 +206,10 @@ def prepare(raw) -> PreparedData:
     no n x d temporary is made for them; each row reduces as it would in one
     call, so the norms are the same bit for bit. Norms beyond float64's range
     in the input's units (``[[1.7e308], [-1.7e308], [-1.7e308]]``) raise ValueError.
+    The centered rows take their own frame 2^-k, :func:`framed` of their norms,
+    with the mean, scores, σ and `mext`: then a spread tiny or huge next to the
+    largest entry is screened as at scale 1. A nonzero norm is at least 2^-537
+    and the framed mean under 2^32, so 2^-k mean stays finite.
     """
     pts, e = framed(real_array(raw, "input"))
     centered, mean = center(pts)
@@ -213,5 +221,10 @@ def prepare(raw) -> PreparedData:
                             for i in range(0, ordered.shape[0], step)])
     if math.frexp(float(norms.max()))[1] + e > 1024:
         raise ValueError("centered row norms lie beyond float64's range, about 1.8e308")
+    norms, k = framed(norms)
+    if k:
+        for values in (ordered, scores, mean):
+            np.ldexp(values, -k, out=values)
+        sigma1, sigma2, e = math.ldexp(sigma1, -k), math.ldexp(sigma2, -k), e + k
     return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
                         sigma1=sigma1, sigma2=sigma2, mext=_median(norms), e=e)

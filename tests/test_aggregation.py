@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,9 +391,10 @@ class TestCompactedSweep:
 
     @pytest.mark.parametrize("scale", [1e-30, 1e40, 1e154])
     def test_scales_beyond_the_float32_range_are_screened(self, scale, monkeypatch):
-        # s in data units would lie below 2^-100 (1e-30) or above 2^100
-        # (1e40), and at 1e154 |x|^2 overflows: in the screen's frame every
-        # block is screened in float32, in chunks of the budget
+        # s in data units lies below 2^-100 (1e-30) or above 2^100 (1e40),
+        # and at 1e154 |x|^2 overflows: there the direct formula decides
+        # every block, and in prepare's frame every block is screened in
+        # float32, in chunks of the budget
         monkeypatch.setattr(kernel, "_BLOCK", 7)
         for block in (7, 60):
             monkeypatch.setattr(aggregation, "_BLOCK", block)
@@ -405,6 +407,10 @@ class TestCompactedSweep:
                 # direct formula's do
                 with np.errstate(over="ignore"):
                     dtypes = multiplied_dtypes(monkeypatch, lambda: check_sweep(p, scale))
+                assert dtypes == set()
+                framed = prepare(p.centered)
+                r = math.ldexp(scale, -framed.e)
+                dtypes = multiplied_dtypes(monkeypatch, lambda: check_sweep(framed, r))
                 assert dtypes == {np.dtype(np.float32)}
             assert zones and moves_fewer_than_it_drops(zones)
 

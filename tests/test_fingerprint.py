@@ -47,25 +47,33 @@ def test_density_fingerprint_is_complete_and_repeatable():
 
 
 def test_scaled_fingerprint_repeats_itself():
-    # --scale multiplies the training and query rows: a run at 1e-150
-    # repeats itself and fits the same number of groups as at scale 1
+    # --scale multiplies the training and query rows and --offset is added
+    # to them: a run at 1e-150, or at 5e-10 + 1e-17 times the rows, repeats
+    # itself and fits the same number of groups as at scale 1
     tool = load_tool()
-    first = tool.fingerprint(harness.WORKLOADS["density"], 3, 1e-150)
-    assert first == tool.fingerprint(harness.WORKLOADS["density"], 3, 1e-150)
-    assert set(first["sha256"]) == DIGESTS and set(first["counters"]) == COUNTERS
     plain = tool.fingerprint(harness.WORKLOADS["density"], 3)
-    assert first["counters"]["groups"] == plain["counters"]["groups"]
-    assert first["sha256"]["to_json"] != plain["sha256"]["to_json"]
+    for scale, offset in ((1e-150, 0.0), (1e-17, 5e-10)):
+        first = tool.fingerprint(harness.WORKLOADS["density"], 3, scale, offset)
+        assert first == tool.fingerprint(harness.WORKLOADS["density"], 3, scale, offset)
+        assert set(first["sha256"]) == DIGESTS and set(first["counters"]) == COUNTERS
+        assert first["counters"]["groups"] == plain["counters"]["groups"]
+        assert first["sha256"]["to_json"] != plain["sha256"]["to_json"]
 
 
 def test_scale_option_reaches_the_rows(capsys):
-    # main passes --scale on; the default of 1 leaves the lines as they were
+    # main passes --scale and --offset on; the defaults of 1 and 0 leave the
+    # lines as they were
     tool = load_tool()
-    with mock.patch.object(tool, "fingerprint", lambda w, seed, scale: {"scale": scale}), \
+    with mock.patch.object(tool, "fingerprint",
+                           lambda w, seed, scale, offset: {"scale": scale, "offset": offset}), \
             mock.patch.object(sys, "path", list(sys.path)):
         tool.main(["--workload", "density", "--seed", "3", "--scale", "1e60"])
+        tool.main(["--workload", "density", "--seed", "3", "--offset", "5e-10",
+                   "--scale", "1e-17"])
         tool.main(["--workload", "density", "--seed", "3"])
-    assert capsys.readouterr().out.splitlines() == ['{"scale": 1e+60}', '{"scale": 1.0}']
+    assert capsys.readouterr().out.splitlines() == [
+        '{"offset": 0.0, "scale": 1e+60}', '{"offset": 5e-10, "scale": 1e-17}',
+        '{"offset": 0.0, "scale": 1.0}']
 
 
 def test_power_of_two_scale_gives_the_scale_one_digests():

@@ -11,7 +11,7 @@ from sortclust import aggregation, kernel, merging
 from sortclust.aggregation import aggregate
 from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
 from sortclust.merging import GroupClusterMap, density_merge, distance_merge
-from sortclust.postprocess import apply_minpts, fit, predict
+from sortclust.postprocess import apply_minpts, fit, predict, to_json
 from sortclust.prep import PreparedData, prepare
 
 from _oracles import (aggregate_reference, brute_force_density_edges,
@@ -35,23 +35,19 @@ def pair_mask(pairs, shape):
 
 
 def within_all(A, B, t):
-    b32, e = kernel.screen(B)
-    return pair_mask(within(A, B, t, b32, np.arange(B.shape[0]), e), (A.shape[0], B.shape[0]))
+    return pair_mask(within(A, B, t, kernel.screen(B), np.arange(B.shape[0])),
+                     (A.shape[0], B.shape[0]))
 
 
-def framed_bound(A, B, t=0.0):
-    """The bound s of one block of A against every row of B, in B's frame,
-    with max |y|^2/2 as the screen holds it, and the frame exponent e."""
-    b32, e = kernel.screen(B)
-    half_a = half_sq_norms(np.ldexp(A, -e))
-    return half_a.max() + float(b32[-1].max()) + 0.5 * np.ldexp(t, -2 * e), e
+def block_bound(A, B, t=0.0):
+    """The bound s of one block of A against every row of B, with
+    max |y|^2/2 as the screen holds it."""
+    return half_sq_norms(A).max() + float(kernel.screen(B)[-1].max()) + 0.5 * t
 
 
 def data_band(d, A, B, t=0.0):
-    """The float32 band of a block of A against B, in half squared distance
-    of data units."""
-    s, e = framed_bound(A, B, t)
-    return float(np.ldexp(kernel._band(d, s, e, np.float32), 2 * e))
+    """The float32 band of a block of A against B, in half squared distance."""
+    return kernel._band(d, block_bound(A, B, t), np.float32)
 
 
 def by_hand(points, v1):
@@ -145,47 +141,66 @@ class TestFloatRange:
         assert np.array_equal(nearest(A, B), direct_nearest(A, B))
 
 
+# blobs at a scale c, or offset: C + c X (see TestFrame)
+FAR = [pytest.param(0.0, c, id=f"{c:g}")
+       for c in (1e-200, 1e-60, 1e-30, 1e-15, 1e15, 1e30, 1e60, 1e200)] + [
+    pytest.param(5e-10, 1e-17, id="5e-10+1e-17x"), pytest.param(3.0, 1e-14, id="3+1e-14x")]
+
+
 class TestFrame:
-    """B's frame brings data of any magnitude into the float32 screen's
-    range; data below about 1e-158 goes to the direct formula, whose squares
-    underflow in data units."""
+    """``prepare`` frames a fit's rows by a power of two, and ``predict`` its
+    starts and queries, so that their products are screened at any
+    magnitude. Direct calls keep their units: blocks whose bound s leaves
+    the screen's range, at about 1e-15 and 1e15 for rows near the origin,
+    go to the direct formula, which decides every block exactly."""
 
-    @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1e30, 1e60])
-    def test_scaled_data_is_screened_in_float32(self, scale, monkeypatch):
-        # the nearest search screens 8 rows against 4,096
+    @pytest.mark.parametrize("offset, scale", FAR)
+    def test_scaled_data_is_screened_in_float32(self, offset, scale, monkeypatch):
+        # a fit (aggregate, distance merge and minPts, which moves the 27
+        # groups of 30 scattered rows) and a predict at any magnitude, or
+        # offset far from its spread: every product runs on a float32 or
+        # float64 screen, and the direct formula re-checks at most 1% of
+        # their entries. With every block sent to the direct formula the
+        # model is the same, bit for bit
         rng = np.random.default_rng(21)
-        A, B = scale * rng.normal(size=(20, 4)), scale * rng.normal(size=(60, 4))
-        exact = direct_sq_matrix(A, B)
-        t = float(np.median(exact))
-        got, types, rechecked = recounted(monkeypatch, lambda: within_all(A, B, t))
-        assert np.array_equal(got, exact <= t)
-        assert types == {np.dtype(np.float32)} and rechecked <= 0.01 * exact.size
-        B = scale * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 4))
-        near, types, rechecked = recounted(monkeypatch, lambda: nearest(A[:8], B))
-        assert np.array_equal(near, direct_nearest(A[:8], B))
-        assert types == {np.dtype(np.float32)} and rechecked <= 0.01 * B.shape[0]
+        centres = rng.normal(scale=4.0, size=(3, 4))
+        x = np.vstack([centres[rng.integers(3, size=1500)] + rng.normal(size=(1500, 4)),
+                       rng.uniform(-12.0, 12.0, size=(30, 4))])
+        queries = offset + scale * (x[:200] + 0.3 * rng.normal(size=(200, 4)))
 
-    @pytest.mark.parametrize("scale", [1e-165, 1e-200])
-    def test_data_below_1e_minus_158_goes_to_the_direct_formula(self, scale, monkeypatch):
-        # the band's underflow term spans every value (1e-165), or passes
-        # 2^100 and leaves no product (1e-200)
+        def run():
+            model = fit(offset + scale * x, radius=0.3, minpts=40)
+            return model, predict(model, queries)
+
+        (model, labels), products, rechecked = work(monkeypatch, run)
+        entries = sum(a[0] * b[1] for _, _, a, b, _ in products)
+        assert dtypes(products) <= {np.dtype(np.float32), np.dtype(np.float64)}
+        assert 0 < rechecked <= 0.01 * entries
+        monkeypatch.setattr(kernel, "_SINGLE_HIGH", 0.0)
+        direct, direct_labels = run()
+        assert to_json(model) == to_json(direct)
+        assert np.array_equal(labels, direct_labels)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-165, 1e-60, 1e-30, 1e30, 1e60])
+    def test_direct_calls_outside_the_range_go_to_the_direct_formula(self, scale, monkeypatch):
+        # rows in their own units, far from 1: s lies outside [2^-100, 2^100),
+        # so no block is multiplied and the direct formula decides every entry
         rng = np.random.default_rng(22)
         A, B = scale * rng.normal(size=(20, 4)), scale * rng.normal(size=(60, 4))
         exact = direct_sq_matrix(A, B)
-        none = set() if scale < 1e-170 else {np.dtype(np.float32)}
         for t in (0.0, float(np.median(exact))):
             got, types, rechecked = recounted(monkeypatch, lambda: within_all(A, B, t))
             assert np.array_equal(got, exact <= t)
-            assert types == none and rechecked == exact.size
+            assert types == set() and rechecked == exact.size
         # 8 rows against 4,096: a block large enough to screen
         B = scale * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 4))
         near, types, rechecked = recounted(monkeypatch, lambda: nearest(A[:8], B))
         assert np.array_equal(near, direct_nearest(A[:8], B))
-        assert types == none and rechecked == 8 * B.shape[0]
+        assert types == set() and rechecked == 8 * B.shape[0]
 
     def test_zero_and_subnormal_rows(self):
-        # frame 0, or one scaled up by 2^1063: the threshold and the band
-        # overflow without a warning, and every entry goes direct
+        # zero or subnormal rows, below the screen's range: every entry goes
+        # direct
         rng = np.random.default_rng(23)
         for B in (np.zeros((30, 3)), np.ldexp(rng.integers(-8, 9, size=(30, 3)), -1074)):
             A = np.vstack([B[:5], np.zeros((1, 3))])
@@ -196,9 +211,9 @@ class TestFrame:
 
     def test_nearest_distances_that_overflow_tie_at_inf(self, monkeypatch):
         # rows of B about -1.3e154 e_1 and queries at +1.3e154 e_1: every
-        # half norm is finite and in the frame's range, but the queries'
-        # direct distances overflow to inf and tie, so the smallest index is
-        # the nearest. 8 rows against 4,096 make a block large enough to screen
+        # half norm is finite, but the queries' direct distances overflow to
+        # inf and tie, so the smallest index is the nearest. 8 rows against
+        # 4,096 make a block large enough to screen, but s lies past 2^100
         rng = np.random.default_rng(25)
         B = [-1.3e154, 0.0, 0.0] + 1e150 * rng.normal(size=(kernel._SCREEN_ENTRIES // 8, 3))
         A = np.vstack([B[:6] + 1e150 * rng.normal(size=(6, 3)),
@@ -210,11 +225,10 @@ class TestFrame:
         assert types == set()
 
     @pytest.mark.parametrize("size", [1.0, 1e-300])
-    def test_queries_far_outside_the_frame(self, size):
+    def test_queries_far_from_the_rows_of_b(self, size):
         # rows of A 1e60 and 1e200 times as large as the rows of B, and at
-        # 1e300, beside rows near B: only the far rows' blocks go direct.
-        # Scaled into the frame of B at 1e-300, rows at 1e300 overflow to
-        # inf, with no warning
+        # 1e300, beside rows near B: only the far rows' blocks go direct, and
+        # their half norms and float32 casts overflow to inf with no warning
         rng = np.random.default_rng(24)
         B = size * rng.normal(size=(50, 3))
         for far in (size * 1e60, size * 1e200, 1e300):
@@ -251,7 +265,7 @@ class TestSingleBand:
         assert np.all(np.abs(own / t - 1.0) <= 7 * eps32)
         assert (own <= t).any() and (own > t).any()
         # the block is one the float32 screen covers
-        s, e = framed_bound(A, B, t)
+        s = block_bound(A, B, t)
         assert kernel._SINGLE_LOW <= s < kernel._SINGLE_HIGH
         assert np.array_equal(within_all(A, B, t), exact <= t)
 
@@ -276,30 +290,28 @@ class TestSingleBand:
         assert last == [-1.0] * 6
 
 
-def framed(points):
-    """The screen of `points` and its frame exponent, one array at a time:
-    e from the largest magnitude, then the rows scaled by 2^-e and their
-    half norms, rounded to float32."""
-    e = int(np.frexp(np.abs(points).max() if points.size else 0.0)[1])
-    scaled = np.ldexp(points, -e)
-    return np.vstack([scaled.T, half_sq_norms(scaled)]).astype(np.float32), e
+def cast(points):
+    """The screen of `points`, cast whole: the rows and their half norms,
+    rounded to float32, inf beyond its range."""
+    with np.errstate(over="ignore"):
+        return np.vstack([points.T, half_sq_norms(points)]).astype(np.float32)
 
 
 class TestScreen:
-    """``kernel.screen`` against the scaled rows and half norms, cast whole."""
+    """``kernel.screen`` against the rows and half norms, cast whole."""
 
     def check(self, points):
-        got, e = kernel.screen(points)
-        want, want_e = framed(points)
+        got = kernel.screen(points)
         assert got.dtype == np.float32 and got.shape == (points.shape[1] + 1, points.shape[0])
         assert got.flags.c_contiguous
-        assert e == want_e and got.tobytes() == want.tobytes()
-        return got, e
+        assert got.tobytes() == cast(points).tobytes()
+        return got
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     @pytest.mark.parametrize("block", [60, kernel._BLOCK])
     def test_columns_across_block_boundaries(self, d, block, monkeypatch):
-        # rows of magnitudes 1e-20 to 1e20: the smallest underflow in the frame
+        # rows of magnitudes 1e-20 to 1e20: the half norms of the smallest
+        # underflow in float32, those of the largest overflow to inf
         monkeypatch.setattr(kernel, "_BLOCK", block)
         step = block // (d + 1)
         rng = np.random.default_rng(d)
@@ -307,29 +319,27 @@ class TestScreen:
             self.check(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-20, 20, size=(n, 1)))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-60, 1.0, 1e60, 1e300])
-    def test_rows_scaled_into_the_frame(self, scale, monkeypatch):
-        # at any magnitude the largest entry lands in [1/2, 1) and no cast
-        # overflows, so no entry is clipped
+    def test_rows_beyond_float32_cast_to_inf_with_no_warning(self, scale, monkeypatch):
+        # the rows keep their units: past float32's range an entry and its
+        # half norm cast to inf, with no warning (warnings are errors here),
+        # and below it they round to zero
         monkeypatch.setattr(kernel, "_BLOCK", 12)
         points = scale * np.array([[3.0, -4.0], [1.0, 0.5], [-7.5, 2.0], [0.0, 0.0],
                                    [1e-9, 0.0]])
-        got, e = self.check(points)
-        assert e == np.frexp(7.5 * scale)[1]
-        assert float(np.abs(got[:-1]).max()) == np.float32(np.ldexp(7.5 * scale, -e))
-        assert 0.5 <= np.abs(got[:-1]).max() < 1.0
+        got = self.check(points)
+        assert np.isinf(got[:, 0]).all() == (scale > 1e38)
+        assert (not got.any()) == (scale < 1e-46)
 
     def test_zero_subnormal_and_empty_rows(self):
-        # frame 0 for no nonzero entry; an all-subnormal B scales up exactly
         for points in (np.zeros((3, 2)), np.array([[5e-324, -1e-320], [0.0, 3e-322]]),
                        np.empty((0, 4))):
-            got, e = self.check(points)
-            assert e == (0 if not points.any() else -1063)
-        assert not kernel.screen(np.zeros((3, 2)))[0].any()
+            self.check(points)
+        assert not kernel.screen(np.zeros((3, 2))).any()
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-60, 1.0, 1e60, 1e150, 1e300])
     def test_screens_at_any_scale(self, scale):
         # the nearest search's screens: b32 is screen(B) bit for bit, b64 the
-        # same framed rows and half norms unrounded, and pad window_pad(B, 0)
+        # same rows and half norms unrounded, and pad window_pad(B, 0)
         rng = np.random.default_rng(7)
         self.check_screens(scale * rng.normal(size=(50, 3)))
 
@@ -339,19 +349,17 @@ class TestScreen:
             self.check_screens(points)
 
     def check_screens(self, points):
-        b32, b64, e, pad = kernel.screens(points)
-        want, want_e = kernel.screen(points)
+        b32, b64, pad = kernel.screens(points)
         assert b32.dtype == np.float32 and b32.flags.c_contiguous
-        assert e == want_e and b32.tobytes() == want.tobytes()
-        scaled = np.ldexp(points, -e)
+        assert b32.tobytes() == kernel.screen(points).tobytes()
         assert b64.dtype == np.float64 and b64.flags.c_contiguous
-        assert b64.tobytes() == np.vstack([scaled.T, half_sq_norms(scaled)]).tobytes()
+        assert b64.tobytes() == np.vstack([points.T, half_sq_norms(points)]).tobytes()
         assert pad == kernel.window_pad(points, 0.0)
 
 
-def recounted(monkeypatch, call):
-    """The result of `call`, the dtypes of its products, and the number of
-    pairs it decides by the direct formula."""
+def work(monkeypatch, call):
+    """The result of `call`, its products (as `multiplied` lists them), and
+    the number of pairs it decides by the direct formula."""
     rechecked, direct_sq = [], kernel._direct_sq
 
     def counting(A, ia, B, ib):
@@ -361,16 +369,21 @@ def recounted(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "_direct_sq", counting)
         got, products = multiplied(monkeypatch, call)
-    return got, dtypes(products), sum(rechecked)
+    return got, products, sum(rechecked)
 
 
-class TestFrameRange:
-    """A block is screened when its bound s, in B's frame, lies in [2^-100,
-    2^100), and s plus its band too; any other block goes to the direct
-    formula, with no product. In the frame, the upper end takes rows of A
-    or a threshold far outside B's range, and the lower end columns far
-    smaller than B's largest row. Blocks either side of each end decide as
-    the direct formula does."""
+def recounted(monkeypatch, call):
+    """The result of `call`, the dtypes of its products, and the number of
+    pairs it decides by the direct formula."""
+    got, products, rechecked = work(monkeypatch, call)
+    return got, dtypes(products), rechecked
+
+
+class TestScreenRange:
+    """A block is screened when its bound s lies in [2^-100, 2^100), and s
+    plus its band too; any other block goes to the direct formula, with no
+    product. Blocks either side of each end decide as the direct formula
+    does."""
 
     def far_rows(self, rng, m, d, n=40):
         """B, n rows of norm about 1, and m rows within 1e-3 of a unit vector."""
@@ -396,8 +409,8 @@ class TestFrameRange:
             return float(np.median(direct_sq_matrix(c * A0, B)))
 
         def bound(c):
-            s, e = framed_bound(c * A0, B, median(c))
-            return s + kernel._band(d, s, e, np.float32)
+            s = block_bound(c * A0, B, median(c))
+            return s + kernel._band(d, s, np.float32)
 
         c = self.scaled_to(kernel._SINGLE_HIGH, side, bound)
         A, t = c * A0, median(c)
@@ -418,8 +431,8 @@ class TestFrameRange:
         B, A0 = self.far_rows(rng, 8, d, kernel._SCREEN_ENTRIES // 8)
 
         def bound(c):
-            s, e = framed_bound(c * A0, B)
-            return s + kernel._band(d, s, e, np.float32)
+            s = block_bound(c * A0, B)
+            return s + kernel._band(d, s, np.float32)
 
         A = self.scaled_to(kernel._SINGLE_HIGH, side, bound) * A0
         near, types, rechecked = recounted(monkeypatch, lambda: nearest(A, B))
@@ -428,7 +441,7 @@ class TestFrameRange:
         assert rechecked == A.shape[0] * B.shape[0]
 
     def small_columns(self, rng, d):
-        """A pool whose row 0 (norm 1) sets the frame, then 4,096 rows of
+        """A pool whose row 0 (norm 1) no block meets, then 4,096 rows of
         norm about 1 (8 rows against them make a block large enough to
         screen), and 8 rows of A among them."""
         pool = np.vstack([np.eye(d)[:1], rng.normal(size=(kernel._SCREEN_ENTRIES // 8, d))])
@@ -436,12 +449,9 @@ class TestFrameRange:
 
     def shrunk(self, pool, A0, c, t0):
         """The pool with all rows but row 0 scaled by c, and the bound s of
-        c A0 against those rows at threshold c^2 t0, in the pool's frame,
-        which the largest row of A sets."""
+        c A0 against those rows at threshold c^2 t0."""
         pool = np.vstack([pool[:1], c * pool[1:]])
-        b32, e = kernel.screen(pool)
-        half_a = half_sq_norms(np.ldexp(c * A0, -e))
-        return pool, half_a.max() + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(c * c * t0, -2 * e)
+        return pool, block_bound(c * A0, pool[1:], c * c * t0)
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("side", [-1, 1])
@@ -454,13 +464,12 @@ class TestFrameRange:
         c = self.scaled_to(kernel._SINGLE_LOW, side,
                            lambda c: self.shrunk(pool, A0, c, t0)[1])
         pool, A, t = self.shrunk(pool, A0, c, t0)[0], c * A0, c * c * t0
-        b32, e = kernel.screen(pool)
-        assert e == 1
+        b32 = kernel.screen(pool)
         rows = np.arange(1, pool.shape[0])
         exact = direct_sq_matrix(A, pool[1:]) <= t
         assert exact.any() and not exact.all()
         got, types, rechecked = recounted(
-            monkeypatch, lambda: pair_mask(within(A, pool, t, b32[:, 1:], rows, e), exact.shape))
+            monkeypatch, lambda: pair_mask(within(A, pool, t, b32[:, 1:], rows), exact.shape))
         assert np.array_equal(got, exact)
         if side == 1:
             assert types == {np.dtype(np.float32)} and rechecked < 0.1 * exact.size
@@ -476,10 +485,10 @@ class TestFrameRange:
         c = self.scaled_to(kernel._SINGLE_LOW, side,
                            lambda c: self.shrunk(pool, A0, c, 0.0)[1])
         pool, A = self.shrunk(pool, A0, c, 0.0)[0], c * A0
-        b32, b64, e, _ = kernel.screens(pool)
+        b32, b64, _ = kernel.screens(pool)
         B = pool[1:]
         near, types, rechecked = recounted(monkeypatch, lambda: kernel._nearest(
-            A, half_sq_norms(A), B, b32[:, 1:], b64[:, 1:], e))
+            A, half_sq_norms(A), B, b32[:, 1:], b64[:, 1:]))
         assert np.array_equal(near, direct_nearest(A, B))
         if side == 1:
             assert types == {np.dtype(np.float32)} and rechecked < A.shape[0] * B.shape[0]
@@ -494,24 +503,24 @@ class TestBlockBound:
     formula. Each block holds 5 rows near the 40 columns and one row whose
     bound sets the block's; the direct formula decides every pair."""
 
-    scaled_to = TestFrameRange.scaled_to
+    scaled_to = TestScreenRange.scaled_to
 
     def check(self, monkeypatch, A, pool, first, t, types, rechecked):
-        """within of A against the rows of `pool` from `first` on, in the
-        pool's frame, against the direct oracle, with the dtypes of its
-        products and the number of pairs it re-checks."""
-        b32, e = kernel.screen(pool)
+        """within of A against the rows of `pool` from `first` on, against
+        the direct oracle, with the dtypes of its products and the number of
+        pairs it re-checks."""
+        b32 = kernel.screen(pool)
         exact = direct_sq_matrix(A, pool[first:]) <= t
         assert exact.any() and not exact.all()
         got, got_types, got_rechecked = recounted(monkeypatch, lambda: pair_mask(
-            within(A, pool, t, b32[:, first:], np.arange(first, pool.shape[0]), e), exact.shape))
+            within(A, pool, t, b32[:, first:], np.arange(first, pool.shape[0])), exact.shape))
         assert np.array_equal(got, exact)
         assert (got_types, got_rechecked) == (types, rechecked)
 
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_small_rows_beside_one_row_at_two_to_the_hundred(self, d, side, monkeypatch):
-        # under 2^100 the block's band, about 2^80 in the frame, sends every
+        # under 2^100 the block's band, about 2^80, sends every
         # entry of the small rows to the direct formula and none of the
         # large row's; over it the direct formula decides the whole block
         rng = np.random.default_rng(d)
@@ -524,8 +533,8 @@ class TestBlockBound:
             return np.vstack([small, c * u / np.linalg.norm(u)])
 
         def bound(c):
-            s, e = framed_bound(rows(c), B, t)
-            return s + kernel._band(d, s, e, np.float32)
+            s = block_bound(rows(c), B, t)
+            return s + kernel._band(d, s, np.float32)
 
         A = rows(self.scaled_to(kernel._SINGLE_HIGH, side, bound))
         if side == -1:
@@ -535,8 +544,8 @@ class TestBlockBound:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_rows_under_two_to_the_minus_hundred_beside_one_in_range(self, d, monkeypatch):
-        # the pool's row 0 (norm 1) sets the frame; the columns and 5 rows
-        # of A of norm about 2^-60 bound themselves near 2^-120, and a row of
+        # the columns and 5 rows of A of norm about 2^-60 (past the pool's
+        # row 0) bound themselves near 2^-120, and a row of
         # norm 1 brings the block's bound into range: the block is screened,
         # and its band sends every entry of the tiny rows to the direct
         # formula and none of the row in range
@@ -545,8 +554,7 @@ class TestBlockBound:
         tiny = pool[1:6] + 2.0 ** -60 * 0.3 * rng.normal(size=(5, d))
         t = float(np.median(direct_sq_matrix(tiny, pool[1:])))
         A = np.vstack([tiny, np.ones(d) / np.sqrt(d)])
-        b32, e = kernel.screen(pool)
-        own = half_sq_norms(np.ldexp(A, -e)) + float(b32[-1, 1:].max()) + 0.5 * np.ldexp(t, -2 * e)
+        own = half_sq_norms(A) + float(kernel.screen(pool)[-1, 1:].max()) + 0.5 * t
         assert np.all(own[:5] < kernel._SINGLE_LOW) and own[5] > 2.0 ** -10
         self.check(monkeypatch, A, pool, 1, t, {np.dtype(np.float32)}, 5 * 40)
 
@@ -557,8 +565,9 @@ class TestRangeGuard:
         # c09's samples, scaled to where s in data units would lie past the
         # float32 screen's range [2^-100, 2^100) (1e-30, 1e-20, 1e20, 1e40)
         # and to either side of its ends (1e-16 and 3e14 outside, 3e-16 and
-        # 1e14 inside): the frame screens them all. The stages take them in the
-        # input's units, where prepare would have framed those beyond 2^+-64
+        # 1e14 inside). The stages take them in the input's units, where
+        # prepare would have framed them, and blocks outside the range go to
+        # the direct formula
         rng = np.random.default_rng(109)
         for _ in range(5):
             n, d = int(rng.integers(20, 200)), int(rng.integers(1, 6))
@@ -569,12 +578,11 @@ class TestRangeGuard:
             assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, d)
 
-    @pytest.mark.parametrize("scale", [1e-30, 1e-22, 1.0, 1e20])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_few_entries_go_to_the_direct_formula(self, scale, monkeypatch):
-        # in the frame, data at any of these scales is screened with the
-        # band of data near 1: screening data below the range in data units,
-        # where the band's absolute term swamps its relative one, would send
-        # every entry to the direct formula
+        # direct calls inside the screen's range are screened with a band
+        # relative to their own magnitude (far ones go through prepare's
+        # frame: TestFrame)
         rechecked, direct_sq = [], kernel._direct_sq
 
         def counting(A, ia, B, ib):
@@ -590,9 +598,8 @@ class TestRangeGuard:
         assert sum(rechecked) <= 0.001 * exact.size
 
     def test_rows_beyond_the_range_beside_rows_within_it(self):
-        # one row 3e25 from the others sets the frame: blocks without it fall
-        # below the screen's range, and in blocks with it the other rows'
-        # pairs lie within its band, so the direct formula decides those
+        # one row 3e25 from the others: blocks with it lie beyond the
+        # screen's range, so the direct formula decides them
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(300, 3))
         pts[17] = [3e25, -1e25, 2e25]
@@ -602,7 +609,7 @@ class TestRangeGuard:
             edges = density_merge(starts, p, r)
             assert set(map(tuple, edges.tolist())) == brute_force_density_edges(
                 p.centered, p.centered[starts], r, 3)
-        # blocks holding that row, whose float32 copy is clipped
+        # blocks holding that row, whose float32 half norm is inf
         A, B = pts[:20], pts[20:]
         exact = direct_sq_matrix(A, B)
         assert np.array_equal(within_all(A, B, 1.0), exact <= 1.0)
@@ -689,10 +696,10 @@ def fillers(A, count, spread, gap, rng):
 
 class TestNearestScreen:
     """Blocks of the nearest search with at least ``_SCREEN_ENTRIES`` product
-    entries, whose s lies in [2^-100, 2^100) in the frame, are screened by
-    one float32 product; every row whose runner-up lies within twice the
-    float32 band of its lead goes to the direct formula. Smaller blocks are
-    screened in float64 in the same frame."""
+    entries, whose s lies in [2^-100, 2^100), are screened by one float32
+    product; every row whose runner-up lies within twice the float32 band of
+    its lead goes to the direct formula. Smaller blocks are screened in
+    float64."""
 
     COLS = kernel._SCREEN_ENTRIES // 8    # 8 rows of A fill one screened block
 
@@ -755,13 +762,13 @@ class TestNearestScreen:
         exact = np.sort(direct_sq_matrix(A, B), axis=1)
         gap = 0.5 * (exact[:, 1] - exact[:, 0])
         assert np.all(exact[:, 1] < 1.8) and np.all(exact[:, 2] > 9.0)
-        s, e = framed_bound(A, B)
+        s = block_bound(A, B)
         assert np.all(gap < data_band(d, A, B))
-        assert np.all(gap > 2.0 * np.ldexp(kernel._band(d, s, e, np.float64), 2 * e))
+        assert np.all(gap > 2.0 * kernel._band(d, s, np.float64))
         near, types, rechecked = recounted(monkeypatch, lambda: nearest(A, B))
         assert np.array_equal(near, direct_nearest(A, B))
         assert types == {np.dtype(np.float64)} and rechecked == 0
-        # one product of the rows in the frame, each with -1 last, and the screen
+        # one product of the rows, each with -1 last, and the screen
         near, products = multiplied(monkeypatch, lambda: nearest(A, B))
         assert len(products) == 1
         a_type, b_type, a_shape, b_shape, last = products[0]
@@ -954,8 +961,8 @@ class TestPairs:
     direct formula's mask, in row-major order, masked by its columns."""
 
     def call(self, A, B, t, cols=None):
-        b32, e = kernel.screen(B)
-        return within(A, B, t, b32, np.arange(B.shape[0]), e, cols)
+        b32 = kernel.screen(B)
+        return within(A, B, t, b32, np.arange(B.shape[0]), cols)
 
     def check(self, got, want):
         assert all(side.dtype == np.int64 for side in got)
@@ -991,7 +998,7 @@ class TestPairs:
         self.check(self.call(A, B, t, np.zeros(200, bool)), direct_pairs(A, B, -1.0))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-165])
-    def test_out_of_frame_blocks_recheck_only_the_masked_columns(self, scale, monkeypatch):
+    def test_out_of_range_blocks_recheck_only_the_masked_columns(self, scale, monkeypatch):
         # the direct formula decides every entry, of the columns the mask keeps
         A, B, t, cols = self.data(5, 6, scale=scale)
         got, _, rechecked = recounted(monkeypatch, lambda: self.call(A, B, t))
@@ -1023,7 +1030,7 @@ class TestColumnChunks:
     @pytest.mark.parametrize("scale", [1.0, 1e40])
     def test_windows_wider_than_the_budget(self, m, scale, monkeypatch):
         # 40 columns against a budget of 7 entries: chunks of 7 columns for
-        # one row, of 2 for three; at 1e40, the screen's frame scales them
+        # one row, of 2 for three; at 1e40 they go to the direct formula
         monkeypatch.setattr(kernel, "_BLOCK", 7)
         shapes = []
         real = kernel._within_chunk
@@ -1040,8 +1047,8 @@ class TestColumnChunks:
         exact = direct_sq_matrix(A, B)
         t = float(np.median(exact))
         assert np.array_equal(within_all(A, B, t), exact <= t)
-        b32, e = kernel.screen(pool)
-        gathered = pair_mask(within(A, pool, t, b32[:, rows], rows, e), exact.shape)
+        b32 = kernel.screen(pool)
+        gathered = pair_mask(within(A, pool, t, b32[:, rows], rows), exact.shape)
         assert np.array_equal(gathered, exact <= t)
         assert len(shapes) > 2 and all(r * k <= 7 for r, k in shapes)
         assert sum(k for _, k in shapes) == 2 * B.shape[0]

@@ -198,20 +198,21 @@ class TestApplyMinpts:
         assert new_map.cluster_of_group[group_of].tolist() == [0] * 7
 
     @staticmethod
-    def small_clusters():
+    def small_clusters(scale=1.0):
         """A distance-merged grouping with many clusters under minpts = 10:
-        781 of its 1,198 groups move, into 417 eligible starts."""
-        data = np.random.default_rng(4).normal(size=(2000, 2))
+        at scale 1, 781 of its 1,198 groups move, into 417 eligible starts.
+        Also returns prepare's frame exponent."""
+        data = scale * np.random.default_rng(4).normal(size=(2000, 2))
         p = prepare(data)
         r = 0.05 * p.mext
         starts, group_of, _ = aggregate(p, r)
         pts, scores = p.centered[starts], p.scores[starts]
         sizes = np.bincount(group_of)
         cmap = connected_components(starts.size, distance_merge(scores, pts, r), sizes)
-        return data, (cmap, sizes, pts, scores, 10)
+        return data, (cmap, sizes, pts, scores, 10), p.e
 
     def test_both_searches_reassign_alike(self, monkeypatch):
-        _, args = self.small_clusters()
+        _, args, _ = self.small_clusters()
         cmap, minpts = args[0], args[-1]
         small = cmap.sizes < minpts
         assert small[cmap.cluster_of_group].sum() == 781 and (~small).sum() > 0
@@ -234,31 +235,34 @@ class TestApplyMinpts:
     @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1.0, 1e30, 1e60])
     def test_reassigns_to_the_nearest_eligible_start_at_any_scale(self, path, scale,
                                                                  monkeypatch):
-        # the searches against the direct formula's nearest eligible start;
-        # in the frame of the eligible starts, both screen in float32 at
-        # every scale
-        _, (cmap, sizes, pts, scores, minpts) = self.small_clusters()
-        args = (cmap, sizes, scale * pts, scale * scores, minpts)
-        got, dtypes = multiplied_in(monkeypatch, lambda: apply_minpts(*args))
-        with monkeypatch.context() as patch:
-            patch.setattr(postprocess, "nearest", lambda A, B, *rest: direct_nearest(A, B))
-            expected = apply_minpts(*args)
-        assert np.array_equal(got.cluster_of_group, expected.cluster_of_group)
-        assert np.array_equal(got.sizes, expected.sizes)
-        assert dtypes == {np.dtype(np.float32)}
+        # the searches against the direct formula's nearest eligible start,
+        # on the starts in prepare's frame, where both screen in float32 at
+        # every scale, and in the input's units, where they screen only
+        # near scale 1
+        _, (cmap, sizes, pts, scores, minpts), e = self.small_clusters(scale)
+        for (a, b), screened in [((pts, scores), True),
+                                 ((np.ldexp(pts, e), np.ldexp(scores, e)), scale == 1.0)]:
+            args = (cmap, sizes, a, b, minpts)
+            got, dtypes = multiplied_in(monkeypatch, lambda: apply_minpts(*args))
+            with monkeypatch.context() as patch:
+                patch.setattr(postprocess, "nearest", lambda A, B, *rest: direct_nearest(A, B))
+                expected = apply_minpts(*args)
+            assert np.array_equal(got.cluster_of_group, expected.cluster_of_group)
+            assert np.array_equal(got.sizes, expected.sizes)
+            assert dtypes == ({np.dtype(np.float32)} if screened else set())
 
     def test_fewer_than_2048_eligible_starts_are_searched_densely(self, monkeypatch):
         # one product search of the moved groups against every eligible
         # start, and no score windows
-        data, (cmap, *_, minpts) = self.small_clusters()
+        data, (cmap, *_, minpts), _ = self.small_clusters()
         eligible = int((cmap.sizes[cmap.cluster_of_group] >= minpts).sum())
         assert eligible < 2048
         calls = []
         real = kernel._nearest
 
-        def recording(A, half_a, B, b32, b64, e):
+        def recording(A, half_a, B, b32, b64):
             calls.append((A.shape[0], B.shape[0]))
-            return real(A, half_a, B, b32, b64, e)
+            return real(A, half_a, B, b32, b64)
 
         def windows(*args, **kwargs):
             raise AssertionError("score windows searched")
@@ -550,6 +554,21 @@ class TestPredictPaths:
         labels, dtypes = multiplied_in(monkeypatch, lambda: predict(m, queries))
         assert np.array_equal(labels, TestPredict.nearest_clusters(m, queries))
         assert dtypes == set()
+
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_a_query_past_float64_in_the_frame_of_a_tiny_model(self, path):
+        # starts near 1e-300 frame the queries by about 2^997: a query at
+        # 1e300 overflows to inf there, with no numpy warning, and ties with
+        # every start at inf, as in the input's units, so the first eligible
+        # start's cluster wins (9 here); the queries beside it keep theirs
+        x = np.random.default_rng(0).normal(size=(50, 3))
+        m = fit(1e-300 * x, radius=0.3)
+        first = int(m.group_cluster[np.flatnonzero(m.group_cluster >= 0)[0]])
+        near = 1e-300 * x[:5]
+        far = [[1e300, 1e300, 1e300], [1e300, -1e300, 0.0]]
+        got = predict(m, np.vstack([far, near]))
+        assert got.tolist() == [first, first] + predict(m, near).tolist()
+        assert first == 9
 
     @pytest.mark.parametrize("path", PATHS, indirect=True)
     def test_queries_far_outside_the_data(self, path):

@@ -37,6 +37,19 @@ class TestCenter:
         with pytest.raises(ValueError):
             center([[float("inf"), 0.0]])
 
+    def test_opposite_infinities_raise_with_no_warning(self):
+        # their column's sum is nan: one ValueError, and no numpy warning
+        # (warnings are errors here)
+        with pytest.raises(ValueError, match="non-finite values"):
+            center([[np.inf], [-np.inf]])
+
+    def test_column_sums_that_overflow_are_named(self):
+        # finite rows whose column sum passes float64's largest value: the
+        # message names the sums, not the values, and numpy stays silent
+        with pytest.raises(ValueError, match="column sums overflow") as raised:
+            center([[1.5e308], [1.4e308]])
+        assert "non-finite" not in str(raised.value)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             center([1.0, 2.0, 3.0])
@@ -343,17 +356,25 @@ class TestMagnitudeRange:
         x = normal_sample()
         assert np.array_equal(fit(1e153 * x, radius=0.3).labels, fit(x, radius=0.3).labels)
 
-    @pytest.mark.parametrize("k", [-1000, -500, -200, 200, 400, 1000])
-    def test_powers_of_two_prepare_the_scale_one_bits(self, k):
-        # scaling by 2^k is exact, and the frame takes it out again
-        x = np.random.default_rng(7).normal(size=(300, 4))
+    # 2^-1000 times 5e-10 is subnormal, where scaling rounds
+    @pytest.mark.parametrize("k, offset, spread", [
+        pytest.param(k, offset, spread, id=f"{k}" + (f"-{offset:g}+{spread:g}x" if offset else ""))
+        for offset, spread in [(0.0, 1.0), (5e-10, 1e-17), (3.0, 1e-14)]
+        for k in (-1000, -500, -200, 200, 400, 1000) if (k, offset) != (-1000, 5e-10)])
+    def test_powers_of_two_prepare_the_scale_one_bits(self, k, offset, spread):
+        # scaling by 2^k is exact, and the frames take it out again: the
+        # input's, and for rows whose spread is tiny next to their offset,
+        # the centered rows' (which scale 1 takes too). In scale 1's frame
+        # the rows and statistics have its bits
+        x = offset + spread * np.random.default_rng(7).normal(size=(300, 4))
         base, p = prepare(x), prepare(np.ldexp(x, k))
-        assert base.e == 0 and p.e != 0
+        assert (base.e == 0) == (offset == 0.0) and p.e != base.e
         assert np.array_equal(p.v1, base.v1) and np.array_equal(p.perm, base.perm)
-        assert np.array_equal(np.ldexp(p.centered, p.e), np.ldexp(base.centered, k))
-        assert np.array_equal(np.ldexp(p.scores, p.e), np.ldexp(base.scores, k))
-        assert [math.ldexp(v, p.e) for v in (p.mext, p.sigma1, p.sigma2)] == \
-            [math.ldexp(v, k) for v in (base.mext, base.sigma1, base.sigma2)]
+        back = p.e - k - base.e
+        for name in ("centered", "scores", "mean"):
+            assert np.array_equal(np.ldexp(getattr(p, name), back), getattr(base, name))
+        assert [math.ldexp(v, back) for v in (p.mext, p.sigma1, p.sigma2)] == \
+            [base.mext, base.sigma1, base.sigma2]
 
     @pytest.mark.parametrize("c", ROW_S)
     def test_row_s_clusters_as_at_scale_one(self, c):
