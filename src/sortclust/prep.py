@@ -2,8 +2,8 @@
 
 The output of :func:`prepare` is the canonical input of the aggregation
 phase: rows reordered by their projection onto the top principal direction,
-together with the scale statistic (the median row norm) that makes the
-user-facing radius parameter unit-free.
+in the one n x d buffer it makes, together with the scale statistic (the
+median row norm) that makes the user-facing radius parameter unit-free.
 """
 
 from __future__ import annotations
@@ -170,61 +170,69 @@ def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, ordered
 
 
-def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project onto v1 and reorder rows by nondecreasing score (stable).
+def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray]:
+    """Project onto v1 and order the rows by nondecreasing score (stable).
 
-    Returns ``(ordered rows, sorted scores, perm)``. Equal scores keep the
-    input order of their rows, which decides the row that starts a group;
-    ``_stable_argsort`` keeps that order at the speed of numpy's default
-    sort, by sorting the runs of equal scores again.
+    Returns ``(sorted scores, perm)``; the rows in that order are
+    ``centered[perm]``, which :func:`prepare` gathers itself. Equal scores keep
+    the input order of their rows, which decides the row that starts a group;
+    ``_stable_argsort`` keeps that order at the speed of numpy's default sort,
+    by sorting the runs of equal scores again.
     """
     X = np.asarray(centered, dtype=np.float64)
     v = np.asarray(v1, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise ValueError("v1 must have unit norm")
     perm, scores = _stable_argsort(X @ v)
-    return np.take(X, perm, axis=0), scores, perm
+    return scores, perm
 
 
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a nonempty float64 vector with no nan, bit for bit:
     the middle element, or the mean ``(a + b) / 2`` of the two middle ones,
-    as ``np.median`` takes it. ``np.median`` imports ``numpy.ma`` for its nan
-    check, which would add that module to every fit's start-up."""
+    as ``np.median`` takes it. `values` is partitioned in place, so no copy
+    of it is made. ``np.median`` imports ``numpy.ma`` for its nan check,
+    which would add that module to every fit's start-up."""
     half = values.size // 2
-    if values.size % 2:
-        return float(np.partition(values, half)[half])
-    part = np.partition(values, (half - 1, half))
-    return float((part[half - 1] + part[half]) / 2)
+    values.partition(half if values.size % 2 else (half - 1, half))
+    return float(values[half] if values.size % 2 else (values[half - 1] + values[half]) / 2)
 
 
 def prepare(raw) -> PreparedData:
     """Run the full preparation pipeline on raw points.
 
-    The stages run on the input in its frame (:func:`framed`, one scan). The
-    row norms behind `mext` are taken in blocks of about ``_BLOCK`` entries, so
-    no n x d temporary is made for them; each row reduces as it would in one
-    call, so the norms are the same bit for bit. Norms beyond float64's range
-    in the input's units (``[[1.7e308], [-1.7e308], [-1.7e308]]``) raise ValueError.
-    The centered rows take their own frame 2^-k, :func:`framed` of their norms,
-    with the mean, scores, σ and `mext`: then a spread tiny or huge next to the
-    largest entry is screened as at scale 1. A nonzero norm is at least 2^-537
-    and the framed mean under 2^32, so 2^-k mean stays finite.
+    The input is framed (:func:`framed`, one scan); one n x d buffer is made
+    beyond it. It holds the centered rows, then, ``_BLOCK`` entries at a time,
+    the score-sorted rows gathered from the input and centered again (the same
+    bits), whose norms for `mext` are taken in cache, each row as in one call.
+    Norms past float64 in the input's units raise ValueError. The rows take
+    their own frame 2^-k, with the mean, scores, σ and `mext`, so a spread tiny
+    or huge next to the largest entry is screened as at scale 1. k is
+    :func:`framed` of the norms (2^-k mean stays finite: norms are 0 or at least
+    2^-537, the framed mean under 2^32). Where σ1 < 2^-200 squares may have
+    underflowed: k is the rows' largest exponent, held where 2^-k mean reaches
+    2^1022, and v1 is taken again (the gather then reads a scaled input copy).
     """
-    pts, e = framed(real_array(raw, "input"))
-    centered, mean = center(pts)
-    v1, sigma1, sigma2 = first_principal_component(centered.view(_Framed))
-    ordered, scores, perm = score_and_sort(centered, v1)
-    del centered    # n * d floats fewer at the peak, under the norms' temporaries
-    step = max(1, _BLOCK // ordered.shape[1])
-    norms = np.concatenate([np.linalg.norm(ordered[i:i + step], axis=1)
-                            for i in range(0, ordered.shape[0], step)])
+    pts, e = framed(np.ascontiguousarray(real_array(raw, "input")))
+    rows, mean = center(pts)
+    v1, sigma1, sigma2 = first_principal_component(rows.view(_Framed))
+    k = (max(math.frexp(largest(rows))[1], math.frexp(largest(mean))[1] - 1022)
+         if sigma1 < 2.0 ** -200 else 0)
+    if k:
+        pts, mean, e = np.ldexp(pts, -k), np.ldexp(mean, -k), e + k
+        v1, sigma1, sigma2 = first_principal_component(np.ldexp(rows, -k, out=rows).view(_Framed))
+    scores, perm = score_and_sort(rows, v1)
+    step = max(1, _BLOCK // rows.shape[1])
+    norms = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], step):    # the sorted rows take the centered rows' place
+        block = np.take(pts, perm[i:i + step], axis=0, out=rows[i:i + step], mode="clip")
+        norms[i:i + step] = np.linalg.norm(np.subtract(block, mean, out=block), axis=1)
     if math.frexp(float(norms.max()))[1] + e > 1024:
         raise ValueError("centered row norms lie beyond float64's range, about 1.8e308")
-    norms, k = framed(norms)
+    norms, k = (norms, 0) if k else framed(norms)
     if k:
-        for values in (ordered, scores, mean):
+        for values in (rows, scores, mean):
             np.ldexp(values, -k, out=values)
         sigma1, sigma2, e = math.ldexp(sigma1, -k), math.ldexp(sigma2, -k), e + k
-    return PreparedData(centered=ordered, mean=mean, v1=v1, scores=scores, perm=perm,
+    return PreparedData(centered=rows, mean=mean, v1=v1, scores=scores, perm=perm,
                         sigma1=sigma1, sigma2=sigma2, mext=_median(norms), e=e)

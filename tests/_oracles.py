@@ -125,14 +125,13 @@ def mc_window_hit_rate(c: float, r: float, s: float, d: int, samples: int,
     return p1_exact * frac, p1_exact * math.sqrt(frac * (1.0 - frac) / m), frac
 
 
-def stable_score_sort(centered, v1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stable_score_sort(centered, v1) -> tuple[np.ndarray, np.ndarray]:
     """Rows ordered by score the plain way: numpy's stable argsort of the
-    scores and a fancy-index gather. Returns (ordered rows, sorted scores,
-    perm), as ``score_and_sort`` does."""
+    scores. Returns (sorted scores, perm), as ``score_and_sort`` does."""
     X = np.asarray(centered, dtype=np.float64)
     raw = X @ np.asarray(v1, dtype=np.float64)
     perm = np.argsort(raw, kind="stable")
-    return X[perm], raw[perm], perm
+    return raw[perm], perm
 
 
 def brute_force_groups(points_sorted, scores, r: float) -> list[list[int]]:

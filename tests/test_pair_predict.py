@@ -1,5 +1,5 @@
 """`tools/pair_predict.py` times two source trees' predicts or fits in one
-process.
+process, or reads their peak resident memory over repeated fits.
 
 The tests run it as a module, loaded from its file, with this checkout as
 both trees: the two module sets must give equal labels on every call, and
@@ -85,6 +85,28 @@ def test_two_fit_rounds_of_the_first_5000_rows(capsys):
     assert set(line) == {"workload", "seed", "rounds", "rows", "fit_ms"}
     for tree in ("base", "work"):
         assert 0.0 < line["fit_ms"][tree]["p50"] <= line["fit_ms"][tree]["p90"]
+
+
+def test_rss_of_two_fits_in_a_child_process_per_tree(capsys):
+    kernels = run_tool("--rss")
+    # the trees fit in child processes, so none is loaded here
+    assert kernels == [None, None]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert set(line) == {"workload", "seed", "rounds", "rss_mb"}
+    assert (line["workload"], line["seed"], line["rounds"]) == ("many-groups", 3, 2)
+    assert set(line["rss_mb"]) == {"base", "work"}
+    for peaks in line["rss_mb"].values():
+        # ru_maxrss after each fit: a peak, so it never falls
+        assert len(peaks) == 2 and 0.0 < peaks[0] <= peaks[1]
+
+
+def test_rss_and_fit_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        load_tool().main(["--root", str(ROOT), "--rss", "--fit"])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--rows", "5000"], ["--fit", "--rows", "0"]])

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sortclust import fit, from_json, predict, prep, to_json
+from sortclust import fit, from_json, make_blobs, predict, prep, to_json
 from sortclust.prep import (_median, _stable_argsort, center, first_principal_component,
                             prepare, principal_plane, score_and_sort)
 
@@ -114,18 +115,16 @@ class TestFirstPrincipalComponent:
 
 class TestScoreAndSort:
     def test_one_dimensional_sort(self):
-        ordered, scores, perm = score_and_sort([[3.0], [1.0], [2.0]], [1.0])
+        scores, perm = score_and_sort([[3.0], [1.0], [2.0]], [1.0])
         assert scores.tolist() == [1.0, 2.0, 3.0]
         assert perm.tolist() == [1, 2, 0]
-        assert ordered[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_stable_on_ties(self):
-        ordered, scores, perm = score_and_sort(np.ones((4, 2)), [1.0, 0.0])
+        scores, perm = score_and_sort(np.ones((4, 2)), [1.0, 0.0])
         assert perm.tolist() == [0, 1, 2, 3]
 
     def test_scores_from_hand_case(self):
-        ordered, scores, _ = score_and_sort([[-1.0, -1.0], [1.0, 1.0]],
-                                            [1.0 / SQRT2, 1.0 / SQRT2])
+        scores, _ = score_and_sort([[-1.0, -1.0], [1.0, 1.0]], [1.0 / SQRT2, 1.0 / SQRT2])
         assert np.allclose(scores, [-SQRT2, SQRT2], atol=1e-12)
 
     def test_rejects_non_unit_direction(self):
@@ -139,7 +138,7 @@ def assert_sorts_like_oracle(X, v1):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    return got[2]
+    return got[1]
 
 
 def unit(v):
@@ -292,6 +291,49 @@ class TestPrepare:
         p = prepare([[7.0, -2.0]])
         assert p.n == 1 and p.scores.tolist() == [0.0] and p.mext == 0.0
 
+    def test_one_n_by_d_buffer_beyond_the_input(self):
+        # the centered rows and the score-sorted rows share one buffer: the
+        # traced peak is that buffer and a few n-vectors (scores, perm, norms
+        # and the sort's), under 1.6 times the input's bytes
+        X, _ = make_blobs(100_000, 10, 10, 1.0, 0)
+        prepare(X[:100])
+        tracemalloc.start()
+        try:
+            prepare(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * X.nbytes, peak / X.nbytes
+
+    @pytest.mark.parametrize("shape", [(70_001, 4), (300, 1000)])
+    @pytest.mark.parametrize("case", ["scale-1", "2^100", "2^-100", "5e-10+1e-17x"])
+    def test_sorted_rows_are_the_centered_input_in_score_order(self, shape, case):
+        # gathered from the input block by block and centered there, the
+        # rows are (raw - mean)[perm] bit for bit, in the input's units and,
+        # for the rescaled inputs, in scale 1's frame
+        x = np.random.default_rng(8).normal(size=shape)
+        raw = {"scale-1": x, "2^100": np.ldexp(x, 100), "2^-100": np.ldexp(x, -100),
+               "5e-10+1e-17x": 5e-10 + 1e-17 * x}[case]
+        p = prepare(raw)
+        assert np.ldexp(p.centered, p.e).tobytes() == (raw - raw.mean(axis=0))[p.perm].tobytes()
+        assert p.centered.flags.c_contiguous
+        if case.startswith("2^"):
+            base = prepare(x)
+            assert np.array_equal(p.perm, base.perm)
+            shift = p.e - base.e - int(case[2:])
+            assert np.ldexp(p.centered, shift).tobytes() == base.centered.tobytes()
+
+    def test_fortran_ordered_input_fits_as_c_ordered(self):
+        # prepare reads a C-ordered copy, so the layout of the input changes
+        # no score, norm or label
+        X, _ = make_blobs(3000, 6, 5, 1.0, 2)
+        F = np.asfortranarray(X)
+        a, b = prepare(X), prepare(F)
+        for name in ("centered", "scores", "perm"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.mext == b.mext
+        assert to_json(fit(F, radius=0.3)) == to_json(fit(X, radius=0.3))
+
 
 def normal_sample(seed=0):
     return np.random.default_rng(seed).normal(size=(50, 3))
@@ -376,6 +418,40 @@ class TestMagnitudeRange:
         assert [math.ldexp(v, back) for v in (p.mext, p.sigma1, p.sigma2)] == \
             [base.mext, base.sigma1, base.sigma2]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_spread_whose_squares_underflow_clusters_as_at_scale_one(self, seed):
+        # rows [1, 2^-1000 N]: the centered rows' squares and Gram entries
+        # underflow, so prepare frames the rows by their largest entry and
+        # takes v1 again; in scale 1's frame everything has [1, N]'s bits
+        N = np.random.default_rng(seed).normal(size=(50, 2))
+        ones = np.ones((50, 1))
+        x, tiny = np.hstack([ones, N]), np.hstack([ones, np.ldexp(N, -1000)])
+        base, p = prepare(x), prepare(tiny)
+        assert np.array_equal(p.v1, base.v1) and np.array_equal(p.perm, base.perm)
+        back = p.e + 1000 - base.e
+        for name in ("centered", "scores"):
+            assert np.array_equal(np.ldexp(getattr(p, name), back), getattr(base, name))
+        assert [math.ldexp(v, back) for v in (p.mext, p.sigma1, p.sigma2)] == \
+            [base.mext, base.sigma1, base.sigma2]
+        assert fit(tiny, radius=0.3).labels.tolist() == fit(x, radius=0.3).labels.tolist()
+
+    @pytest.mark.parametrize("column, k", [(1.0, -1070), (3e9, -1074), (1e-300, -1074),
+                                           (1.0, -600)])
+    def test_a_spread_far_below_a_constant_column_fits_with_no_warning(self, column, k):
+        # the rows' frame stops where 2^-k mean would reach 2^1022, so the
+        # mean stays finite and returns to the input's units exactly; a
+        # subnormal spread has lost its bits, so only 2^-600 has a reference
+        N = np.random.default_rng(5).normal(size=(50, 2))
+        x = np.hstack([np.full((50, 1), column), np.ldexp(N, k)])
+        model = fit(x, radius=0.3)
+        assert model.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert 0.0 < model.mext < math.inf
+        assert predict(model, x).shape == (50,)
+        assert to_json(from_json(to_json(model))) == to_json(model)
+        if k == -600:
+            reference = fit(np.hstack([np.ones((50, 1)), N]), radius=0.3)
+            assert model.labels.tolist() == reference.labels.tolist()
+
     @pytest.mark.parametrize("c", ROW_S)
     def test_row_s_clusters_as_at_scale_one(self, c):
         # labels, predictions (on the rows, near them and away from them) and
@@ -426,6 +502,9 @@ class TestMedian:
         values = np.array(values)
         assert _median(values.copy()).hex() == float(np.median(values)).hex()
 
-    def test_input_is_left_as_it_is(self):
+    def test_partitions_its_input_in_place(self):
+        # prepare's norms are partitioned where they lie: no copy of n floats
+        # at prepare's peak
         values = np.array([3.0, 1.0, 2.0, 0.5])
-        assert _median(values) == 1.5 and values.tolist() == [3.0, 1.0, 2.0, 0.5]
+        assert _median(values) == 1.5
+        assert sorted(values[:2]) == [0.5, 1.0] and sorted(values[2:]) == [2.0, 3.0]

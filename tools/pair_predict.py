@@ -1,7 +1,7 @@
-"""Interleaved predict or fit timings of two source trees in one process.
+"""Interleaved predict or fit timings of two source trees, or their fits' peak memory.
 
     python3 tools/pair_predict.py --root DIR [--workload NAME ...] [--seed N]
-                                  [--rounds N] [--fit [--rows N]]
+                                  [--rounds N] [--fit [--rows N] | --rss]
 
 Loads the `sortclust` of DIR and of this checkout into one process, as two
 module sets, fits the training rows of `bench/harness.py`'s workload once,
@@ -25,6 +25,14 @@ process start-up hides.
 Timing both trees in one process, call by call, resolves changes of a few
 percent that separate benchmark runs cannot: their calls meet different
 heap and cache states. BLAS runs on one thread, as in the benchmark.
+
+With `--rss`, DIR's tree and then this checkout's each run in a child
+process of its own, which makes the workload's inputs and fits its training
+rows `--rounds` times, dropping each model before the next fit. The line
+then holds `rss_mb`: each tree's peak resident memory (`ru_maxrss`, in MB)
+after each fit, so the first entry is one fit's peak and the later ones show
+what repeated fits add. A model kept alive into the next fit would add its
+arrays to that fit's peak.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ import gc
 import importlib.util
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -124,6 +134,31 @@ def pair_fit(workload, seed: int, rounds: int, base, work, rows=None) -> dict:
     return line if rows is None else {**line, "rows": train.shape[0]}
 
 
+def rss_child(workload, seed: int, rounds: int) -> None:
+    """Fit the workload's training rows `rounds` times in this process,
+    printing its peak resident memory in MB after each fit."""
+    import harness
+
+    train = harness.make_inputs(workload, seed).train
+    for _ in range(rounds):
+        harness.fit_workload(workload, train)    # the model is dropped at once
+        gc.collect()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, flush=True)
+
+
+def pair_rss(workload, seed: int, rounds: int, root: Path) -> dict:
+    """Each tree's peak resident memory over `rounds` fits, one child process each."""
+    rss = {}
+    for tree, src in (("base", root / "src"), ("work", ROOT / "src")):
+        proc = subprocess.run([sys.executable, __file__, "--root", str(root), "--child", str(src),
+                               "--workload", workload.name, "--seed", str(seed),
+                               "--rounds", str(rounds)], capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"the {tree} tree's child exited {proc.returncode}: {proc.stderr}")
+        rss[tree] = [round(float(v), 1) for v in proc.stdout.split()]
+    return {"workload": workload.name, "seed": seed, "rounds": rounds, "rss_mb": rss}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", type=Path, required=True,
@@ -131,23 +166,32 @@ def main(argv=None) -> int:
     p.add_argument("--workload", nargs="+", default=["few-groups", "many-groups"])
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--fit", action="store_true", help="time fit instead of predict")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--fit", action="store_true", help="time fit instead of predict")
+    mode.add_argument("--rss", action="store_true",
+                      help="each tree's peak resident memory over repeated fits, in a child process")
     p.add_argument("--rows", type=int, help="with --fit, fit only the first N training rows")
+    p.add_argument("--child", type=Path, help=argparse.SUPPRESS)    # --rss: the tree's src/
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
     if args.rows is not None and (args.rows < 1 or not args.fit):
         p.error("--rows takes a count of at least 1, with --fit")
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.path[:0] = [str(args.child or ROOT / "src"), str(ROOT / "bench")]
     import harness
     unknown = [name for name in args.workload if name not in harness.WORKLOADS]
     if unknown:
         p.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(harness.WORKLOADS)}")
-    base = load_tree(args.root.resolve() / "src", "_base_sortclust")
-    work = load_tree(ROOT / "src", "_work_sortclust")
+    if args.child:
+        rss_child(harness.WORKLOADS[args.workload[0]], args.seed, args.rounds)
+        return 0
+    if not args.rss:
+        base = load_tree(args.root.resolve() / "src", "_base_sortclust")
+        work = load_tree(ROOT / "src", "_work_sortclust")
     for name in args.workload:
         w = harness.WORKLOADS[name]
-        line = (pair_fit(w, args.seed, args.rounds, base, work, args.rows) if args.fit
+        line = (pair_rss(w, args.seed, args.rounds, args.root.resolve()) if args.rss
+                else pair_fit(w, args.seed, args.rounds, base, work, args.rows) if args.fit
                 else pair(w, args.seed, args.rounds, base, work))
         print(json.dumps(line, sort_keys=True), flush=True)
     return 0
