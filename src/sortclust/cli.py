@@ -175,7 +175,8 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
 
 
 def _labels_text(labels: np.ndarray) -> str:
-    return "\n".join(map(str, labels.tolist())) + "\n"
+    values, index = np.unique(labels, return_inverse=True)    # each label formatted once
+    return "\n".join(np.array([*map(str, values.tolist())], dtype=object)[index].tolist()) + "\n"
 
 
 def _write_labels(labels: np.ndarray, path: str | None) -> None:

@@ -2,8 +2,8 @@
 
 The output of :func:`prepare` is the canonical input of the aggregation
 phase: rows reordered by their projection onto the top principal direction,
-in the one n x d buffer it makes, together with the scale statistic (the
-median row norm) that makes the user-facing radius parameter unit-free.
+in the one n x d buffer it makes, and the exact median row norm, taken of the
+few rows in a rounding band of the middle half norms, that makes radii unit-free.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _BLOCK, largest
+from .kernel import _BLOCK, _EPS, _TINY, half_sq_norms, largest
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,22 +148,25 @@ def principal_plane(centered) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(values, kind="stable")`` and the sorted values, bit for bit.
-
-    numpy's default argsort is several times faster than its stable one but
-    may permute equal keys. So the default runs first, and then only the
-    positions in a run of values that do not strictly increase (equal
-    values, -0.0 next to 0.0, and any nan) are sorted again, by (value,
-    index), with ``np.lexsort``.
-    """
-    perm = np.argsort(values)
-    ordered = values[perm]
-    tied = ~(ordered[:-1] < ordered[1:])
+    """``np.argsort(values, kind="stable")`` and the sorted values, bit for bit, by one
+    ``np.sort`` of uint64 keys: the order-preserving image of a value's bits (negative
+    values inverted, the sign bit set on the rest, so nan of either sign is last), its
+    low ``bit_length(n - 1)`` bits replaced by its index. Each run of positions whose
+    cut keys tie or whose values do not strictly increase (equal values, -0.0 beside
+    0.0, nan) is sorted again by (value, index); between runs both strictly increase."""
+    bits, low = values.view(np.uint64), np.uint64((1 << (values.size - 1).bit_length()) - 1)
+    keys = np.invert(bits, out=bits | np.uint64(1 << 63), where=values < 0.0)
+    keys &= ~low
+    perm = np.arange(values.size)
+    keys |= perm.view(np.uint64)
+    keys.sort()
+    np.bitwise_and(keys, low, out=perm.view(np.uint64))
+    keys &= ~low
+    tied = keys[:-1] == keys[1:]
+    ordered = np.take(values, perm, out=keys.view(np.float64), mode="clip")    # keys' place
+    tied |= ~(ordered[:-1] < ordered[1:])
     if tied.any():
-        in_run = np.zeros(ordered.size, dtype=bool)
-        in_run[:-1] = tied
-        in_run[1:] |= tied
-        pos = np.flatnonzero(in_run)
+        pos = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
         order = pos[np.lexsort((perm[pos], ordered[pos]))]
         perm[pos] = perm[order]
         ordered[pos] = ordered[order]
@@ -173,29 +176,23 @@ def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def score_and_sort(centered, v1) -> tuple[np.ndarray, np.ndarray]:
     """Project onto v1 and order the rows by nondecreasing score (stable).
 
-    Returns ``(sorted scores, perm)``; the rows in that order are
-    ``centered[perm]``, which :func:`prepare` gathers itself. Equal scores keep
-    the input order of their rows, which decides the row that starts a group;
-    ``_stable_argsort`` keeps that order at the speed of numpy's default sort,
-    by sorting the runs of equal scores again.
-    """
+    Returns ``(sorted scores, perm)``; the rows in that order are ``centered[perm]``,
+    which :func:`prepare` gathers itself. Equal scores keep the input order of
+    their rows, which decides the row that starts a group."""
     X = np.asarray(centered, dtype=np.float64)
     v = np.asarray(v1, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise ValueError("v1 must have unit norm")
-    perm, scores = _stable_argsort(X @ v)
-    return scores, perm
+    return _stable_argsort(X @ v)[::-1]
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty float64 vector with no nan, bit for bit:
-    the middle element, or the mean ``(a + b) / 2`` of the two middle ones,
-    as ``np.median`` takes it. `values` is partitioned in place, so no copy
-    of it is made. ``np.median`` imports ``numpy.ma`` for its nan check,
-    which would add that module to every fit's start-up."""
-    half = values.size // 2
-    values.partition(half if values.size % 2 else (half - 1, half))
-    return float(values[half] if values.size % 2 else (values[half - 1] + values[half]) / 2)
+def _median(values: np.ndarray, below: int, n: int) -> float:
+    """``np.median`` of n values with no nan, bit for bit, from the `values` at ranks
+    `below` on, which hold the middle ones, partitioned in place: ``np.median``
+    would copy them, and import ``numpy.ma`` at every fit's start-up."""
+    half = n // 2 - below
+    values.partition(half if n % 2 else (half - 1, half))
+    return float(values[half] if n % 2 else (values[half - 1] + values[half]) / 2)
 
 
 def prepare(raw) -> PreparedData:
@@ -204,7 +201,13 @@ def prepare(raw) -> PreparedData:
     The input is framed (:func:`framed`, one scan); one n x d buffer is made
     beyond it. It holds the centered rows, then, ``_BLOCK`` entries at a time,
     the score-sorted rows gathered from the input and centered again (the same
-    bits), whose norms for `mext` are taken in cache, each row as in one call.
+    bits), with their half squared norms h. ``np.linalg.norm`` takes exact norms,
+    each row as in one call, only of rows whose h lies within 4w of the largest or
+    the middle h, w = 2 (d + 1) (u h + η): both sum d rounded squares, erring by at
+    most γ_d S + d η/2 in any order, and halving by η/2 (S the exact sum, u = eps/2,
+    η the smallest subnormal; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1), so h is within w of half ``norm``'s sum. The largest norm is
+    theirs, and the middle ones, at the ranks less the count below the band.
     Norms past float64 in the input's units raise ValueError. The rows take
     their own frame 2^-k, with the mean, scores, σ and `mext`, so a spread tiny
     or huge next to the largest entry is screened as at scale 1. k is
@@ -222,17 +225,22 @@ def prepare(raw) -> PreparedData:
         pts, mean, e = np.ldexp(pts, -k), np.ldexp(mean, -k), e + k
         v1, sigma1, sigma2 = first_principal_component(np.ldexp(rows, -k, out=rows).view(_Framed))
     scores, perm = score_and_sort(rows, v1)
-    step = max(1, _BLOCK // rows.shape[1])
-    norms = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], step):    # the sorted rows take the centered rows' place
+    (n, d), half = rows.shape, np.empty(rows.shape[0])
+    for i in range(0, n, step := max(1, _BLOCK // d)):    # sorted rows replace centered ones
         block = np.take(pts, perm[i:i + step], axis=0, out=rows[i:i + step], mode="clip")
-        norms[i:i + step] = np.linalg.norm(np.subtract(block, mean, out=block), axis=1)
-    if math.frexp(float(norms.max()))[1] + e > 1024:
+        half[i:i + step] = half_sq_norms(np.subtract(block, mean, out=block))
+    c, a = 4 * (d + 1) * _EPS, 8 * (d + 1) * _TINY    # the band 4w: c h + a
+    tops = np.linalg.norm(rows[half >= (1 - c) * half.max() - a], axis=1)
+    if math.frexp(float(tops.max()))[1] + e > 1024:
         raise ValueError("centered row norms lie beyond float64's range, about 1.8e308")
-    norms, k = (norms, 0) if k else framed(norms)
+    part = np.partition(half, n // 2)    # h at rank n // 2, and (n even) the max before it
+    lower, upper = (1 - c) * part[:n // 2 + n % 2].max() - a, (1 + c) * part[n // 2] + a
+    mid = np.linalg.norm(rows[(lower <= half) & (half <= upper)], axis=1)
+    k = 0 if k else framed(tops)[1]
     if k:
-        for values in (rows, scores, mean):
+        for values in (rows, scores, mean, mid):
             np.ldexp(values, -k, out=values)
         sigma1, sigma2, e = math.ldexp(sigma1, -k), math.ldexp(sigma2, -k), e + k
     return PreparedData(centered=rows, mean=mean, v1=v1, scores=scores, perm=perm,
-                        sigma1=sigma1, sigma2=sigma2, mext=_median(norms), e=e)
+                        sigma1=sigma1, sigma2=sigma2, e=e,
+                        mext=_median(mid, np.count_nonzero(half < lower), n))

@@ -720,3 +720,14 @@ class TestWriteOutputs:
     def test_labels_text(self):
         labels = np.array([3, -1, 0, 12], dtype=np.int64)
         assert cli._labels_text(labels) == "3\n-1\n0\n12\n"
+
+    @pytest.mark.parametrize("labels", [[], [0], [-1], [7, 7, 7], [3, -1, 0, 12, -1, 3],
+                                        [2**62, -2**63, 2**63 - 1, -1, 2**62]])
+    def test_labels_text_formats_each_label_as_str_does(self, labels):
+        # each distinct label is formatted once; the text is the plain join's
+        assert cli._labels_text(np.array(labels, dtype=np.int64)) == \
+            "\n".join(map(str, labels)) + "\n"
+
+    def test_labels_text_of_many_repeated_labels(self):
+        labels = np.random.default_rng(0).integers(-1, 500, size=20_000)
+        assert cli._labels_text(labels) == "\n".join(map(str, labels.tolist())) + "\n"

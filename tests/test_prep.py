@@ -227,6 +227,59 @@ class TestStableOrder:
         assert to_json(fit(X, **kwargs)) == text
 
 
+def assert_argsort_bits(values):
+    """`_stable_argsort` is ``np.argsort(kind="stable")`` and ``values[perm]``, bit for bit."""
+    perm, ordered = _stable_argsort(values.copy())
+    want = np.argsort(values, kind="stable")
+    assert perm.dtype == want.dtype and np.array_equal(perm, want)
+    assert ordered.tobytes() == values[want].tobytes()
+
+
+# n = 1, 2, and 2^b and 2^b + 1, where the index takes b and b + 1 low bits of a key
+PACKED_SIZES = [1, 2, 3, 4, 5, 1024, 1025, 4096, 4097]
+
+
+class TestPackedSort:
+    """The index fills the low bit_length(n - 1) bits of each key; the runs that
+    the cut keys or the values leave unordered are sorted again."""
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_runs_of_equal_values_and_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        for pool in ([2.5], [-0.0, 0.0], [-0.0, 0.0, -1.5, 1.5], [-1.0, 0.0, 1.0, 7.0]):
+            assert_argsort_bits(rng.choice(pool, size=n))
+        assert_argsort_bits(rng.integers(-3, 4, size=n).astype(np.float64))
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_nan_of_either_sign_infinities_and_subnormals(self, n):
+        # nan of either sign and any payload sorts last, in index order
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([nans, [np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                                      2.2250738585072014e-308, 0.0, -0.0, 1.0, -1.0]])
+        rng = np.random.default_rng(n)
+        assert_argsort_bits(rng.choice(pool, size=n))
+        assert_argsort_bits(np.where(rng.random(n) < 0.1, rng.choice(nans, size=n),
+                                     rng.normal(size=n)))
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_values_that_differ_only_in_their_lowest_bits(self, n):
+        # 1 + k 2^-52 for shuffled k: the cut keys tie across whole runs of
+        # consecutive floats, which the sort leaves in index order
+        rng = np.random.default_rng(n)
+        ulps = rng.permutation(n) * 2.0 ** -52
+        for values in (1.0 + ulps, -(1.0 + ulps), np.ldexp(1.0 + ulps, -1060),
+                       1.0 + rng.choice(ulps, size=n)):
+            assert_argsort_bits(values)
+
+    def test_sorts_random_scores_as_numpy(self):
+        rng = np.random.default_rng(48)
+        for n in (6, 777, 70_001):
+            assert_argsort_bits(rng.normal(size=n))
+            assert_argsort_bits(np.round(rng.normal(size=n), 2))
+
+
 class TestPrepare:
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(21)
@@ -333,6 +386,135 @@ class TestPrepare:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.mext == b.mext
         assert to_json(fit(F, radius=0.3)) == to_json(fit(X, radius=0.3))
+
+
+def assert_mext_is_the_median_norm(x):
+    """`mext` is ``np.median`` of the row norms of ``prepare``'s rows, in its frame."""
+    p = prepare(x)
+    assert p.mext.hex() == float(np.median(np.linalg.norm(p.centered, axis=1))).hex()
+    return p
+
+
+def mext_input(case, n, d):
+    x = np.random.default_rng(n * 1009 + d).normal(size=(n, d))
+    return {"normal": x, "zero-rows": np.zeros((n, d)),
+            "5e-10+1e-17x": 5e-10 + 1e-17 * x, "3+1e-14x": 3.0 + 1e-14 * x,
+            "2^100": np.ldexp(x, 100), "2^-300": np.ldexp(x, -300),
+            "[1,2^-1000x]": np.hstack([np.ones((n, 1)), np.ldexp(x, -1000)])}[case]
+
+
+def lattice_rows(n_tied, far):
+    """Integer rows whose sum is 0, so the mean is 0 and the rows are their own
+    centered rows: n_tied rows of norm 1 (+-e1, +-e2), then pairs of norms 2
+    and 3, and `far` pairs of norm 5 (+-(3, 4)) at the largest norm."""
+    unit = [[1, 0], [-1, 0], [0, 1], [0, -1]] * (n_tied // 4)
+    rows = unit + [[2, 0], [-2, 0], [0, 3], [0, -3]] + [[3, 4], [-3, -4]] * far
+    return np.random.default_rng(n_tied + far).permutation(np.array(rows, dtype=np.float64))
+
+
+class TestMext:
+    """`mext` from the half squared norms and the exact norms of a band of rows."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 100, 101])
+    @pytest.mark.parametrize("case", ["normal", "zero-rows", "5e-10+1e-17x", "3+1e-14x",
+                                      "2^100", "2^-300", "[1,2^-1000x]"])
+    def test_bits_equal_the_median_row_norm(self, case, n, d):
+        p = assert_mext_is_the_median_norm(mext_input(case, n, d))
+        if case == "zero-rows" or n == 1:
+            assert p.mext == 0.0
+
+    def test_frames_beyond_32_are_taken(self):
+        # the input's frame (2^+-100 and 2^-300) and the centered rows' frame
+        # (a spread far below the offset, by the norms or by sigma1) all occur
+        frames = {case: prepare(mext_input(case, 101, 10)).e
+                  for case in ("2^100", "2^-300", "5e-10+1e-17x", "3+1e-14x", "[1,2^-1000x]")}
+        assert all(abs(e) > 32 for e in frames.values()), frames
+
+    @pytest.mark.parametrize("n_tied, far", [(52, 1), (400, 3), (4000, 10), (4, 0), (8, 5)])
+    def test_rows_tied_at_the_median_and_at_the_largest_norm(self, n_tied, far):
+        x = lattice_rows(n_tied, far)
+        p = assert_mext_is_the_median_norm(x)
+        assert p.e == 0 and np.array_equal(p.mean, [0.0, 0.0])
+        if n_tied > len(x) / 2:
+            assert p.mext == 1.0
+        assert_mext_is_the_median_norm(x[:-1])
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 1000])
+    def test_norms_a_few_ulps_apart(self, d):
+        # unit rows, centered: the norms lie within a few ulps of 1, so the
+        # half norms may order them otherwise than their exact norms do
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(1001 if d < 1000 else 201, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        for rows in (x, np.vstack([x, -x]), x[:-1]):
+            assert_mext_is_the_median_norm(rows)
+
+    @pytest.mark.parametrize("rows", ["unit", "subnormal"])
+    def test_half_norms_moved_within_their_error_bound(self, monkeypatch, rows):
+        # the band, not the einsum's rounding, finds the rows: half norms h
+        # moved by up to (d + 1) u h, or by up to d subnormal steps where h is
+        # subnormal (inside w = 2 (d + 1) (u h + eta)), leave mext exact. The
+        # unit rows' norms lie within ulps of 1; the subnormal rows' squared
+        # norms are (p^2 + q^2) eta, beside rows (+-1, 0, 0) that set the frame
+        rng = np.random.default_rng(10)
+        if rows == "unit":
+            x = rng.normal(size=(1001, 10))
+            x /= np.linalg.norm(x, axis=1)[:, None]
+        else:
+            tiny = np.hstack([np.zeros((300, 1)), np.ldexp(rng.integers(0, 40, (300, 2)), -537)])
+            x = rng.permutation(np.vstack([tiny, -tiny, [[0.0, 0.0, 0.0]],
+                                           [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]] * 20]))
+        real, u = prep.half_sq_norms, np.finfo(float).eps / 2
+        eta = np.finfo(float).smallest_subnormal
+
+        def moved(block):
+            h, d = real(block), block.shape[1]
+            h *= 1.0 + rng.uniform(-1.0, 1.0, h.size) * (d + 1) * u
+            return h + eta * rng.integers(-d, d + 1, h.size) * (h < 2.0 ** -1022)
+
+        monkeypatch.setattr(prep, "half_sq_norms", moved)
+        for _ in range(5):
+            p = assert_mext_is_the_median_norm(x)
+        assert p.e == 0 and (rows == "unit" or p.mext < 2.0 ** -511)
+
+    def test_overflow_check_reads_the_largest_exact_norm(self, monkeypatch):
+        # rows +-u times 2^1024, u unit rows shrunk by j ulps: their norms
+        # lie within ulps of float64's limit, 2^1024. With half norms moved as
+        # above, prepare raises if and only if the largest exact norm reaches it
+        rng = np.random.default_rng(11)
+        real, u = prep.half_sq_norms, np.finfo(float).eps / 2
+        monkeypatch.setattr(prep, "half_sq_norms", lambda block: real(block) * (
+            1.0 + rng.uniform(-1.0, 1.0, len(block)) * (block.shape[1] + 1) * u))
+        outcomes = []
+        for j in range(16):
+            x = rng.normal(size=(200, 10))
+            x *= (1.0 - j * u) / np.linalg.norm(x, axis=1)[:, None]
+            x = np.vstack([x, -x])
+            outcomes.append(np.linalg.norm(x - x.mean(axis=0), axis=1).max() >= 1.0)
+            if outcomes[-1]:
+                with pytest.raises(ValueError, match="beyond float64's range"):
+                    prepare(np.ldexp(x, 1024))
+            else:
+                assert prepare(np.ldexp(x, 1024)).e == 1024 + math.frexp(np.abs(x).max())[1]
+        assert any(outcomes) and not all(outcomes)
+
+    def test_exact_norms_for_few_rows(self, monkeypatch):
+        # the band holds the largest norm's rows and the middle ones: at most
+        # 1% of the rows take an exact norm
+        X, _ = make_blobs(100_000, 10, 10, 1.0, 0)
+        counted, norm = [], np.linalg.norm
+
+        def counting_norm(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                counted.append(len(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        p = prepare(X)
+        monkeypatch.undo()
+        assert 2 <= sum(counted) <= 1000, counted
+        assert p.mext == float(np.median(np.linalg.norm(p.centered, axis=1)))
 
 
 def normal_sample(seed=0):
@@ -492,7 +674,7 @@ class TestMedian:
                    np.linalg.norm(rng.normal(size=(n, 3)), axis=1)]
         for values in samples:
             expected = float(np.median(values))
-            assert _median(values.copy()).hex() == expected.hex()
+            assert _median(values.copy(), 0, values.size).hex() == expected.hex()
 
     @pytest.mark.parametrize("values", [
         [np.inf], [1.0, np.inf], [np.inf, np.inf], [2.0, np.inf, 1.0],
@@ -500,11 +682,23 @@ class TestMedian:
         [1.3e154, 1.34e154], [1.34e154, 1.34e154, np.inf, 0.0]])
     def test_norms_that_overflow_to_inf(self, values):
         values = np.array(values)
-        assert _median(values.copy()).hex() == float(np.median(values)).hex()
+        assert _median(values.copy(), 0, values.size).hex() == float(np.median(values)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 101, 1000])
+    def test_middle_ranks_counted_from_below(self, n):
+        # the values at ranks `below` on, shuffled, with n and `below`, give
+        # the median of all n, as prepare takes it from a band of rows
+        rng = np.random.default_rng(n)
+        values = np.sort(rng.lognormal(0.0, 3.0, n))
+        expected = float(np.median(values)).hex()
+        for below in sorted({0, (n - 1) // 2, (n - 1) // 4}):
+            for above in sorted({0, (n + 1) // 2 - 1, n // 5}):
+                part = rng.permutation(values[below:n - above])
+                assert _median(part, below, n).hex() == expected
 
     def test_partitions_its_input_in_place(self):
         # prepare's norms are partitioned where they lie: no copy of n floats
         # at prepare's peak
         values = np.array([3.0, 1.0, 2.0, 0.5])
-        assert _median(values) == 1.5
+        assert _median(values, 0, 4) == 1.5
         assert sorted(values[:2]) == [0.5, 1.0] and sorted(values[2:]) == [2.0, 3.0]
