@@ -19,27 +19,6 @@ import numpy as np
 # Each command imports the modules it uses, so that none pays for the others'
 # imports: `predict` loads neither `explain` nor `evaluation`.
 
-THREADS_ENV_VAR = "SORTCLUST_THREADS"
-
-
-def thread_cap() -> int | None:
-    """Upper bound on internal parallelism from the environment.
-
-    Unset means no cap. The package's own code runs on one thread, which
-    satisfies any cap; BLAS is not capped, as its threads are set by
-    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 0, got {value}")
-    return value
-
 
 def _read_matrix(path: str, header: bool, drop_bad_rows: bool) -> np.ndarray:
     """Read a numeric CSV: comma separator, '.' decimal, no quoting.
@@ -121,6 +100,8 @@ def _read_labels(path: str) -> np.ndarray:
             labels.append(int(line))
         except ValueError:
             raise ValueError(f"{path}: malformed label on row {lineno}: {line!r}")
+        if not -2**63 <= labels[-1] < 2**63:
+            raise ValueError(f"{path}: label out of the int64 range on row {lineno}")
     if not labels:
         raise ValueError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)
@@ -293,11 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_output=True):
+    def add_io(p):
         p.add_argument("--input", required=True, help="input CSV of numeric rows")
-        if with_output:
-            p.add_argument("--output", default=None,
-                           help="labels output path (default: stdout)")
+        p.add_argument("--output", default=None, help="labels output path (default: stdout)")
         p.add_argument("--header", action="store_true",
                        help="input CSV has a single header row")
         p.add_argument("--drop-bad-rows", action="store_true",
@@ -365,7 +344,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SIMPSON_TOL = 1e-9
 _SIMPSON_MAX_INTERVALS = 10_000
+_SIMPSON_MAX_WIDTH = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +183,7 @@ class GaussianModelParams:
             raise ValueError("r must be positive and finite")
         if not 0.0 < self.s <= 1.0:
             raise ValueError(f"s must lie in (0, 1], got {self.s!r}")
-        if int(self.d) != self.d or self.d < 2:
+        if not (self.d >= 2 and self.d % 1 == 0):
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
 
 
@@ -193,14 +194,7 @@ def model_p1(c: float, r: float) -> float:
     return 0.5 * (math.erf((c + r) / _SQRT2) - math.erf((c - r) / _SQRT2))
 
 
-def _chi2_cdf(x: float, dof: int) -> float:
-    if x <= 0.0:
-        return 0.0
-    return reg_inc_gamma_lower(0.5 * x, 0.5 * dof)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float,
-                      max_intervals: int = _SIMPSON_MAX_INTERVALS) -> float:
+def _adaptive_simpson(f, a: float, b: float) -> float:
     """Adaptive Simpson quadrature with Richardson acceptance."""
 
     def simpson(x0, f0, x2, f2):
@@ -210,18 +204,18 @@ def _adaptive_simpson(f, a: float, b: float, tol: float,
 
     fa, fb = f(a), f(b)
     m, fm, whole = simpson(a, fa, b, fb)
-    stack = [(a, fa, m, fm, b, fb, whole, tol)]
+    stack = [(a, fa, m, fm, b, fb, whole, _SIMPSON_TOL)]
     total = 0.0
     intervals = 1
     while stack:
         x0, f0, x1, f1, x2, f2, s, eps = stack.pop()
         lm, flm, left = simpson(x0, f0, x1, f1)
         rm, frm, right = simpson(x1, f1, x2, f2)
-        if abs(left + right - s) <= 15.0 * eps:
+        if x2 - x0 <= _SIMPSON_MAX_WIDTH and abs(left + right - s) <= 15.0 * eps:
             total += left + right + (left + right - s) / 15.0
             continue
         intervals += 1
-        if intervals > max_intervals:
+        if intervals > _SIMPSON_MAX_INTERVALS:
             raise RuntimeError("quadrature failed: subdivision cap exceeded")
         stack.append((x0, f0, lm, flm, x1, f1, left, 0.5 * eps))
         stack.append((x1, f1, rm, frm, x2, f2, right, 0.5 * eps))
@@ -233,20 +227,27 @@ def model_p2(params: GaussianModelParams) -> float:
     on-axis point (c, 0, ..., 0).
 
     The off-axis coordinates contribute a chi-square CDF factor with d-1
-    degrees of freedom inside the window integral.
+    degrees of freedom inside the window integral. exp(-t^2/2) is 0.0 in
+    float64 beyond |t| = 38.6, so the window is clipped to [-39, 39]; the
+    slack r^2 - (t - c)^2 is factored, so it neither overflows nor loses t
+    beside a large c.
     """
     params.validate()
     c, r, s, d = params.c, params.r, params.s, params.d
-    inv_s_sq = 1.0 / (s * s)
+    inv_s_sq = 1.0 / (s * s) if s * s > 0.0 else math.inf
+    lo, hi = max(c - r, -39.0), min(c + r, 39.0)
 
     def integrand(t: float) -> float:
-        slack = r * r - (t - c) * (t - c)
-        if slack <= 0.0:
+        slack = (r + c - t) * (r - c + t)
+        if not slack > 0.0:     # nan is inf * 0.0, at a window end
             return 0.0
         return (_INV_SQRT_2PI * math.exp(-0.5 * t * t)
-                * _chi2_cdf(slack * inv_s_sq, d - 1))
+                * reg_inc_gamma_lower(0.5 * (slack * inv_s_sq), 0.5 * (d - 1)))
 
-    return _adaptive_simpson(integrand, c - r, c + r, _SIMPSON_TOL)
+    try:
+        return _adaptive_simpson(integrand, lo, hi) if lo < hi else 0.0
+    except (ValueError, OverflowError) as exc:  # only a large d fails the gamma function
+        raise ValueError(f"d={d} too large for the chi-square factor: {exc}") from None
 
 
 def model_ratio(params: GaussianModelParams) -> float:
@@ -259,5 +260,4 @@ def model_ratio(params: GaussianModelParams) -> float:
     p1 = model_p1(params.c, params.r)
     if p1 == 0.0:
         return 1.0
-    p2 = model_p2(params)
-    return min(max(p2 / p1, 0.0), 1.0)
+    return min(max(model_p2(params) / p1, 0.0), 1.0)

@@ -130,6 +130,8 @@ def reg_inc_gamma_lower(x: float, a: float) -> float:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     # Series converges fast left of the mean, continued fraction right of it.
     if x < a + 1.0:
         return _gamma_series(a, x)

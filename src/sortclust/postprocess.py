@@ -499,7 +499,7 @@ def from_json(text: str) -> ClusterModel:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:    # RecursionError: nested too deep
         raise ValueError(f"malformed model: {exc}") from None
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in _FORMATS:

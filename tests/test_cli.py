@@ -313,6 +313,14 @@ class TestPredict:
             "error: malformed model: Expecting value: line 1 column 1 (char 0)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_model_nested_past_the_recursion_limit(self, tmp_path, capsys, command):
+        model = write(tmp_path / "model.json", "[" * 100_000 + "]" * 100_000)
+        argv = ["--input", fixture_csv(tmp_path)] if command == "predict" else []
+        assert main([command, "--model", model, *argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: malformed model: maximum recursion depth exceeded")
+
     def test_missing_model_file(self, tmp_path):
         data = fixture_csv(tmp_path)
         assert main(["predict", "--input", data,
@@ -423,6 +431,18 @@ class TestEval:
         assert main(["eval", "--truth", labels, "--pred", labels]) == 2
         assert "malformed label on row 2: '\\ufeff1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1, 10**20])
+    def test_label_beyond_int64_reports_its_row(self, tmp_path, capsys, label):
+        labels = write(tmp_path / "l.txt", f"0\n{label}\n")
+        assert main(["eval", "--truth", labels, "--pred", labels]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}: label out of the int64 range on row 2\n")
+
+    def test_labels_at_the_ends_of_int64(self, tmp_path, capsys):
+        labels = write(tmp_path / "l.txt", f"{-2**63}\n{2**63 - 1}\n{2**63 - 1}\n")
+        assert main(["eval", "--truth", labels, "--pred", labels]) == 0
+        assert "ari 1.000000" in capsys.readouterr().out
+
     def test_length_mismatch(self, tmp_path, capsys):
         truth = write(tmp_path / "t.txt", "0\n1\n")
         pred = write(tmp_path / "p.txt", "0\n1\n1\n")
@@ -459,6 +479,18 @@ class TestProbe:
 
     def test_dimension_below_two(self, capsys):
         assert main(["probe", "--grid-d", "1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--grid-r", "1e10"), ("--grid-r", "1e200"),
+                                             ("--grid-s", "1e-300"), ("--grid-s", "1e-155")])
+    def test_far_ends_of_the_parameter_range(self, capsys, flag, value):
+        assert main(["probe", flag, value]) == 0
+        line = capsys.readouterr().out.strip().split("\n")[-1]
+        assert 0.999 <= float(line.split()[-1]) <= 1.0
+
+    def test_chi_square_factor_out_of_reach_names_d(self, capsys):
+        assert main(["probe", "--grid-s", "1e-10", "--grid-d", "100000"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: d=100000 too large for the chi-square factor: ")
 
 
 class TestBlobs:
@@ -513,17 +545,15 @@ class TestBlobs:
                      "--output", str(tmp_path / "x.csv")]) == 2
 
 
-class TestThreadCap:
-    def test_invalid_env_value(self, tmp_path, monkeypatch, capsys):
+class TestThreadsVariable:
+    def test_sortclust_threads_is_ignored(self, tmp_path, monkeypatch):
+        # the package runs on one thread and reads no setting for it
+        data = fixture_csv(tmp_path)
+        plain, many = tmp_path / "plain.txt", tmp_path / "many.txt"
+        assert main(["fit", "--input", data, "--output", str(plain), "--radius", "0.3"]) == 0
         monkeypatch.setenv("SORTCLUST_THREADS", "many")
-        data = fixture_csv(tmp_path)
-        assert main(["fit", "--input", data]) == 2
-
-    def test_zero_is_sequential(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SORTCLUST_THREADS", "0")
-        data = fixture_csv(tmp_path)
-        assert main(["fit", "--input", data, "--output",
-                     str(tmp_path / "l.txt"), "--radius", "0.3"]) == 0
+        assert main(["fit", "--input", data, "--output", str(many), "--radius", "0.3"]) == 0
+        assert many.read_bytes() == plain.read_bytes()
 
 
 # Each case, read with and without --header and --drop-bad-rows, must give the

@@ -202,6 +202,35 @@ class TestWindowModel:
         with pytest.raises(ValueError):
             GaussianModelParams(c=0.0, r=1.0, s=1.5, d=3).validate()
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5, 1, -math.inf])
+    def test_dimension_that_is_no_integer(self, d):
+        with pytest.raises(ValueError, match="^d must be an integer >= 2"):
+            GaussianModelParams(c=0.0, r=1.0, s=0.5, d=d).validate()
+
+    @pytest.mark.parametrize("c, r, s, d", [(30.0, 30.0, 0.3, 2), (19.0, 19.0, 1.0, 5),
+                                            (-28.0, 30.0, 0.5, 3), (0.0, 1e10, 0.3, 2)])
+    def test_p2_matches_monte_carlo_on_wide_windows(self, c, r, s, d):
+        # windows much wider than the Gaussian's mass, or centred far from it
+        est, se, _ = mc_window_hit_rate(c, r, s, d, samples=100_000, seed=14)
+        assert abs(model_p2(GaussianModelParams(c=c, r=r, s=s, d=d)) - est) <= 3.0 * se + 1e-9
+
+    @pytest.mark.parametrize("c, r, s", [(0.0, 1e10, 0.3), (0.0, 1e200, 0.3),
+                                         (0.0, 0.5, 1e-300), (0.0, 0.5, 1e-155),
+                                         (1e300, 1e300, 0.3), (-1e300, 1e300, 1.0),
+                                         (1.7e308, 1.7e308, 1.0), (0.0, 1.7e308, 1e-300)])
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_ratio_at_the_far_ends_of_the_parameter_range(self, c, r, s, d):
+        # each ball holds all but a vanishing part of its window's mass
+        assert 0.999 <= model_ratio(GaussianModelParams(c=c, r=r, s=s, d=d)) <= 1.0
+
+    def test_ratio_of_a_vanishing_radius(self):
+        assert model_ratio(GaussianModelParams(c=0.0, r=5e-324, s=1e-300, d=2)) == 0.0
+
+    @pytest.mark.parametrize("d, s", [(100_000, 1e-10), (10**400, 0.3)])
+    def test_chi_square_factor_out_of_reach_names_d(self, d, s):
+        with pytest.raises(ValueError, match=f"^d={d} too large for the chi-square factor: "):
+            model_ratio(GaussianModelParams(c=0.0, r=0.5, s=s, d=d))
+
     def test_ratio_monotone_in_s_and_d(self):
         ratios_s = [model_ratio(GaussianModelParams(c=0.0, r=0.5, s=s, d=4))
                     for s in (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)]

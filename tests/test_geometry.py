@@ -86,6 +86,10 @@ class TestRegIncGammaLower:
     def test_huge_argument_saturates(self):
         assert reg_inc_gamma_lower(1e30, 4.5) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("a", [0.5, 4.5, 1e6])
+    def test_infinite_argument_is_one(self, a):
+        assert reg_inc_gamma_lower(math.inf, a) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_inc_gamma_lower(-1.0, 1.0)

@@ -997,6 +997,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="^malformed model: Expecting"):
             from_json(text)
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a": ' * 100_000 + "1" + "}" * 100_000])
+    def test_nesting_past_the_recursion_limit(self, text):
+        with pytest.raises(ValueError, match="^malformed model: maximum recursion depth"):
+            from_json(text)
+
 
 class TestEndToEndInvariance:
     def test_affine_rescaling_keeps_labels(self):
