@@ -13,24 +13,35 @@ the integer m nearest to it, and m / 100 is the double nearest m/100, which
 is ``round``'s result. Entries within a few ulps of a half-way point, or with
 |100 x| >= 2^49 or not finite, are decided again by ``round``.
 
-The group path search pops the smallest (distance, path) entry of its heap.
-Equal entries are indistinguishable, so the order of a node's neighbours in
-the CSR adjacency cannot change the path, and numpy's fastest argsort builds it
-(``ClusterModel._merge_adjacency``, once per model).
+The group path search pops the least (distance, path) entry of its heap, the
+distance summed in path order over the weights of the CSR adjacency
+(``ClusterModel._merge_adjacency``, once per model); equal entries are
+indistinguishable, so the order of a node's neighbours cannot change the path.
+A weight is a distance between starting points, so h(g) = |p_g - p_goal| bounds
+the rest of any path from g (Hart, Nilsson and Raphael 1968). An A* pass, by
+distance + h, finds the length L of some path; the search then runs again and
+pushes only entries with distance + h <= L. That test grows with the distance
+and the keys with each step, so Dijkstra's argument gives the least key among
+the paths whose prefixes all pass, and the answer's do: each has distance plus
+exact h at most its length. Rounding is banded (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 3.1): h is deflated by (d + 4) eps and 2 sqrt(d tiny)
+(d squares off by tiny/2 each in underflow), L inflated by 2 (l + d + 4) eps
+and 3 l sqrt(d tiny), as a path sums under l weights, each within (d + 3) eps/2.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import _finite_real
+from .kernel import _EPS, _TINY
 from .postprocess import ClusterModel
 
 TEXT_VERSION = 1
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,22 +160,35 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
     sequence of group ids wins. None when no path exists."""
     if start == goal:
         return [start]
-    offsets, nbr, nbr_weight = model._merge_adjacency
-    heap = [(0.0, (start,))]
+    *graph, pts = model._merge_adjacency
+    (l, d), diff = pts.shape, pts - pts[goal]
+    tiny = math.sqrt(d * _TINY)
+    h = (np.sqrt(np.einsum("ij,ij->i", diff, diff)) * (1.0 - (d + 4) * _EPS) - 2.0 * tiny).tolist()
+    length = _search(graph, start, goal, h, math.inf, by_bound=True)[0]    # -inf: no path
+    limit = length * (1.0 + 2.0 * (l + d + 4) * _EPS) + 3.0 * l * tiny
+    return _search(graph, start, goal, h, limit, by_bound=False)[1]
+
+
+def _search(graph, start: int, goal: int, h: list, limit: float, by_bound: bool):
+    """(Distance, path) at `goal` first popped by least (distance + h if `by_bound` else
+    distance, distance, path), of entries with distance + h <= `limit`; else (-inf, None)."""
+    offsets, nbr, nbr_weight = graph
+    heap = [(0.0, 0.0, (start,))]
     settled: set[int] = set()
     while heap:
-        dist, path = heapq.heappop(heap)
+        _, dist, path = heapq.heappop(heap)
         node = path[-1]
         if node == goal:
-            return list(path)
+            return dist, list(path)
         if node in settled:
             continue
         settled.add(node)
         lo, hi = offsets[node], offsets[node + 1]
         for g, w in zip(nbr[lo:hi].tolist(), nbr_weight[lo:hi].tolist()):
-            if g not in settled:
-                heapq.heappush(heap, (dist + w, path + (g,)))
-    return None
+            step = dist + w
+            if g not in settled and (bound := step + h[g]) <= limit:
+                heapq.heappush(heap, (bound if by_bound else step, step, path + (g,)))
+    return -math.inf, None
 
 
 def explain_pair(model: ClusterModel, first: int, second: int) -> ExplainReport:

@@ -119,18 +119,19 @@ class ClusterModel:
         return np.split(order, ends[:-1])
 
     @functools.cached_property
-    def _merge_adjacency(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def _merge_adjacency(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """The merge graph in CSR form, built once per model: the neighbours
         of group g are ``nbr[offsets[g]:offsets[g + 1]]``, at the distances
-        between the starting points in ``weight``."""
-        edges, pts = self.merge_edges, self.starting_points
+        between the starting points in ``weight``, and those points, framed
+        (``prep.framed``): a power-of-two scale of normal points keeps the paths."""
+        edges, pts = self.merge_edges, framed(self.starting_points)[0]
         diff = np.take(pts, edges[:, 0], axis=0) - np.take(pts, edges[:, 1], axis=0)
-        weight = np.sqrt(np.sum(diff ** 2, axis=1))
+        weight = np.sqrt(np.sum(np.square(diff, out=diff), axis=1))
         src = np.concatenate((edges[:, 0], edges[:, 1]))
-        order = np.argsort(src)
+        order = np.argsort(src.astype(np.min_scalar_type(self.num_groups)), kind="stable")
         nbr = np.take(np.concatenate((edges[:, 1], edges[:, 0])), order)
         offsets = [0, *np.cumsum(np.bincount(src, minlength=self.num_groups)).tolist()]
-        return offsets, nbr, np.take(np.concatenate((weight, weight)), order)
+        return offsets, nbr, np.take(np.concatenate((weight, weight)), order), pts
 
     @property
     def num_clusters(self) -> int:

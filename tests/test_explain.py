@@ -1,18 +1,22 @@
 import dataclasses
+import heapq
 import itertools
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sortclust.explain
 from sortclust.evaluation import make_blobs
 from sortclust.explain import (_round2, _shortest_group_path, explain_pair, explain_point,
                                explain_summary, fit_stats_text)
-from sortclust.postprocess import ClusterModel, fit, from_json, to_json
+from sortclust.postprocess import ClusterModel, fit, from_json, save_model, to_json
 
+import _oracles
 from _oracles import brute_force_group_path, summary_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -328,3 +332,118 @@ class TestAgainstReference:
         expected = np.array([round(v, 2) for v in x.tolist()])
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def graph_model(points, edges):
+    """A one-cluster model whose groups start at `points`, one point each,
+    merged along `edges` only."""
+    points = np.asarray(points, dtype=np.float64)
+    l, d = points.shape
+    return dataclasses.replace(
+        fit(points[:1]), mean=np.zeros(d), v1=np.eye(d)[0], starting_points=points,
+        starting_scores=np.zeros(l), group_cluster=np.zeros(l, dtype=np.int64),
+        cluster_sizes=np.array([l]), point_group=np.arange(l),
+        merge_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def counted_pops(monkeypatch, module, search, *args):
+    """The result of `search(*args)` and the heappop calls it made through `module.heapq`."""
+    pops = []
+    counting = types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=lambda heap: pops.append(None) or heapq.heappop(heap))
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "heapq", counting)
+        return search(*args), len(pops)
+
+
+class TestBoundedSearch:
+    """The search bounded by the straight line returns the oracle's paths."""
+
+    def test_collinear_chains(self):
+        # on a line the bound equals the rest of the path exactly, so only
+        # the rounding band keeps the answer's prefixes in the search: an
+        # unbanded bound exceeds the rounded path length on some of them.
+        # With the skip edges i -> i + 2 every path has the same exact
+        # length, and rounding alone tells them apart.
+        rng = np.random.default_rng(41)
+        cut = 0
+        for skip in (False, True):
+            for _ in range(4):
+                steps = np.cumsum(rng.uniform(0.05, 1.0, size=60))
+                direction = rng.normal(size=3)
+                m = graph_model(steps[:, None] * (direction / np.linalg.norm(direction)),
+                                [(i, i + 1) for i in range(59)]
+                                + [(i, i + 2) for i in range(58) if skip])
+                pairs = [(0, g) for g in range(60)] + [(g, 0) for g in range(60)]
+                assert_paths_match(m, pairs)
+                pts = m.starting_points
+                for start, goal in pairs[1:60]:
+                    path = brute_force_group_path(m, start, goal)
+                    lengths = np.concatenate(([0.0], np.cumsum(np.linalg.norm(
+                        np.diff(pts[path], axis=0), axis=1))))    # sequential sums
+                    straight = np.linalg.norm(pts[path] - pts[goal], axis=1)
+                    cut += bool(np.any(lengths + straight > lengths[-1]))
+        assert cut > 100    # of 472
+
+    def test_pairs_on_small_fits_of_the_bench_shapes(self):
+        multi = 0
+        for seed, name in enumerate(harness.WORKLOADS):
+            rows = harness.make_inputs(harness.WORKLOADS[name], seed).train[:2000]
+            for mode, radius in (("distance", 0.1), ("density", 0.2)):
+                m = fit(rows, radius=radius, minpts=harness.MINPTS, merge_mode=mode)
+                pairs = same_cluster_pairs(m, np.random.default_rng(seed), 25)
+                assert_paths_match(m, pairs)
+                multi += sum(len(brute_force_group_path(m, a, b) or ()) > 2 for a, b in pairs)
+        assert multi > 50
+
+    def test_pairs_joined_only_by_minpts_have_no_path(self):
+        w = harness.WORKLOADS["many-groups"]
+        m = fit(harness.make_inputs(w, 2).train[:2000], radius=0.1, minpts=harness.MINPTS)
+        pairs = [(a, b) for a, b in same_cluster_pairs(m, np.random.default_rng(8), 60)
+                 if brute_force_group_path(m, a, b) is None]
+        assert len(pairs) >= 10
+        for a, b in pairs:
+            assert _shortest_group_path(m, a, b) is None
+            assert _shortest_group_path(m, b, a) is None
+
+    def test_far_pair_pops_a_tenth_of_the_unbounded_search(self, monkeypatch):
+        # the unbounded search is the oracle's, which pops the same entries
+        w = harness.WORKLOADS["many-groups"]
+        inputs = harness.make_inputs(w, 11)
+        m = harness.fit_workload(w, inputs.train)
+        first, second = harness.far_pair(m, inputs.train, inputs.train_truth)
+        groups = int(m.point_group[first]), int(m.point_group[second])
+        path, pops = counted_pops(monkeypatch, sortclust.explain, _shortest_group_path, m, *groups)
+        expected, unbounded = counted_pops(monkeypatch, _oracles, brute_force_group_path,
+                                           m, *groups)
+        assert path == expected and len(path) > 2
+        assert pops <= 0.1 * unbounded
+
+
+class TestScaleInvariance:
+    """Group paths are those of scale 1 at power-of-two scales whose squared
+    distances overflow or underflow float64."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return make_blobs(3000, 4, 3, 1.0, 2)[0]
+
+    def test_paths_equal_scale_one(self, data):
+        base = fit(data, radius=0.15, minpts=3)
+        pairs = np.random.default_rng(19).integers(0, 3000, size=(200, 2)).tolist()
+        paths = [explain_pair(base, i, j).structured["path"] for i, j in pairs]
+        assert sum(len(p or ()) > 1 for p in paths) > 50
+        text = explain_pair(base, 923, 122).structured["path_text"]
+        assert text == "413 <-> 386 <-> 368 <-> 320"
+        for k in (530, -530, -560):
+            m = fit(np.ldexp(data, k), radius=0.15, minpts=3)
+            assert np.array_equal(m.point_group, base.point_group)
+            assert np.array_equal(m.merge_edges, base.merge_edges)
+            assert [explain_pair(m, i, j).structured["path"] for i, j in pairs] == paths
+
+    def test_cli_explain_is_silent_on_a_scaled_model(self, data, tmp_path):
+        save_model(fit(np.ldexp(data, 530), radius=0.15, minpts=3), tmp_path / "model.json")
+        done = harness.run_cli(["explain", "--model", "model.json", "--index", "923",
+                                "--index2", "122"], tmp_path)
+        assert done.stderr == ""
+        assert "via groups 413 <-> 386 <-> 368 <-> 320." in done.stdout

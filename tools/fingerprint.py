@@ -12,9 +12,11 @@ JSON line. The line holds the fit's counters and the sha256 digests of
 edges, the labels, the predicted query labels (of one call on every query
 row, and of the benchmark's streaming calls on 16 rows each, concatenated:
 `predict` may take a different search for each), the `to_json` text, the
-`explain_summary` text and `json.dumps` payload, and the text and payload of
-`explain_pair` on the benchmark's pair (`harness.far_pair`). Two trees that
-print the same lines gave the same results bit for bit.
+`explain_summary` text and `json.dumps` payload, the text and payload of
+`explain_pair` on the benchmark's pair (`harness.far_pair`), and those of 64
+pairs of rows drawn, seeded by the seed, from one cluster each (`pairs`), so
+that group paths are compared on many pairs. Two trees that print the same
+lines gave the same results bit for bit.
 
 `--root` takes the sources (`src/` and `bench/`) from another checkout, so a
 tree without this script can be fingerprinted too. The bench modules are
@@ -49,6 +51,14 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def cluster_pairs(model, seed: int, count: int = 64) -> list[tuple[int, int]]:
+    """`count` pairs of rows in one cluster: a clustered row, then any row of its cluster."""
+    rng = np.random.default_rng([seed, 2])
+    labels = model.labels
+    firsts = rng.choice(np.flatnonzero(labels >= 0), size=count).tolist()
+    return [(i, int(rng.choice(np.flatnonzero(labels == labels[i])))) for i in firsts]
+
+
 def fingerprint(workload, seed: int, scale: float = 1.0, offset: float = 0.0) -> dict:
     import harness
     import tracing
@@ -66,6 +76,7 @@ def fingerprint(workload, seed: int, scale: float = 1.0, offset: float = 0.0) ->
     text = to_json(model)
     summary = explain_summary(model)
     pair = explain_pair(model, *harness.far_pair(model, inputs.train, inputs.train_truth))
+    pairs = [explain_pair(model, i, j) for i, j in cluster_pairs(model, seed)]
     small = components.sizes < harness.MINPTS
     # the query rows of the benchmark's streaming predict calls, as it slices them
     wrap = inputs.query.shape[0] - harness.SMALL_BATCH
@@ -92,6 +103,7 @@ def fingerprint(workload, seed: int, scale: float = 1.0, offset: float = 0.0) ->
             "summary_text": text_digest(summary.text),
             "summary_payload": text_digest(json.dumps(summary.structured)),
             "pair": text_digest(json.dumps([pair.text, pair.structured])),
+            "pairs": text_digest(json.dumps([[p.text, p.structured] for p in pairs])),
         },
     }
 
