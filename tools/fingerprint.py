@@ -51,11 +51,11 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cluster_pairs(model, seed: int, count: int = 64) -> list[tuple[int, int]]:
-    """`count` pairs of rows in one cluster: a clustered row, then any row of its cluster."""
+def cluster_pairs(model, seed: int) -> list[tuple[int, int]]:
+    """64 pairs of rows in one cluster: a clustered row, then any row of its cluster."""
     rng = np.random.default_rng([seed, 2])
     labels = model.labels
-    firsts = rng.choice(np.flatnonzero(labels >= 0), size=count).tolist()
+    firsts = rng.choice(np.flatnonzero(labels >= 0), size=64).tolist()
     return [(i, int(rng.choice(np.flatnonzero(labels == labels[i])))) for i in firsts]
 
 
