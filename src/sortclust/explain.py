@@ -14,9 +14,10 @@ is ``round``'s result. Entries within a few ulps of a half-way point, or with
 |100 x| >= 2^49 or not finite, are decided again by ``round``.
 
 The group path search pops the least (distance, path) entry of its heap, the
-distance summed in path order over the weights of the CSR adjacency
-(``ClusterModel._merge_adjacency``, once per model); equal entries are
-indistinguishable, so the order of a node's neighbours cannot change the path.
+distance summed in path order over the edge weights, a group's taken when it
+first settles (``ClusterModel._merge_adjacency`` holds none: O(E) memory, not
+O(E d)); equal entries are indistinguishable, so the order of a node's
+neighbours cannot change the path.
 A weight is a distance between starting points, so h(g) = |p_g - p_goal| bounds
 the rest of any path from g (Hart, Nilsson and Raphael 1968). An A* pass, by
 distance + h, finds the length L of some path; the search then runs again and
@@ -160,7 +161,8 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
     sequence of group ids wins. None when no path exists."""
     if start == goal:
         return [start]
-    *graph, pts = model._merge_adjacency
+    offsets, nbr, pts = model._merge_adjacency
+    graph = offsets, nbr, pts, {}    # {}: settled groups' (neighbour, weight) pairs, both passes
     (l, d), diff = pts.shape, pts - pts[goal]
     tiny = math.sqrt(d * _TINY)
     h = (np.sqrt(np.einsum("ij,ij->i", diff, diff)) * (1.0 - (d + 4) * _EPS) - 2.0 * tiny).tolist()
@@ -172,7 +174,7 @@ def _shortest_group_path(model: ClusterModel, start: int, goal: int):
 def _search(graph, start: int, goal: int, h: list, limit: float, by_bound: bool):
     """(Distance, path) at `goal` first popped by least (distance + h if `by_bound` else
     distance, distance, path), of entries with distance + h <= `limit`; else (-inf, None)."""
-    offsets, nbr, nbr_weight = graph
+    offsets, nbr, pts, near = graph
     heap = [(0.0, 0.0, (start,))]
     settled: set[int] = set()
     while heap:
@@ -183,8 +185,12 @@ def _search(graph, start: int, goal: int, h: list, limit: float, by_bound: bool)
         if node in settled:
             continue
         settled.add(node)
-        lo, hi = offsets[node], offsets[node + 1]
-        for g, w in zip(nbr[lo:hi].tolist(), nbr_weight[lo:hi].tolist()):
+        if node not in near:    # x - y = -(y - x): each edge's weight, bit for bit
+            ids = nbr[offsets[node]:offsets[node + 1]]
+            diff = np.take(pts, ids, axis=0) - pts[node]
+            weight = np.sqrt(np.sum(np.square(diff, out=diff), axis=1))
+            near[node] = list(zip(ids.tolist(), weight.tolist()))
+        for g, w in near[node]:
             step = dist + w
             if g not in settled and (bound := step + h[g]) <= limit:
                 heapq.heappush(heap, (bound if by_bound else step, step, path + (g,)))

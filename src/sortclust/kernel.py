@@ -21,15 +21,16 @@ cannot decide. Outside the band, the two formulas cannot disagree.
 
 Every product runs in the units it is given. ``screen`` makes a (d + 1, n)
 column-major copy of B, once per caller: row j, then its half squared norm.
-``within`` and ``nearest`` put -1 last in each row of A, so one product
-gives x.y - |y|^2/2, and take one bound per block, s = max |x|^2/2 +
-max |y|^2/2 (+ t/2 in ``within``), and one band from it. A block whose s,
-or s plus its band, leaves [2^-100, 2^100) goes to the direct formula:
-above, a float32 cast could overflow (to inf, with no numpy warning);
-below, float32 underflow would swamp the band. So every decision, at every
-magnitude, is the direct formula's. ``prepare`` frames a fit's rows by a
-power of two (``prep.framed``) to put s in that range; direct calls are
-screened where their own s lies in it.
+Both searches take each block's product from one step, ``_product``: it
+puts -1 last in each row of A, so one product gives x.y - |y|^2/2, and takes
+one bound per block, s = max |x|^2/2 + max |y|^2/2 (+ t/2 in ``within``),
+and one band from it. A block whose s, or s plus its band, leaves
+[2^-100, 2^100) goes to the direct formula: above, a float32 cast could
+overflow (to inf, with no numpy warning); below, float32 underflow would
+swamp the band. So every decision, at every magnitude, is the direct
+formula's. ``prepare`` frames a fit's rows by a power of two
+(``prep.framed``) to put s in that range; direct calls are screened where
+their own s lies in it.
 
 ``within`` screens in float32 and returns its hits as index pairs in
 row-major order: after each product one pass flags the entries above the
@@ -199,29 +200,31 @@ def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows,
     `b32` holds the (d + 1, k) columns of the k rows ``B[b_rows]`` in a
     :func:`screen` layout; k may be 0. The columns go ``_BLOCK // m`` at a
     time, so every product holds the budget however wide the window; each
-    chunk takes one bound and one band, and the rows of A are cast once a
-    chunk is screened. The rows of B are gathered only for direct re-checks.
-    A stable sort on i puts the pairs of several chunks back in row-major order.
+    chunk is one :func:`_product`. The rows of B are gathered only for direct
+    re-checks. A stable sort on i puts the pairs of several chunks back in
+    row-major order.
     """
-    m, d, k = A.shape[0], A.shape[1], b32.shape[1]
-    half_a = half_sq_norms(A)
-    top, a32 = float(np.maximum.reduce(half_a)) + 0.5 * t, None
-    step = max(1, _BLOCK // m)
+    m, half_a = A.shape[0], half_sq_norms(A)
+    top, step = float(np.maximum.reduce(half_a)) + 0.5 * t, max(1, _BLOCK // m)
+    a32 = np.empty((m, A.shape[1] + 1), np.float32)
+    a32[:, -1] = -1.0    # np.full takes longer
     pairs = [(np.empty(0, np.int64),) * 2]
-    for c in range(0, k, step):
-        bc = b32[:, c:c + step]
-        s = top + float(np.maximum.reduce(bc[-1]))    # the columns' largest, in float32
-        width = _band(d, s, np.float32)
-        if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH:
-            if a32 is None:    # |x|^2/2 <= s < 2^100: no entry overflows
-                a32, thr = np.empty((m, d + 1), np.float32), half_a - 0.5 * t
-                a32[:, :-1], a32[:, -1] = A, -1.0    # np.full takes longer
-            h = np.matmul(a32, bc)
-            lower, upper = np.float32(thr - width)[:, None], np.float32(thr + width)
-        else:    # the direct formula decides every entry
-            h, lower, upper = np.zeros((m, bc.shape[1]), np.float32), -np.inf, np.full(m, np.inf)
-        i, j = _within_chunk(h, lower, upper, A, B, t, b_rows[c:c + step],
-                             None if cols is None else cols[c:c + step])
+    for c in range(0, b32.shape[1], step):
+        h, width = _product(A, top, b32[:, c:c + step], a32)
+        # an inf band sends every entry direct; half_a - t/2 may be inf - inf there
+        thr = half_a - 0.5 * t if width < math.inf else np.zeros(m)
+        lower, upper = np.float32(thr - width)[:, None], np.float32(thr + width)
+        unsure = h > lower
+        if cols is not None:
+            unsure &= cols[c:c + step]
+        at = unsure.ravel().nonzero()[0]    # np.flatnonzero takes longer on small blocks
+        i = at // h.shape[1]    # np.divmod takes several times longer
+        j = at - i * h.shape[1]
+        check = (h.ravel()[at] < upper[i]).nonzero()[0]
+        if check.size:
+            hit = np.ones(at.size, dtype=bool)
+            hit[check] = _direct_sq(A, i[check], B, b_rows[j[check] + c]) <= t
+            i, j = i[hit], j[hit]
         pairs.append((i, j + c if c else j))
     if len(pairs) <= 2:
         return pairs[-1]
@@ -230,22 +233,18 @@ def within(A: np.ndarray, B: np.ndarray, t: float, b32: np.ndarray, b_rows,
     return i[order], j[order]
 
 
-def _within_chunk(h, lower, upper, A, B, t, b_rows, cols):
-    """:func:`within` on one column chunk, from its (m, kc) product `h`: the
-    entries above their row's `lower` (and in `cols`) are hits where they
-    reach its `upper` too, and go to the direct formula below it."""
-    unsure = h > lower
-    if cols is not None:
-        unsure &= cols
-    at = unsure.ravel().nonzero()[0]    # np.flatnonzero takes longer on small blocks
-    i = at // h.shape[1]    # np.divmod takes several times longer
-    j = at - i * h.shape[1]
-    check = (h.ravel()[at] < upper[i]).nonzero()[0]
-    if check.size:
-        hit = np.ones(at.size, dtype=bool)
-        hit[check] = _direct_sq(A, i[check], B, b_rows[j[check]]) <= t
-        i, j = i[hit], j[hit]
-    return i, j
+def _product(A, top: float, bc: np.ndarray, cast: np.ndarray, out=None) -> tuple:
+    """``(h, band)``: h = x.y - |y|^2/2 of the rows x of A and the screen
+    columns `bc`, through `cast` (A's rows then a last column of -1, in bc's
+    dtype), and the band of s = `top` + the columns' largest half norm. Where
+    s, or s plus its band, leaves [2^-100, 2^100), h is zeros and the band
+    inf: the direct formula decides every entry."""
+    s = top + float(np.maximum.reduce(bc[-1]))
+    width = _band(A.shape[1], s, bc.dtype.type)
+    if not (_SINGLE_LOW <= s and s + width < _SINGLE_HIGH):
+        return np.zeros((A.shape[0], bc.shape[1]), bc.dtype), math.inf
+    cast[:, :-1] = A    # |x|^2/2 <= s < 2^100: no entry overflows
+    return np.matmul(cast, bc, out=out), width
 
 
 def block_rows(widths: np.ndarray) -> int:
@@ -354,17 +353,10 @@ def _nearest(A, half_a, B, b32, b64) -> np.ndarray:
             nr = at.stop - r0
             dtype = np.float32 if nr * nc >= _SCREEN_ENTRIES else np.float64
             bc = (b32 if dtype is np.float32 else b64)[:, c0:c0 + cols]
-            # the rows' largest half norm, then the columns', as the screen holds it
-            s = float(np.maximum.reduce(half_a[at])) + float(np.maximum.reduce(bc[-1]))
-            width = _band(d, s, dtype)
-            if _SINGLE_LOW <= s and s + width < _SINGLE_HIGH:
-                a = cast.get(dtype)
-                if a is None:
-                    a = cast[dtype] = np.full((min(m, rows), d + 1), -1.0, dtype)
-                a[:nr, :-1] = A[at]    # |x|^2/2 < s < 2^100: no entry overflows
-                h = np.matmul(a[:nr], bc, out=buf.view(dtype)[:nr * nc].reshape(nr, nc))
-            else:    # the direct formula decides every entry
-                h, width = np.zeros((nr, nc)), math.inf
+            if dtype not in cast:
+                cast[dtype] = np.full((min(m, rows), d + 1), -1.0, dtype)
+            h, width = _product(A[at], float(np.maximum.reduce(half_a[at])), bc,
+                                cast[dtype][:nr], buf.view(dtype)[:nr * nc].reshape(nr, nc))
             flat, off = h.reshape(-1), np.arange(0, nr * nc, nc)
             win = h.argmax(axis=1)
             # the bar in float64: a float32 lead minus the bands would round

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import _finite_real, _radius, _scale, aggregate
-from .kernel import nearest, screens, window_pad
+from .kernel import largest, nearest, screens, window_pad
 from .merging import (GroupClusterMap, connected_components, density_merge,
                       distance_merge, relabel_by_size)
 from .prep import framed, prepare, real_array
@@ -80,14 +80,16 @@ class ClusterModel:
     def _eligible(self) -> tuple:
         """predict's eligible groups, their points in their frame 2^-e (``prep.framed``),
         ``kernel.screens`` of them (float32 and float64 screens and window pad),
-        |v1|, their scores along v1 / |v1| in the frame, and e."""
+        |v1|, their scores along v1 / |v1| in the frame, e, and whether a query may
+        overflow: in the frame, or as q - mean, only if some |mean_k| >= 2^970."""
         eligible = (self.group_cluster >= 0).nonzero()[0]
         pts = (self.starting_points if eligible.size == self.group_cluster.size
                else np.take(self.starting_points, eligible, axis=0))
         pts, e = framed(pts)
         norm = float(np.linalg.norm(self.v1))    # from_json admits v1 within 1e-6 of unit
         scores = np.ldexp(self.starting_scores[eligible] / norm, -e)
-        return eligible, pts, screens(pts), norm, scores, e
+        wide = e != 0 or largest(self.mean) >= 2.0 ** 970
+        return eligible, pts, screens(pts), norm, scores, e, wide
 
     @property
     def r(self) -> float:    # effective aggregation radius
@@ -119,19 +121,17 @@ class ClusterModel:
         return np.split(order, ends[:-1])
 
     @functools.cached_property
-    def _merge_adjacency(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    def _merge_adjacency(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """The merge graph in CSR form, built once per model: the neighbours
-        of group g are ``nbr[offsets[g]:offsets[g + 1]]``, at the distances
-        between the starting points in ``weight``, and those points, framed
-        (``prep.framed``): a power-of-two scale of normal points keeps the paths."""
-        edges, pts = self.merge_edges, framed(self.starting_points)[0]
-        diff = np.take(pts, edges[:, 0], axis=0) - np.take(pts, edges[:, 1], axis=0)
-        weight = np.sqrt(np.sum(np.square(diff, out=diff), axis=1))
+        of group g are ``nbr[offsets[g]:offsets[g + 1]]``, and the starting points,
+        framed (``prep.framed``): a power-of-two scale of normal points keeps the
+        paths. No weights: the search takes them per settled group (O(E) memory)."""
+        edges = self.merge_edges
         src = np.concatenate((edges[:, 0], edges[:, 1]))
         order = np.argsort(src.astype(np.min_scalar_type(self.num_groups)), kind="stable")
         nbr = np.take(np.concatenate((edges[:, 1], edges[:, 0])), order)
         offsets = [0, *np.cumsum(np.bincount(src, minlength=self.num_groups)).tolist()]
-        return offsets, nbr, np.take(np.concatenate((weight, weight)), order), pts
+        return offsets, nbr, framed(self.starting_points)[0]
 
     @property
     def num_clusters(self) -> int:
@@ -205,7 +205,9 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
     config.validate()
     config = replace(config, radius=float(radius), minpts=int(minpts), scale=float(scale))
     prepared = prepare(data)
-    r = effective_radius(config.radius, prepared.mext)
+    if not math.isfinite(r := effective_radius(config.radius, prepared.mext)):
+        raise ValueError(f"radius {config.radius!r} is too large: the radius times the "
+                         f"data's median row norm overflows float64")
     starts, group_of, dist_count = aggregate(prepared, r)
     starting_points = np.take(prepared.centered, starts, axis=0)
     starting_scores = prepared.scores[starts]
@@ -256,13 +258,13 @@ def predict(model: ClusterModel, new_points) -> np.ndarray:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite values")
-    eligible, pts, screened, norm, scores, e = model._eligible
+    eligible, pts, screened, norm, scores, e, wide = model._eligible
     if eligible.size == 0:
         return np.full(q.shape[0], -1, dtype=np.int64)
-    q, score = q - model.mean, lambda a: (a @ model.v1) / norm
-    if e:    # a frame only far from normal magnitudes: no pass over q otherwise
+    q, score = (q if wide else q - model.mean), lambda a: (a @ model.v1) / norm
+    if wide:    # only far from normal magnitudes: no errstate or pass over q otherwise
         with np.errstate(over="ignore"):    # inf past float64: it ties with every start
-            np.ldexp(q, -e, out=q)
+            q = np.ldexp(q - model.mean, -e)
         score = score if np.isfinite(q).all() else None    # inf scores nan: search densely
     near = nearest(q, pts, score, scores, screened)
     return model.group_cluster[eligible[near]]

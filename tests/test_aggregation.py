@@ -257,13 +257,14 @@ def budget(monkeypatch, block: int) -> None:
 def recorded_columns(monkeypatch) -> list[tuple[int, int]]:
     """(rows, columns) of each product the kernel makes, one per column chunk."""
     shapes = []
-    real = kernel._within_chunk
+    real = kernel._product
 
-    def recording(out, *rest):
-        shapes.append(out.shape)
-        return real(out, *rest)
+    def recording(*args):
+        h, band = real(*args)
+        shapes.append(h.shape)
+        return h, band
 
-    monkeypatch.setattr(kernel, "_within_chunk", recording)
+    monkeypatch.setattr(kernel, "_product", recording)
     return shapes
 
 

@@ -159,6 +159,14 @@ class TestFit:
         assert "row norms lie beyond float64's range" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_radius_whose_effective_radius_overflows_writes_nothing(self, tmp_path, capsys):
+        data = fixture_csv(tmp_path)
+        assert main(["fit", "--input", data, "--radius", "1e308", "--output",
+                     str(tmp_path / "labels.txt"), "--model", str(tmp_path / "m.json")]) == 2
+        assert ("error: radius 1e+308 is too large: the radius times the data's median row "
+                "norm overflows float64") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     @pytest.mark.parametrize("flags", [
         ["--output", "out.txt", "--model", "out.txt"],
         ["--output", "./p.csv", "--plot-data", "p.csv"],
@@ -229,6 +237,24 @@ class TestPredict:
         assert main(["predict", "--input", data, "--model", str(model),
                      "--output", str(out)]) == 0
         assert out.read_text() == fitted.read_text()
+
+    def test_query_whose_centering_overflows_leaves_stderr_empty(self, tmp_path):
+        # in a child process, where a numpy warning would reach stderr: the
+        # query minus the mean near -1.45e308 passes float64, and the inf
+        # query ties with every start, so the first cluster wins
+        write(tmp_path / "train.csv", "-1.5e308,1\n-1.4e308,1\n-1.45e308,2\n")
+        write(tmp_path / "query.csv", "1.7e308,0\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        runs = [subprocess.run([sys.executable, "-c", "from sortclust.cli import run; run()",
+                                *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+                               timeout=120)
+                for args in (["fit", "--input", "train.csv", "--radius", "0.3", "--model",
+                              "model.json", "--output", "labels.txt"],
+                             ["predict", "--input", "query.csv", "--model", "model.json"])]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, ""), (0, "")]
+        assert runs[1].stdout == "0\n"
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         data = fixture_csv(tmp_path)

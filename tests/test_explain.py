@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -418,6 +419,26 @@ class TestBoundedSearch:
                                            m, *groups)
         assert path == expected and len(path) > 2
         assert pops <= 0.1 * unbounded
+
+    def test_first_pair_takes_no_weight_array(self):
+        # 600 rows in 200 dimensions, nearly one group each, joined by 35k
+        # edges: the adjacency holds O(E) and the search takes the weights of
+        # the groups it settles, never an (E, d) difference of 56 MB
+        m = fit(make_blobs(600, 200, 5, 1.0, 0)[0], radius=0.2)
+        edges, d = len(m.merge_edges), m.d
+        assert edges > 30_000
+        first = int(np.flatnonzero(m.labels == m.labels[0])[-1])
+        tracemalloc.start()
+        try:
+            report = explain_pair(m, 0, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < edges * d * 8 / 10
+        groups = int(m.point_group[0]), int(m.point_group[first])
+        assert report.structured["path"] == brute_force_group_path(m, *groups)
+        pairs = same_cluster_pairs(m, np.random.default_rng(5), 20)
+        assert_paths_match(m, pairs)
 
 
 class TestScaleInvariance:

@@ -78,12 +78,13 @@ def test_scale_option_reaches_the_rows(capsys):
 
 def test_power_of_two_scale_gives_the_scale_one_digests():
     # 2^-1000 is exact, and the fit's frame takes it out: the grouping, edges,
-    # labels, predictions and group paths are scale 1's. The model text, the
-    # summary and the choice of the benchmark's pair (`harness.far_pair`) work
-    # from coordinates in the input's units, which underflow there, so they
-    # are left out.
+    # labels, predictions and group paths are scale 1's, and so is the
+    # benchmark's pair, which the tool ranks on the unscaled rows. The model
+    # text and the summary hold coordinates in the input's units, which
+    # underflow there, so they are left out.
     tool = load_tool()
-    same = ("starts", "group_of", "edges", "labels", "predict", "predict_small", "pairs")
+    same = ("starts", "group_of", "edges", "labels", "predict", "predict_small", "pair",
+            "pairs")
     for name in ("density", "many-groups"):
         plain = tool.fingerprint(harness.WORKLOADS[name], 3)
         scaled = tool.fingerprint(harness.WORKLOADS[name], 3, 2.0 ** -1000)

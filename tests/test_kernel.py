@@ -1010,14 +1010,16 @@ class TestPairs:
 
 
 def recorded_chunks(monkeypatch) -> list:
-    """The (rows, columns) of each of ``within``'s column chunks."""
-    shapes, real = [], kernel._within_chunk
+    """The (rows, columns) of each product of the kernel: of ``within``, one
+    per column chunk."""
+    shapes, real = [], kernel._product
 
-    def recording(out, *rest):
-        shapes.append(out.shape)
-        return real(out, *rest)
+    def recording(*args):
+        h, band = real(*args)
+        shapes.append(h.shape)
+        return h, band
 
-    monkeypatch.setattr(kernel, "_within_chunk", recording)
+    monkeypatch.setattr(kernel, "_product", recording)
     return shapes
 
 
@@ -1032,14 +1034,7 @@ class TestColumnChunks:
         # 40 columns against a budget of 7 entries: chunks of 7 columns for
         # one row, of 2 for three; at 1e40 they go to the direct formula
         monkeypatch.setattr(kernel, "_BLOCK", 7)
-        shapes = []
-        real = kernel._within_chunk
-
-        def recording(out, *rest):
-            shapes.append(out.shape)
-            return real(out, *rest)
-
-        monkeypatch.setattr(kernel, "_within_chunk", recording)
+        shapes = recorded_chunks(monkeypatch)
         rng = np.random.default_rng(m)
         A, pool = scale * rng.normal(size=(m, 3)), scale * rng.normal(size=(60, 3))
         rows = rng.permutation(60)[:40]
@@ -1121,19 +1116,12 @@ class TestBudget:
     def test_products_stay_within_the_block_budget(self, block, monkeypatch):
         # a row whose window alone exceeds the budget goes alone, and the
         # kernel splits its columns: every product holds the budget
-        shapes = []
-        real_chunk = kernel._within_chunk
-
-        def recording(out, *rest):
-            shapes.append(out.shape)
-            return real_chunk(out, *rest)
-
+        shapes = recorded_chunks(monkeypatch)
         real_matmul = np.matmul
         singles = []
 
         def matmul(a, b, out=None):
-            # the products of the nearest search, whatever the call's shape,
-            # and the float32 products of within's screen
+            # every product, the kernel's again, with the float32 ones apart
             product = real_matmul(a, b, out=out)
             shapes.append(product.shape)
             if product.dtype == np.float32:
@@ -1142,7 +1130,6 @@ class TestBudget:
 
         monkeypatch.setattr(kernel, "_BLOCK", block)
         monkeypatch.setattr(aggregation, "_BLOCK", block)
-        monkeypatch.setattr(kernel, "_within_chunk", recording)
         monkeypatch.setattr(kernel.np, "matmul", matmul)
         monkeypatch.setattr(merging, "_BLOCK", block)
         rng = np.random.default_rng(block)

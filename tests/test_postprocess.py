@@ -69,6 +69,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, outlier_mode="drop")
 
+    def test_radius_whose_effective_radius_overflows(self):
+        # 1e308 is a valid radius, but times the median row norm it passes
+        # float64: the error names the radius given, not the inf it became
+        data = make_blobs(300, 3, 3, 1.0, 0)[0]
+        with pytest.raises(ValueError, match=r"radius 1e\+308 is too large: the radius "
+                                             r"times the data's median row norm overflows"):
+            fit(data, radius=1e308)
+        assert fit(data, radius=1e300).num_groups == 1
+
     @pytest.mark.parametrize("stage", ["fit", "prepare", "predict"])
     @pytest.mark.parametrize("rows, message", [
         pytest.param(np.array([[1.0 + 2.0j, 0.0], [3.0, 4.0]]), "complex", id="complex-array"),
@@ -315,6 +324,25 @@ class TestPredict:
         assert np.array_equal(predict(reloaded, data[:20]), first)
         assert built == [m, reloaded]
 
+    def test_queries_whose_centering_overflows_are_silent(self):
+        # means near -1.45e308 (a framed model) and 1e308 (an unframed one:
+        # its starts differ in the second column only): q - mean overflows to
+        # inf with no numpy warning (warnings are errors here), and the inf
+        # query ties with every start, so the first eligible start's cluster wins
+        framed = fit([[-1.5e308, 1.0], [-1.4e308, 1.0], [-1.45e308, 2.0]], radius=0.3)
+        assert framed._eligible[5] != 0
+        assert predict(framed, [[1.7e308, 0.0]]).tolist() == [framed.group_cluster[0]]
+        flat = fit([[1e308, 0.0], [1e308, 1.0], [1e308, 2.0]], radius=0.3)
+        eligible, pts, *_, e, wide = flat._eligible
+        assert e == 0 and wide and np.abs(pts).max() == 1.0
+        queries = [[1e308, 0.9], [-1e308, 0.0], [1e308, 2.2], [-1.7e308, 5.0]]
+        assert predict(flat, queries).tolist() == [1, 0, 2, 0]
+        assert flat.labels.tolist() == [0, 1, 2]
+        # with every entry of the mean below 2^970 (about 1e292) nothing can
+        # overflow, and predict takes no errstate
+        below = fit([[2.0 ** 969, 0.0], [2.0 ** 969, 1.0], [2.0 ** 969, 2.0]], radius=0.3)
+        assert below._eligible[-2:] == (0, False)
+
     def test_one_dimensional_nearest(self):
         data = [[0.0], [0.2], [5.0], [5.2]]
         m = fit(data, radius=0.3)
@@ -506,8 +534,8 @@ class TestPredictPaths:
         for key in ("v1", "starting_scores"):
             doc[key] = [(1.0 + 5e-7) * x for x in doc[key]]
         m = from_json(json.dumps(format2_doc(doc)))
-        eligible, pts, screened, norm, scores, e = m._eligible
-        assert norm != 1.0 and e == 0
+        eligible, pts, screened, norm, scores, e, wide = m._eligible
+        assert norm != 1.0 and e == 0 and not wide
         queries = np.random.default_rng(34).normal(0.0, 3.0, size=(200, 3))
         q = queries - m.mean
         near = kernel.nearest(q, pts, (q @ m.v1) / norm, scores, screened)

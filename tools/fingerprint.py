@@ -13,7 +13,8 @@ edges, the labels, the predicted query labels (of one call on every query
 row, and of the benchmark's streaming calls on 16 rows each, concatenated:
 `predict` may take a different search for each), the `to_json` text, the
 `explain_summary` text and `json.dumps` payload, the text and payload of
-`explain_pair` on the benchmark's pair (`harness.far_pair`), and those of 64
+`explain_pair` on the benchmark's pair (`harness.far_pair`, ranked on the
+unscaled rows, so the pair is scale 1's at any scale), and those of 64
 pairs of rows drawn, seeded by the seed, from one cluster each (`pairs`), so
 that group paths are compared on many pairs. Two trees that print the same
 lines gave the same results bit for bit.
@@ -65,6 +66,7 @@ def fingerprint(workload, seed: int, scale: float = 1.0, offset: float = 0.0) ->
     from sortclust import explain_pair, explain_summary, predict, to_json
 
     inputs = harness.make_inputs(workload, seed)
+    rows = inputs.train    # the benchmark's pair is ranked on these, at any scale
     inputs.train, inputs.query = inputs.train * scale, inputs.query * scale
     if offset:    # 0 + x would turn -0.0 into 0.0
         inputs.train, inputs.query = offset + inputs.train, offset + inputs.query
@@ -75,7 +77,7 @@ def fingerprint(workload, seed: int, scale: float = 1.0, offset: float = 0.0) ->
     components = tracer.results["merging.components"]
     text = to_json(model)
     summary = explain_summary(model)
-    pair = explain_pair(model, *harness.far_pair(model, inputs.train, inputs.train_truth))
+    pair = explain_pair(model, *harness.far_pair(model, rows, inputs.train_truth))
     pairs = [explain_pair(model, i, j) for i, j in cluster_pairs(model, seed)]
     small = components.sizes < harness.MINPTS
     # the query rows of the benchmark's streaming predict calls, as it slices them
