@@ -80,7 +80,7 @@ from .prep import PreparedData
 def _finite_real(value) -> bool:
     """Whether `value` is a finite real number; a boolean or a string is not."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def _radius(r) -> float:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .aggregation import _finite_real
 from .geometry import reg_inc_gamma_lower
 
 _SQRT2 = math.sqrt(2.0)
@@ -148,9 +149,9 @@ def make_blobs(n: int, d: int, k: int, std: float, seed: int) -> tuple[np.ndarra
     Returns (points, ground-truth labels).
     """
     for name, count, least in (("k", k, 1), ("d", d, 1), ("n", n, k)):
-        if not (isinstance(count, numbers.Integral) and count >= least):
+        if not (isinstance(count, numbers.Integral) and _finite_real(count) and count >= least):
             raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
-    if not (math.isfinite(std) and std >= 0.0):
+    if not (_finite_real(std) and std >= 0.0):
         raise ValueError(f"std must be finite and nonnegative, got {std!r}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-10.0, 10.0, size=(k, d))
@@ -177,13 +178,15 @@ class GaussianModelParams:
     d: int
 
     def validate(self) -> None:
-        if not (math.isfinite(self.c)):
+        # a value that is no finite real (a bool or a str) reads as nan and fails its test
+        c, r, s, d = (v if _finite_real(v) else math.nan for v in (self.c, self.r, self.s, self.d))
+        if math.isnan(c):
             raise ValueError("c must be finite")
-        if not (self.r > 0.0 and math.isfinite(self.r)):
+        if not r > 0.0:
             raise ValueError("r must be positive and finite")
-        if not 0.0 < self.s <= 1.0:
+        if not 0.0 < s <= 1.0:
             raise ValueError(f"s must lie in (0, 1], got {self.s!r}")
-        if not (self.d >= 2 and self.d % 1 == 0):
+        if not (d >= 2 and d % 1 == 0):
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
 
 

@@ -44,14 +44,13 @@ wide: in float32, 7% of the benchmark's 16-row `few-groups` predicts met a
 near-tie within the band, whose re-check raised their 90th percentile time
 by 13-45%.
 
-``nearest_by_score`` bounds each row's nearest distance by its
-``_SCORE_NEIGHBOURS`` neighbours in score and searches only the rows whose
-score lies within that bound (padded by ``window_pad``), by the projection
-bound of Friedman, Baskett and Shustek (IEEE Trans. Computers, 1975): a
-score gap never exceeds the distance. ``nearest``, which the minPts rule and
-``predict`` call, takes it by the cost rule in its docstring.
-``window_blocks`` cuts consecutive rows into blocks whose joint window fills
-the budget, however much or little the windows move from row to row.
+``nearest``, which the minPts rule and ``predict`` call, may instead bound
+each row's nearest distance by its score neighbours and search only the
+rows of B whose score lies within that bound, by the projection bound of
+Friedman, Baskett and Shustek (IEEE Trans. Computers, 1975): a score gap
+never exceeds the distance. Its docstring gives the windows and the cost
+rule that takes them. ``window_blocks`` cuts consecutive rows into blocks
+whose joint window fills the budget, however the windows move.
 
 Every temporary holds at most ``_BLOCK_BYTES`` (1 MB, the one budget), so
 memory stays bounded whatever the width of a window or the number of groups:
@@ -282,6 +281,8 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None,
             screened=None) -> np.ndarray:
     """Index of the row of B nearest to each row of A, as ``np.argmin`` of
     the direct formula picks it: equal distances go to the smallest index.
+    B must have a row (a ValueError otherwise); `screened` (``screens(B)``)
+    may be given.
 
     A row whose largest screened value leads its runner-up by more than
     twice the band (one band per block, from its largest norms) is decided
@@ -289,14 +290,21 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None,
     lead is a candidate, compared by the direct formula. So are the winners
     of several column chunks, and every row of a block the product cannot
     decide, whose band is infinite. A block of at least ``_SCREEN_ENTRIES``
-    entries is screened in float32, a smaller one in float64. B must have a
-    row (a ValueError otherwise); `screened` (``screens(B)``) may be given.
+    entries is screened in float32, a smaller one in float64.
 
     Given `score_a` and `score_b`, the rows' scores along one unit direction
-    (nondecreasing for B), it may search score windows instead
-    (:func:`nearest_by_score` on A sorted by score), with the same result
-    bit for bit; `score_a` may be a function that scores A, called only
-    then. The choice is one of cost, made from the m rows of A and the k of
+    (nondecreasing for B), it may search score windows instead, with the
+    same result bit for bit; `score_a` may be a function that scores A,
+    called only then. With A in score order, the direct-formula distances
+    from a row to the ``_SCORE_NEIGHBOURS`` rows of B nearest in score bound
+    its nearest distance by some ub. Scores are 1-Lipschitz, so every row of
+    B within ub scores within ub + ``window_pad(A, ub) + window_pad(B, 0)``
+    of the row (the square root's rounding, one unit roundoff more, is in
+    the pads' factor four): the window holds the nearest row and every row
+    tied with it. Consecutive rows whose joint window fits the budget
+    (``window_blocks``) share one dense search of that slice of B.
+
+    The choice is one of cost, made from the m rows of A and the k of
     B before any distance is computed. The dense search costs m * k product
     entries, about 1.3 ns each at d = 10 on the float32 screen (1.5 ns on
     the float64 one; one BLAS thread). The windows cost
@@ -313,21 +321,33 @@ def nearest(A: np.ndarray, B: np.ndarray, score_a=None, score_b=None,
     at 32 to 128 rows of A (three to six blocks). d moves the crossover
     less than the data does, so it does not enter the rule.
     """
-    _check_rows(B)
-    screened = screens(B) if screened is None else screened
-    if score_a is None or not _by_score(A.shape[0], B.shape[0]):
-        return _nearest(A, half_sq_norms(A), B, *screened[:2])
-    if callable(score_a):
-        score_a = score_a(A)
-    order, near = np.argsort(score_a), np.empty(A.shape[0], dtype=np.int64)
-    near[order] = nearest_by_score(A[order], score_a[order], B, score_b, screened)
-    return near
-
-
-def _check_rows(B: np.ndarray) -> None:
-    """The nearest searches need a row of B to find."""
-    if B.shape[0] == 0:
+    m, k = A.shape[0], B.shape[0]
+    if k == 0:
         raise ValueError("B has no rows: the nearest row of B needs one")
+    b32, b64, pad = screens(B) if screened is None else screened
+    if score_a is None or not _by_score(m, k):
+        return _nearest(A, half_sq_norms(A), B, b32, b64)
+    score_a = score_a(A) if callable(score_a) else score_a
+    order = np.argsort(score_a)
+    A, score_a = A[order], score_a[order]
+    near = min(_SCORE_NEIGHBOURS, k)
+    first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
+    # runs[j] is the view of rows j..j+near-1 of B: one gather per row of A
+    runs = np.lib.stride_tricks.sliding_window_view(B, (near, B.shape[1]))[:, 0]
+    bound = np.empty(m)
+    for s in range(0, m, step := max(1, _BLOCK // (near * B.shape[1]))):
+        diff = runs[first[s:s + step]]
+        diff -= A[s:s + step, None]
+        bound[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
+    reach = np.sqrt(bound)
+    reach += window_pad(A, reach) + pad
+    los = np.searchsorted(score_b, score_a - reach, side="left")
+    his = np.searchsorted(score_b, score_a + reach, side="right")
+    half_a, best = half_sq_norms(A), np.empty(m, dtype=np.int64)
+    for rows, lo, hi in window_blocks(los, his):
+        best[order[rows]] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], b32[:, lo:hi],
+                                          b64[:, lo:hi])
+    return best
 
 
 def _by_score(rows_a: int, rows_b: int) -> bool:
@@ -376,48 +396,4 @@ def _nearest(A, half_a, B, b32, b64) -> np.ndarray:
                 win = np.where(better, win + c0, best[at])
                 best_sq[at] = np.where(better, sq, best_sq[at])
             best[at] = win
-    return best
-
-
-def nearest_by_score(A: np.ndarray, score_a: np.ndarray, B: np.ndarray,
-                     score_b: np.ndarray, screened=None) -> np.ndarray:
-    """:func:`nearest` for rows in score order, searched in score windows.
-
-    `score_a` and `score_b` are the scores of the rows of A and B along one
-    unit direction (as ``prepare`` computes them), each nondecreasing. The
-    direct-formula distances from a row of A to the ``_SCORE_NEIGHBOURS``
-    rows of B nearest to it in score bound its nearest distance by some ub.
-    Scores are 1-Lipschitz, so every row of B within ub has a score within
-    ub + ``window_pad(A, ub) + window_pad(B, 0)`` of the row's score (the
-    rounding of the square root is one unit roundoff more, which the pads'
-    factor four covers): the window holds the nearest row and every row
-    tied with it, and the result is the index ``nearest`` gives over all of
-    B, ties going to the smallest index. Consecutive rows of A whose joint
-    window fits the block budget (``window_blocks``) share one call of
-    ``nearest`` on that contiguous slice of B and of its screens. B must
-    have a row; `screened` (``screens(B)``, which holds B's pad) may be
-    given.
-    """
-    _check_rows(B)
-    m, k = A.shape[0], B.shape[0]
-    b32, b64, pad = screens(B) if screened is None else screened
-    near = min(_SCORE_NEIGHBOURS, k)
-    first = np.clip(np.searchsorted(score_b, score_a) - near // 2, 0, k - near)
-    # runs[j] is the view of rows j..j+near-1 of B: one gather per row of A
-    runs = np.lib.stride_tricks.sliding_window_view(B, (near, B.shape[1]))[:, 0]
-    bound = np.empty(m)
-    step = max(1, _BLOCK // (near * B.shape[1]))
-    for s in range(0, m, step):
-        diff = runs[first[s:s + step]]
-        diff -= A[s:s + step, None]
-        bound[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-    reach = np.sqrt(bound)
-    reach += window_pad(A, reach) + pad
-    los = np.searchsorted(score_b, score_a - reach, side="left")
-    his = np.searchsorted(score_b, score_a + reach, side="right")
-    half_a = half_sq_norms(A)
-    best = np.empty(m, dtype=np.int64)
-    for rows, lo, hi in window_blocks(los, his):
-        best[rows] = lo + _nearest(A[rows], half_a[rows], B[lo:hi], b32[:, lo:hi],
-                                   b64[:, lo:hi])
     return best

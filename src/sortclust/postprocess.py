@@ -147,8 +147,9 @@ class ClusterModel:
 
 
 def effective_radius(radius: float, mext: float) -> float:
-    """Absolute aggregation radius; falls back to the raw radius when the
-    data is degenerate (mext = 0)."""
+    """Absolute aggregation radius in the input's units: radius * mext, or the
+    radius itself where the data are degenerate (mext = 0). ``fit`` applies it
+    in ``prepare``'s frame."""
     return radius * mext if mext > 0.0 else radius
 
 
@@ -196,18 +197,25 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
         merge_mode: str = "distance", outlier_mode: str = "reassign") -> ClusterModel:
     """Cluster `data` (n x d matrix) and return the fitted model.
 
-    `radius` is unit-free; the absolute grouping threshold is
-    radius * the median row norm of the centered data. The model holds the
-    input's units, exactly but for centered coordinates subnormal in them.
+    `radius` is unit-free; the absolute grouping threshold is radius * the
+    median row norm of the centered data (a ValueError if not finite), or the
+    radius itself, in the input's units, where that norm is 0. The model holds
+    the input's units, exactly but for centered coordinates subnormal in them.
     """
     config = FitConfig(radius=radius, minpts=minpts, scale=scale,
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
     config.validate()
     config = replace(config, radius=float(radius), minpts=int(minpts), scale=float(scale))
     prepared = prepare(data)
-    if not math.isfinite(r := effective_radius(config.radius, prepared.mext)):
+    mext, e = math.ldexp(prepared.mext, prepared.e), prepared.e
+    if not math.isfinite(config.radius * mext):
         raise ValueError(f"radius {config.radius!r} is too large: the radius times the "
                          f"data's median row norm overflows float64")
+    # r in the frame 2^-e, held within [2^-1074, 2^40], as the centered norms there are
+    # under 2^33; the exponent is bounded first, as ldexp raises on overflow
+    r = config.radius * prepared.mext if mext > 0.0 else max(math.ldexp(
+        config.radius, min(-e, 41 - math.frexp(config.radius)[1])), 2.0 ** -1074)
+    r = min(r, 2.0 ** 40)
     starts, group_of, dist_count = aggregate(prepared, r)
     starting_points = np.take(prepared.centered, starts, axis=0)
     starting_scores = prepared.scores[starts]
@@ -228,7 +236,7 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
         config=config,
         mean=np.ldexp(prepared.mean, prepared.e),
         v1=prepared.v1.copy(),
-        mext=math.ldexp(prepared.mext, prepared.e),
+        mext=mext,
         starting_points=np.ldexp(starting_points, prepared.e),
         starting_scores=np.ldexp(starting_scores, prepared.e),
         group_cluster=final_map.cluster_of_group,
@@ -437,11 +445,13 @@ def _model_from_doc(doc: dict, version: int) -> ClusterModel:
     # requires it), scores in order, and each score within a quarter of the
     # window pad of its point's (twice the rounding of a score; the rest of
     # the pad covers the queries')
-    _check(abs(float(np.linalg.norm(v1)) - 1.0) <= 1e-6, "v1 must have unit norm")
+    with np.errstate(over="ignore", invalid="ignore"):    # a value past float64 fails its check
+        norm, off = float(np.linalg.norm(v1)), np.abs(starting_points @ v1 - starting_scores)
+    pad = window_pad(starting_points, 0.0) / 4    # inf where a norm may pass float64
+    _check(abs(norm - 1.0) <= 1e-6, "v1 must have unit norm")
     _check(bool(np.all(starting_scores[1:] >= starting_scores[:-1])),
            "starting_scores must be nondecreasing")
-    _check(bool(np.all(np.abs(starting_points @ v1 - starting_scores)
-                       <= window_pad(starting_points, 0.0) / 4)),
+    _check(pad < math.inf and bool(np.all(off <= pad)),
            "starting_scores must be the scores of the starting points along v1")
 
     # group_members must partition 0..n-1: group ends that rise strictly from

@@ -159,6 +159,16 @@ class TestFit:
         assert "row norms lie beyond float64's range" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_radius_limit_in_the_input_units_writes_nothing(self, tmp_path, capsys):
+        # the rows times 2^40: radius * mext overflows in the input's units
+        rows = [0.0, 0.1, 0.2, 5.0, 5.1, 5.2]
+        data = write(tmp_path / "data.csv", "".join(f"{v * 2.0 ** 40!r}\n" for v in rows))
+        assert main(["fit", "--input", data, "--radius", "1e308", "--output",
+                     str(tmp_path / "labels.txt"), "--model", str(tmp_path / "m.json")]) == 2
+        assert ("error: radius 1e+308 is too large: the radius times the data's median row "
+                "norm overflows float64") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_radius_whose_effective_radius_overflows_writes_nothing(self, tmp_path, capsys):
         data = fixture_csv(tmp_path)
         assert main(["fit", "--input", data, "--radius", "1e308", "--output",

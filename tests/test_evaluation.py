@@ -145,7 +145,8 @@ class TestMakeBlobs:
 
     @pytest.mark.parametrize("counts, name", [
         ((10.5, 2, 2), "n"), ((10, 2.5, 2), "d"), ((10, 2, 2.0), "k"),
-        ((10, "2", 2), "d"), ((2, 2, 3), "n"), ((5, 0, 2), "d"), ((5, 2, 0), "k")])
+        ((10, "2", 2), "d"), ((2, 2, 3), "n"), ((5, 0, 2), "d"), ((5, 2, 0), "k"),
+        ((True, 2, 1), "n"), ((10, True, 2), "d"), ((10, 2, True), "k")])
     def test_counts_must_be_integers_and_name_themselves(self, counts, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
             make_blobs(*counts, 1.0, 0)
@@ -155,7 +156,7 @@ class TestMakeBlobs:
         b = make_blobs(50, 3, 4, 1.0, 7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), True, "1.0"])
     def test_non_finite_std(self, std):
         with pytest.raises(ValueError, match="std must be finite"):
             make_blobs(20, 2, 2, std, 0)
@@ -202,10 +203,18 @@ class TestWindowModel:
         with pytest.raises(ValueError):
             GaussianModelParams(c=0.0, r=1.0, s=1.5, d=3).validate()
 
-    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5, 1, -math.inf])
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5, 1, -math.inf, True, "3"])
     def test_dimension_that_is_no_integer(self, d):
         with pytest.raises(ValueError, match="^d must be an integer >= 2"):
             GaussianModelParams(c=0.0, r=1.0, s=0.5, d=d).validate()
+
+    @pytest.mark.parametrize("name, value", [("c", True), ("c", "0"), ("r", True),
+                                             ("r", "1"), ("s", True), ("s", "0.5")])
+    def test_window_that_is_no_real_number(self, name, value):
+        # a bool does not run as 1, nor a str reach math.isfinite: both name themselves
+        params = {"c": 0.0, "r": 1.0, "s": 0.5, "d": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            GaussianModelParams(**params).validate()
 
     @pytest.mark.parametrize("c, r, s, d", [(30.0, 30.0, 0.3, 2), (19.0, 19.0, 1.0, 5),
                                             (-28.0, 30.0, 0.5, 3), (0.0, 1e10, 0.3, 2)])

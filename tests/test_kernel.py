@@ -9,7 +9,7 @@ import pytest
 
 from sortclust import aggregation, kernel, merging
 from sortclust.aggregation import aggregate
-from sortclust.kernel import half_sq_norms, nearest, nearest_by_score, within
+from sortclust.kernel import half_sq_norms, nearest, within
 from sortclust.merging import GroupClusterMap, density_merge, distance_merge
 from sortclust.postprocess import apply_minpts, fit, predict, to_json
 from sortclust.prep import PreparedData, prepare
@@ -836,8 +836,12 @@ def scored(points, v1):
 class TestNearestByScore:
     """The score-windowed search gives the index of the dense search."""
 
+    @pytest.fixture(autouse=True)
+    def windows(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_by_score", lambda rows_a, rows_b: True)
+
     def check(self, A, score_a, B, score_b):
-        got = nearest_by_score(A, score_a, B, score_b)
+        got = nearest(A, B, score_a, score_b)
         assert np.array_equal(got, direct_nearest(A, B))
         assert np.array_equal(got, nearest(A, B))
 
@@ -899,13 +903,13 @@ class TestNearestByScore:
         B = np.array([[0.5662734181497775, 0.7550312241997035]])
         gap = np.sqrt(direct_sq_matrix(A, B)[0, 0])
         assert (A @ v1)[0] + gap < (B @ v1)[0]
-        assert nearest_by_score(A, A @ v1, B, B @ v1).tolist() == [0]
+        assert nearest(A, B, A @ v1, B @ v1).tolist() == [0]
 
     def test_single_eligible_row(self):
         rng = np.random.default_rng(13)
         A, sa = scored(rng.normal(size=(50, 3)), np.eye(3)[2])
         B = np.array([[0.5, -0.5, 3.0]])
-        assert nearest_by_score(A, sa, B, B[:, 2]).tolist() == [0] * 50
+        assert nearest(A, B, sa, B[:, 2]).tolist() == [0] * 50
 
 
 def test_nearest_of_no_rows():
@@ -923,13 +927,14 @@ def test_windows_from_4096_rows_of_b():
     assert kernel._by_score(4 * kernel._BLOCK // 4_096, 4_096)
 
 
-def test_nearest_in_no_rows_of_b():
+def test_nearest_in_no_rows_of_b(monkeypatch):
     # the nearest row of B needs one: a ValueError naming B, for both searches
     X = np.ones((2, 3))
     with pytest.raises(ValueError, match="B has no rows"):
         nearest(X, np.empty((0, 3)))
+    monkeypatch.setattr(kernel, "_by_score", lambda rows_a, rows_b: True)
     with pytest.raises(ValueError, match="B has no rows"):
-        nearest_by_score(X, X[:, 0], np.empty((0, 3)), np.empty(0))
+        nearest(X, np.empty((0, 3)), X[:, 0], np.empty(0))
 
 
 class TestSmallBlocks:
@@ -1137,7 +1142,9 @@ class TestBudget:
         starts, _, _ = aggregate(p, 0.15 * p.mext)
         assert 20 < starts.size < 400
         pts, scores = p.centered[starts], p.scores[starts]
-        nearest_by_score(pts[::3], scores[::3], pts[1::3], scores[1::3])
+        with monkeypatch.context() as windows:
+            windows.setattr(kernel, "_by_score", lambda rows_a, rows_b: True)
+            nearest(pts[::3], pts[1::3], scores[::3], scores[1::3])
         before = len(shapes)
         density_merge(starts, p, 0.15 * p.mext)
         assert len(shapes) > before

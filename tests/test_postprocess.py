@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,24 @@ class TestFit:
             fit(data, radius=1e308)
         assert fit(data, radius=1e300).num_groups == 1
 
+    def test_radius_limit_is_taken_in_the_input_units(self):
+        # radius * mext overflows in the input's units at 2^40 as at scale 1,
+        # though not in prepare's frame; at 2^-40 it stays finite there
+        data = make_blobs(300, 3, 3, 1.0, 0)[0]
+        with pytest.raises(ValueError, match=r"radius 1e\+308 is too large: the radius "
+                                             r"times the data's median row norm overflows"):
+            fit(data * 2.0 ** 40, radius=1e308)
+        small = fit(data * 2.0 ** -40, radius=1e308)
+        assert small.num_groups == 1 and math.isfinite(small.r)
+
+    def test_counts_beyond_float64_are_no_overflow(self):
+        # a minpts past float64's range is a valid integer: every cluster is
+        # too small, so nothing moves
+        m = fit([[0.0], [0.1], [5.0]], radius=0.2, minpts=10 ** 400)
+        assert m.labels.tolist() == fit([[0.0], [0.1], [5.0]], radius=0.2).labels.tolist()
+        with pytest.raises(ValueError):
+            explain_point(m, 10 ** 400)
+
     @pytest.mark.parametrize("stage", ["fit", "prepare", "predict"])
     @pytest.mark.parametrize("rows, message", [
         pytest.param(np.array([[1.0 + 2.0j, 0.0], [3.0, 4.0]]), "complex", id="complex-array"),
@@ -154,6 +173,23 @@ class TestDegenerateData:
         assert m.num_clusters == 2
         assert m.labels.tolist() == [0] * 5 + [1] * 5
 
+    @pytest.mark.parametrize("k", [33, 40, 66, -40, -660])
+    def test_absolute_radius_of_rescaled_degenerate_data(self, k):
+        # more than half the centered rows are zero, so mext = 0 and the
+        # radius is absolute, in the input's units: rows and radius rescaled
+        # by 2^k give scale 1's labels
+        base = np.array([[0.0], [0.0], [0.0], [-1.0], [1.0]])
+        assert fit(base, radius=0.5).labels.tolist() == [0, 0, 0, 1, 2]
+        m = fit(base * 2.0 ** k, radius=0.5 * 2.0 ** k)
+        assert m.mext == 0.0 and m.r == 0.5 * 2.0 ** k
+        assert m.labels.tolist() == [0, 0, 0, 1, 2]
+
+    def test_absolute_radius_far_beyond_the_data(self):
+        # radii whose frame value would overflow or underflow float64
+        base = np.array([[0.0], [0.0], [0.0], [-1.0], [1.0]])
+        assert fit(base * 1e-300, radius=1e10).labels.tolist() == [0] * 5
+        assert fit(base * 1e300, radius=1e-300).labels.tolist() == [0, 0, 0, 1, 2]
+
 
 def multiplied_in(monkeypatch, call):
     """The result of `call`, and the dtypes of every np.matmul it makes."""
@@ -226,17 +262,17 @@ class TestApplyMinpts:
         small = cmap.sizes < minpts
         assert small[cmap.cluster_of_group].sum() == 781 and (~small).sum() > 0
         calls, results = [], []
-        real = kernel.nearest_by_score
 
-        def recording(*rest):
-            calls.append(rest[0].shape[0])
-            return real(*rest)
+        def choosing(windows):
+            def choose(queries, starts):
+                calls.append((queries, windows))
+                return windows
+            return choose
 
-        monkeypatch.setattr(kernel, "nearest_by_score", recording)
         for windows in (True, False):
-            monkeypatch.setattr(kernel, "_by_score", lambda queries, starts: windows)
+            monkeypatch.setattr(kernel, "_by_score", choosing(windows))
             results.append(apply_minpts(*args))
-        assert calls == [781]
+        assert calls == [(781, True), (781, False)]
         assert np.array_equal(results[0].cluster_of_group, results[1].cluster_of_group)
         assert np.array_equal(results[0].sizes, results[1].sizes)
 
@@ -266,19 +302,21 @@ class TestApplyMinpts:
         data, (cmap, *_, minpts), _ = self.small_clusters()
         eligible = int((cmap.sizes[cmap.cluster_of_group] >= minpts).sum())
         assert eligible < 2048
-        calls = []
-        real = kernel._nearest
+        calls, choices = [], []
+        real, real_choice = kernel._nearest, kernel._by_score
 
         def recording(A, half_a, B, b32, b64):
             calls.append((A.shape[0], B.shape[0]))
             return real(A, half_a, B, b32, b64)
 
-        def windows(*args, **kwargs):
-            raise AssertionError("score windows searched")
+        def choosing(queries, starts):
+            choices.append(real_choice(queries, starts))
+            return choices[-1]
 
         monkeypatch.setattr(kernel, "_nearest", recording)
-        monkeypatch.setattr(kernel, "nearest_by_score", windows)
+        monkeypatch.setattr(kernel, "_by_score", choosing)
         m = fit(data, radius=0.05, minpts=minpts)
+        assert choices == [False]
         assert calls == [(781, eligible)]
         assert np.all(m.cluster_sizes >= minpts)
 
@@ -943,6 +981,15 @@ ENCODING_FAULTS = [
     pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
                                           lambda v: v.__setitem__(-1, -np.inf)),
                  NOT_FINITE, id="negative-infinite-bytes"),
+    pytest.param(lambda doc: _edit_values(doc, "v1", "<f8", lambda v: v.__setitem__(0, 1e300)),
+                 "v1 must have unit norm", id="v1-whose-norm-overflows"),
+    pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
+                                          lambda v: v.__setitem__(slice(0, 2), (1.7e308,
+                                                                                -1.7e308))),
+                 "starting_scores must be the scores", id="starting-point-past-float64"),
+    pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
+                                          lambda v: v.__setitem__(slice(0, 2), 1.7e308)),
+                 "starting_scores must be the scores", id="score-past-float64"),
     pytest.param(lambda doc: _set_end(doc, 0, -1),
                  "group_members must partition", id="negative-group-end"),
     pytest.param(lambda doc: _set_end(doc, 0, doc["stats"]["n"]),
