@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -78,9 +79,10 @@ from .prep import PreparedData
 
 
 def _finite_real(value) -> bool:
-    """Whether `value` is a finite real number; a boolean or a string is not."""
+    """Whether `value` is a real number float64 holds finitely (no bool, no str)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+            and (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                 else math.isfinite(value)))
 
 
 def _radius(r) -> float:

@@ -149,7 +149,7 @@ def make_blobs(n: int, d: int, k: int, std: float, seed: int) -> tuple[np.ndarra
     Returns (points, ground-truth labels).
     """
     for name, count, least in (("k", k, 1), ("d", d, 1), ("n", n, k)):
-        if not (isinstance(count, numbers.Integral) and _finite_real(count) and count >= least):
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= least):
             raise ValueError(f"{name} must be an integer of at least {least}, got {count!r}")
     if not (_finite_real(std) and std >= 0.0):
         raise ValueError(f"std must be finite and nonnegative, got {std!r}")
@@ -178,15 +178,16 @@ class GaussianModelParams:
     d: int
 
     def validate(self) -> None:
-        # a value that is no finite real (a bool or a str) reads as nan and fails its test
-        c, r, s, d = (v if _finite_real(v) else math.nan for v in (self.c, self.r, self.s, self.d))
+        # no finite real (a bool, a str, past float64) reads as nan and fails its test
+        c, r, s = (v if _finite_real(v) else math.nan for v in (self.c, self.r, self.s))
         if math.isnan(c):
             raise ValueError("c must be finite")
         if not r > 0.0:
             raise ValueError("r must be positive and finite")
         if not 0.0 < s <= 1.0:
             raise ValueError(f"s must lie in (0, 1], got {self.s!r}")
-        if not (d >= 2 and d % 1 == 0):
+        d = self.d
+        if not (isinstance(d, numbers.Real) and not isinstance(d, bool) and d >= 2 and d % 1 == 0):
             raise ValueError(f"d must be an integer >= 2, got {self.d!r}")
 
 

@@ -147,9 +147,7 @@ class ClusterModel:
 
 
 def effective_radius(radius: float, mext: float) -> float:
-    """Absolute aggregation radius in the input's units: radius * mext, or the
-    radius itself where the data are degenerate (mext = 0). ``fit`` applies it
-    in ``prepare``'s frame."""
+    """Absolute aggregation radius, in the input's units: radius * mext, or radius if mext = 0."""
     return radius * mext if mext > 0.0 else radius
 
 
@@ -197,25 +195,23 @@ def fit(data, radius: float = 0.5, minpts: int = 0, scale: float = 1.5,
         merge_mode: str = "distance", outlier_mode: str = "reassign") -> ClusterModel:
     """Cluster `data` (n x d matrix) and return the fitted model.
 
-    `radius` is unit-free; the absolute grouping threshold is radius * the
-    median row norm of the centered data (a ValueError if not finite), or the
-    radius itself, in the input's units, where that norm is 0. The model holds
-    the input's units, exactly but for centered coordinates subnormal in them.
+    `radius` is unit-free: the threshold is radius * the median centered row norm
+    (a ValueError if not finite), or where that is 0 the radius in the input's units.
+    The model is in those units, exact but for centered coordinates subnormal in them.
     """
     config = FitConfig(radius=radius, minpts=minpts, scale=scale,
                        merge_mode=merge_mode, outlier_mode=outlier_mode)
     config.validate()
     config = replace(config, radius=float(radius), minpts=int(minpts), scale=float(scale))
     prepared = prepare(data)
-    mext, e = math.ldexp(prepared.mext, prepared.e), prepared.e
+    mext = math.ldexp(prepared.mext, prepared.e)
     if not math.isfinite(config.radius * mext):
         raise ValueError(f"radius {config.radius!r} is too large: the radius times the "
                          f"data's median row norm overflows float64")
-    # r in the frame 2^-e, held within [2^-1074, 2^40], as the centered norms there are
-    # under 2^33; the exponent is bounded first, as ldexp raises on overflow
-    r = config.radius * prepared.mext if mext > 0.0 else max(math.ldexp(
-        config.radius, min(-e, 41 - math.frexp(config.radius)[1])), 2.0 ** -1074)
-    r = min(r, 2.0 ** 40)
+    # r in the frame 2^-e, at most 2^40 (norms there are under 2^33); ldexp raises past float64
+    top = 40 - math.frexp(config.radius)[1]
+    r = (min(config.radius * prepared.mext, 2.0 ** 40) if prepared.mext > 0.0
+         else math.ldexp(config.radius, max(min(-prepared.e, top), top - 1113)))    # >= 2^-1074
     starts, group_of, dist_count = aggregate(prepared, r)
     starting_points = np.take(prepared.centered, starts, axis=0)
     starting_scores = prepared.scores[starts]
@@ -441,18 +437,20 @@ def _model_from_doc(doc: dict, version: int) -> ClusterModel:
            f"starting_scores and group_cluster must have length {l}")
     _check(all(bool(np.isfinite(x).all()) for x in (mean, v1, starting_points, starting_scores)),
            "mean, v1, starting_points and starting_scores must be finite")
-    # predict's score windows rest on these three: a unit v1 (as prepare
-    # requires it), scores in order, and each score within a quarter of the
-    # window pad of its point's (twice the rounding of a score; the rest of
-    # the pad covers the queries')
+    # predict's score windows rest on these three: a unit v1 (as prepare requires
+    # it), scores in order, and each score within a quarter of the window pad of its
+    # point's (twice the rounding of a score; the rest of the pad covers the queries').
+    # Norms and pads past 2^32 are taken in the frame, as predict takes them (prep.framed)
+    pts, e = framed(starting_points)
     with np.errstate(over="ignore", invalid="ignore"):    # a value past float64 fails its check
         norm, off = float(np.linalg.norm(v1)), np.abs(starting_points @ v1 - starting_scores)
-    pad = window_pad(starting_points, 0.0) / 4    # inf where a norm may pass float64
+    pad = (math.ldexp(window_pad(pts, 0.0), e) if e > 0 else window_pad(starting_points, 0.0)) / 4
     _check(abs(norm - 1.0) <= 1e-6, "v1 must have unit norm")
+    _check(math.frexp(largest(np.linalg.norm(pts, axis=1)))[1] + e <= 1024,
+           "starting_points must have norms within float64's range")
     _check(bool(np.all(starting_scores[1:] >= starting_scores[:-1])),
            "starting_scores must be nondecreasing")
-    _check(pad < math.inf and bool(np.all(off <= pad)),
-           "starting_scores must be the scores of the starting points along v1")
+    _check(bool(np.all(off <= pad)), "starting_scores must be the starting points' scores along v1")
 
     # group_members must partition 0..n-1: group ends that rise strictly from
     # 0 to n (each group holds its starting row), n rows in range, none left over.
@@ -504,11 +502,11 @@ def from_json(text: str) -> ClusterModel:
 
     Both formats then pass the same checks: keys, shapes, finite floats,
     `group_members` partitioning the rows 0..n-1 into nonempty groups,
-    cluster ids in [-1, k), `cluster_sizes` counting the rows of each
-    cluster and edge endpoints in [0, l). The score windows of `predict`
-    need three more: `v1` of unit norm to within 1e-6, nondecreasing
-    `starting_scores`, and each within a quarter of ``kernel.window_pad``
-    of ``starting_points @ v1``. A malformed document raises ValueError.
+    cluster ids in [-1, k), `cluster_sizes` counting the rows of each cluster,
+    edge endpoints in [0, l) and starting points whose norms float64 holds. The
+    score windows of `predict` need three more: `v1` of unit norm to within 1e-6,
+    nondecreasing `starting_scores`, and each within a quarter of the points'
+    ``kernel.window_pad`` of ``starting_points @ v1``. A malformed document raises ValueError.
     """
     try:
         doc = json.loads(text)

@@ -92,7 +92,7 @@ class TestAggregate:
 
     def test_invalid_radius(self):
         p = prepared_1d([0.0, 1.0])
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
             with pytest.raises(ValueError):
                 aggregate(p, bad)
 

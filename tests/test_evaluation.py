@@ -156,7 +156,7 @@ class TestMakeBlobs:
         b = make_blobs(50, 3, 4, 1.0, 7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("std", [float("nan"), float("inf"), True, "1.0"])
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), True, "1.0", 10 ** 400])
     def test_non_finite_std(self, std):
         with pytest.raises(ValueError, match="std must be finite"):
             make_blobs(20, 2, 2, std, 0)
@@ -209,9 +209,11 @@ class TestWindowModel:
             GaussianModelParams(c=0.0, r=1.0, s=0.5, d=d).validate()
 
     @pytest.mark.parametrize("name, value", [("c", True), ("c", "0"), ("r", True),
-                                             ("r", "1"), ("s", True), ("s", "0.5")])
+                                             ("r", "1"), ("s", True), ("s", "0.5"),
+                                             ("c", 10 ** 400), ("r", 10 ** 400)])
     def test_window_that_is_no_real_number(self, name, value):
-        # a bool does not run as 1, nor a str reach math.isfinite: both name themselves
+        # a bool does not run as 1, nor a str reach math.isfinite, nor an integer
+        # past float64 overflow later: each names itself
         params = {"c": 0.0, "r": 1.0, "s": 0.5, "d": 2, name: value}
         with pytest.raises(ValueError, match=f"^{name} must"):
             GaussianModelParams(**params).validate()

@@ -89,13 +89,15 @@ class TestFit:
         small = fit(data * 2.0 ** -40, radius=1e308)
         assert small.num_groups == 1 and math.isfinite(small.r)
 
-    def test_counts_beyond_float64_are_no_overflow(self):
-        # a minpts past float64's range is a valid integer: every cluster is
-        # too small, so nothing moves
-        m = fit([[0.0], [0.1], [5.0]], radius=0.2, minpts=10 ** 400)
-        assert m.labels.tolist() == fit([[0.0], [0.1], [5.0]], radius=0.2).labels.tolist()
+    def test_numbers_beyond_float64_are_no_overflow(self):
+        # integers past float64's range raise ValueError, not the
+        # OverflowError of converting them to a float
+        data = [[0.0], [0.1], [5.0]]
+        for name in ("radius", "minpts", "scale"):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                fit(data, **{name: 10 ** 400})
         with pytest.raises(ValueError):
-            explain_point(m, 10 ** 400)
+            explain_point(fit(data, radius=0.2), 10 ** 400)
 
     @pytest.mark.parametrize("stage", ["fit", "prepare", "predict"])
     @pytest.mark.parametrize("rows, message", [
@@ -189,6 +191,16 @@ class TestDegenerateData:
         base = np.array([[0.0], [0.0], [0.0], [-1.0], [1.0]])
         assert fit(base * 1e-300, radius=1e10).labels.tolist() == [0] * 5
         assert fit(base * 1e300, radius=1e-300).labels.tolist() == [0, 0, 0, 1, 2]
+
+    def test_median_norm_that_underflows_in_the_input_units(self):
+        # in the frame 2^-1073 the median centered norm is 1/6, so the radius
+        # is relative there, though the model's mext (1/6 of 2^-1073) reads 0;
+        # the rows times 2^1000 give the same two groups
+        base = np.array([[0.0], [5e-324], [5e-324]])
+        for k in (0, 1000):
+            m = fit(base * 2.0 ** k, radius=0.5)
+            assert m.labels.tolist() == [1, 0, 0], k
+        assert m.mext > 0.0 and fit(base, radius=0.5).mext == 0.0
 
 
 def multiplied_in(monkeypatch, call):
@@ -986,10 +998,10 @@ ENCODING_FAULTS = [
     pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
                                           lambda v: v.__setitem__(slice(0, 2), (1.7e308,
                                                                                 -1.7e308))),
-                 "starting_scores must be the scores", id="starting-point-past-float64"),
+                 "starting_points must have norms within", id="starting-point-past-float64"),
     pytest.param(lambda doc: _edit_values(doc, "starting_points", "<f8",
                                           lambda v: v.__setitem__(slice(0, 2), 1.7e308)),
-                 "starting_scores must be the scores", id="score-past-float64"),
+                 "starting_points must have norms within", id="score-past-float64"),
     pytest.param(lambda doc: _set_end(doc, 0, -1),
                  "group_members must partition", id="negative-group-end"),
     pytest.param(lambda doc: _set_end(doc, 0, doc["stats"]["n"]),

@@ -548,6 +548,9 @@ class TestMagnitudeRange:
         assert np.isfinite(model.starting_points).all() and 0.0 < model.mext < math.inf
         starts = model.starting_points + model.mean
         assert predict(model, starts).tolist() == model.group_cluster.tolist()
+        # a start whose largest entry times sqrt(d) passes float64 has a
+        # finite norm: the model reloads
+        assert to_json(from_json(to_json(model))) == to_json(model)
         if case == "scaled-1e154":
             assert model.labels.tolist() == fit(normal_sample(), radius=0.3).labels.tolist()
 
